@@ -190,8 +190,11 @@ def _run_search(args) -> tuple[dict, int]:
 
 
 def _load(source: str):
-    """Read a JSON document from an inline string or a file path."""
-    text = source if source.lstrip().startswith("{") else _read_file(source)
+    """Read a JSON document from an inline string or a file path.
+
+    Text whose first non-space character opens a JSON object or array is
+    inline; anything else names a file."""
+    text = source if source.lstrip()[:1] in ("{", "[") else _read_file(source)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -22,6 +22,7 @@ from .matrix import Matrix, column_vector, rank_one, row_vector
 from .nilpotency import NilpotencyReport, is_nilpotent
 from .operators import (
     ElementaryOperator,
+    _need_square_pair,
     make_generalized_derivation,
     make_inner_derivation,
     make_multiplication,
@@ -304,10 +305,3 @@ def _first_nonzero_position(mat: Matrix) -> tuple[int, int]:
         if e:
             return i, j
     raise IntegrityError("nonzero position requested in a zero matrix")
-
-
-def _need_square_pair(a: Matrix, b: Matrix) -> None:
-    if not (a.is_square and b.is_square and a.rows == b.rows):
-        raise ShapeError(
-            f"need two square matrices of one size, got {a.rows}x{a.cols} and {b.rows}x{b.cols}"
-        )

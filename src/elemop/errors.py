@@ -19,5 +19,10 @@ class IntegrityError(RuntimeError):
     Raised when two independent computations of the same fact disagree
     (power iteration vs. characteristic polynomial, or the two sides of an
     exact equivalence).  Reaching this means an implementation bug, never
-    bad input.
+    bad input.  `instance`, when set, is the input that failed the check,
+    so the failure can be replayed; it does not appear in str(exc).
     """
+
+    def __init__(self, message: str, instance=None):
+        super().__init__(message)
+        self.instance = instance

@@ -5,15 +5,27 @@ when its d-th power vanishes (Cayley-Hamilton), equivalently when its
 characteristic polynomial is x^d.  `is_nilpotent` decides by power
 iteration and then re-decides from the characteristic polynomial; the two
 routes must agree, and a disagreement raises IntegrityError.
+
+Both routes run on Gaussian integers, not on Q(i).  Let D be the lcm of
+the denominators of every real and imaginary part of A; then B = D*A has
+entries in Z[i], held as rows of Python ints (real parts, plus imaginary
+parts only when some entry of A is non-real).  Nilpotency and its index
+are unchanged by the nonzero factor D, and B^k = D^k A^k and
+c_k(B) = D^k c_k(A) for the coefficient c_k of x^(d-k).  Only what leaves
+the module is scaled back: the witness entry of B^(k-1) is divided by
+D^(k-1), and char_poly returns c_k(B) / D^k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import IntegrityError, ShapeError
 from .matrix import Matrix
-from .scalars import ONE, ZERO, GaussianRational
+from .scalars import GaussianRational
 
 
 @dataclass(frozen=True)
@@ -42,23 +54,27 @@ class NilpotencyReport:
 def char_poly(a: Matrix) -> tuple[GaussianRational, ...]:
     """Monic characteristic polynomial det(xI - a), leading coefficient first.
 
-    Faddeev-LeVerrier recurrence: M_1 = I, then for k = 1..d
-    c_{d-k} = -tr(a M_k) / k and M_{k+1} = a M_k + c_{d-k} I.  The only
-    divisions are by the step index k, which are exact over Q(i).
+    Faddeev-LeVerrier recurrence on B = D*a: M_1 = I, then for k = 1..d
+    c_k = -tr(B M_k) / k and M_{k+1} = B M_k + c_k I.  B has entries in
+    Z[i], so every c_k and M_k does too and each division by k is exact;
+    an inexact one raises IntegrityError.
     """
     if not a.is_square:
         raise ShapeError(f"characteristic polynomial of non-square {a.rows}x{a.cols}")
+    scale, b = _gaussian_integer_form(a)
     d = a.rows
-    ident = Matrix.identity(d)
-    coeffs = [ZERO] * (d + 1)
-    coeffs[0] = ONE  # coefficient of x^d
-    m = ident
+    coeffs = [(1, 0)]  # coefficient of x^d
+    m = _identity(d, real=b[1] is None)
     for k in range(1, d + 1):
-        am = a * m
-        coeffs[k] = -(am.trace() / k)
-        if k < d:
-            m = am + coeffs[k] * ident
-    return tuple(coeffs)
+        bm = _matmul(b, m)
+        tr_re, tr_im = _trace(bm)
+        c = (_exact_div(-tr_re, k, a), _exact_div(-tr_im, k, a))
+        coeffs.append(c)
+        m = _add_scalar(bm, c)
+    return tuple(
+        GaussianRational(Fraction(re, scale**k), Fraction(im, scale**k))
+        for k, (re, im) in enumerate(coeffs)
+    )
 
 
 def is_nilpotent(a: Matrix) -> NilpotencyReport:
@@ -69,31 +85,109 @@ def is_nilpotent(a: Matrix) -> NilpotencyReport:
     """
     if not a.is_square:
         raise ShapeError(f"nilpotency of non-square {a.rows}x{a.cols}")
+    scale, b = _gaussian_integer_form(a)
     d = a.rows
     index = None
     witness = None
     previous = None
-    power = a
+    power = b
     for k in range(1, d + 1):
-        if power.is_zero:
+        if _is_zero(power):
             index = k
             if k > 1:
-                witness = _first_nonzero(previous)
+                witness = _first_nonzero(previous, scale ** (k - 1))
             break
         if k < d:
             previous = power
-            power = power * a
+            power = _matmul(power, b)
 
     by_poly = all(not c for c in char_poly(a)[1:])
     if by_poly != (index is not None):
         raise IntegrityError(
-            "power iteration and characteristic polynomial disagree on nilpotency"
+            "power iteration and characteristic polynomial disagree on nilpotency",
+            instance=a,
         )
     return NilpotencyReport(nilpotent=index is not None, index=index, witness=witness)
 
 
-def _first_nonzero(m: Matrix) -> EntryWitness:
-    for i, j, e in m.entries():
-        if e:
-            return EntryWitness(i, j, e)
+# ---- Gaussian-integer kernel --------------------------------------------------
+# A matrix over Z[i] is a pair (re, im) of lists of int rows; im is None
+# when every entry is real, and then stays None through every product.
+
+def _gaussian_integer_form(a: Matrix):
+    """(D, D*a) with D the lcm of all denominators of a's entries."""
+    rows = a.row_list()
+    scale = lcm(*(part.denominator for row in rows for e in row for part in (e.re, e.im)))
+    re = [[e.re.numerator * (scale // e.re.denominator) for e in row] for row in rows]
+    if all(e.is_real for row in rows for e in row):
+        return scale, (re, None)
+    im = [[e.im.numerator * (scale // e.im.denominator) for e in row] for row in rows]
+    return scale, (re, im)
+
+
+def _int_matmul(x, y):
+    cols = tuple(zip(*y))
+    return [[sum(map(mul, row, col)) for col in cols] for row in x]
+
+
+def _matmul(x, y):
+    (xr, xi), (yr, yi) = x, y
+    if xi is None:
+        return _int_matmul(xr, yr), None
+    rr, ii = _int_matmul(xr, yr), _int_matmul(xi, yi)
+    ri, ir = _int_matmul(xr, yi), _int_matmul(xi, yr)
+    return (
+        [[p - q for p, q in zip(r1, r2)] for r1, r2 in zip(rr, ii)],
+        [[p + q for p, q in zip(r1, r2)] for r1, r2 in zip(ri, ir)],
+    )
+
+
+def _trace(x) -> tuple[int, int]:
+    re, im = x
+    n = len(re)
+    return (
+        sum(re[i][i] for i in range(n)),
+        0 if im is None else sum(im[i][i] for i in range(n)),
+    )
+
+
+def _identity(d: int, real: bool):
+    re = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    return re, (None if real else [[0] * d for _ in range(d)])
+
+
+def _add_scalar(x, c):
+    """Add c*I to x in place and return it; c = (re, im) is a Gaussian integer."""
+    re, im = x
+    for i, row in enumerate(re):
+        row[i] += c[0]
+    if im is not None:
+        for i, row in enumerate(im):
+            row[i] += c[1]
+    return re, im
+
+
+def _exact_div(n: int, k: int, a: Matrix) -> int:
+    q, r = divmod(n, k)
+    if r:
+        raise IntegrityError(
+            f"Faddeev-LeVerrier division by {k} is not exact over Z[i]", instance=a
+        )
+    return q
+
+
+def _is_zero(x) -> bool:
+    re, im = x
+    return not any(map(any, re)) and (im is None or not any(map(any, im)))
+
+
+def _first_nonzero(x, denominator: int) -> EntryWitness:
+    re, im = x
+    for i, row in enumerate(re):
+        for j, e in enumerate(row):
+            f = 0 if im is None else im[i][j]
+            if e or f:
+                return EntryWitness(
+                    i, j, GaussianRational(Fraction(e, denominator), Fraction(f, denominator))
+                )
     raise IntegrityError("witness requested for a zero matrix")

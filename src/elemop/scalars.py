@@ -15,16 +15,22 @@ String form, shared with the JSON wire format:
 
 `format_scalar` emits exactly these whitespace-free forms; `parse_scalar`
 is tolerant (whitespace, a bare "i", "2i" and "3*i" are all accepted).
+Each unsigned term must be ASCII digits with an optional "/digits"
+denominator; decimals, exponents, underscores and non-ASCII digits are
+rejected before `Fraction` sees them, so no input can make it expand a
+huge exponent.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
 
 _F0 = Fraction(0)
+_TERM_BODY = re.compile(r"[0-9]+(?:/[0-9]+)?")
 
 
 def _as_fraction(x) -> Fraction:
@@ -201,8 +207,11 @@ def _parse_term(term: str, original: str) -> tuple[Fraction, bool]:
         body = body[:-1].rstrip("*")
         if not body:
             body = "1"
+    message = f"bad scalar {original!r}: cannot read term {term!r}"
+    if not _TERM_BODY.fullmatch(body):
+        raise ParseError(message)
     try:
         value = Fraction(body)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad scalar {original!r}: cannot read term {term!r}") from exc
+        raise ParseError(message) from exc
     return sign * value, imaginary

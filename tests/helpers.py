@@ -1,9 +1,17 @@
-"""Seeded random value builders shared by the test modules."""
+"""Seeded random value builders and reference paths shared by the test modules."""
 
 import random
 from fractions import Fraction
 
-from elemop import ElementaryOperator, GaussianRational, Matrix
+from elemop import (
+    ElementaryOperator,
+    EntryWitness,
+    GaussianRational,
+    Matrix,
+    NilpotencyReport,
+    ONE,
+    ZERO,
+)
 
 
 def rand_fraction(rng: random.Random, bound: int = 3) -> Fraction:
@@ -39,3 +47,45 @@ def rand_operator(
         for _ in range(length)
     )
     return ElementaryOperator(dim, terms)
+
+
+# ---- reference nilpotency path ------------------------------------------------
+# The decision procedure as it ran before the Gaussian-integer kernel: the
+# same two routes, computed with Matrix arithmetic over Q(i) throughout.
+
+def ref_char_poly(a: Matrix) -> tuple[GaussianRational, ...]:
+    """Faddeev-LeVerrier over Q(i): c_k = -tr(a M_k) / k, M_{k+1} = a M_k + c_k I."""
+    d = a.rows
+    ident = Matrix.identity(d)
+    coeffs = [ZERO] * (d + 1)
+    coeffs[0] = ONE
+    m = ident
+    for k in range(1, d + 1):
+        am = a * m
+        coeffs[k] = -(am.trace() / k)
+        if k < d:
+            m = am + coeffs[k] * ident
+    return tuple(coeffs)
+
+
+def ref_is_nilpotent(a: Matrix) -> NilpotencyReport:
+    """Power iteration over Q(i), cross-checked against ref_char_poly."""
+    d = a.rows
+    index = None
+    witness = None
+    previous = None
+    power = a
+    for k in range(1, d + 1):
+        if power.is_zero:
+            index = k
+            if k > 1:
+                witness = next(
+                    EntryWitness(i, j, e) for i, j, e in previous.entries() if e
+                )
+            break
+        if k < d:
+            previous = power
+            power = power * a
+    by_poly = all(not c for c in ref_char_poly(a)[1:])
+    assert by_poly == (index is not None), "reference routes disagree"
+    return NilpotencyReport(nilpotent=index is not None, index=index, witness=witness)

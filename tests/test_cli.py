@@ -200,6 +200,18 @@ def test_parse_errors_exit_2(capsys):
         capsys, "nilpotent", "--matrix", '{"rows": 2, "cols": 2, "entries": [["1"]]}'
     )
     assert status == 2
+    status, _, err = run_cli(
+        capsys, "nilpotent", "--matrix", '{"rows": 1, "cols": 1, "entries": [["1e999999999"]]}'
+    )
+    assert status == 2 and "cannot read term '1e999999999'" in err
+
+
+@pytest.mark.parametrize("flag", ["--matrix", "--op"])
+def test_inline_array_is_parsed_not_opened(capsys, flag):
+    status, out, err = run_cli(capsys, "nilpotent", flag, " [1]")
+    assert status == 2 and out == ""
+    assert "must be an object, got list" in err
+    assert "No such file" not in err
 
 
 def test_sweep_21_dispatches_to_exhaustive(capsys, monkeypatch):

@@ -1,9 +1,25 @@
+import itertools
 import random
 
 import pytest
 
-from elemop import Matrix, ONE, ShapeError, ZERO, char_poly, is_nilpotent
-from helpers import rand_matrix
+from elemop import (
+    IntegrityError,
+    Matrix,
+    ONE,
+    ShapeError,
+    ZERO,
+    char_poly,
+    is_nilpotent,
+    lab,
+    nilpotency,
+)
+from elemop.operators import (
+    make_generalized_derivation,
+    make_multiplication,
+    make_v_operator,
+)
+from helpers import rand_matrix, ref_char_poly, ref_is_nilpotent
 
 J2 = Matrix([[0, 1], [0, 0]])
 J3 = Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -153,3 +169,81 @@ def test_witness_entry_is_nonzero():
     assert report.index == 2
     assert report.witness.value == ONE
     assert J2[report.witness.row, report.witness.col] == report.witness.value
+
+
+# ---- Gaussian-integer kernel against the Q(i) reference path -------------------
+
+def _assert_matches_reference(a: Matrix):
+    assert is_nilpotent(a) == ref_is_nilpotent(a)  # decision, index, witness value
+    assert char_poly(a) == ref_char_poly(a)
+
+
+SIGNED_2X2 = [
+    Matrix([list(entries[:2]), list(entries[2:])])
+    for entries in itertools.product((-1, 0, 1), repeat=4)
+]
+
+
+def test_kernel_matches_reference_on_all_signed_2x2():
+    assert len(SIGNED_2X2) == 81
+    for a in SIGNED_2X2:
+        _assert_matches_reference(a)
+
+
+def test_kernel_matches_reference_on_signed_2x2_superoperators():
+    pairs = list(itertools.product(SIGNED_2X2, repeat=2))[::13]
+    nilpotent = 0
+    for a, b in pairs:
+        for op in (make_multiplication(a, b), make_generalized_derivation(a, b)):
+            sup = op.superoperator()
+            _assert_matches_reference(sup)
+            nilpotent += is_nilpotent(sup).nilpotent
+    assert nilpotent >= 20
+
+
+def test_kernel_matches_reference_on_gaussian_dim3():
+    rng = random.Random(12)
+    cases = [rand_matrix(rng, 3, bound=5, gaussian=True) for _ in range(30)]
+    cases += [lab.gen_nilpotent(lab.GeneratorConfig(dim=3, seed=seed, gaussian=True))
+              for seed in range(10)]
+    # real and imaginary denominators differ, so D mixes both parts
+    assert sum(e.re.denominator != e.im.denominator
+               for a in cases for _, _, e in a.entries()) > 100
+    for a in cases:
+        _assert_matches_reference(a)
+
+
+def test_kernel_matches_reference_on_9x9_superoperators():
+    indices = set()
+    for seed in range(8):
+        gaussian = seed % 2 == 1
+        s = lab.gen_nilpotent(lab.GeneratorConfig(dim=3, seed=seed, gaussian=gaussian))
+        t = lab.gen_nilpotent(lab.GeneratorConfig(dim=3, seed=seed + 100, gaussian=gaussian))
+        for op in (make_multiplication(s, t), make_generalized_derivation(s, t),
+                   make_v_operator(s, t)):
+            sup = op.superoperator()
+            _assert_matches_reference(sup)
+            indices.add(is_nilpotent(sup).index)
+    assert len(indices) > 1
+
+
+# ---- replayable integrity failures ---------------------------------------------
+
+def test_route_disagreement_carries_the_matrix(monkeypatch):
+    message = "power iteration and characteristic polynomial disagree on nilpotency"
+    monkeypatch.setattr(nilpotency, "char_poly", lambda a: (ONE,) + (ONE,) * a.rows)
+    with pytest.raises(IntegrityError) as info:
+        is_nilpotent(J3)
+    assert str(info.value) == message
+    assert info.value.instance == J3
+    # replaying the instance reproduces the failure
+    with pytest.raises(IntegrityError, match=message):
+        is_nilpotent(info.value.instance)
+
+
+def test_inexact_faddeev_leverrier_division_raises(monkeypatch):
+    monkeypatch.setattr(nilpotency, "_trace", lambda m: (1, 0))  # -1/2 at k = 2
+    with pytest.raises(IntegrityError) as info:
+        char_poly(FAMILY_A)
+    assert "division by 2 is not exact" in str(info.value)
+    assert info.value.instance == FAMILY_A

@@ -93,6 +93,23 @@ def test_parse_rejects_garbage(bad):
         parse_scalar(bad)
 
 
+@pytest.mark.parametrize(
+    "bad, term",
+    [
+        ("1e999999999", "1e999999999"),  # Fraction would expand the exponent
+        ("1e5", "1e5"),
+        ("1.5", "1.5"),
+        ("1_000", "1_000"),
+        ("\u0661\u0662", "\u0661\u0662"),  # Arabic-Indic digits
+        ("2-1e5*i", "-1e5*i"),
+    ],
+)
+def test_parse_rejects_terms_outside_the_ascii_grammar(bad, term):
+    with pytest.raises(ParseError) as info:
+        parse_scalar(bad)
+    assert str(info.value) == f"bad scalar {bad!r}: cannot read term {term!r}"
+
+
 @given(scalars)
 def test_parse_inverts_format(z):
     assert parse_scalar(format_scalar(z)) == z
