@@ -13,16 +13,15 @@ import json
 import sys
 
 from . import jsonio, lab
-from .criteria import (
-    fong_sourour_check,
-    thm21_criterion,
-    thm22_check,
-    thm23_check,
-)
 from .errors import IntegrityError, ParseError
 from .nilpotency import is_nilpotent
 from .operators import op_is_nilpotent
 from .scalars import parse_scalar
+
+
+CHECK_CHOICES = [c.cli for c in lab.CRITERIA if c.supports("check")]
+SWEEP_CHOICES = [c.cli for c in lab.CRITERIA if c.supports("sweep") or c.exhaustive]
+SEARCH_CHOICES = [c.cli for c in lab.CRITERIA if c.supports("search")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--op", help="operator JSON (path or inline)")
 
     p = sub.add_parser("check", parents=[common], help="run one structural criterion on concrete inputs")
-    p.add_argument("--theorem", required=True, choices=["2.1", "2.2", "2.3", "1.1"])
+    p.add_argument("--theorem", required=True, choices=CHECK_CHOICES)
     p.add_argument("--a", required=True, nargs="+", metavar="MATRIX",
                    help="left coefficient(s); several only for --theorem 2.2")
     p.add_argument("--b", required=True, nargs="+", metavar="MATRIX",
@@ -62,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exact scalars for the parametric 3x3 family (3.2 only)")
 
     p = sub.add_parser("sweep", parents=[common], help="sweep a criterion over generated instances")
-    p.add_argument("--theorem", required=True, choices=["2.1", "2.2", "2.3", "1.1"])
+    p.add_argument("--theorem", required=True, choices=SWEEP_CHOICES)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
@@ -72,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="for --theorem 1.1: enumerate all dim-2 pairs with entries -1, 0, 1")
 
     p = sub.add_parser("search", parents=[common], help="search for converse failures of a criterion")
-    p.add_argument("--target", required=True, choices=["2.1-ext", "2.2", "2.3"])
+    p.add_argument("--target", required=True, choices=SEARCH_CHOICES)
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
@@ -126,20 +125,15 @@ def _dispatch(args) -> tuple[dict, int]:
 
 
 def _run_check(args) -> tuple[dict, int]:
+    spec = lab.criterion(args.theorem)
     a_list = [jsonio.matrix_from_obj(_load(path)) for path in args.a]
     b_list = [jsonio.matrix_from_obj(_load(path)) for path in args.b]
-    if args.theorem == "2.2":
-        result = thm22_check(a_list, b_list)
+    if spec.tuples:
+        result = spec.check((a_list, b_list))
+    elif len(a_list) != 1 or len(b_list) != 1:
+        raise ParseError(f"--theorem {args.theorem} takes exactly one --a and one --b")
     else:
-        if len(a_list) != 1 or len(b_list) != 1:
-            raise ParseError(f"--theorem {args.theorem} takes exactly one --a and one --b")
-        a, b = a_list[0], b_list[0]
-        if args.theorem == "2.1":
-            result = thm21_criterion(a, b)
-        elif args.theorem == "2.3":
-            result = thm23_check(a, b)
-        else:
-            result = fong_sourour_check(a, b)
+        result = spec.check((a_list[0], b_list[0]))
     return jsonio.check_to_obj(result), 0 if result.consistent else 1
 
 
@@ -157,36 +151,30 @@ def _run_examples(args) -> tuple[dict, int]:
 
 
 def _run_sweep(args) -> tuple[dict, int]:
-    if args.theorem == "2.1":
+    spec = lab.criterion(args.theorem)
+    if spec.exhaustive and (args.exhaustive or not spec.supports("sweep")):
         if args.dim != 2:
-            raise ParseError("--theorem 2.1 sweeps exhaustively and needs --dim 2")
-        report = lab.sweep_thm21_exhaustive()
-    elif args.theorem == "1.1" and args.exhaustive:
-        if args.dim != 2:
-            raise ParseError("--exhaustive needs --dim 2")
-        report = lab.sweep_fong_sourour_exhaustive()
+            raise ParseError(
+                "--exhaustive needs --dim 2" if spec.supports("sweep")
+                else f"--theorem {args.theorem} sweeps exhaustively and needs --dim 2"
+            )
+        report = spec.exhaustive()
+    elif args.exhaustive:
+        raise ParseError(f"--exhaustive does not apply to --theorem {args.theorem}")
     else:
-        if args.exhaustive:
-            raise ParseError(f"--exhaustive does not apply to --theorem {args.theorem}")
-        config = lab.GeneratorConfig(
-            dim=args.dim,
-            entry_bound=args.entry_bound,
-            seed=args.seed,
-            gaussian=args.gaussian,
-        )
-        report = lab.sweep_thm(args.theorem, config, args.trials)
+        report = lab.sweep_thm(args.theorem, _config(args), args.trials)
     return report.to_obj(), 0 if report.passed else 1
 
 
 def _run_search(args) -> tuple[dict, int]:
-    config = lab.GeneratorConfig(
-        dim=args.dim,
-        entry_bound=args.entry_bound,
-        seed=args.seed,
-        gaussian=args.gaussian,
-    )
-    report = lab.search_converse_failures(args.target, config, args.trials)
+    report = lab.search_converse_failures(args.target, _config(args), args.trials)
     return report.to_obj(), 0 if report.passed else 1
+
+
+def _config(args) -> lab.GeneratorConfig:
+    return lab.GeneratorConfig(
+        dim=args.dim, entry_bound=args.entry_bound, seed=args.seed, gaussian=args.gaussian
+    )
 
 
 def _load(source: str):

@@ -9,7 +9,8 @@ Two of the criteria are exact equivalences in finite dimension, not just
 implications: the length-one criterion (`thm21_criterion`) and the common
 scalar shift criterion for generalized derivations (`fong_sourour_check`).
 For those, a violated biconditional raises IntegrityError, since it can
-only mean an implementation bug.
+only mean an implementation bug; its `instance` is the offending pair, as
+for every failed step of `thm21_proof_replay`.
 """
 
 from __future__ import annotations
@@ -104,7 +105,8 @@ def thm21_criterion(a: Matrix, b: Matrix) -> TheoremCheckResult:
     if hold != conclusion.nilpotent:
         raise IntegrityError(
             "length-one biconditional violated: "
-            f"hypotheses {hold} but operator nilpotent is {conclusion.nilpotent}"
+            f"hypotheses {hold} but operator nilpotent is {conclusion.nilpotent}",
+            (a, b),
         )
     return TheoremCheckResult(hold, failures, conclusion)
 
@@ -199,7 +201,8 @@ def fong_sourour_check(s: Matrix, t: Matrix) -> ShiftCheckResult:
     if hold != conclusion.nilpotent:
         raise IntegrityError(
             "common-shift biconditional violated: "
-            f"hypotheses {hold} but derivation nilpotent is {conclusion.nilpotent}"
+            f"hypotheses {hold} but derivation nilpotent is {conclusion.nilpotent}",
+            (s, t),
         )
     return ShiftCheckResult(hold, tuple(failures), conclusion, lam, lam)
 
@@ -279,7 +282,7 @@ def thm21_proof_replay(a: Matrix, b: Matrix) -> ProofReplay:
     f = row_vector(1 if c == zi else 0 for c in range(d))
     f_bz = (f * (bm * z))[0, 0]
     if not f_bz:
-        raise IntegrityError("chosen functional vanishes on B^m z")
+        raise IntegrityError("chosen functional vanishes on B^m z", (a, b))
 
     am = a**m
     steps = []
@@ -291,12 +294,13 @@ def thm21_proof_replay(a: Matrix, b: Matrix) -> ProofReplay:
         if not (sandwich_zero and image_zero):
             raise IntegrityError(
                 f"rank-one construction failed at basis vector {k}: "
-                f"sandwich zero {sandwich_zero}, image zero {image_zero}"
+                f"sandwich zero {sandwich_zero}, image zero {image_zero}",
+                (a, b),
             )
         steps.append(ReplayStep(x, xf, sandwich_zero, image_zero))
 
     if not am.is_zero:
-        raise IntegrityError("every column of A^m vanished but A^m != 0")
+        raise IntegrityError("every column of A^m vanished but A^m != 0", (a, b))
     return ProofReplay(m, z, f, f_bz, tuple(steps), am, am.is_zero)
 
 

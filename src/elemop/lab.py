@@ -1,22 +1,33 @@
-"""Instance generators, exhaustive and randomized sweeps, converse-failure
+"""Instance generators, the criterion table, sweeps, converse-failure
 searches, and the two bundled reference instances.
+
+`CRITERIA` has one entry per criterion of the paper, of one of three kinds.
+An equivalence (2.1, 1.1) is violated by a mismatch either way.  An
+implication (2.2, 2.3) is violated only by hypotheses that hold on a
+non-nilpotent operator; a nilpotent operator without them is a converse
+finding.  A conjecture (the length-2 extension of 2.1) is known to fail
+(example 3.1), so it yields converse findings only.  The table drives the
+sweeps, the search and the CLI's check, sweep and search.
 
 Everything here is deterministic: a GeneratorConfig (including its seed)
 fixes every generated instance, every sweep order and therefore every
 report byte-for-byte.  Trials draw from disjoint per-trial streams derived
 from the master seed, so they could run in any order or in parallel and
-still merge identically by trial index.
+still merge identically by trial index.  Streams stay disjoint for at most
+1,000,003 trials, so no run takes more.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from . import jsonio
 from .criteria import (
+    TheoremCheckResult,
     fong_sourour_check,
     scalar_shift_witness,
     thm21_criterion,
@@ -36,10 +47,8 @@ from .operators import (
 from .scalars import ZERO, GaussianRational, as_scalar, format_scalar
 
 RNG_NAME = "python-random-mt19937"
-
-_THM22 = "2.2"
-_THM23 = "2.3"
-_FONG = "fong_sourour"
+# trial t of seed s draws from stream s * _STREAM_STRIDE + t
+_STREAM_STRIDE = 1_000_003
 
 
 @dataclass(frozen=True)
@@ -65,12 +74,7 @@ class GeneratorConfig:
             raise PreconditionError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
     def to_obj(self) -> dict:
-        return {
-            "dim": self.dim,
-            "entry_bound": self.entry_bound,
-            "seed": self.seed,
-            "gaussian": self.gaussian,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -95,24 +99,14 @@ class SweepReport:
         return not self.violations
 
     def to_obj(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "mode": self.mode,
-            "config": self.config,
-            "rng": self.rng,
-            "instances_tested": self.instances_tested,
-            "hypothesis_instances": self.hypothesis_instances,
-            "violations": self.violations,
-            "converse_failures": self.converse_failures,
-            "passed": self.passed,
-        }
+        return asdict(self) | {"passed": self.passed}
 
 
 # ---- raw randomness --------------------------------------------------------
 
 def _sub_seed(seed: int, index: int) -> int:
-    # disjoint deterministic per-trial streams
-    return seed * 1_000_003 + index
+    # disjoint deterministic per-trial streams while index < _STREAM_STRIDE
+    return seed * _STREAM_STRIDE + index
 
 
 def _rand_fraction(rng: random.Random, bound: int) -> Fraction:
@@ -123,18 +117,15 @@ def _rand_fraction(rng: random.Random, bound: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _rand_scalar(rng: random.Random, bound: int, gaussian: bool) -> GaussianRational:
-    re = _rand_fraction(rng, bound)
-    im = _rand_fraction(rng, bound) if gaussian else 0
+def _rand_scalar(rng: random.Random, config: GeneratorConfig) -> GaussianRational:
+    re = _rand_fraction(rng, config.entry_bound)
+    im = _rand_fraction(rng, config.entry_bound) if config.gaussian else 0
     return GaussianRational(re, im)
 
 
-def _rand_matrix(
-    rng: random.Random, dim: int, bound: int, gaussian: bool
-) -> Matrix:
-    return Matrix(
-        [[_rand_scalar(rng, bound, gaussian) for _ in range(dim)] for _ in range(dim)]
-    )
+def _rand_matrix(rng: random.Random, config: GeneratorConfig) -> Matrix:
+    dim = config.dim
+    return Matrix([[_rand_scalar(rng, config) for _ in range(dim)] for _ in range(dim)])
 
 
 def _random_unimodular(rng: random.Random, dim: int) -> tuple[Matrix, Matrix]:
@@ -175,42 +166,29 @@ def _swap_matrix(dim: int, i: int, j: int) -> Matrix:
 
 # ---- generators --------------------------------------------------------------
 
-def _gen_nilpotent(rng: random.Random, dim: int, bound: int, gaussian: bool) -> Matrix:
+def _gen_nilpotent(rng: random.Random, config: GeneratorConfig) -> Matrix:
+    dim = config.dim
     upper = Matrix.zero(dim).row_list()
     for i in range(dim):
         for j in range(i + 1, dim):
-            upper[i][j] = _rand_scalar(rng, bound, gaussian)
+            upper[i][j] = _rand_scalar(rng, config)
     s, s_inv = _random_unimodular(rng, dim)
     return s * Matrix(upper) * s_inv
 
 
 def gen_nilpotent(config: GeneratorConfig) -> Matrix:
     """An exactly nilpotent matrix: a conjugated strictly upper triangle."""
-    rng = random.Random(config.seed)
-    return _gen_nilpotent(rng, config.dim, config.entry_bound, config.gaussian)
+    return _gen_nilpotent(random.Random(config.seed), config)
 
 
-def _poly_coeffs(
-    rng: random.Random, dim: int, bound: int, gaussian: bool, zero_constant: bool
-) -> list[GaussianRational]:
-    coeffs = [_rand_scalar(rng, bound, gaussian) for _ in range(dim)]
+def _rand_poly(
+    rng: random.Random, config: GeneratorConfig, zero_constant: bool, seed: Matrix
+) -> Matrix:
+    """A random polynomial of degree below the dimension in `seed`."""
+    coeffs = [_rand_scalar(rng, config) for _ in range(config.dim)]
     if zero_constant:
         coeffs[0] = ZERO
-    return coeffs
-
-
-def _commuting_tuple(
-    rng: random.Random,
-    seed_matrix: Matrix,
-    nilpotent_flags,
-    bound: int,
-    gaussian: bool,
-) -> list[Matrix]:
-    dim = seed_matrix.rows
-    return [
-        matrix_poly(_poly_coeffs(rng, dim, bound, gaussian, flag), seed_matrix)
-        for flag in nilpotent_flags
-    ]
+    return matrix_poly(coeffs, seed)
 
 
 def gen_commuting_tuple(
@@ -240,9 +218,222 @@ def gen_commuting_tuple(
             "a nilpotent output was requested but the seed matrix is not nilpotent"
         )
     rng = random.Random(config.seed)
-    return _commuting_tuple(
-        rng, seed_matrix, nilpotent_flags, config.entry_bound, config.gaussian
+    return [_rand_poly(rng, config, flag, seed_matrix) for flag in nilpotent_flags]
+
+
+# ---- the criterion table -------------------------------------------------------
+
+EQUIVALENCE = "equivalence"
+IMPLICATION = "implication"
+CONJECTURE = "conjecture"
+
+
+@dataclass(frozen=True)
+class Criterion:
+    """One criterion of the paper and what it takes to exercise it.
+
+    `kind` is EQUIVALENCE, IMPLICATION or CONJECTURE (see the module
+    docstring).  An instance is what `check` takes: an (a, b) pair, a pair
+    of coefficient tuples when `tuples` is set, or an operator; `dump` gives
+    its JSON fields.  From a trial's stream, `structured` draws an instance
+    that satisfies the hypotheses by construction and `random` an
+    unconstrained one; `from_pair` maps a search pair (a, b) to an instance.
+    `commutation_fact`, when set, must hold on every structured instance
+    whose hypotheses hold.  `exhaustive` runs the exhaustive dim-2 sweep.
+    Adapters reach library functions through this module's globals, so a
+    wrapper installed there (a test's monkeypatch, a tracer) sees the call.
+    """
+
+    name: str
+    cli: str
+    kind: str
+    check: Callable
+    dump: Callable
+    tuples: bool = False
+    structured: Callable | None = None
+    random: Callable | None = None
+    from_pair: Callable | None = None
+    commutation_fact: Callable | None = None
+    exhaustive: Callable | None = None
+
+    def supports(self, mode: str) -> bool:
+        """Whether "check", the randomized "sweep" or "search" can run it."""
+        if mode == "sweep":
+            return self.structured is not None
+        if mode == "search":
+            return self.from_pair is not None
+        return self.kind != CONJECTURE
+
+
+def _pair_obj(pair) -> dict:
+    a, b = pair
+    # the empty reason on pair findings is part of the report format
+    return {"a": jsonio.matrix_to_obj(a), "b": jsonio.matrix_to_obj(b), "reason": ""}
+
+
+def _tuples_obj(tuples) -> dict:
+    a_tuple, b_tuple = tuples
+    return {
+        "a_tuple": [jsonio.matrix_to_obj(m) for m in a_tuple],
+        "b_tuple": [jsonio.matrix_to_obj(m) for m in b_tuple],
+    }
+
+
+def _operator_obj(op) -> dict:
+    return {"operator": jsonio.operator_to_obj(op)}
+
+
+def _random_pair(rng: random.Random, config: GeneratorConfig) -> tuple[Matrix, Matrix]:
+    return _rand_matrix(rng, config), _rand_matrix(rng, config)
+
+
+def _random_tuples(rng: random.Random, config: GeneratorConfig):
+    length = rng.randint(1, 2)
+    return tuple([_rand_matrix(rng, config) for _ in range(length)] for _ in range(2))
+
+
+def _structured_tuples(rng: random.Random, config: GeneratorConfig):
+    """Polynomials in two nilpotent seeds; at each index the polynomial on
+    one side, chosen at random, has no constant term."""
+    length = rng.randint(1, 3)
+    seed_a = _gen_nilpotent(rng, config)
+    seed_b = _gen_nilpotent(rng, config)
+    a_tuple, b_tuple = [], []
+    for _ in range(length):
+        a_side = rng.random() < 0.5
+        a_tuple.append(_rand_poly(rng, config, a_side, seed_a))
+        b_tuple.append(_rand_poly(rng, config, not a_side, seed_b))
+    return a_tuple, b_tuple
+
+
+def _structured_shifts(rng: random.Random, config: GeneratorConfig) -> tuple[Matrix, Matrix]:
+    """Scalars plus two polynomials without constant term in one nilpotent
+    seed: commuting, and each a scalar shift of a nilpotent."""
+    seed = _gen_nilpotent(rng, config)
+    n1 = _rand_poly(rng, config, True, seed)
+    n2 = _rand_poly(rng, config, True, seed)
+    lam = _rand_scalar(rng, config)
+    mu = _rand_scalar(rng, config)
+    ident = Matrix.identity(config.dim)
+    return lam * ident + n1, mu * ident + n2
+
+
+def _structured_common_shift(rng: random.Random, config: GeneratorConfig):
+    """Two nilpotents shifted by the same scalar."""
+    n1 = _gen_nilpotent(rng, config)
+    n2 = _gen_nilpotent(rng, config)
+    lam = _rand_scalar(rng, config)
+    ident = Matrix.identity(config.dim)
+    return lam * ident + n1, lam * ident + n2
+
+
+def _each_term_check(op: ElementaryOperator) -> TheoremCheckResult:
+    """The length-one hypothesis asked of every term: each has a nilpotent
+    coefficient."""
+    failures = tuple(
+        f"index {i + 1}: neither coefficient nilpotent"
+        for i, (ai, bi) in enumerate(op.terms)
+        if not (is_nilpotent(ai).nilpotent or is_nilpotent(bi).nilpotent)
     )
+    return TheoremCheckResult(not failures, failures, op_is_nilpotent(op))
+
+
+def _commutation_fact_holds(tuples) -> bool:
+    """Superoperators of the leading partial sum and the last term commute
+    whenever both coefficient tuples commute within themselves."""
+    a_tuple, b_tuple = tuples
+    dim = a_tuple[0].rows
+    if len(a_tuple) == 1:
+        leading = zero_operator(dim)
+    else:
+        leading = ElementaryOperator(dim, tuple(zip(a_tuple[:-1], b_tuple[:-1])))
+    last = ElementaryOperator(dim, ((a_tuple[-1], b_tuple[-1]),))
+    s1 = leading.superoperator()
+    s2 = last.superoperator()
+    return s1 * s2 == s2 * s1
+
+
+# Order matters: the CLI lists choices in table order.
+CRITERIA = (
+    Criterion(
+        "2.1", "2.1", EQUIVALENCE, lambda pair: thm21_criterion(*pair), _pair_obj,
+        exhaustive=lambda: sweep_thm21_exhaustive(),
+    ),
+    Criterion(
+        "2.1-extension", "2.1-ext", CONJECTURE, _each_term_check, _operator_obj,
+        from_pair=lambda a, b: make_v_operator(a, b),
+    ),
+    Criterion(
+        "2.2", "2.2", IMPLICATION, lambda tuples: thm22_check(*tuples), _tuples_obj,
+        tuples=True, structured=_structured_tuples, random=_random_tuples,
+        from_pair=lambda a, b: ([a, -b], [b, a]), commutation_fact=_commutation_fact_holds,
+    ),
+    Criterion(
+        "2.3", "2.3", IMPLICATION, lambda pair: thm23_check(*pair), _pair_obj,
+        structured=_structured_shifts, random=_random_pair, from_pair=lambda a, b: (a, b),
+    ),
+    Criterion(
+        "fong_sourour", "1.1", EQUIVALENCE, lambda pair: fong_sourour_check(*pair), _pair_obj,
+        structured=_structured_common_shift, random=_random_pair,
+        exhaustive=lambda: sweep_fong_sourour_exhaustive(),
+    ),
+)
+
+
+def criterion(name, mode: str = "check") -> Criterion:
+    """The table entry called `name` (report name or CLI spelling) that
+    `mode` can run."""
+    for spec in CRITERIA:
+        if str(name) in (spec.name, spec.cli) and spec.supports(mode):
+            return spec
+    raise PreconditionError(f"unknown {mode} target {name!r}")
+
+
+def _record(
+    spec: Criterion, instance, report: SweepReport, trial, kind: str, built: bool = False
+) -> None:
+    """Check one instance and file what it shows in `report`.
+
+    `built` instances satisfy the hypotheses by construction.  A violation
+    is a raised IntegrityError, a generator that broke the hypotheses, or a
+    conclusion that contradicts the criterion's kind.  The instance is
+    dumped only when something is filed.
+    """
+    report.instances_tested += 1
+    reasons, converse = [], None
+    try:
+        result = spec.check(instance)
+    except IntegrityError as exc:
+        reasons.append(str(exc))
+    else:
+        hold, nilpotent = result.hypotheses_hold, result.conclusion.nilpotent
+        failures = list(result.hypothesis_failures)
+        if hold:
+            report.hypothesis_instances += 1
+        if built and not hold:
+            reasons.append("generator broke the hypotheses: " + "; ".join(failures))
+        elif hold and not nilpotent and spec.kind != CONJECTURE:
+            reasons.append("hypotheses hold but operator not nilpotent")
+        elif nilpotent and not hold and spec.kind == EQUIVALENCE:
+            reasons.append("operator nilpotent but hypotheses fail")
+        elif nilpotent and not hold:
+            converse = {"failures": failures}
+            if report.mode == "search":
+                converse["conclusion"] = jsonio.report_to_obj(result.conclusion)
+        if built and hold and spec.commutation_fact and not spec.commutation_fact(instance):
+            reasons.append("commutation fact failed")
+    if reasons or converse:
+        found = spec.dump(instance) | {"trial": trial, "kind": kind}
+        report.violations.extend(found | {"reason": reason} for reason in reasons)
+        if converse:
+            report.converse_failures.append(found | converse)
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise PreconditionError(f"trials must be >= 1, got {trials}")
+    if trials > _STREAM_STRIDE:
+        raise PreconditionError(f"trials must be <= {_STREAM_STRIDE}, got {trials}")
 
 
 # ---- exhaustive sweeps ---------------------------------------------------------
@@ -258,63 +449,26 @@ def _all_square_matrices(dim: int, entry_set) -> list[Matrix]:
 def sweep_thm21_exhaustive(dim: int = 2, entry_set=(-1, 0, 1)) -> SweepReport:
     """Check the length-one biconditional on every ordered pair of small
     matrices: X -> AXB nilpotent exactly when A or B is."""
-    if dim != 2:
-        raise PreconditionError("the exhaustive length-one sweep is fixed at dimension 2")
-    entry_set = tuple(entry_set)
-    report = SweepReport(
-        theorem="2.1",
-        mode="exhaustive",
-        config={"dim": dim, "entry_set": [str(e) for e in entry_set]},
-    )
-    mats = _all_square_matrices(dim, entry_set)
-    for a in mats:
-        for b in mats:
-            report.instances_tested += 1
-            try:
-                result = thm21_criterion(a, b)
-            except IntegrityError as exc:
-                report.violations.append(_pair_dump(a, b, str(exc)))
-                continue
-            if result.hypotheses_hold:
-                report.hypothesis_instances += 1
-            if not result.consistent:
-                report.violations.append(_pair_dump(a, b, "implication failed"))
-    return report
+    return _sweep_exhaustive("2.1", "length-one", dim, entry_set)
 
 
 def sweep_fong_sourour_exhaustive(dim: int = 2, entry_set=(-1, 0, 1)) -> SweepReport:
     """Check the common-shift biconditional for X -> SX - XT on every
     ordered pair of small matrices."""
+    return _sweep_exhaustive("1.1", "common-shift", dim, entry_set)
+
+
+def _sweep_exhaustive(theorem: str, what: str, dim: int, entry_set) -> SweepReport:
     if dim != 2:
-        raise PreconditionError("the exhaustive common-shift sweep is fixed at dimension 2")
+        raise PreconditionError(f"the exhaustive {what} sweep is fixed at dimension 2")
     entry_set = tuple(entry_set)
-    report = SweepReport(
-        theorem="1.1",
-        mode="exhaustive",
-        config={"dim": dim, "entry_set": [str(e) for e in entry_set]},
-    )
+    spec = criterion(theorem)
+    config = {"dim": dim, "entry_set": [str(e) for e in entry_set]}
+    report = SweepReport(theorem=theorem, mode="exhaustive", config=config)
     mats = _all_square_matrices(dim, entry_set)
-    for s in mats:
-        for t in mats:
-            report.instances_tested += 1
-            try:
-                result = fong_sourour_check(s, t)
-            except IntegrityError as exc:
-                report.violations.append(_pair_dump(s, t, str(exc)))
-                continue
-            if result.hypotheses_hold:
-                report.hypothesis_instances += 1
-            if not result.consistent:
-                report.violations.append(_pair_dump(s, t, "implication failed"))
+    for trial, pair in enumerate(itertools.product(mats, repeat=2)):
+        _record(spec, pair, report, trial, "exhaustive")
     return report
-
-
-def _pair_dump(a: Matrix, b: Matrix, reason: str) -> dict:
-    return {
-        "a": jsonio.matrix_to_obj(a),
-        "b": jsonio.matrix_to_obj(b),
-        "reason": reason,
-    }
 
 
 # ---- randomized sweeps -----------------------------------------------------------
@@ -327,193 +481,20 @@ def sweep_thm(theorem: str, config: GeneratorConfig, trials: int) -> SweepReport
     also runs one unconstrained random instance to harvest converse
     failures (conclusion holds, hypotheses do not).
     """
-    theorem = _normalize_theorem(theorem)
-    if trials < 1:
-        raise PreconditionError(f"trials must be >= 1, got {trials}")
-    report = SweepReport(theorem=theorem, mode="random", config=config.to_obj())
+    spec = criterion(theorem, "sweep")
+    _check_trials(trials)
+    report = SweepReport(theorem=spec.name, mode="random", config=config.to_obj())
     for trial in range(trials):
         rng = random.Random(_sub_seed(config.seed, trial))
-        _run_structured_trial(theorem, config, rng, trial, report)
-        _run_random_trial(theorem, config, rng, trial, report)
+        _record(spec, spec.structured(rng, config), report, trial, "structured", built=True)
+        _record(spec, spec.random(rng, config), report, trial, "random")
     return report
-
-
-def _normalize_theorem(theorem: str) -> str:
-    name = str(theorem)
-    if name in (_THM22, _THM23, _FONG):
-        return name
-    if name == "1.1":
-        return _FONG
-    raise PreconditionError(f"unknown sweep target {theorem!r}")
-
-
-def _run_structured_trial(
-    theorem: str,
-    config: GeneratorConfig,
-    rng: random.Random,
-    trial: int,
-    report: SweepReport,
-) -> None:
-    dim, bound, gaussian = config.dim, config.entry_bound, config.gaussian
-    report.instances_tested += 1
-
-    if theorem == _THM22:
-        length = rng.randint(1, 3)
-        seed_a = _gen_nilpotent(rng, dim, bound, gaussian)
-        seed_b = _gen_nilpotent(rng, dim, bound, gaussian)
-        a_tuple, b_tuple = [], []
-        for _ in range(length):
-            a_side = rng.random() < 0.5
-            a_tuple.append(
-                matrix_poly(_poly_coeffs(rng, dim, bound, gaussian, a_side), seed_a)
-            )
-            b_tuple.append(
-                matrix_poly(_poly_coeffs(rng, dim, bound, gaussian, not a_side), seed_b)
-            )
-        result = thm22_check(a_tuple, b_tuple)
-        dump = _tuple_dump(trial, "structured", a_tuple, b_tuple)
-        if not result.hypotheses_hold:
-            report.violations.append(
-                dump | {"reason": "generator broke the hypotheses", "failures": list(result.hypothesis_failures)}
-            )
-            return
-        report.hypothesis_instances += 1
-        if not result.conclusion.nilpotent:
-            report.violations.append(dump | {"reason": "hypotheses hold but operator not nilpotent"})
-        if not _commutation_fact_holds(a_tuple, b_tuple):
-            report.violations.append(dump | {"reason": "commutation fact failed"})
-        return
-
-    if theorem == _THM23:
-        seed = _gen_nilpotent(rng, dim, bound, gaussian)
-        n1 = matrix_poly(_poly_coeffs(rng, dim, bound, gaussian, True), seed)
-        n2 = matrix_poly(_poly_coeffs(rng, dim, bound, gaussian, True), seed)
-        lam = _rand_scalar(rng, bound, gaussian)
-        mu = _rand_scalar(rng, bound, gaussian)
-        ident = Matrix.identity(dim)
-        a = lam * ident + n1
-        b = mu * ident + n2
-        result = thm23_check(a, b)
-        dump = _pair_dump(a, b, "") | {"trial": trial, "kind": "structured"}
-        if not result.hypotheses_hold:
-            dump["reason"] = "generator broke the hypotheses"
-            dump["failures"] = list(result.hypothesis_failures)
-            report.violations.append(dump)
-            return
-        report.hypothesis_instances += 1
-        if not result.conclusion.nilpotent:
-            dump["reason"] = "hypotheses hold but operator not nilpotent"
-            report.violations.append(dump)
-        return
-
-    # common-shift criterion: same scalar on both sides by construction
-    n1 = _gen_nilpotent(rng, dim, bound, gaussian)
-    n2 = _gen_nilpotent(rng, dim, bound, gaussian)
-    lam = _rand_scalar(rng, bound, gaussian)
-    ident = Matrix.identity(dim)
-    s = lam * ident + n1
-    t = lam * ident + n2
-    try:
-        result = fong_sourour_check(s, t)
-    except IntegrityError as exc:
-        report.violations.append(_pair_dump(s, t, str(exc)) | {"trial": trial})
-        return
-    if not result.hypotheses_hold:
-        report.violations.append(
-            _pair_dump(s, t, "generator broke the hypotheses")
-            | {"trial": trial, "failures": list(result.hypothesis_failures)}
-        )
-        return
-    report.hypothesis_instances += 1
-    if not result.conclusion.nilpotent:
-        report.violations.append(
-            _pair_dump(s, t, "hypotheses hold but derivation not nilpotent") | {"trial": trial}
-        )
-
-
-def _run_random_trial(
-    theorem: str,
-    config: GeneratorConfig,
-    rng: random.Random,
-    trial: int,
-    report: SweepReport,
-) -> None:
-    dim, bound, gaussian = config.dim, config.entry_bound, config.gaussian
-    report.instances_tested += 1
-
-    if theorem == _THM22:
-        length = rng.randint(1, 2)
-        a_tuple = [_rand_matrix(rng, dim, bound, gaussian) for _ in range(length)]
-        b_tuple = [_rand_matrix(rng, dim, bound, gaussian) for _ in range(length)]
-        result = thm22_check(a_tuple, b_tuple)
-        if result.hypotheses_hold:
-            report.hypothesis_instances += 1
-        if not result.consistent:
-            report.violations.append(
-                _tuple_dump(trial, "random", a_tuple, b_tuple) | {"reason": "implication failed"}
-            )
-        elif result.conclusion.nilpotent and not result.hypotheses_hold:
-            report.converse_failures.append(
-                _tuple_dump(trial, "random", a_tuple, b_tuple)
-                | {"failures": list(result.hypothesis_failures)}
-            )
-        return
-
-    a = _rand_matrix(rng, dim, bound, gaussian)
-    b = _rand_matrix(rng, dim, bound, gaussian)
-    if theorem == _THM23:
-        result = thm23_check(a, b)
-        if result.hypotheses_hold:
-            report.hypothesis_instances += 1
-        if not result.consistent:
-            report.violations.append(
-                _pair_dump(a, b, "implication failed") | {"trial": trial}
-            )
-        elif result.conclusion.nilpotent and not result.hypotheses_hold:
-            report.converse_failures.append(
-                _pair_dump(a, b, "") | {"trial": trial, "kind": "random", "failures": list(result.hypothesis_failures)}
-            )
-        return
-
-    try:
-        result = fong_sourour_check(a, b)
-    except IntegrityError as exc:
-        report.violations.append(_pair_dump(a, b, str(exc)) | {"trial": trial})
-        return
-    if result.hypotheses_hold:
-        report.hypothesis_instances += 1
-
-
-def _tuple_dump(trial: int, kind: str, a_tuple, b_tuple) -> dict:
-    return {
-        "trial": trial,
-        "kind": kind,
-        "a_tuple": [jsonio.matrix_to_obj(m) for m in a_tuple],
-        "b_tuple": [jsonio.matrix_to_obj(m) for m in b_tuple],
-    }
-
-
-def _commutation_fact_holds(a_tuple, b_tuple) -> bool:
-    """Superoperators of the leading partial sum and the last term commute
-    whenever both coefficient tuples commute within themselves."""
-    dim = a_tuple[0].rows
-    if len(a_tuple) == 1:
-        leading = zero_operator(dim)
-    else:
-        leading = ElementaryOperator(dim, tuple(zip(a_tuple[:-1], b_tuple[:-1])))
-    last = ElementaryOperator(dim, ((a_tuple[-1], b_tuple[-1]),))
-    s1 = leading.superoperator()
-    s2 = last.superoperator()
-    return s1 * s2 == s2 * s1
 
 
 # ---- converse-failure search -----------------------------------------------------
 
 def search_converse_failures(
-    theorem: str,
-    config: GeneratorConfig,
-    trials: int,
-    seed_instances=(),
+    theorem: str, config: GeneratorConfig, trials: int, seed_instances=()
 ) -> SweepReport:
     """Hunt for instances where a criterion's conclusion holds without its
     hypotheses.
@@ -527,105 +508,30 @@ def search_converse_failures(
     family known to produce witnesses.  Findings are reported without any
     completeness claim.
     """
-    target = _normalize_search_target(theorem)
-    if trials < 1:
-        raise PreconditionError(f"trials must be >= 1, got {trials}")
-    report = SweepReport(theorem=target, mode="search", config=config.to_obj())
+    spec = criterion(theorem, "search")
+    _check_trials(trials)
+    report = SweepReport(theorem=spec.name, mode="search", config=config.to_obj())
     for k, (a, b) in enumerate(seed_instances):
-        _search_one(target, a, b, {"trial": f"seed:{k}", "kind": "seeded"}, report)
+        _record(spec, spec.from_pair(a, b), report, f"seed:{k}", "seeded")
     for trial in range(trials):
         rng = random.Random(_sub_seed(config.seed, trial))
-        structured = config.dim == 3 and trial % 2 == 0
-        if structured:
-            a, b = _family_pair(rng, config)
-            meta = {"trial": trial, "kind": "structured"}
+        if config.dim == 3 and trial % 2 == 0:
+            pair, kind = _family_pair(rng, config), "structured"
         else:
-            a = _rand_matrix(rng, config.dim, config.entry_bound, config.gaussian)
-            b = _rand_matrix(rng, config.dim, config.entry_bound, config.gaussian)
-            meta = {"trial": trial, "kind": "random"}
-        _search_one(target, a, b, meta, report)
+            pair, kind = _random_pair(rng, config), "random"
+        _record(spec, spec.from_pair(*pair), report, trial, kind)
     return report
-
-
-def _normalize_search_target(theorem: str) -> str:
-    name = str(theorem)
-    if name in ("2.1-extension", "2.1-ext"):
-        return "2.1-extension"
-    if name in (_THM22, _THM23):
-        return name
-    raise PreconditionError(f"unknown search target {theorem!r}")
-
-
-def _search_one(target: str, a: Matrix, b: Matrix, meta: dict, report: SweepReport) -> None:
-    report.instances_tested += 1
-    if target == "2.1-extension":
-        op = make_v_operator(a, b)
-        failures = []
-        for i, (ai, bi) in enumerate(op.terms):
-            if not (is_nilpotent(ai).nilpotent or is_nilpotent(bi).nilpotent):
-                failures.append(f"index {i + 1}: neither coefficient nilpotent")
-        conclusion = op_is_nilpotent(op)
-        hold = not failures
-        if hold:
-            report.hypothesis_instances += 1
-        if conclusion.nilpotent and not hold:
-            report.converse_failures.append(
-                meta
-                | {
-                    "operator": jsonio.operator_to_obj(op),
-                    "failures": failures,
-                    "conclusion": jsonio.report_to_obj(conclusion),
-                }
-            )
-        return
-
-    if target == _THM22:
-        a_tuple = [a, -b]
-        b_tuple = [b, a]
-        result = thm22_check(a_tuple, b_tuple)
-        if result.hypotheses_hold:
-            report.hypothesis_instances += 1
-        if not result.consistent:
-            report.violations.append(
-                _tuple_dump(meta.get("trial", 0), meta.get("kind", ""), a_tuple, b_tuple)
-                | {"reason": "implication failed"}
-            )
-        elif result.conclusion.nilpotent and not result.hypotheses_hold:
-            report.converse_failures.append(
-                meta
-                | {
-                    "a_tuple": [jsonio.matrix_to_obj(m) for m in a_tuple],
-                    "b_tuple": [jsonio.matrix_to_obj(m) for m in b_tuple],
-                    "failures": list(result.hypothesis_failures),
-                    "conclusion": jsonio.report_to_obj(result.conclusion),
-                }
-            )
-        return
-
-    result = thm23_check(a, b)
-    if result.hypotheses_hold:
-        report.hypothesis_instances += 1
-    if not result.consistent:
-        report.violations.append(_pair_dump(a, b, "implication failed") | meta)
-    elif result.conclusion.nilpotent and not result.hypotheses_hold:
-        report.converse_failures.append(
-            _pair_dump(a, b, "") | meta | {
-                "failures": list(result.hypothesis_failures),
-                "conclusion": jsonio.report_to_obj(result.conclusion),
-            }
-        )
 
 
 def _family_pair(rng: random.Random, config: GeneratorConfig) -> tuple[Matrix, Matrix]:
     """A random member of the parametric 3x3 family, randomly conjugated."""
-    bound, gaussian = config.entry_bound, config.gaussian
     while True:
-        pa = _rand_scalar(rng, bound, gaussian)
-        pb = _rand_scalar(rng, bound, gaussian)
+        pa = _rand_scalar(rng, config)
+        pb = _rand_scalar(rng, config)
         k = pa + pb
         if not k:
             continue
-        pc = _rand_scalar(rng, bound, gaussian)
+        pc = _rand_scalar(rng, config)
         if pb + pc:
             break
     pd = k - pc
@@ -645,10 +551,7 @@ class ExampleRecord:
     artifacts: dict
 
     def to_obj(self) -> dict:
-        obj = {"example": self.name}
-        obj.update(self.facts)
-        obj.update(self.artifacts)
-        return obj
+        return {"example": self.name, **self.facts, **self.artifacts}
 
 
 def example_3_1() -> ExampleRecord:
@@ -679,7 +582,7 @@ def example_3_1() -> ExampleRecord:
         "V_diagonal_action": diagonal_action,
         "V_not_nilpotent": not op_is_nilpotent(v).nilpotent,
     }
-    _require_all(facts, "3.1")
+    _require_all(facts, "3.1", ())
     artifacts = {
         "A": jsonio.matrix_to_obj(a),
         "B": jsonio.matrix_to_obj(b),
@@ -696,14 +599,11 @@ def example_3_2(a, b, c, d, k) -> ExampleRecord:
     Parameters must satisfy a + b = c + d = k, k != 0 and b + c != 0.
     """
     pa, pb, pc, pd, pk = (as_scalar(x) for x in (a, b, c, d, k))
-    if pa + pb != pk:
-        raise PreconditionError('constraint "a + b = k" violated')
-    if pc + pd != pk:
-        raise PreconditionError('constraint "c + d = k" violated')
-    if not pk:
-        raise PreconditionError('constraint "k != 0" violated')
-    if not (pb + pc):
-        raise PreconditionError('constraint "b + c != 0" violated')
+    constraints = ((pa + pb == pk, "a + b = k"), (pc + pd == pk, "c + d = k"),
+                   (pk, "k != 0"), (pb + pc, "b + c != 0"))
+    for holds, constraint in constraints:
+        if not holds:
+            raise PreconditionError(f'constraint "{constraint}" violated')
 
     mat_a, mat_b = _family_matrices(pa, pb, pc, pd, pk)
     n = mat_a - mat_b
@@ -724,15 +624,9 @@ def example_3_2(a, b, c, d, k) -> ExampleRecord:
         "no_shift_A": not scalar_shift_witness(mat_a).found,
         "no_shift_B": not scalar_shift_witness(mat_b).found,
     }
-    _require_all(facts, "3.2")
+    _require_all(facts, "3.2", (a, b, c, d, k))
     artifacts = {
-        "params": {
-            "a": format_scalar(pa),
-            "b": format_scalar(pb),
-            "c": format_scalar(pc),
-            "d": format_scalar(pd),
-            "k": format_scalar(pk),
-        },
+        "params": dict(zip("abcdk", map(format_scalar, (pa, pb, pc, pd, pk)))),
         "A": jsonio.matrix_to_obj(mat_a),
         "B": jsonio.matrix_to_obj(mat_b),
         "N": jsonio.matrix_to_obj(n),
@@ -748,7 +642,9 @@ def _family_matrices(a, b, c, d, k) -> tuple[Matrix, Matrix]:
     return mat_a, mat_b
 
 
-def _require_all(facts: dict, name: str) -> None:
+def _require_all(facts: dict, name: str, params: tuple) -> None:
+    """Raise unless every fact holds; the error's instance is the example's
+    parameters, so `example_<name>(*exc.instance)` replays it."""
     failed = [key for key, ok in facts.items() if not ok]
     if failed:
-        raise IntegrityError(f"reference instance {name} checks failed: {failed}")
+        raise IntegrityError(f"reference instance {name} checks failed: {failed}", params)

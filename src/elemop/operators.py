@@ -166,10 +166,7 @@ def _need_square_pair(a: Matrix, b: Matrix) -> None:
 
 def op_equal(op1: ElementaryOperator, op2: ElementaryOperator) -> bool:
     """Extensional equality: same induced linear map (equal superoperators)."""
-    if op1.dim != op2.dim:
-        raise ShapeError(
-            f"operators act on different dimensions: {op1.dim} vs {op2.dim}"
-        )
+    op1._need_same_dim(op2)
     return op1.superoperator() == op2.superoperator()
 
 

@@ -188,7 +188,7 @@ def _split_terms(s: str) -> list[str]:
     terms = []
     start = 0
     for pos in range(1, len(s)):
-        if s[pos] in "+-" and s[pos - 1] not in "+-":
+        if s[pos] in "+-" and s[pos - 1] not in "+-/":
             terms.append(s[start:pos])
             start = pos
     terms.append(s[start:])

@@ -276,3 +276,11 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["S_cubed_plus_S_zero"] is True
+
+
+def test_choices_come_from_the_criterion_table():
+    import elemop.cli as cli_module
+
+    assert cli_module.CHECK_CHOICES == ["2.1", "2.2", "2.3", "1.1"]
+    assert cli_module.SWEEP_CHOICES == ["2.1", "2.2", "2.3", "1.1"]
+    assert cli_module.SEARCH_CHOICES == ["2.1-ext", "2.2", "2.3"]

@@ -5,10 +5,13 @@ import pytest
 
 from elemop import (
     GaussianRational,
+    IntegrityError,
     Matrix,
+    NilpotencyReport,
     PreconditionError,
     ShapeError,
     ZERO,
+    column_vector,
     eq1_identity_residual,
     fong_sourour_check,
     make_multiplication,
@@ -302,3 +305,52 @@ def test_consistency_flag_matches_definition():
             assert result.consistent == (
                 (not result.hypotheses_hold) or result.conclusion.nilpotent
             )
+
+
+# ---- integrity errors carry their instance -----------------------------------
+
+def _flip_conclusions(monkeypatch):
+    import elemop.criteria as criteria
+
+    real = criteria.op_is_nilpotent
+    monkeypatch.setattr(
+        criteria, "op_is_nilpotent", lambda op: NilpotencyReport(not real(op).nilpotent)
+    )
+
+
+@pytest.mark.parametrize(
+    "check, pair", [(thm21_criterion, (J2, I2)), (fong_sourour_check, (I2, I2 + J2))]
+)
+def test_biconditional_violation_carries_the_pair(monkeypatch, check, pair):
+    _flip_conclusions(monkeypatch)
+    with pytest.raises(IntegrityError, match="biconditional violated") as info:
+        check(*pair)
+    assert info.value.instance == pair
+
+
+def test_replay_failures_carry_the_pair(monkeypatch):
+    import elemop.criteria as criteria
+
+    # X -> X claimed nilpotent of index 1: every step of the replay must fail
+    monkeypatch.setattr(criteria, "op_is_nilpotent", lambda op: NilpotencyReport(True, 1))
+    with pytest.raises(IntegrityError, match="rank-one construction failed") as info:
+        thm21_proof_replay(I2, I2)
+    assert info.value.instance == (I2, I2)
+
+    with monkeypatch.context() as m:
+        m.setattr(criteria, "_first_nonzero_position", lambda mat: (0, 1))  # a zero of B^m
+        with pytest.raises(IntegrityError, match="functional vanishes") as info:
+            thm21_proof_replay(I2, I2)
+    assert info.value.instance == (I2, I2)
+
+    vectors = []
+
+    def zero_after_first(entries):
+        entries = list(entries)
+        vectors.append(entries)
+        return column_vector(entries if len(vectors) == 1 else [0] * len(entries))
+
+    monkeypatch.setattr(criteria, "column_vector", zero_after_first)
+    with pytest.raises(IntegrityError, match="every column of A") as info:
+        thm21_proof_replay(I2, I2)
+    assert info.value.instance == (I2, I2)

@@ -75,8 +75,9 @@ CLI_CASES = {
         "check", "--theorem", "2.2", "--a", _arg(_N), _arg(-FAMILY_PAIR[1]),
         "--b", _arg(FAMILY_PAIR[1]), _arg(_N),
     ],
-    "check:2.3": ["check", "--theorem", "2.3", "--a", *map(_arg, FAMILY_PAIR[:1]),
-                  "--b", _arg(FAMILY_PAIR[1])],
+    "check:2.3": [
+        "check", "--theorem", "2.3", "--a", _arg(FAMILY_PAIR[0]), "--b", _arg(FAMILY_PAIR[1]),
+    ],
     "check:1.1": ["check", "--theorem", "1.1", "--a", _arg(_I2 + _J2), "--b", _arg(_I2)],
     "check:1.1:no-shift": ["check", "--theorem", "1.1", "--a", _arg(_J2), "--b", _arg(_I2)],
     "sweep:2.2": ["sweep", "--theorem", "2.2", "--dim", "2", "--trials", "4", "--seed", "3"],

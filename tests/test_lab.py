@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,7 +7,9 @@ from elemop import (
     GeneratorConfig,
     IntegrityError,
     Matrix,
+    NilpotencyReport,
     PreconditionError,
+    TheoremCheckResult,
     ZERO,
     char_poly,
     example_3_1,
@@ -20,7 +23,7 @@ from elemop import (
     sweep_thm,
     sweep_thm21_exhaustive,
 )
-from elemop.jsonio import dumps
+from elemop.jsonio import dumps, matrix_from_obj, operator_from_obj
 from elemop.lab import _random_unimodular
 
 J2 = Matrix([[0, 1], [0, 0]])
@@ -253,3 +256,152 @@ def test_reference_records_raise_on_forced_failure(monkeypatch):
     monkeypatch.setattr(lab_module, "op_equal", lambda *_: False)
     with pytest.raises(IntegrityError, match="3.2"):
         example_3_2(1, 2, 3, 0, 3)
+
+
+def test_reference_failures_carry_their_parameters(monkeypatch):
+    import elemop.lab as lab_module
+
+    params = ("1/2", "1/2", 2, -1, 1)
+    with monkeypatch.context() as m:
+        m.setattr(lab_module, "op_equal", lambda *_: False)
+        with pytest.raises(IntegrityError, match="3.2") as info:
+            example_3_2(*params)
+    assert info.value.instance == params
+    assert all(example_3_2(*info.value.instance).facts.values())
+
+    monkeypatch.setattr(lab_module, "op_is_nilpotent", lambda op: NilpotencyReport(True, 1))
+    with pytest.raises(IntegrityError, match="V_not_nilpotent") as info:
+        example_3_1()
+    assert info.value.instance == ()
+
+
+# ---- forced violations ------------------------------------------------------------------------
+#
+# The checker lab calls is replaced by one that misbehaves on exactly one
+# call; that call's instance must come back as the one violation, in the
+# uniform shape, and its dump must parse back to the same matrices.
+
+CHECKERS = {
+    "2.1": "thm21_criterion",
+    "1.1": "fong_sourour_check",
+    "2.2": "thm22_check",
+    "2.3": "thm23_check",
+    "2.1-ext": "op_is_nilpotent",
+}
+EXHAUSTIVE = {"2.1": sweep_thm21_exhaustive, "1.1": sweep_fong_sourour_exhaustive}
+FORCED_MODES = [
+    ("2.1", "exhaustive"),
+    ("1.1", "exhaustive"),
+    ("1.1", "structured"),
+    ("1.1", "random"),
+    ("2.2", "structured"),
+    ("2.2", "random"),
+    ("2.2", "search"),
+    ("2.3", "structured"),
+    ("2.3", "random"),
+    ("2.3", "search"),
+    ("2.1-ext", "search"),
+]
+# (hypotheses hold, conclusion nilpotent) of a forced result that contradicts
+# the criterion; None raises IntegrityError instead
+OUTCOMES = {"raise": None, "hold-not-nilpotent": (True, False), "nilpotent-unheld": (False, True)}
+
+
+def _forced_cases():
+    for theorem, mode in FORCED_MODES:
+        for outcome, forced in OUTCOMES.items():
+            if forced == (False, True) and theorem not in ("2.1", "1.1") and mode != "structured":
+                continue  # a converse finding of an implication, not a violation
+            if forced is not None and theorem == "2.1-ext":
+                continue  # the conjecture's checker is the decision itself
+            yield theorem, mode, outcome
+
+
+def _run_mode(theorem, mode):
+    if mode == "exhaustive":
+        return EXHAUSTIVE[theorem](entry_set=(0, 1))
+    if mode == "search":
+        return search_converse_failures(theorem, GeneratorConfig(dim=3, seed=4), 1)
+    return sweep_thm(theorem, GeneratorConfig(dim=2, seed=4), 1)
+
+
+def _replayed(entry):
+    obj = json.loads(dumps(entry))
+    if "operator" in obj:
+        return (operator_from_obj(obj["operator"]),)
+    if "a_tuple" in obj:
+        return tuple([matrix_from_obj(m) for m in obj[key]] for key in ("a_tuple", "b_tuple"))
+    return matrix_from_obj(obj["a"]), matrix_from_obj(obj["b"])
+
+
+@pytest.mark.parametrize("theorem, mode, outcome", list(_forced_cases()))
+def test_forced_violation_is_recorded_once_and_replays(monkeypatch, theorem, mode, outcome):
+    import elemop.lab as lab_module
+
+    at = {"exhaustive": 7, "structured": 1, "random": 2, "search": 1}[mode]
+    real = getattr(lab_module, CHECKERS[theorem])
+    calls = []
+
+    def misbehaving(*args):
+        calls.append(args)
+        if len(calls) != at:
+            return real(*args)
+        if OUTCOMES[outcome] is None:
+            raise IntegrityError("forced", args)
+        hold, nilpotent = OUTCOMES[outcome]
+        return TheoremCheckResult(hold, () if hold else ("forced",), NilpotencyReport(nilpotent))
+
+    monkeypatch.setattr(lab_module, CHECKERS[theorem], misbehaving)
+    report = _run_mode(theorem, mode)
+
+    assert len(report.violations) == 1 and not report.passed
+    entry = report.violations[0]
+    assert entry["trial"] == (at - 1 if mode == "exhaustive" else 0)
+    assert entry["kind"] == {"search": "structured"}.get(mode, mode)
+    assert entry["reason"] == {
+        "raise": "forced",
+        "hold-not-nilpotent": "hypotheses hold but operator not nilpotent",
+        "nilpotent-unheld": "generator broke the hypotheses: forced" if mode == "structured"
+        else "operator nilpotent but hypotheses fail",
+    }[outcome]
+    dump_keys = set(entry) - {"trial", "kind", "reason"}
+    assert dump_keys in ({"a", "b"}, {"a_tuple", "b_tuple"}, {"operator"})
+    assert _replayed(entry) == calls[at - 1]
+
+
+def test_implication_converse_in_a_random_trial_is_a_finding(monkeypatch):
+    import elemop.lab as lab_module
+
+    real = lab_module.thm23_check
+    calls = []
+
+    def converse_on_second_call(a, b):
+        calls.append((a, b))
+        if len(calls) == 2:
+            return TheoremCheckResult(False, ("forced",), NilpotencyReport(True))
+        return real(a, b)
+
+    monkeypatch.setattr(lab_module, "thm23_check", converse_on_second_call)
+    report = sweep_thm("2.3", GeneratorConfig(dim=2, seed=4), 1)
+    assert report.violations == []
+    (finding,) = report.converse_failures
+    assert finding["failures"] == ["forced"] and finding["kind"] == "random"
+    assert _replayed(finding) == calls[1]
+
+
+# ---- trial cap --------------------------------------------------------------------------------
+
+@pytest.mark.parametrize("run", [sweep_thm, search_converse_failures])
+def test_trial_count_is_capped_before_any_trial_runs(monkeypatch, run):
+    import elemop.lab as lab_module
+
+    def no_trial(seed, index):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(lab_module, "_sub_seed", no_trial)
+    config = GeneratorConfig(dim=2)
+    for trials in (1_000_004, 10**7):
+        with pytest.raises(PreconditionError, match="<= 1000003"):
+            run("2.3", config, trials)
+    with pytest.raises(AssertionError, match="a trial started"):
+        run("2.3", config, 1_000_003)  # the largest accepted count reaches trial 0

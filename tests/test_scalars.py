@@ -102,6 +102,7 @@ def test_parse_rejects_garbage(bad):
         ("1_000", "1_000"),
         ("\u0661\u0662", "\u0661\u0662"),  # Arabic-Indic digits
         ("2-1e5*i", "-1e5*i"),
+        ("1/-2", "1/-2"),  # a sign after "/" belongs to the term, not a new one
     ],
 )
 def test_parse_rejects_terms_outside_the_ascii_grammar(bad, term):
