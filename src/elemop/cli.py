@@ -14,14 +14,17 @@ import sys
 
 from . import jsonio, lab
 from .errors import IntegrityError, ParseError
+from .matrix import Matrix
 from .nilpotency import is_nilpotent
 from .operators import op_is_nilpotent
-from .scalars import parse_scalar
+from .scalars import as_scalar, format_scalar, parse_scalar
 
 
 CHECK_CHOICES = [c.cli for c in lab.CRITERIA if c.supports("check")]
 SWEEP_CHOICES = [c.cli for c in lab.CRITERIA if c.supports("sweep") or c.exhaustive]
 SEARCH_CHOICES = [c.cli for c in lab.CRITERIA if c.supports("search")]
+# defaults of the sweep flags that a randomized sweep uses and an exhaustive one rejects
+SWEEP_SAMPLING = {"trials": 200, "seed": 0, "entry_bound": 3, "gaussian": False}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,10 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[common], help="sweep a criterion over generated instances")
     p.add_argument("--theorem", required=True, choices=SWEEP_CHOICES)
     p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--entry-bound", type=int, default=3)
-    p.add_argument("--gaussian", action="store_true", help="allow nonzero imaginary parts")
+    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--entry-bound", type=int, default=None)
+    p.add_argument("--gaussian", action="store_true", default=None,
+                   help="allow nonzero imaginary parts")
     p.add_argument("--exhaustive", action="store_true",
                    help="for --theorem 1.1: enumerate all dim-2 pairs with entries -1, 0, 1")
 
@@ -90,6 +94,9 @@ def main(argv=None) -> int:
         return 2
     except IntegrityError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
+        if exc.instance is not None:
+            instance = json.dumps(_instance_obj(exc.instance), separators=(",", ":"))
+            print(f"instance: {instance}", file=sys.stderr)
         return 1
     _emit(document, args.output)
     return status
@@ -152,12 +159,18 @@ def _run_examples(args) -> tuple[dict, int]:
 
 def _run_sweep(args) -> tuple[dict, int]:
     spec = lab.criterion(args.theorem)
-    if spec.exhaustive and (args.exhaustive or not spec.supports("sweep")):
-        if args.dim != 2:
-            raise ParseError(
-                "--exhaustive needs --dim 2" if spec.supports("sweep")
-                else f"--theorem {args.theorem} sweeps exhaustively and needs --dim 2"
-            )
+    exhaustive = spec.exhaustive and (args.exhaustive or not spec.supports("sweep"))
+    if exhaustive and args.dim != 2:
+        raise ParseError(
+            "--exhaustive needs --dim 2" if spec.supports("sweep")
+            else f"--theorem {args.theorem} sweeps exhaustively and needs --dim 2"
+        )
+    for key, default in SWEEP_SAMPLING.items():
+        if getattr(args, key) is None:
+            setattr(args, key, default)
+        elif exhaustive:
+            raise ParseError(f"--{key.replace('_', '-')} does not apply to an exhaustive sweep")
+    if exhaustive:
         report = spec.exhaustive()
     elif args.exhaustive:
         raise ParseError(f"--exhaustive does not apply to --theorem {args.theorem}")
@@ -175,6 +188,15 @@ def _config(args) -> lab.GeneratorConfig:
     return lab.GeneratorConfig(
         dim=args.dim, entry_bound=args.entry_bound, seed=args.seed, gaussian=args.gaussian
     )
+
+
+def _instance_obj(value):
+    """JSON form of an IntegrityError instance: matrices, sequences and scalars."""
+    if isinstance(value, Matrix):
+        return jsonio.matrix_to_obj(value)
+    if isinstance(value, (list, tuple)):
+        return [_instance_obj(v) for v in value]
+    return format_scalar(as_scalar(value))
 
 
 def _load(source: str):

@@ -4,10 +4,20 @@ Matrices are immutable; every operation returns a fresh value, so sharing
 across threads is safe.  Shape mismatches raise ShapeError naming both
 shapes.  The vectorization convention is column stacking: vec concatenates
 the columns top to bottom, which makes vec(A*X*B) == kron(B.T, A) * vec(X).
+
+The exact kernels of `nilpotency` and `operators` run on a matrix's
+Gaussian-integer form (D, D*A), D the lcm of every real and imaginary
+denominator, cached in a private slot as tuples of int rows (imaginary
+rows None when A is real).  Immutability makes the cache safe: new entries
+mean a new Matrix with an empty cache, and tuple rows cannot be written.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ShapeError
@@ -15,6 +25,8 @@ from .scalars import ZERO, ONE, GaussianRational, as_scalar
 
 
 class Matrix:
+    __slots__ = ("_rows", "rows", "cols", "_form")
+
     def __init__(self, rows: Sequence[Sequence]):
         coerced = tuple(tuple(as_scalar(e) for e in row) for row in rows)
         if not coerced or not coerced[0]:
@@ -25,6 +37,7 @@ class Matrix:
         self._rows = coerced
         self.rows = len(coerced)
         self.cols = width
+        self._form = None
 
     # ---- construction ----------------------------------------------------
     @classmethod
@@ -35,6 +48,33 @@ class Matrix:
     def zero(cls, rows: int, cols: int | None = None) -> "Matrix":
         cols = rows if cols is None else cols
         return cls([[ZERO] * cols for _ in range(rows)])
+
+    @classmethod
+    def _from_integer_form(cls, scale: int, re, im) -> "Matrix":
+        """(re + i*im) / scale for int rows; one gcd pass makes the stored scale minimal."""
+        g = gcd(scale, *chain(*re, *im))
+        scale //= g
+        re, im = (tuple(tuple(x // g for x in row) for row in part) for part in (re, im))
+        cells = [list(zip(rr, ri)) for rr, ri in zip(re, im)]
+        # entries repeat (zero blocks, equal products): build each value once
+        value = {c: GaussianRational(Fraction(c[0], scale), Fraction(c[1], scale))
+                 for c in set(chain.from_iterable(cells))}
+        out = cls([[value[c] for c in row] for row in cells])
+        out._form = (scale, (re, im if any(map(any, im)) else None))
+        return out
+
+    def _integer_form(self):
+        """(D, (re, im)): D times this matrix as int rows, computed once."""
+        if self._form is None:
+            rows = self._rows
+            scale = lcm(*(p.denominator for row in rows for e in row for p in (e.re, e.im)))
+            re, im = (
+                tuple(tuple(p.numerator * (scale // p.denominator) for p in map(part, row))
+                      for row in rows)
+                for part in (attrgetter("re"), attrgetter("im"))
+            )
+            self._form = (scale, (re, im if any(map(any, im)) else None))
+        return self._form
 
     # ---- shape -----------------------------------------------------------
     @property

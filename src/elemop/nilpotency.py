@@ -9,18 +9,19 @@ routes must agree, and a disagreement raises IntegrityError.
 Both routes run on Gaussian integers, not on Q(i).  Let D be the lcm of
 the denominators of every real and imaginary part of A; then B = D*A has
 entries in Z[i], held as rows of Python ints (real parts, plus imaginary
-parts only when some entry of A is non-real).  Nilpotency and its index
-are unchanged by the nonzero factor D, and B^k = D^k A^k and
-c_k(B) = D^k c_k(A) for the coefficient c_k of x^(d-k).  Only what leaves
-the module is scaled back: the witness entry of B^(k-1) is divided by
-D^(k-1), and char_poly returns c_k(B) / D^k.
+parts only when some entry of A is non-real).  (D, B) is the form cached
+on the Matrix, so `is_nilpotent` and its `char_poly` share one conversion;
+the kernel updates in place only fresh products, never B's tuple rows.
+Nilpotency and its index are unchanged by the nonzero factor D, and
+B^k = D^k A^k and c_k(B) = D^k c_k(A) for the coefficient c_k of x^(d-k).
+Only what leaves the module is scaled back: the witness entry of B^(k-1)
+is divided by D^(k-1), and char_poly returns c_k(B) / D^k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from .errors import IntegrityError, ShapeError
@@ -61,7 +62,7 @@ def char_poly(a: Matrix) -> tuple[GaussianRational, ...]:
     """
     if not a.is_square:
         raise ShapeError(f"characteristic polynomial of non-square {a.rows}x{a.cols}")
-    scale, b = _gaussian_integer_form(a)
+    scale, b = a._integer_form()
     d = a.rows
     coeffs = [(1, 0)]  # coefficient of x^d
     m = _identity(d, real=b[1] is None)
@@ -85,7 +86,7 @@ def is_nilpotent(a: Matrix) -> NilpotencyReport:
     """
     if not a.is_square:
         raise ShapeError(f"nilpotency of non-square {a.rows}x{a.cols}")
-    scale, b = _gaussian_integer_form(a)
+    scale, b = a._integer_form()
     d = a.rows
     index = None
     witness = None
@@ -111,19 +112,8 @@ def is_nilpotent(a: Matrix) -> NilpotencyReport:
 
 
 # ---- Gaussian-integer kernel --------------------------------------------------
-# A matrix over Z[i] is a pair (re, im) of lists of int rows; im is None
+# A matrix over Z[i] is a pair (re, im) of sequences of int rows; im is None
 # when every entry is real, and then stays None through every product.
-
-def _gaussian_integer_form(a: Matrix):
-    """(D, D*a) with D the lcm of all denominators of a's entries."""
-    rows = a.row_list()
-    scale = lcm(*(part.denominator for row in rows for e in row for part in (e.re, e.im)))
-    re = [[e.re.numerator * (scale // e.re.denominator) for e in row] for row in rows]
-    if all(e.is_real for row in rows for e in row):
-        return scale, (re, None)
-    im = [[e.im.numerator * (scale // e.im.denominator) for e in row] for row in rows]
-    return scale, (re, im)
-
 
 def _int_matmul(x, y):
     cols = tuple(zip(*y))

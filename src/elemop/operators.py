@@ -9,14 +9,21 @@ The superoperator of X -> sum_i A_i X B_i under column-stacking vec is
 sum_i kron(B_i.T, A_i); it satisfies superop * vec(X) == vec(op(X)) for
 every X, and turns addition, composition and scaling of operators into the
 matching matrix operations.
+
+It is assembled over Z[i] from the coefficients' integer forms
+(a_i, a_i*A_i) and (b_i, b_i*B_i) (see `elemop.matrix`): with L the lcm of
+the a_i*b_i, L times the sum is sum_i (L/(a_i*b_i)) kron(b_i*B_i.T, a_i*A_i),
+and the result is built once, keeping that form for `is_nilpotent`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
+from operator import add, sub
 
 from .errors import ShapeError
-from .matrix import Matrix, kron
+from .matrix import Matrix
 from .nilpotency import NilpotencyReport, is_nilpotent
 from .scalars import as_scalar
 
@@ -56,10 +63,22 @@ class ElementaryOperator:
         return result
 
     def superoperator(self) -> Matrix:
-        s = Matrix.zero(self.dim * self.dim)
-        for a, b in self.terms:
-            s = s + kron(b.T, a)
-        return s
+        forms = [(a._integer_form(), b._integer_form()) for a, b in self.terms]
+        scale = lcm(*(sa * sb for (sa, _), (sb, _) in forms))
+        size = self.dim * self.dim
+        re, im = ([[0] * size for _ in range(size)] for _ in range(2))
+        for (sa, (ar, ai)), (sb, (br, bi)) in forms:
+            factor = scale // (sa * sb)
+            xr = [[factor * v for v in col] for col in zip(*br)]
+            _add_kron(re, xr, ar)
+            if ai is not None:
+                _add_kron(im, xr, ai)
+            if bi is not None:
+                xi = [[factor * v for v in col] for col in zip(*bi)]
+                _add_kron(im, xi, ar)
+                if ai is not None:
+                    _add_kron(re, xi, ai, sub)
+        return Matrix._from_integer_form(scale, re, im)
 
     # ---- algebra -----------------------------------------------------------
     def __add__(self, other):
@@ -153,6 +172,15 @@ def identity_operator(n: int) -> ElementaryOperator:
 def zero_operator(n: int) -> ElementaryOperator:
     z = Matrix.zero(n)
     return ElementaryOperator(n, ((z, z),))
+
+
+def _add_kron(acc, x, y, op=add) -> None:
+    """acc op= kron(x, y) in place, for int rows; x is n x n and so is y."""
+    n = len(y)
+    for p, xrow in enumerate(x):
+        for i, yrow in enumerate(y):
+            r = p * n + i
+            acc[r] = list(map(op, acc[r], [u * v for u in xrow for v in yrow]))
 
 
 def _need_square_pair(a: Matrix, b: Matrix) -> None:

@@ -11,6 +11,7 @@ from elemop import (
     NilpotencyReport,
     ONE,
     ZERO,
+    kron,
 )
 
 
@@ -89,3 +90,15 @@ def ref_is_nilpotent(a: Matrix) -> NilpotencyReport:
     by_poly = all(not c for c in ref_char_poly(a)[1:])
     assert by_poly == (index is not None), "reference routes disagree"
     return NilpotencyReport(nilpotent=index is not None, index=index, witness=witness)
+
+
+# ---- reference superoperator ------------------------------------------------------
+# The assembly as it ran before the Gaussian-integer build: kron and Matrix
+# addition over Q(i).
+
+def ref_superoperator(op: ElementaryOperator) -> Matrix:
+    """sum_i kron(B_i.T, A_i), summed term by term from the zero matrix."""
+    s = Matrix.zero(op.dim * op.dim)
+    for a, b in op.terms:
+        s = s + kron(b.T, a)
+    return s

@@ -1,12 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from elemop import Matrix
+import elemop
+from elemop import GaussianRational, Matrix, NilpotencyReport, criteria, nilpotency
 from elemop.cli import main
-from elemop.jsonio import dumps, matrix_to_obj, operator_to_obj
+from elemop.jsonio import dumps, matrix_from_obj, matrix_to_obj, operator_to_obj
 from elemop.operators import make_multiplication, make_v_operator
 
 J2 = Matrix([[0, 1], [0, 0]])
@@ -269,10 +273,14 @@ def test_checked_property_failure_exits_1(capsys, monkeypatch):
 
 
 def test_module_entry_point_runs():
+    # the child imports the same elemop as this process, installed or not
+    src = str(Path(elemop.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "elemop.cli", "examples", "--which", "3.1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["S_cubed_plus_S_zero"] is True
@@ -284,3 +292,112 @@ def test_choices_come_from_the_criterion_table():
     assert cli_module.CHECK_CHOICES == ["2.1", "2.2", "2.3", "1.1"]
     assert cli_module.SWEEP_CHOICES == ["2.1", "2.2", "2.3", "1.1"]
     assert cli_module.SEARCH_CHOICES == ["2.1-ext", "2.2", "2.3"]
+
+
+# ---- exhaustive sweeps take no sampling flags ---------------------------------------
+
+SAMPLING_FLAGS = [("--trials", "1"), ("--seed", "9"), ("--entry-bound", "2"), ("--gaussian",)]
+
+
+def _forbid_sweeps(monkeypatch):
+    import elemop.cli as cli_module
+
+    def fail(*args):
+        raise AssertionError("a sweep ran")
+
+    for name in ("sweep_thm21_exhaustive", "sweep_fong_sourour_exhaustive", "sweep_thm"):
+        monkeypatch.setattr(cli_module.lab, name, fail)
+
+
+@pytest.mark.parametrize("sweep", [["--theorem", "2.1"], ["--theorem", "1.1", "--exhaustive"]])
+@pytest.mark.parametrize("flag", SAMPLING_FLAGS)
+def test_exhaustive_sweep_rejects_sampling_flags(capsys, monkeypatch, sweep, flag):
+    _forbid_sweeps(monkeypatch)
+    status, out, err = run_cli(capsys, "sweep", *sweep, *flag)
+    assert status == 2 and out == ""
+    assert err == f"error: {flag[0]} does not apply to an exhaustive sweep\n"
+
+
+def test_exhaustive_sweep_names_the_first_sampling_flag(capsys, monkeypatch):
+    _forbid_sweeps(monkeypatch)
+    status, out, err = run_cli(
+        capsys, "sweep", "--theorem", "2.1", "--trials", "1", "--seed", "9", "--gaussian"
+    )
+    assert status == 2 and out == ""
+    assert err == "error: --trials does not apply to an exhaustive sweep\n"
+
+
+def test_random_sweep_fills_sampling_defaults(capsys, monkeypatch):
+    import elemop.cli as cli_module
+    from elemop.lab import SweepReport
+
+    seen = []
+
+    def fake_sweep(theorem, config, trials):
+        seen.append((config.to_obj(), trials))
+        return SweepReport(theorem=theorem, mode="random", config=config.to_obj())
+
+    monkeypatch.setattr(cli_module.lab, "sweep_thm", fake_sweep)
+    assert run_cli(capsys, "sweep", "--theorem", "1.1")[0] == 0
+    assert run_cli(capsys, "sweep", "--theorem", "2.3", "--trials", "5", "--gaussian")[0] == 0
+    assert seen == [
+        ({"dim": 2, "entry_bound": 3, "gaussian": False, "seed": 0}, 200),
+        ({"dim": 2, "entry_bound": 3, "gaussian": True, "seed": 0}, 5),
+    ]
+
+
+# ---- integrity failures print their instance ------------------------------------------
+
+NILPOTENT_WIDE = Matrix([[0, GaussianRational(Fraction(1, 2), Fraction(-1, 3))], [0, 0]])
+
+
+def _printed_instance(err: str):
+    failed, instance = err.splitlines()
+    assert failed.startswith("check failed: ")
+    assert instance.startswith("instance: ")
+    text = instance[len("instance: "):]
+    assert text == json.dumps(json.loads(text), separators=(",", ":"))  # compact
+    return json.loads(text)
+
+
+def _break_char_poly(monkeypatch):
+    monkeypatch.setattr(nilpotency, "char_poly", lambda a: (1,) * (a.rows + 1))
+
+
+def test_nilpotent_route_failure_prints_the_matrix(capsys, monkeypatch):
+    _break_char_poly(monkeypatch)
+    status, out, err = run_cli(capsys, "nilpotent", "--matrix", matrix_arg(NILPOTENT_WIDE))
+    assert status == 1 and out == ""
+    assert "disagree" in err
+    assert matrix_from_obj(_printed_instance(err)) == NILPOTENT_WIDE
+
+
+def test_check_route_failure_prints_the_matrix(capsys, monkeypatch):
+    _break_char_poly(monkeypatch)
+    status, out, err = run_cli(
+        capsys, "check", "--theorem", "2.1",
+        "--a", matrix_arg(NILPOTENT_WIDE), "--b", matrix_arg(I2),
+    )
+    assert status == 1 and out == ""
+    assert matrix_from_obj(_printed_instance(err)) == NILPOTENT_WIDE
+
+
+def test_check_biconditional_failure_prints_the_pair(capsys, monkeypatch):
+    monkeypatch.setattr(criteria, "op_is_nilpotent", lambda op: NilpotencyReport(False))
+    status, out, err = run_cli(
+        capsys, "check", "--theorem", "2.1",
+        "--a", matrix_arg(NILPOTENT_WIDE), "--b", matrix_arg(I2),
+    )
+    assert status == 1 and out == ""
+    assert "length-one biconditional violated" in err
+    a, b = _printed_instance(err)
+    assert (matrix_from_obj(a), matrix_from_obj(b)) == (NILPOTENT_WIDE, I2)
+
+
+def test_instance_json_covers_matrices_sequences_and_scalars():
+    import elemop.cli as cli_module
+
+    half_i = GaussianRational(Fraction(1, 2), 1)
+    assert cli_module._instance_obj(([J2], (half_i, 3), ())) == [
+        [matrix_to_obj(J2)], ["1/2+1*i", "3"], []
+    ]

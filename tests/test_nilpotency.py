@@ -1,9 +1,11 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from elemop import (
+    GaussianRational,
     IntegrityError,
     Matrix,
     ONE,
@@ -247,3 +249,63 @@ def test_inexact_faddeev_leverrier_division_raises(monkeypatch):
         char_poly(FAMILY_A)
     assert "division by 2 is not exact" in str(info.value)
     assert info.value.instance == FAMILY_A
+
+
+# ---- the cached integer form -----------------------------------------------------
+
+GAUSSIAN_2X2 = Matrix([
+    [Fraction(1, 2), GaussianRational(0, Fraction(1, 3))],
+    [2, GaussianRational(-1, 1)],
+])
+
+
+def _fresh(m: Matrix) -> Matrix:
+    return Matrix(m.row_list())
+
+
+def _is_int_rows(rows) -> bool:
+    return isinstance(rows, tuple) and all(
+        isinstance(row, tuple) and all(isinstance(x, int) for x in row) for row in rows
+    )
+
+
+def test_integer_form_rows_are_tuples():
+    sup = make_v_operator(GAUSSIAN_2X2, J2).superoperator()  # filled by the build
+    for m in (J3, GAUSSIAN_2X2, sup):
+        scale, (re, im) = m._integer_form()
+        assert _is_int_rows(re) and (im is None or _is_int_rows(im))
+    assert J3._integer_form()[1][1] is None
+    assert GAUSSIAN_2X2._integer_form() == (
+        6, (((3, 0), (12, -6)), ((0, 2), (0, 6)))
+    )
+
+
+@pytest.mark.parametrize("m", [
+    J3,
+    FAMILY_A,
+    GAUSSIAN_2X2,
+    Matrix([[0, GaussianRational(Fraction(1, 2), Fraction(-1, 3))], [0, 0]]),
+    make_v_operator(J3, FAMILY_A).superoperator(),
+])
+def test_deciding_twice_shares_and_keeps_one_form(m):
+    m = _fresh(m)
+    assert m._form is None
+    first = is_nilpotent(m)
+    form = m._form
+    # is_nilpotent filled the form; char_poly and a second decision reuse it
+    assert form == _fresh(m)._integer_form()
+    assert char_poly(m) == ref_char_poly(m)
+    assert is_nilpotent(m) == first == ref_is_nilpotent(m)
+    assert m._form is form and form == _fresh(m)._integer_form()
+
+
+def test_derived_matrices_do_not_inherit_the_form():
+    m = GAUSSIAN_2X2
+    scale, (re, im) = m._integer_form()
+    neg, tr, double = -m, m.T, m + m
+    assert neg._form is None and tr._form is None and double._form is None
+    negate = lambda rows: tuple(tuple(-x for x in row) for row in rows)
+    assert neg._integer_form() == (scale, (negate(re), negate(im)))
+    assert tr._integer_form() == (scale, (tuple(zip(*re)), tuple(zip(*im))))
+    # 2m = [[1, 2/3 i], [4, -2+2i]]: the scale drops from 6 to 3
+    assert double._integer_form() == (3, (((3, 0), (12, -6)), ((0, 2), (0, 6))))

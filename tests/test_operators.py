@@ -1,9 +1,13 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from elemop import (
     ElementaryOperator,
+    GaussianRational,
+    IntegrityError,
     Matrix,
     ShapeError,
     basis_matrix,
@@ -19,7 +23,8 @@ from elemop import (
     vec,
     zero_operator,
 )
-from helpers import rand_matrix, rand_operator
+from elemop import nilpotency
+from helpers import rand_matrix, rand_operator, ref_superoperator
 
 J2 = Matrix([[0, 1], [0, 0]])
 E11 = basis_matrix(2, 0, 0)
@@ -239,3 +244,91 @@ def test_nilpotent_operator_index_bounded_by_dim_squared():
         b = rand_matrix(rng, 2)
         report = op_is_nilpotent(make_multiplication(J2, b))
         assert report.nilpotent and report.index <= 4
+
+
+# ---- Z[i] assembly against the Q(i) reference ---------------------------------------
+
+def _assert_matches_reference(op: ElementaryOperator):
+    sup = op.superoperator()
+    assert sup == ref_superoperator(op)
+    # the stored form is exactly what a fresh conversion of the entries gives,
+    # minimal scale included
+    assert sup._form == Matrix(sup.row_list())._integer_form()
+    return sup
+
+
+SIGNED_2X2 = [
+    Matrix([list(entries[:2]), list(entries[2:])])
+    for entries in itertools.product((-1, 0, 1), repeat=4)
+]
+
+
+def test_assembly_matches_reference_on_signed_2x2_pairs():
+    pairs = list(itertools.product(SIGNED_2X2, repeat=2))[::13]
+    assert len(pairs) == 505
+    for a, b in pairs:
+        for make in (make_multiplication, make_generalized_derivation, make_v_operator):
+            _assert_matches_reference(make(a, b))
+
+
+def _wide_matrix(rng: random.Random) -> Matrix:
+    """Gaussian 3x3 with 32-48-bit numerators over a per-matrix pair of denominators."""
+    dens = rng.sample((1, 2, 3, 4, 5, 7, 9, 11), 2)
+
+    def part():
+        num = rng.choice((-1, 1)) * rng.getrandbits(rng.randint(32, 48))
+        return Fraction(num, rng.choice(dens))
+
+    return Matrix([[GaussianRational(part(), part()) for _ in range(3)] for _ in range(3)])
+
+
+def test_assembly_matches_reference_on_wide_gaussian_dim3():
+    rng = random.Random(7)
+    scales = set()
+    for trial in range(24):
+        terms = tuple(
+            (_wide_matrix(rng), _wide_matrix(rng)) for _ in range(1 + trial % 3)
+        )
+        # mixed denominators: the coefficients' own scales differ
+        scales.update(m._integer_form()[0] for pair in terms for m in pair)
+        _assert_matches_reference(ElementaryOperator(3, terms))
+    assert len(scales) > 10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_assembly_matches_reference_on_zero_and_identity(n):
+    assert _assert_matches_reference(zero_operator(n))._form[0] == 1
+    assert _assert_matches_reference(identity_operator(n)) == Matrix.identity(n * n)
+
+
+def test_assembly_reduces_scale_and_drops_cancelled_imaginary_part():
+    i = GaussianRational(0, 1)
+    half = Matrix([[Fraction(1, 2), 0], [0, Fraction(3, 2)]])
+    op = ElementaryOperator(2, ((half, 2 * J2), (i * J2, i * E11)))
+    sup = _assert_matches_reference(op)
+    scale, (_, im) = sup._form
+    # the term scales multiply to 2, yet every entry is an integer, and
+    # i*J2 (x) i*E11 is real
+    assert scale == 1 and im is None
+
+
+def test_assembly_does_not_call_kron(monkeypatch):
+    import elemop.matrix
+    import elemop.operators
+
+    def fail(*args):
+        raise AssertionError("kron called")
+
+    monkeypatch.setattr(elemop.matrix, "kron", fail)
+    monkeypatch.setattr(elemop.operators, "kron", fail, raising=False)
+    assert make_v_operator(FAMILY_A, FAMILY_B).superoperator() == (
+        kron(FAMILY_B.T, FAMILY_A) - kron(FAMILY_A.T, FAMILY_B)
+    )
+
+
+def test_route_disagreement_in_op_is_nilpotent_carries_the_superoperator(monkeypatch):
+    op = make_generalized_derivation(J2, J2)
+    monkeypatch.setattr(nilpotency, "char_poly", lambda a: (1,) * (a.rows + 1))
+    with pytest.raises(IntegrityError, match="disagree") as info:
+        op_is_nilpotent(op)
+    assert info.value.instance == ref_superoperator(op)
