@@ -10,17 +10,19 @@ implications: the length-one criterion (`thm21_criterion`) and the common
 scalar shift criterion for generalized derivations (`fong_sourour_check`).
 For those, a violated biconditional raises IntegrityError, since it can
 only mean an implementation bug; its `instance` is the offending pair, as
-for every failed step of `thm21_proof_replay`.
+for every failed step of `thm21_proof_replay`.  Shift candidates and the
+shifted matrices are computed on the matrices' Gaussian-integer forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import IntegrityError, PreconditionError, ShapeError
 from .matrix import Matrix, column_vector, rank_one, row_vector
-from .nilpotency import NilpotencyReport, is_nilpotent
+from .nilpotency import NilpotencyReport, _trace, is_nilpotent
 from .operators import (
     ElementaryOperator,
     _need_square_pair,
@@ -83,11 +85,30 @@ def scalar_shift_witness(a: Matrix) -> ShiftWitness:
     """Find the unique candidate shift and keep it only if it works."""
     if not a.is_square:
         raise ShapeError(f"shift witness of non-square {a.rows}x{a.cols}")
-    candidate = a.trace() / a.rows
-    report = is_nilpotent(a - candidate * Matrix.identity(a.rows))
+    candidate, shifted = _trace_shift(a)
+    report = is_nilpotent(shifted())
     if report.nilpotent:
         return ShiftWitness(candidate, report)
     return ShiftWitness(None)
+
+
+def _trace_shift(a: Matrix):
+    """The candidate lam = trace(A)/d, and a callable that builds A - lam*I.
+
+    With (D, B) the cached integer form of A, lam = tr(B) / (d*D) and
+    A - lam*I = (d*B - tr(B)*I) / (d*D): integer arithmetic throughout.
+    """
+    scale, parts = a._integer_form()
+    d = a.rows
+    traces = _trace(parts)
+    lam = GaussianRational(*(Fraction(t, d * scale) for t in traces))
+
+    def shifted() -> Matrix:
+        re, im = ([[d * x - t * (i == j) for j, x in enumerate(row)] for i, row in enumerate(p)]
+                  if p else None for p, t in zip(parts, traces))
+        return Matrix._from_integer_form(d * scale, re, im)
+
+    return lam, shifted
 
 
 def thm21_criterion(a: Matrix, b: Matrix) -> TheoremCheckResult:
@@ -181,18 +202,16 @@ def fong_sourour_check(s: Matrix, t: Matrix) -> ShiftCheckResult:
     hold in finite dimension; a violation raises IntegrityError.
     """
     _need_square_pair(s, t)
-    d = s.rows
     failures = []
     lam = None
-    cand_s = s.trace() / d
-    cand_t = t.trace() / d
+    cand_s, shifted_s = _trace_shift(s)
+    cand_t, shifted_t = _trace_shift(t)
     if cand_s != cand_t:
         failures.append("no common shift candidate: trace(S)/d != trace(T)/d")
     else:
-        ident = Matrix.identity(d)
-        if not is_nilpotent(s - cand_s * ident).nilpotent:
+        if not is_nilpotent(shifted_s()).nilpotent:
             failures.append("S - lam*I not nilpotent for the only candidate lam")
-        if not is_nilpotent(t - cand_s * ident).nilpotent:
+        if not is_nilpotent(shifted_t()).nilpotent:
             failures.append("T - lam*I not nilpotent for the only candidate lam")
         if len(failures) == 0:
             lam = cand_s

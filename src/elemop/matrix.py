@@ -5,19 +5,27 @@ across threads is safe.  Shape mismatches raise ShapeError naming both
 shapes.  The vectorization convention is column stacking: vec concatenates
 the columns top to bottom, which makes vec(A*X*B) == kron(B.T, A) * vec(X).
 
-The exact kernels of `nilpotency` and `operators` run on a matrix's
-Gaussian-integer form (D, D*A), D the lcm of every real and imaginary
-denominator, cached in a private slot as tuples of int rows (imaginary
-rows None when A is real).  Immutability makes the cache safe: new entries
-mean a new Matrix with an empty cache, and tuple rows cannot be written.
+Every matrix has a Gaussian-integer form (D, D*A), D the lcm of every real
+and imaginary denominator, held in a private slot as tuples of int rows
+(imaginary rows None when A is real).  The form is canonical: D is the
+least positive scale, so two matrices are equal exactly when their forms
+are, and `==` compares forms when both are at hand.  Matrix products run
+on forms, in the one Z[i] product kernel below, which `nilpotency` also
+uses; `operators` assembles superoperators on them.  A matrix built from
+entries fills its form on first use; a product or a superoperator keeps
+only its form and builds its entries the first time they are read.  Both
+fills compute one value from immutable inputs and store it in a single
+slot assignment, so they are idempotent: threads racing on a fill store
+equal values, and a reader never sees a half-built one.  New entries mean
+a new Matrix, and tuple rows cannot be written.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd, lcm
-from operator import attrgetter
+from operator import add, attrgetter, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ShapeError
@@ -51,17 +59,25 @@ class Matrix:
 
     @classmethod
     def _from_integer_form(cls, scale: int, re, im) -> "Matrix":
-        """(re + i*im) / scale for int rows; one gcd pass makes the stored scale minimal."""
-        g = gcd(scale, *chain(*re, *im))
-        scale //= g
-        re, im = (tuple(tuple(x // g for x in row) for row in part) for part in (re, im))
-        cells = [list(zip(rr, ri)) for rr, ri in zip(re, im)]
-        # entries repeat (zero blocks, equal products): build each value once
+        """(re + i*im) / scale for int rows (im may be None); entries wait for a read."""
+        g = gcd(scale, *chain(*re, *(im or ())))
+        re, im = (p and tuple(tuple(x // g for x in row) for row in p) for p in (re, im))
+        out = cls.__new__(cls)
+        out.rows, out.cols = len(re), len(re[0])
+        out._form = (scale // g, (re, im if im and any(map(any, im)) else None))
+        return out
+
+    def __getattr__(self, name):
+        # only `_rows` is ever unset: a matrix made by _from_integer_form
+        # builds its entries here on first read, each distinct value once
+        if name != "_rows":
+            raise AttributeError(name)
+        scale, (re, im) = self._form
+        cells = [tuple(zip(rr, ri)) for rr, ri in zip(re, im or repeat(repeat(0)))]
         value = {c: GaussianRational(Fraction(c[0], scale), Fraction(c[1], scale))
                  for c in set(chain.from_iterable(cells))}
-        out = cls([[value[c] for c in row] for row in cells])
-        out._form = (scale, (re, im if any(map(any, im)) else None))
-        return out
+        self._rows = tuple(tuple(map(value.__getitem__, row)) for row in cells)
+        return self._rows
 
     def _integer_form(self):
         """(D, (re, im)): D times this matrix as int rows, computed once."""
@@ -158,20 +174,8 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply {self._shape_str()} by {other._shape_str()}"
             )
-        brows = other._rows
-        out = []
-        for arow in self._rows:
-            row = []
-            for j in range(other.cols):
-                acc = ZERO
-                for k, aik in enumerate(arow):
-                    if aik:
-                        bkj = brows[k][j]
-                        if bkj:
-                            acc = acc + aik * bkj
-                row.append(acc)
-            out.append(row)
-        return Matrix(out)
+        (sa, a), (sb, b) = self._integer_form(), other._integer_form()
+        return Matrix._from_integer_form(sa * sb, *_gaussian_matmul(a, b))
 
     def __pow__(self, k: int) -> "Matrix":
         if not self.is_square:
@@ -203,6 +207,8 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
+        if self._form is not None and other._form is not None:
+            return self._form == other._form
         return self.shape == other.shape and self._rows == other._rows
 
     def __hash__(self):
@@ -215,6 +221,33 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self})"
+
+
+# ---- Z[i] product kernel -------------------------------------------------------
+# A matrix over Z[i] is a pair (re, im) of sequences of int rows, im None when
+# every entry is real.  Products come back as fresh lists, which callers may
+# update in place.
+
+def _int_matmul(x, y):
+    cols = tuple(zip(*y))
+    return [[sum(map(mul, row, col)) for col in cols] for row in x]
+
+
+def _gaussian_matmul(x, y):
+    """(xr + i*xi)(yr + i*yi) for any conformable shapes; im stays None for real x, y."""
+    (xr, xi), (yr, yi) = x, y
+    rr = _int_matmul(xr, yr)
+    if xi is None and yi is None:
+        return rr, None
+    ri = None if yi is None else _int_matmul(xr, yi)
+    ir = None if xi is None else _int_matmul(xi, yr)
+    if ri is None or ir is None:  # one factor is real: no i*i term
+        return rr, ri or ir
+    ii = _int_matmul(xi, yi)
+    return (
+        [list(map(sub, p, q)) for p, q in zip(rr, ii)],
+        [list(map(add, p, q)) for p, q in zip(ri, ir)],
+    )
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -10,23 +10,24 @@ Both routes run on Gaussian integers, not on Q(i).  Let D be the lcm of
 the denominators of every real and imaginary part of A; then B = D*A has
 entries in Z[i], held as rows of Python ints (real parts, plus imaginary
 parts only when some entry of A is non-real).  (D, B) is the form cached
-on the Matrix, so `is_nilpotent` and its `char_poly` share one conversion;
-the kernel updates in place only fresh products, never B's tuple rows.
+on the Matrix, so `is_nilpotent` and its `char_poly` share one conversion.
+Products use the Z[i] kernel of `elemop.matrix`, the one behind Matrix
+`*`; only its fresh results are updated in place, never B's tuple rows.
 Nilpotency and its index are unchanged by the nonzero factor D, and
 B^k = D^k A^k and c_k(B) = D^k c_k(A) for the coefficient c_k of x^(d-k).
 Only what leaves the module is scaled back: the witness entry of B^(k-1)
-is divided by D^(k-1), and char_poly returns c_k(B) / D^k.
+is divided by D^(k-1), and char_poly returns c_k(B) / D^k (the shared
+ZERO when it vanishes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .errors import IntegrityError, ShapeError
-from .matrix import Matrix
-from .scalars import GaussianRational
+from .matrix import Matrix, _gaussian_matmul
+from .scalars import ZERO, GaussianRational
 
 
 @dataclass(frozen=True)
@@ -65,17 +66,14 @@ def char_poly(a: Matrix) -> tuple[GaussianRational, ...]:
     scale, b = a._integer_form()
     d = a.rows
     coeffs = [(1, 0)]  # coefficient of x^d
-    m = _identity(d, real=b[1] is None)
+    m = ([[int(i == j) for j in range(d)] for i in range(d)], None)  # I, real
     for k in range(1, d + 1):
-        bm = _matmul(b, m)
+        bm = _gaussian_matmul(b, m)
         tr_re, tr_im = _trace(bm)
         c = (_exact_div(-tr_re, k, a), _exact_div(-tr_im, k, a))
         coeffs.append(c)
         m = _add_scalar(bm, c)
-    return tuple(
-        GaussianRational(Fraction(re, scale**k), Fraction(im, scale**k))
-        for k, (re, im) in enumerate(coeffs)
-    )
+    return tuple(_scaled_back(re, im, scale**k) for k, (re, im) in enumerate(coeffs))
 
 
 def is_nilpotent(a: Matrix) -> NilpotencyReport:
@@ -100,7 +98,7 @@ def is_nilpotent(a: Matrix) -> NilpotencyReport:
             break
         if k < d:
             previous = power
-            power = _matmul(power, b)
+            power = _gaussian_matmul(power, b)
 
     by_poly = all(not c for c in char_poly(a)[1:])
     if by_poly != (index is not None):
@@ -112,25 +110,7 @@ def is_nilpotent(a: Matrix) -> NilpotencyReport:
 
 
 # ---- Gaussian-integer kernel --------------------------------------------------
-# A matrix over Z[i] is a pair (re, im) of sequences of int rows; im is None
-# when every entry is real, and then stays None through every product.
-
-def _int_matmul(x, y):
-    cols = tuple(zip(*y))
-    return [[sum(map(mul, row, col)) for col in cols] for row in x]
-
-
-def _matmul(x, y):
-    (xr, xi), (yr, yi) = x, y
-    if xi is None:
-        return _int_matmul(xr, yr), None
-    rr, ii = _int_matmul(xr, yr), _int_matmul(xi, yi)
-    ri, ir = _int_matmul(xr, yi), _int_matmul(xi, yr)
-    return (
-        [[p - q for p, q in zip(r1, r2)] for r1, r2 in zip(rr, ii)],
-        [[p + q for p, q in zip(r1, r2)] for r1, r2 in zip(ri, ir)],
-    )
-
+# Matrices over Z[i] as in `elemop.matrix`: (re, im), im None when real.
 
 def _trace(x) -> tuple[int, int]:
     re, im = x
@@ -139,11 +119,6 @@ def _trace(x) -> tuple[int, int]:
         sum(re[i][i] for i in range(n)),
         0 if im is None else sum(im[i][i] for i in range(n)),
     )
-
-
-def _identity(d: int, real: bool):
-    re = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    return re, (None if real else [[0] * d for _ in range(d)])
 
 
 def _add_scalar(x, c):
@@ -164,6 +139,13 @@ def _exact_div(n: int, k: int, a: Matrix) -> int:
             f"Faddeev-LeVerrier division by {k} is not exact over Z[i]", instance=a
         )
     return q
+
+
+def _scaled_back(re: int, im: int, denominator: int) -> GaussianRational:
+    """(re + i*im) / denominator, as the shared ZERO or with no imaginary Fraction when real."""
+    if not im:
+        return GaussianRational(Fraction(re, denominator)) if re else ZERO
+    return GaussianRational(Fraction(re, denominator), Fraction(im, denominator))
 
 
 def _is_zero(x) -> bool:

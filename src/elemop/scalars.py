@@ -16,9 +16,11 @@ String form, shared with the JSON wire format:
 `format_scalar` emits exactly these whitespace-free forms; `parse_scalar`
 is tolerant (whitespace, a bare "i", "2i" and "3*i" are all accepted).
 Each unsigned term must be ASCII digits with an optional "/digits"
-denominator; decimals, exponents, underscores and non-ASCII digits are
-rejected before `Fraction` sees them, so no input can make it expand a
-huge exponent.
+denominator, each run of digits at most 4,300 long (CPython's default
+limit for int strings, which parsing would otherwise be quadratic in when
+that limit is lifted); decimals, exponents, underscores, non-ASCII digits
+and longer runs are rejected before `Fraction` sees them, so no input can
+make it expand a huge exponent or parse a huge number.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from fractions import Fraction
 from .errors import ParseError
 
 _F0 = Fraction(0)
-_TERM_BODY = re.compile(r"[0-9]+(?:/[0-9]+)?")
+_TERM_BODY = re.compile(r"[0-9]{1,4300}(?:/[0-9]{1,4300})?")
 
 
 def _as_fraction(x) -> Fraction:

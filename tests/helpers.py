@@ -39,6 +39,23 @@ def rand_matrix(
     )
 
 
+def wide_matrix(
+    rng: random.Random, rows: int, cols: int | None = None, gaussian: bool = True
+) -> Matrix:
+    """32-48-bit numerators over a per-matrix pair of denominators."""
+    cols = rows if cols is None else cols
+    dens = rng.sample((1, 2, 3, 4, 5, 7, 9, 11), 2)
+
+    def part():
+        num = rng.choice((-1, 1)) * rng.getrandbits(rng.randint(32, 48))
+        return Fraction(num, rng.choice(dens))
+
+    return Matrix(
+        [[GaussianRational(part(), part() if gaussian else 0) for _ in range(cols)]
+         for _ in range(rows)]
+    )
+
+
 def rand_operator(
     rng: random.Random, dim: int, length: int, bound: int = 2, gaussian: bool = False
 ) -> ElementaryOperator:
@@ -102,3 +119,22 @@ def ref_superoperator(op: ElementaryOperator) -> Matrix:
     for a, b in op.terms:
         s = s + kron(b.T, a)
     return s
+
+
+# ---- reference matrix product -------------------------------------------------------
+# The product as it ran before the Z[i] kernel: a triple loop over Q(i) entries.
+
+def ref_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """a * b summed entry by entry in GaussianRational arithmetic."""
+    assert a.cols == b.rows, "reference product of non-conformable shapes"
+    out = []
+    for arow in a.row_list():
+        row = []
+        for j in range(b.cols):
+            acc = ZERO
+            for k, aik in enumerate(arow):
+                if aik and b[k, j]:
+                    acc = acc + aik * b[k, j]
+            row.append(acc)
+        out.append(row)
+    return Matrix(out)

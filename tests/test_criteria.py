@@ -12,6 +12,7 @@ from elemop import (
     ShapeError,
     ZERO,
     column_vector,
+    criteria,
     eq1_identity_residual,
     fong_sourour_check,
     make_multiplication,
@@ -23,7 +24,7 @@ from elemop import (
     thm22_check,
     thm23_check,
 )
-from helpers import rand_matrix, rand_scalar
+from helpers import rand_matrix, rand_scalar, wide_matrix
 
 J2 = Matrix([[0, 1], [0, 0]])
 J3 = Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -150,6 +151,36 @@ def test_shift_witness_gaussian_scalar():
     lam = GaussianRational(Fraction(1, 2), Fraction(-3, 4))
     witness = scalar_shift_witness(lam * I3 + J3)
     assert witness.found and witness.lam == lam
+
+
+def test_trace_shift_matches_fraction_arithmetic():
+    rng = random.Random(44)
+    samples = [J3, I2, 5 * I2 + J2, FAMILY_A, Matrix([["1/2+1/3*i"]])]
+    samples += [wide_matrix(rng, d) for d in (1, 2, 3, 4) for _ in range(3)]
+    samples += [rand_matrix(rng, 3, gaussian=g) for g in (False, True) for _ in range(3)]
+    for a in samples:
+        lam, shifted = criteria._trace_shift(a)
+        expected = a.trace() / a.rows
+        assert lam == expected and str(lam) == str(expected)
+        reference = a - expected * Matrix.identity(a.rows)
+        s = shifted()
+        assert s == reference and s.row_list() == reference.row_list()
+        assert s._form == Matrix(reference.row_list())._integer_form()
+
+
+def test_common_shift_builds_shifted_matrices_only_for_a_common_candidate(monkeypatch):
+    built = []
+    real = criteria._trace_shift
+
+    def spy(a):
+        lam, shifted = real(a)
+        return lam, lambda: built.append(a) or shifted()
+
+    monkeypatch.setattr(criteria, "_trace_shift", spy)
+    fong_sourour_check(I2, Matrix.zero(2))
+    assert built == []
+    fong_sourour_check(J2, J2.T)
+    assert built == [J2, J2.T]
 
 
 # ---- antisymmetric-map criterion ---------------------------------------------------

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -9,13 +11,15 @@ from elemop import (
     GaussianRational,
     Matrix,
     ShapeError,
+    ZERO,
     kron,
     matrix_poly,
     rank_one,
     unvec,
     vec,
 )
-from helpers import rand_matrix
+from elemop.jsonio import matrix_to_obj
+from helpers import rand_matrix, ref_matmul, wide_matrix
 
 J2 = Matrix([[0, 1], [0, 0]])
 J2T = Matrix([[0, 0], [1, 0]])
@@ -179,3 +183,173 @@ def test_transpose_and_hash():
     assert m.T.T == m
     assert hash(m) == hash(Matrix([[1, 2], [3, 4]]))
     assert {m: "here"}[Matrix([[1, 2], [3, 4]])] == "here"
+
+
+# ---- Z[i] product against the Q(i) reference ---------------------------------------
+
+def _assert_product_matches_reference(a: Matrix, b: Matrix) -> Matrix:
+    p = a * b
+    assert p == ref_matmul(a, b)
+    assert p.row_list() == ref_matmul(a, b).row_list()
+    # the stored form is exactly a fresh conversion's, minimal scale included
+    assert p._form == Matrix(p.row_list())._integer_form()
+    return p
+
+
+SHAPES = [(d, d, d) for d in (1, 2, 3, 4)] + [(1, d, 1) for d in (1, 2, 3, 4)] + [
+    (d, 1, d) for d in (2, 3, 4)
+]
+
+
+@pytest.mark.parametrize("rows, inner, cols", SHAPES)
+@pytest.mark.parametrize("kinds", [(False, False), (True, True), (False, True), (True, False)])
+def test_product_matches_reference(rows, inner, cols, kinds):
+    rng = random.Random(f"{rows}x{inner}x{cols}/{kinds}")
+    for _ in range(6):
+        a = wide_matrix(rng, rows, inner, kinds[0])
+        b = wide_matrix(rng, inner, cols, kinds[1])
+        _assert_product_matches_reference(a, b)
+        # small entries too, where zeros and cancellations are common
+        _assert_product_matches_reference(
+            rand_matrix(rng, rows, inner, gaussian=kinds[0]),
+            rand_matrix(rng, inner, cols, gaussian=kinds[1]),
+        )
+
+
+def test_product_of_products_matches_reference():
+    rng = random.Random(8)
+    a, b, c = (wide_matrix(rng, 3, 3, True) for _ in range(3))
+    _assert_product_matches_reference(_assert_product_matches_reference(a, b), c)
+    # a product of a product that never built its entries
+    assert (a * b) * c == ref_matmul(ref_matmul(a, b), c) == a * (b * c)
+
+
+def test_zero_product_has_scale_one():
+    p = _assert_product_matches_reference(J2, J2)
+    assert p._form == (1, (((0, 0), (0, 0)), None))
+    z = _assert_product_matches_reference(Matrix([[Fraction(1, 3), "2/7*i"]]), Matrix.zero(2, 3))
+    assert z._form == (1, (((0, 0, 0),), None)) and z.is_zero
+
+
+def test_product_scale_reduces_to_one():
+    half = Matrix([[Fraction(1, 2), 0], [0, Fraction(3, 2)]])
+    p = _assert_product_matches_reference(half, Matrix([[2, 0], [0, 4]]))
+    assert p._form == (1, (((1, 0), (0, 6)), None))
+
+
+def test_product_drops_cancelled_imaginary_part():
+    # (1 + i) * (1 - i) = 2, and i*J2 * i*J2T = -E11
+    i = GaussianRational(0, 1)
+    p = _assert_product_matches_reference(Matrix([["1/3+1/3*i"]]), Matrix([["3/2-3/2*i"]]))
+    assert p._form == (1, (((1,),), None))
+    q = _assert_product_matches_reference(i * J2, i * J2T)
+    assert q._form == (1, (((-1, 0), (0, 0)), None))
+
+
+# ---- entries on demand and equality on forms ----------------------------------------
+
+PAIR_RNG = random.Random(12)
+FORM_ONLY = [
+    wide_matrix(PAIR_RNG, 2, 3, True) * wide_matrix(PAIR_RNG, 3, 2, False),
+    J2 * J2T,
+    Matrix([[1, 2], [3, 4]]) * Matrix.identity(2),
+]
+
+
+def _entry_twin(m: Matrix) -> Matrix:
+    """The same matrix built from entries, with no form yet."""
+    twin = Matrix(m.row_list())
+    assert twin._form is None
+    return twin
+
+
+@pytest.mark.parametrize("m", FORM_ONLY)
+def test_product_reads_like_the_matrix_built_from_its_entries(m):
+    p = m * Matrix.identity(2)
+    form = p._form
+    twin = _entry_twin(ref_matmul(m, Matrix.identity(2)))
+    assert str(p) == str(twin) and repr(p) == repr(twin)
+    assert p.row_list() == twin.row_list()
+    assert all(p[i, j] == twin[i, j] for i in range(2) for j in range(2))
+    assert p[1] == twin[1] and list(p.entries()) == list(twin.entries())
+    assert matrix_to_obj(p) == matrix_to_obj(twin)
+    # reading entries leaves the very same form behind
+    assert p._form is form
+    assert p.is_zero == twin.is_zero and p.trace() == twin.trace() and p.T == twin.T
+
+
+def test_unread_product_has_no_entries():
+    p = Matrix([[1, 2], [3, 4]]) * J2
+    with pytest.raises(AttributeError):
+        object.__getattribute__(p, "_rows")
+    assert p[0, 1] == GaussianRational(1)
+    assert object.__getattribute__(p, "_rows") == ((ZERO, GaussianRational(1)),
+                                                  (ZERO, GaussianRational(3)))
+    with pytest.raises(AttributeError):
+        p.no_such_attribute
+
+
+def _pairs():
+    """Equal and unequal pairs in every mix of form-only and entry-only operands."""
+    rng = random.Random(13)
+    a, b = wide_matrix(rng, 2, 2, True), wide_matrix(rng, 2, 2, False)
+    ab = ref_matmul(a, b)
+    out = []
+    for left, right, equal in [
+        (a * b, ab, True),
+        (a * b, b * a, False),
+        (a * b, wide_matrix(rng, 2, 2, True) * b, False),
+        (J2 * J2T, Matrix([[1, 0], [0, 0]]), True),
+        (J2 * J2T, Matrix([[1, 0], [0, "1/2"]]), False),
+        (J2 * J2, Matrix.zero(2), True),
+        (J2 * J2, Matrix.zero(2, 1) * Matrix.zero(1, 2), True),
+        (Matrix([[1, 2]]) * Matrix.identity(2), Matrix([[1], [2]]), False),  # shape differs
+    ]:
+        out.append((left, right, equal))
+        out.append((left, right * Matrix.identity(right.cols), equal))  # both forms
+        out.append((_entry_twin(left), right, equal))  # both entries
+    return out
+
+
+@pytest.mark.parametrize("left, right, equal", _pairs())
+def test_equality_agrees_with_entry_equality(left, right, equal):
+    assert (left == right) is equal and (right == left) is equal
+    assert (left != right) is not equal
+    by_entries = left.shape == right.shape and left.row_list() == right.row_list()
+    assert by_entries is equal
+    if equal:
+        assert hash(left) == hash(right)
+
+
+def test_non_conformable_product_keeps_its_message():
+    with pytest.raises(ShapeError, match=r"^cannot multiply 2x3 by 2x2$"):
+        Matrix.zero(2, 3) * Matrix.zero(2, 2)
+    with pytest.raises(ShapeError, match=r"^cannot multiply 1x2 by 1x2$"):
+        (Matrix([[1, 2]]) * Matrix.identity(2)) * Matrix([[1, "i"]])
+
+
+def test_racing_entry_fills_agree():
+    rng = random.Random(14)
+    factors = [(wide_matrix(rng, 4, 4, True), wide_matrix(rng, 4, 4, False)) for _ in range(12)]
+    products = [a * b for a, b in factors]
+    forms = [p._form for p in products]
+    seen = [[] for _ in products]
+
+    def read():
+        for k, p in enumerate(products):
+            seen[k].append(p.row_list())
+
+    threads = [threading.Thread(target=read) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for (a, b), p, form, rows in zip(factors, products, forms, seen):
+        assert len(rows) == 4 and all(r == rows[0] for r in rows)
+        assert rows[0] == ref_matmul(a, b).row_list() and p._form is form

@@ -95,6 +95,19 @@ def test_char_poly_matches_cofactor_oracle():
         assert char_poly(frozen) == char_poly_oracle(frozen)
 
 
+@pytest.mark.parametrize("m", [J3, FAMILY_A, Matrix([[0, "i"], ["i", 0]]), Matrix([["1/2+i"]])])
+def test_char_poly_coefficients_are_built_only_as_needed(m):
+    coeffs = char_poly(m)
+    assert coeffs == ref_char_poly(m)
+    for c in coeffs:
+        if not c:
+            assert c is ZERO  # the shared zero, nothing built
+        elif c.is_real:
+            assert c.im is ZERO.im  # no imaginary Fraction built
+    # x^2 + 1 for [[0, i], [i, 0]]: a real polynomial of a non-real matrix
+    assert char_poly(Matrix([[0, "i"], ["i", 0]]))[1] is ZERO
+
+
 def test_char_poly_rejects_non_square():
     with pytest.raises(ShapeError):
         char_poly(Matrix.zero(2, 3))

@@ -24,7 +24,7 @@ from elemop import (
     zero_operator,
 )
 from elemop import nilpotency
-from helpers import rand_matrix, rand_operator, ref_superoperator
+from helpers import rand_matrix, rand_operator, ref_superoperator, wide_matrix
 
 J2 = Matrix([[0, 1], [0, 0]])
 E11 = basis_matrix(2, 0, 0)
@@ -271,23 +271,12 @@ def test_assembly_matches_reference_on_signed_2x2_pairs():
             _assert_matches_reference(make(a, b))
 
 
-def _wide_matrix(rng: random.Random) -> Matrix:
-    """Gaussian 3x3 with 32-48-bit numerators over a per-matrix pair of denominators."""
-    dens = rng.sample((1, 2, 3, 4, 5, 7, 9, 11), 2)
-
-    def part():
-        num = rng.choice((-1, 1)) * rng.getrandbits(rng.randint(32, 48))
-        return Fraction(num, rng.choice(dens))
-
-    return Matrix([[GaussianRational(part(), part()) for _ in range(3)] for _ in range(3)])
-
-
 def test_assembly_matches_reference_on_wide_gaussian_dim3():
     rng = random.Random(7)
     scales = set()
     for trial in range(24):
         terms = tuple(
-            (_wide_matrix(rng), _wide_matrix(rng)) for _ in range(1 + trial % 3)
+            (wide_matrix(rng, 3), wide_matrix(rng, 3)) for _ in range(1 + trial % 3)
         )
         # mixed denominators: the coefficients' own scales differ
         scales.update(m._integer_form()[0] for pair in terms for m in pair)

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,27 @@ def test_parse_rejects_terms_outside_the_ascii_grammar(bad, term):
     with pytest.raises(ParseError) as info:
         parse_scalar(bad)
     assert str(info.value) == f"bad scalar {bad!r}: cannot read term {term!r}"
+
+
+def test_parse_caps_each_digit_run_without_the_int_string_limit():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ParseError, match="cannot read term"):
+        parse_scalar("7" * 4301)  # rejected under the default limit, as before
+    sys.set_int_max_str_digits(0)
+    try:
+        longest = "7" * 4300
+        assert parse_scalar(longest) == GaussianRational(int(longest))
+        assert parse_scalar(f"1/{longest}+{longest}*i").im == int(longest)
+        for bad, term in [
+            ("7" * 4301, "7" * 4301),
+            (f"1/{'3' * 4301}", f"1/{'3' * 4301}"),
+            (f"2-{'9' * 10**6}*i", f"-{'9' * 10**6}*i"),  # would parse in quadratic time
+        ]:
+            with pytest.raises(ParseError) as info:
+                parse_scalar(bad)
+            assert str(info.value) == f"bad scalar {bad!r}: cannot read term {term!r}"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @given(scalars)
