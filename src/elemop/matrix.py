@@ -9,15 +9,16 @@ Every matrix has a Gaussian-integer form (D, D*A), D the lcm of every real
 and imaginary denominator, held in a private slot as tuples of int rows
 (imaginary rows None when A is real).  The form is canonical: D is the
 least positive scale, so two matrices are equal exactly when their forms
-are, and `==` compares forms when both are at hand.  Matrix products run
-on forms, in the one Z[i] product kernel below, which `nilpotency` also
-uses; `operators` assembles superoperators on them.  A matrix built from
-entries fills its form on first use; a product or a superoperator keeps
-only its form and builds its entries the first time they are read.  Both
-fills compute one value from immutable inputs and store it in a single
-slot assignment, so they are idempotent: threads racing on a fill store
-equal values, and a reader never sees a half-built one.  New entries mean
-a new Matrix, and tuple rows cannot be written.
+are; `==` compares forms when both are at hand, and `hash` is taken of
+the form.  Matrix products run on forms, in the one Z[i] product kernel
+below, which `nilpotency` also uses; `operators` assembles superoperators
+on them.  A matrix built from entries fills its form on first use; a
+product or a superoperator keeps only its form and builds its entries the
+first time they are read.  Both fills compute one value from immutable
+inputs and store it in a single slot assignment, so they are idempotent:
+threads racing on a fill store equal values, and a reader never sees a
+half-built one.  New entries mean a new Matrix, and tuple rows cannot be
+written.
 """
 
 from __future__ import annotations
@@ -212,7 +213,9 @@ class Matrix:
         return self.shape == other.shape and self._rows == other._rows
 
     def __hash__(self):
-        return hash(self._rows)
+        # on the canonical form, so equal matrices hash equal and hashing
+        # a product or a superoperator builds no entries
+        return hash(self._integer_form())
 
     def __str__(self):
         return "[" + ", ".join(
@@ -226,7 +229,10 @@ class Matrix:
 # ---- Z[i] product kernel -------------------------------------------------------
 # A matrix over Z[i] is a pair (re, im) of sequences of int rows, im None when
 # every entry is real.  Products come back as fresh lists, which callers may
-# update in place.
+# update in place.  The cost is the number of int-matrix products, not the
+# size of their entries, so a Gaussian product takes as few as it can: one
+# when both factors are real, two when one is, and three (Gauss's trick) when
+# neither is.
 
 def _int_matmul(x, y):
     cols = tuple(zip(*y))
@@ -239,15 +245,19 @@ def _gaussian_matmul(x, y):
     rr = _int_matmul(xr, yr)
     if xi is None and yi is None:
         return rr, None
-    ri = None if yi is None else _int_matmul(xr, yi)
-    ir = None if xi is None else _int_matmul(xi, yr)
-    if ri is None or ir is None:  # one factor is real: no i*i term
-        return rr, ri or ir
+    if xi is None or yi is None:  # one factor is real: no i*i term
+        return rr, _int_matmul(xr, yi) if xi is None else _int_matmul(xi, yr)
     ii = _int_matmul(xi, yi)
+    # im = xr*yi + xi*yr = (xr + xi)(yr + yi) - rr - ii
+    ss = _int_matmul(_int_add(xr, xi), _int_add(yr, yi))
     return (
         [list(map(sub, p, q)) for p, q in zip(rr, ii)],
-        [list(map(add, p, q)) for p, q in zip(ri, ir)],
+        [[s - r - i for s, r, i in zip(*rows)] for rows in zip(ss, rr, ii)],
     )
+
+
+def _int_add(x, y):
+    return [list(map(add, p, q)) for p, q in zip(x, y)]
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -2,9 +2,9 @@
 
 A square matrix over a field of characteristic zero is nilpotent exactly
 when its d-th power vanishes (Cayley-Hamilton), equivalently when its
-characteristic polynomial is x^d.  `is_nilpotent` decides by power
-iteration and then re-decides from the characteristic polynomial; the two
-routes must agree, and a disagreement raises IntegrityError.
+characteristic polynomial is x^d.  `is_nilpotent` decides by powering and
+then re-decides from the characteristic polynomial; the two routes must
+agree, and a disagreement raises IntegrityError.
 
 Both routes run on Gaussian integers, not on Q(i).  Let D be the lcm of
 the denominators of every real and imaginary part of A; then B = D*A has
@@ -18,12 +18,23 @@ B^k = D^k A^k and c_k(B) = D^k c_k(A) for the coefficient c_k of x^(d-k).
 Only what leaves the module is scaled back: the witness entry of B^(k-1)
 is divided by D^(k-1), and char_poly returns c_k(B) / D^k (the shared
 ZERO when it vanishes).
+
+The cost of a decision is the number of d x d products it forms, so each
+route forms as few as it can.  The power route squares, S_j = B^(2^j) for
+2^j <= d, stopping at the first zero square, then binary-lifts over the
+stored squares to the largest m <= d with B^m != 0, never multiplying
+past B^d: a non-nilpotent B takes floor(log2 d) + popcount(d) - 1
+products instead of d - 1 (4 instead of 8 at 9x9), and a nilpotent one
+gets its index m + 1 and its witness B^m on the way.  The
+Faddeev-LeVerrier route forms d - 2 instead of d: its first product B*I is
+B, and its last is needed only through its trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import IntegrityError, ShapeError
 from .matrix import Matrix, _gaussian_matmul
@@ -59,20 +70,23 @@ def char_poly(a: Matrix) -> tuple[GaussianRational, ...]:
     Faddeev-LeVerrier recurrence on B = D*a: M_1 = I, then for k = 1..d
     c_k = -tr(B M_k) / k and M_{k+1} = B M_k + c_k I.  B has entries in
     Z[i], so every c_k and M_k does too and each division by k is exact;
-    an inexact one raises IntegrityError.
+    an inexact one raises IntegrityError.  B M_1 is B itself, and c_d needs
+    only tr(B M_d) = sum_ij B_ij (M_d)_ji, so d - 2 products are formed.
     """
     if not a.is_square:
         raise ShapeError(f"characteristic polynomial of non-square {a.rows}x{a.cols}")
     scale, b = a._integer_form()
     d = a.rows
     coeffs = [(1, 0)]  # coefficient of x^d
-    m = ([[int(i == j) for j in range(d)] for i in range(d)], None)  # I, real
+    bm = b  # B M_1; only the fresh copy below is updated in place
     for k in range(1, d + 1):
-        bm = _gaussian_matmul(b, m)
-        tr_re, tr_im = _trace(bm)
+        tr_re, tr_im = _product_trace(b, m) if k == d > 1 else _trace(bm)
         c = (_exact_div(-tr_re, k, a), _exact_div(-tr_im, k, a))
         coeffs.append(c)
-        m = _add_scalar(bm, c)
+        if k < d:
+            m = _add_scalar(_copy(bm) if k == 1 else bm, c)
+            if k < d - 1:
+                bm = _gaussian_matmul(b, m)
     return tuple(_scaled_back(re, im, scale**k) for k, (re, im) in enumerate(coeffs))
 
 
@@ -88,17 +102,25 @@ def is_nilpotent(a: Matrix) -> NilpotencyReport:
     d = a.rows
     index = None
     witness = None
-    previous = None
-    power = b
-    for k in range(1, d + 1):
-        if _is_zero(power):
-            index = k
-            if k > 1:
-                witness = _first_nonzero(previous, scale ** (k - 1))
-            break
-        if k < d:
-            previous = power
-            power = _gaussian_matmul(power, b)
+    if _is_zero(b):
+        index = 1
+    else:
+        squares = [b]  # S_j = B^(2^j), all nonzero
+        while (1 << len(squares)) <= d:
+            square = _gaussian_matmul(squares[-1], squares[-1])
+            if _is_zero(square):
+                break
+            squares.append(square)
+        # binary lifting: the largest m <= d with B^m != 0, and B^m itself
+        m, power = 1 << (len(squares) - 1), squares[-1]
+        for j in range(len(squares) - 2, -1, -1):
+            if m + (1 << j) <= d:
+                lifted = _gaussian_matmul(power, squares[j])
+                if not _is_zero(lifted):
+                    m, power = m + (1 << j), lifted
+        if m < d:
+            index = m + 1
+            witness = _first_nonzero(power, scale**m)
 
     by_poly = all(not c for c in char_poly(a)[1:])
     if by_poly != (index is not None):
@@ -119,6 +141,23 @@ def _trace(x) -> tuple[int, int]:
         sum(re[i][i] for i in range(n)),
         0 if im is None else sum(im[i][i] for i in range(n)),
     )
+
+
+def _product_trace(x, y) -> tuple[int, int]:
+    """tr(x y) = sum_ij x_ij y_ji, without forming x y."""
+    (xr, xi), (yr, yi) = x, y
+
+    def tr(p, q):
+        return 0 if p is None or q is None else sum(
+            sum(map(mul, row, col)) for row, col in zip(p, zip(*q)))
+
+    return tr(xr, yr) - tr(xi, yi), tr(xr, yi) + tr(xi, yr)
+
+
+def _copy(x):
+    """A fresh list-of-lists copy of x, safe to update in place."""
+    re, im = x
+    return [list(row) for row in re], im and [list(row) for row in im]
 
 
 def _add_scalar(x, c):

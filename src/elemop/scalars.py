@@ -20,7 +20,10 @@ denominator, each run of digits at most 4,300 long (CPython's default
 limit for int strings, which parsing would otherwise be quadratic in when
 that limit is lifted); decimals, exponents, underscores, non-ASCII digits
 and longer runs are rejected before `Fraction` sees them, so no input can
-make it expand a huge exponent or parse a huge number.
+make it expand a huge exponent or parse a huge number.  A ParseError quotes
+the input and the rejected term in full up to 100 characters; longer ones
+are abridged to their first 50 characters and their length, so a rejected
+megabyte term gives a message of about a hundred bytes.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .errors import ParseError
 
 _F0 = Fraction(0)
 _TERM_BODY = re.compile(r"[0-9]{1,4300}(?:/[0-9]{1,4300})?")
+_QUOTED_MAX = 100  # longer input is abridged in error messages
 
 
 def _as_fraction(x) -> Fraction:
@@ -177,11 +181,11 @@ def parse_scalar(text: str) -> GaussianRational:
         value, imaginary = _parse_term(term, text)
         if imaginary:
             if im_part is not None:
-                raise ParseError(f"two imaginary terms in scalar {text!r}")
+                raise ParseError(f"two imaginary terms in scalar {_quoted(text)}")
             im_part = value
         else:
             if re_part is not None:
-                raise ParseError(f"two real terms in scalar {text!r}")
+                raise ParseError(f"two real terms in scalar {_quoted(text)}")
             re_part = value
     return GaussianRational(re_part or _F0, im_part or _F0)
 
@@ -209,11 +213,21 @@ def _parse_term(term: str, original: str) -> tuple[Fraction, bool]:
         body = body[:-1].rstrip("*")
         if not body:
             body = "1"
-    message = f"bad scalar {original!r}: cannot read term {term!r}"
     if not _TERM_BODY.fullmatch(body):
-        raise ParseError(message)
+        raise ParseError(_bad_term(original, term))
     try:
         value = Fraction(body)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(message) from exc
+        raise ParseError(_bad_term(original, term)) from exc
     return sign * value, imaginary
+
+
+def _bad_term(original: str, term: str) -> str:
+    return f"bad scalar {_quoted(original)}: cannot read term {_quoted(term)}"
+
+
+def _quoted(text: str) -> str:
+    """repr(text), or past _QUOTED_MAX characters its head and its length."""
+    if len(text) <= _QUOTED_MAX:
+        return repr(text)
+    return f"{text[:_QUOTED_MAX // 2]!r}... ({len(text):,} characters)"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from elemop import (
     GaussianRational,
     Matrix,
+    matrix,
     ShapeError,
     ZERO,
     kron,
@@ -256,6 +257,21 @@ FORM_ONLY = [
 ]
 
 
+@pytest.mark.parametrize("kinds, products", [
+    ((False, False), 1), ((False, True), 2), ((True, False), 2), ((True, True), 3),
+])
+def test_gaussian_product_forms_at_most_three_int_products(monkeypatch, kinds, products):
+    rng = random.Random(16)
+    a, b = (wide_matrix(rng, 3, 3, gaussian) for gaussian in kinds)
+    (sa, x), (sb, y) = a._integer_form(), b._integer_form()
+    calls = []
+    kernel = matrix._int_matmul
+    monkeypatch.setattr(matrix, "_int_matmul", lambda p, q: calls.append(1) or kernel(p, q))
+    product = matrix._gaussian_matmul(x, y)
+    assert len(calls) == products
+    assert Matrix._from_integer_form(sa * sb, *product) == ref_matmul(a, b)
+
+
 def _entry_twin(m: Matrix) -> Matrix:
     """The same matrix built from entries, with no form yet."""
     twin = Matrix(m.row_list())
@@ -287,6 +303,22 @@ def test_unread_product_has_no_entries():
                                                   (ZERO, GaussianRational(3)))
     with pytest.raises(AttributeError):
         p.no_such_attribute
+
+
+def test_hash_is_taken_of_the_form_and_builds_no_entries():
+    rng = random.Random(15)
+    for gaussian in (False, True):
+        a, b = wide_matrix(rng, 3, 3, gaussian), wide_matrix(rng, 3, 3, True)
+        p = a * b
+        twin = ref_matmul(a, b)
+        assert twin._form is None
+        assert hash(p) == hash(twin) and twin._form == p._form
+        with pytest.raises(AttributeError):  # hashing the product read no entry
+            object.__getattribute__(p, "_rows")
+        assert hash(_entry_twin(p)) == hash(p) == hash(p._form)
+    # equal zero matrices of one shape hash equal whichever way they were made
+    assert hash(Matrix.zero(2, 1) * Matrix.zero(1, 2)) == hash(Matrix.zero(2))
+    assert len({Matrix.zero(2), J2 * J2, J2, _entry_twin(J2 * J2T), J2 * J2T}) == 3
 
 
 def _pairs():

@@ -11,9 +11,11 @@ from elemop import (
     ONE,
     ShapeError,
     ZERO,
+    as_scalar,
     char_poly,
     is_nilpotent,
     lab,
+    matrix,
     nilpotency,
 )
 from elemop.operators import (
@@ -240,6 +242,97 @@ def test_kernel_matches_reference_on_9x9_superoperators():
             _assert_matches_reference(sup)
             indices.add(is_nilpotent(sup).index)
     assert len(indices) > 1
+
+
+# ---- binary powering: index and witness of every possible index ------------------
+
+def _conjugated(n: Matrix, rng: random.Random, gaussian: bool) -> Matrix:
+    """S n S^-1 for S = diag(mixed denominators) times a unimodular matrix."""
+    d = n.rows
+    multipliers = (1, -1, 2, -2) + (("1+i", "-i") if gaussian else ())
+    u = u_inv = Matrix.identity(d)
+    for _ in range(2 * d if d > 1 else 0):  # row operations and their inverses
+        i, j = rng.sample(range(d), 2)
+        c = as_scalar(rng.choice(multipliers))
+        step = [[ONE if r == s else ZERO for s in range(d)] for r in range(d)]
+        step[i][j] = c
+        u = Matrix(step) * u
+        step[i][j] = -c
+        u_inv = u_inv * Matrix(step)
+
+    def part():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 3, 5, 7)))
+    diag = [GaussianRational(part(), part() if gaussian else 0) for _ in range(d)]
+    scale = Matrix([[diag[r] if r == s else ZERO for s in range(d)] for r in range(d)])
+    unscale = Matrix([[1 / diag[r] if r == s else ZERO for s in range(d)] for r in range(d)])
+    assert u * u_inv == Matrix.identity(d)
+    return scale * u * n * u_inv * unscale
+
+
+def _jordan_type(d: int, blocks, rng: random.Random, gaussian: bool, eigenvalue=ZERO) -> Matrix:
+    """Jordan-type blocks of the given sizes down the diagonal, each with
+    random nonzero superdiagonal entries; the first block carries the eigenvalue."""
+    rows = [[ZERO] * d for _ in range(d)]
+    start = 0
+    for b, size in enumerate(blocks):
+        for r in range(start, start + size - 1):
+            im = rng.choice((0, 1)) if gaussian else 0
+            rows[r][r + 1] = GaussianRational(rng.choice((1, -2, 3)), im)
+        if b == 0:
+            for r in range(start, start + size):
+                rows[r][r] = eigenvalue
+        start += size
+    assert start == d
+    return Matrix(rows)
+
+
+def _blocks(d: int, largest: int, rng: random.Random) -> list[int]:
+    """Block sizes summing to d, the first one the largest."""
+    blocks = [largest]
+    while sum(blocks) < d:
+        blocks.append(rng.randint(1, min(largest, d - sum(blocks))))
+    return blocks
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize("d", range(1, 10))
+def test_every_index_and_witness_matches_reference(d, gaussian):
+    rng = random.Random(100 * d + gaussian)
+    cases = []
+    for k in range(1, d + 1):
+        a = _conjugated(_jordan_type(d, _blocks(d, k, rng), rng, gaussian), rng, gaussian)
+        cases.append((a, k))
+    # not nilpotent: one nonzero eigenvalue on a block of each size, d a power of 2 or not
+    for size in sorted({1, d // 2 or 1, d}):
+        lam = GaussianRational(Fraction(rng.choice((-1, 2)), 3), 1 if gaussian else 0)
+        n = _jordan_type(d, _blocks(d, size, rng), rng, gaussian, eigenvalue=lam)
+        cases.append((_conjugated(n, rng, gaussian), None))
+    for a, k in cases:
+        report = is_nilpotent(a)
+        assert report == ref_is_nilpotent(a)  # decision, index and witness
+        assert report.index == k
+        assert char_poly(a) == ref_char_poly(a)
+    # the conjugation left mixed denominators (and, over Q(i), imaginary parts)
+    denominators = max(len({e.re.denominator for _, _, e in a.entries()}) for a, _ in cases)
+    assert d == 1 or denominators > 2
+    if gaussian:
+        assert all(a._integer_form()[1][1] is not None for a, k in cases if k != 1)
+
+
+@pytest.mark.parametrize("d, products", [(9, 4 + 7), (4, 2 + 2), (2, 1 + 0)])
+def test_non_nilpotent_decision_forms_few_products(monkeypatch, d, products):
+    rng = random.Random(d)
+    a = _conjugated(_jordan_type(d, [d], rng, False, eigenvalue=ONE), rng, False)
+    a = Matrix(a.row_list())  # entry-built, so filling the form forms no product
+    expected = ref_char_poly(Matrix(a.row_list()))
+    calls = []
+    kernel = matrix._int_matmul
+    monkeypatch.setattr(matrix, "_int_matmul", lambda x, y: calls.append(1) or kernel(x, y))
+    assert char_poly(a) == expected
+    assert len(calls) <= max(d - 2, 0)  # Faddeev-LeVerrier without its first and last
+    calls.clear()
+    assert not is_nilpotent(a).nilpotent
+    assert len(calls) <= products  # powering plus Faddeev-LeVerrier
 
 
 # ---- replayable integrity failures ---------------------------------------------

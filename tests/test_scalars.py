@@ -128,9 +128,37 @@ def test_parse_caps_each_digit_run_without_the_int_string_limit():
         ]:
             with pytest.raises(ParseError) as info:
                 parse_scalar(bad)
-            assert str(info.value) == f"bad scalar {bad!r}: cannot read term {term!r}"
+            assert str(info.value) == (
+                f"bad scalar {bad[:50]!r}... ({len(bad):,} characters): "
+                f"cannot read term {term[:50]!r}... ({len(term):,} characters)"
+            )
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_parse_errors_quote_up_to_100_characters_and_abridge_longer_text():
+    # at the limit the message is today's, quoting input and term in full
+    for bad in ("x" * 100, "1." + "5" * 98):
+        with pytest.raises(ParseError) as info:
+            parse_scalar(bad)
+        assert str(info.value) == f"bad scalar {bad!r}: cannot read term {bad!r}"
+    # one past it, the input is abridged but the short term is not
+    bad = "1+" + "x" * 99
+    with pytest.raises(ParseError) as info:
+        parse_scalar(bad)
+    assert str(info.value) == (
+        f"bad scalar {bad[:50]!r}... (101 characters): cannot read term {bad[1:]!r}"
+    )
+    # the other two messages quote the input the same way
+    for bad, kind in ((f"1+{'2' * 100}", "real"), (f"{'3' * 100}*i+i", "imaginary")):
+        with pytest.raises(ParseError) as info:
+            parse_scalar(bad)
+        assert str(info.value) == (
+            f"two {kind} terms in scalar {bad[:50]!r}... ({len(bad)} characters)"
+        )
+    with pytest.raises(ParseError) as info:
+        parse_scalar("1+2")
+    assert str(info.value) == "two real terms in scalar '1+2'"
 
 
 @given(scalars)
