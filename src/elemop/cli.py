@@ -17,7 +17,7 @@ from .errors import IntegrityError, ParseError
 from .matrix import Matrix
 from .nilpotency import is_nilpotent
 from .operators import op_is_nilpotent
-from .scalars import as_scalar, format_scalar, parse_scalar
+from .scalars import _quoted, as_scalar, format_scalar, parse_scalar
 
 
 CHECK_CHOICES = [c.cli for c in lab.CRITERIA if c.supports("check")]
@@ -208,7 +208,7 @@ def _load(source: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {source!r}: {exc}") from exc
+        raise ParseError(f"invalid JSON in {_quoted(source)}: {exc}") from exc
 
 
 def _read_file(path: str) -> str:

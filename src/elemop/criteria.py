@@ -10,19 +10,18 @@ implications: the length-one criterion (`thm21_criterion`) and the common
 scalar shift criterion for generalized derivations (`fong_sourour_check`).
 For those, a violated biconditional raises IntegrityError, since it can
 only mean an implementation bug; its `instance` is the offending pair, as
-for every failed step of `thm21_proof_replay`.  Shift candidates and the
-shifted matrices are computed on the matrices' Gaussian-integer forms.
+for every failed step of `thm21_proof_replay`.  A shifted matrix
+A - lam*I is built only when both sides share the candidate lam.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import IntegrityError, PreconditionError, ShapeError
 from .matrix import Matrix, column_vector, rank_one, row_vector
-from .nilpotency import NilpotencyReport, _trace, is_nilpotent
+from .nilpotency import NilpotencyReport, is_nilpotent
 from .operators import (
     ElementaryOperator,
     _need_square_pair,
@@ -93,22 +92,9 @@ def scalar_shift_witness(a: Matrix) -> ShiftWitness:
 
 
 def _trace_shift(a: Matrix):
-    """The candidate lam = trace(A)/d, and a callable that builds A - lam*I.
-
-    With (D, B) the cached integer form of A, lam = tr(B) / (d*D) and
-    A - lam*I = (d*B - tr(B)*I) / (d*D): integer arithmetic throughout.
-    """
-    scale, parts = a._integer_form()
-    d = a.rows
-    traces = _trace(parts)
-    lam = GaussianRational(*(Fraction(t, d * scale) for t in traces))
-
-    def shifted() -> Matrix:
-        re, im = ([[d * x - t * (i == j) for j, x in enumerate(row)] for i, row in enumerate(p)]
-                  if p else None for p, t in zip(parts, traces))
-        return Matrix._from_integer_form(d * scale, re, im)
-
-    return lam, shifted
+    """The candidate lam = trace(A)/d, and a callable that builds A - lam*I."""
+    lam = a.trace() / a.rows
+    return lam, lambda: a - lam * Matrix.identity(a.rows)
 
 
 def thm21_criterion(a: Matrix, b: Matrix) -> TheoremCheckResult:

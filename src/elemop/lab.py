@@ -154,7 +154,7 @@ def _random_unimodular(rng: random.Random, dim: int) -> tuple[Matrix, Matrix]:
 def _shear_matrix(dim: int, i: int, j: int, c: int) -> Matrix:
     # adds c times row i to row j
     m = Matrix.identity(dim).row_list()
-    m[j][i] = m[j][i] + as_scalar(c)
+    m[j][i] = as_scalar(c)  # i != j, so the identity has 0 here
     return Matrix(m)
 
 

@@ -1,24 +1,18 @@
 """Dense matrices over the Gaussian rationals.
 
-Matrices are immutable; every operation returns a fresh value, so sharing
-across threads is safe.  Shape mismatches raise ShapeError naming both
-shapes.  The vectorization convention is column stacking: vec concatenates
-the columns top to bottom, which makes vec(A*X*B) == kron(B.T, A) * vec(X).
+Matrices are immutable, so sharing them across threads is safe; shape
+mismatches raise ShapeError naming both shapes.  Vectorization stacks the
+columns top to bottom, which makes vec(A*X*B) == kron(B.T, A) * vec(X).
 
-Every matrix has a Gaussian-integer form (D, D*A), D the lcm of every real
-and imaginary denominator, held in a private slot as tuples of int rows
-(imaginary rows None when A is real).  The form is canonical: D is the
-least positive scale, so two matrices are equal exactly when their forms
-are; `==` compares forms when both are at hand, and `hash` is taken of
-the form.  Matrix products run on forms, in the one Z[i] product kernel
-below, which `nilpotency` also uses; `operators` assembles superoperators
-on them.  A matrix built from entries fills its form on first use; a
-product or a superoperator keeps only its form and builds its entries the
-first time they are read.  Both fills compute one value from immutable
-inputs and store it in a single slot assignment, so they are idempotent:
-threads racing on a fill store equal values, and a reader never sees a
-half-built one.  New entries mean a new Matrix, and tuple rows cannot be
-written.
+Every operation runs on a matrix's Gaussian-integer form (D, D*A), D the
+least common denominator of all real and imaginary parts, held as tuples of
+int rows (imaginary rows None when A is real).  The form is canonical, so
+`==` and `hash` are taken of it, and each result is built from its form by
+`_from_integer_form`, which divides out one gcd.  Entries exist only at the
+boundary: a matrix built from entries fills its form on first use, one built
+from a form its entries when first read (`str`, indexing, `row_list`, JSON).
+Each fill stores one value computed from immutable inputs in one slot, so
+racing threads store equal values and a reader never sees a half-built one.
 """
 
 from __future__ import annotations
@@ -30,7 +24,7 @@ from operator import add, attrgetter, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ShapeError
-from .scalars import ZERO, ONE, GaussianRational, as_scalar
+from .scalars import ZERO, GaussianRational, as_scalar
 
 
 class Matrix:
@@ -44,39 +38,38 @@ class Matrix:
         if any(len(row) != width for row in coerced):
             raise ShapeError("ragged rows: all rows must have equal length")
         self._rows = coerced
-        self.rows = len(coerced)
-        self.cols = width
+        self.rows, self.cols = len(coerced), width
         self._form = None
 
     # ---- construction ----------------------------------------------------
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls._from_integer_form(1, [[int(i == j) for j in range(n)] for i in range(n)], None)
 
     @classmethod
     def zero(cls, rows: int, cols: int | None = None) -> "Matrix":
-        cols = rows if cols is None else cols
-        return cls([[ZERO] * cols for _ in range(rows)])
+        return cls._from_integer_form(1, [[0] * (rows if cols is None else cols)] * rows, None)
 
     @classmethod
     def _from_integer_form(cls, scale: int, re, im) -> "Matrix":
         """(re + i*im) / scale for int rows (im may be None); entries wait for a read."""
+        if not re or not re[0]:
+            raise ShapeError("a matrix needs at least one row and one column")
         g = gcd(scale, *chain(*re, *(im or ())))
-        re, im = (p and tuple(tuple(x // g for x in row) for row in p) for p in (re, im))
+        re, im = (p and (tuple(map(tuple, p)) if g == 1 else
+                         tuple(tuple(x // g for x in row) for row in p)) for p in (re, im))
         out = cls.__new__(cls)
         out.rows, out.cols = len(re), len(re[0])
         out._form = (scale // g, (re, im if im and any(map(any, im)) else None))
         return out
 
     def __getattr__(self, name):
-        # only `_rows` is ever unset: a matrix made by _from_integer_form
-        # builds its entries here on first read, each distinct value once
+        # only `_rows` is ever unset: built here on first read, each distinct value once
         if name != "_rows":
             raise AttributeError(name)
         scale, (re, im) = self._form
         cells = [tuple(zip(rr, ri)) for rr, ri in zip(re, im or repeat(repeat(0)))]
-        value = {c: GaussianRational(Fraction(c[0], scale), Fraction(c[1], scale))
-                 for c in set(chain.from_iterable(cells))}
+        value = {c: _gaussian(*c, scale) for c in set(chain.from_iterable(cells))}
         self._rows = tuple(tuple(map(value.__getitem__, row)) for row in cells)
         return self._rows
 
@@ -85,11 +78,8 @@ class Matrix:
         if self._form is None:
             rows = self._rows
             scale = lcm(*(p.denominator for row in rows for e in row for p in (e.re, e.im)))
-            re, im = (
-                tuple(tuple(p.numerator * (scale // p.denominator) for p in map(part, row))
-                      for row in rows)
-                for part in (attrgetter("re"), attrgetter("im"))
-            )
+            re, im = (tuple(tuple(p.numerator * (scale // p.denominator) for p in map(part, row))
+                            for row in rows) for part in (attrgetter("re"), attrgetter("im")))
             self._form = (scale, (re, im if any(map(any, im)) else None))
         return self._form
 
@@ -104,77 +94,61 @@ class Matrix:
 
     @property
     def is_zero(self) -> bool:
-        return all(not e for row in self._rows for e in row)
+        return _is_zero(self._integer_form()[1])
 
     def _shape_str(self) -> str:
         return f"{self.rows}x{self.cols}"
 
     # ---- access ----------------------------------------------------------
     def __getitem__(self, key):
-        if isinstance(key, tuple):
-            i, j = key
-            return self._rows[i][j]
-        return self._rows[key]
+        return self._rows[key[0]][key[1]] if isinstance(key, tuple) else self._rows[key]
 
     def entries(self) -> Iterator[tuple[int, int, GaussianRational]]:
-        for i, row in enumerate(self._rows):
-            for j, e in enumerate(row):
-                yield i, j, e
+        return ((i, j, e) for i, row in enumerate(self._rows) for j, e in enumerate(row))
 
     def row_list(self) -> list[list[GaussianRational]]:
         return [list(row) for row in self._rows]
 
     # ---- arithmetic --------------------------------------------------------
     def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ShapeError(f"cannot add {self._shape_str()} and {other._shape_str()}")
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._rows, other._rows)
-            ]
-        )
+        return self._combine(other, add, "cannot add {0} and {1}")
 
     def __sub__(self, other):
+        return self._combine(other, sub, "cannot subtract {1} from {0}")
+
+    def _combine(self, other, op, message: str):
+        """self op other for op add or sub, over the lcm of the two scales."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.shape != other.shape:
-            raise ShapeError(
-                f"cannot subtract {other._shape_str()} from {self._shape_str()}"
-            )
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._rows, other._rows)
-            ]
-        )
+            raise ShapeError(message.format(self._shape_str(), other._shape_str()))
+        (sa, (ar, ai)), (sb, (br, bi)) = self._integer_form(), other._integer_form()
+        scale = lcm(sa, sb)
+        fa, fb = scale // sa, scale // sb
+        return Matrix._from_integer_form(scale, _mix(fa, ar, op, fb, br),
+                                         _mix(fa, ai, op, fb, bi) if ai or bi else None)
 
     def __neg__(self):
-        return Matrix([[-e for e in row] for row in self._rows])
+        return _moved(self, lambda p: [[-x for x in row] for row in p])
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            return self._matmul(other)
-        try:
-            c = as_scalar(other)
-        except TypeError:
-            return NotImplemented
-        return Matrix([[e * c for e in row] for row in self._rows])
+        return self._matmul(other) if isinstance(other, Matrix) else self.__rmul__(other)
 
     def __rmul__(self, other):
         try:
             c = as_scalar(other)
         except TypeError:
             return NotImplemented
-        return Matrix([[c * e for e in row] for row in self._rows])
+        # (cr + i*ci)/cs times (re + i*im)/scale
+        cs = lcm(c.re.denominator, c.im.denominator)
+        cr, ci = (p.numerator * (cs // p.denominator) for p in (c.re, c.im))
+        scale, (re, im) = self._integer_form()
+        return Matrix._from_integer_form(cs * scale, _mix(cr, re, sub, ci, im),
+                                         _mix(cr, im, add, ci, re) if im or ci else None)
 
     def _matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
-            raise ShapeError(
-                f"cannot multiply {self._shape_str()} by {other._shape_str()}"
-            )
+            raise ShapeError(f"cannot multiply {self._shape_str()} by {other._shape_str()}")
         (sa, a), (sb, b) = self._integer_form(), other._integer_form()
         return Matrix._from_integer_form(sa * sb, *_gaussian_matmul(a, b))
 
@@ -192,14 +166,12 @@ class Matrix:
     def trace(self) -> GaussianRational:
         if not self.is_square:
             raise ShapeError(f"trace of non-square {self._shape_str()}")
-        t = ZERO
-        for i in range(self.rows):
-            t = t + self._rows[i][i]
-        return t
+        scale, parts = self._integer_form()
+        return _gaussian(*_trace(parts), scale)
 
     @property
     def T(self) -> "Matrix":
-        return Matrix(list(zip(*self._rows)))
+        return _moved(self, lambda p: list(zip(*p)))
 
     def transpose(self) -> "Matrix":
         return self.T
@@ -208,31 +180,52 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self._form is not None and other._form is not None:
-            return self._form == other._form
-        return self.shape == other.shape and self._rows == other._rows
+        return self._integer_form() == other._integer_form()
 
     def __hash__(self):
-        # on the canonical form, so equal matrices hash equal and hashing
-        # a product or a superoperator builds no entries
         return hash(self._integer_form())
 
     def __str__(self):
-        return "[" + ", ".join(
-            "[" + ", ".join(str(e) for e in row) + "]" for row in self._rows
-        ) + "]"
+        return "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in self._rows) + "]"
 
     def __repr__(self):
         return f"Matrix({self})"
 
 
-# ---- Z[i] product kernel -------------------------------------------------------
-# A matrix over Z[i] is a pair (re, im) of sequences of int rows, im None when
-# every entry is real.  Products come back as fresh lists, which callers may
-# update in place.  The cost is the number of int-matrix products, not the
-# size of their entries, so a Gaussian product takes as few as it can: one
-# when both factors are real, two when one is, and three (Gauss's trick) when
-# neither is.
+# ---- Z[i] helpers and kernels -------------------------------------------------------
+# A Z[i] matrix is a pair (re, im) of int-row sequences, im None when real.
+# Products come back as fresh lists, which callers may update in place; they
+# cost one int-matrix product per real pair of factors, two with one Gaussian
+# factor, three (Gauss's trick) with two.  `kron` shares `_add_kron` with `operators`.
+
+def _gaussian(re: int, im: int, denominator: int) -> GaussianRational:
+    """(re + i*im) / denominator, as the shared ZERO or with no imaginary Fraction when real."""
+    if not im:
+        return GaussianRational(Fraction(re, denominator)) if re else ZERO
+    return GaussianRational(Fraction(re, denominator), Fraction(im, denominator))
+
+
+def _moved(m: Matrix, move) -> Matrix:
+    """The matrix whose form is m's with move applied to each of its parts."""
+    scale, parts = m._integer_form()
+    return Matrix._from_integer_form(scale, *(p and move(p) for p in parts))
+
+
+def _mix(f, x, op, g, y):
+    """op(f*x, g*y) entry by entry for int rows x and y, either None for zeros."""
+    return [[op(f * u, g * v) for u, v in zip(p, q)]
+            for p, q in zip(x or repeat(repeat(0)), y or repeat(repeat(0)))]
+
+
+def _trace(x) -> tuple[int, int]:
+    """(tr re, tr im) of a square Z[i] matrix (re, im)."""
+    (re, im), n = x, range(len(x[0]))
+    return sum(re[i][i] for i in n), 0 if im is None else sum(im[i][i] for i in n)
+
+
+def _is_zero(x) -> bool:
+    return not any(map(any, chain(x[0], x[1] or ())))
+
 
 def _int_matmul(x, y):
     cols = tuple(zip(*y))
@@ -249,46 +242,53 @@ def _gaussian_matmul(x, y):
         return rr, _int_matmul(xr, yi) if xi is None else _int_matmul(xi, yr)
     ii = _int_matmul(xi, yi)
     # im = xr*yi + xi*yr = (xr + xi)(yr + yi) - rr - ii
-    ss = _int_matmul(_int_add(xr, xi), _int_add(yr, yi))
+    ss = _int_matmul([list(map(add, *rows)) for rows in zip(xr, xi)],
+                     [list(map(add, *rows)) for rows in zip(yr, yi)])
     return (
         [list(map(sub, p, q)) for p, q in zip(rr, ii)],
         [[s - r - i for s, r, i in zip(*rows)] for rows in zip(ss, rr, ii)],
     )
 
 
-def _int_add(x, y):
-    return [list(map(add, p, q)) for p, q in zip(x, y)]
+def _add_kron(acc, x, y) -> None:
+    """acc += kron(x, y) in place over Z[i]; acc is a pair of int-row lists."""
+    (xr, xi), (yr, yi) = x, y
+    for p, q, out, op in ((xr, yr, acc[0], add), (xi, yi, acc[0], sub),
+                          (xr, yi, acc[1], add), (xi, yr, acc[1], add)):
+        if p is not None and q is not None:
+            n = len(q)
+            for s, prow in enumerate(p):
+                for t, qrow in enumerate(q):
+                    r = s * n + t
+                    out[r] = list(map(op, out[r], [u * v for u in prow for v in qrow]))
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; block (i, j) equals a[i, j] * b."""
-    out = []
-    for arow in a.row_list():
-        for brow in b.row_list():
-            out.append([ae * be for ae in arow for be in brow])
-    return Matrix(out)
+    (sa, x), (sb, y) = a._integer_form(), b._integer_form()
+    acc = tuple([[0] * (a.cols * b.cols) for _ in range(a.rows * b.rows)] for _ in range(2))
+    _add_kron(acc, x, y)
+    return Matrix._from_integer_form(sa * sb, *acc)
 
 
 def vec(x: Matrix) -> Matrix:
     """Column-stack x into an (rows*cols) x 1 column vector."""
-    return Matrix([[x[i, j]] for j in range(x.cols) for i in range(x.rows)])
+    return _moved(x, lambda p: [[e] for col in zip(*p) for e in col])
 
 
 def unvec(v: Matrix, rows: int, cols: int) -> Matrix:
     """Inverse of vec for the given target shape."""
     if v.cols != 1 or v.rows != rows * cols:
-        raise ShapeError(
-            f"cannot reshape {v.rows}x{v.cols} into {rows}x{cols}: need {rows * cols}x1"
-        )
-    return Matrix([[v[j * rows + i, 0] for j in range(cols)] for i in range(rows)])
+        raise ShapeError(f"cannot reshape {v.rows}x{v.cols} into {rows}x{cols}: "
+                         f"need {rows * cols}x1")
+    return _moved(v, lambda p: [[p[j * rows + i][0] for j in range(cols)] for i in range(rows)])
 
 
 def rank_one(f: Matrix, x: Matrix) -> Matrix:
     """The operator z -> f(z)*x as the matrix x*f, for a row f and column x."""
     if f.rows != 1 or x.cols != 1 or f.cols != x.rows:
-        raise ShapeError(
-            f"rank_one needs a 1xd row and a dx1 column, got {f.rows}x{f.cols} and {x.rows}x{x.cols}"
-        )
+        raise ShapeError("rank_one needs a 1xd row and a dx1 column, "
+                         f"got {f.rows}x{f.cols} and {x.rows}x{x.cols}")
     return x * f
 
 
@@ -296,17 +296,16 @@ def matrix_poly(coeffs: Sequence, a: Matrix) -> Matrix:
     """Evaluate the polynomial with the given coefficients (constant first) at a."""
     if not a.is_square:
         raise ShapeError(f"polynomial of non-square {a.rows}x{a.cols}")
-    scalars = [as_scalar(c) for c in coeffs]
-    result = Matrix.zero(a.rows)
-    for c in reversed(scalars):
-        result = result * a + c * Matrix.identity(a.rows)
+    ident, result = Matrix.identity(a.rows), Matrix.zero(a.rows)
+    for c in reversed([as_scalar(c) for c in coeffs]):
+        result = result * a + c * ident
     return result
 
 
 def basis_matrix(n: int, i: int, j: int) -> Matrix:
     """The n x n matrix with a single 1 in position (i, j)."""
-    return Matrix(
-        [[ONE if (r, c) == (i, j) else ZERO for c in range(n)] for r in range(n)]
+    return Matrix._from_integer_form(
+        1, [[int((r, c) == (i, j)) for c in range(n)] for r in range(n)], None
     )
 
 

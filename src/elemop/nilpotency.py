@@ -11,8 +11,9 @@ the denominators of every real and imaginary part of A; then B = D*A has
 entries in Z[i], held as rows of Python ints (real parts, plus imaginary
 parts only when some entry of A is non-real).  (D, B) is the form cached
 on the Matrix, so `is_nilpotent` and its `char_poly` share one conversion.
-Products use the Z[i] kernel of `elemop.matrix`, the one behind Matrix
-`*`; only its fresh results are updated in place, never B's tuple rows.
+Products, traces and zero tests use the Z[i] helpers of `elemop.matrix`,
+the ones behind Matrix `*`, `trace` and `is_zero`; only fresh products are
+updated in place, never B's tuple rows.
 Nilpotency and its index are unchanged by the nonzero factor D, and
 B^k = D^k A^k and c_k(B) = D^k c_k(A) for the coefficient c_k of x^(d-k).
 Only what leaves the module is scaled back: the witness entry of B^(k-1)
@@ -33,12 +34,11 @@ B, and its last is needed only through its trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from .errors import IntegrityError, ShapeError
-from .matrix import Matrix, _gaussian_matmul
-from .scalars import ZERO, GaussianRational
+from .matrix import Matrix, _gaussian, _gaussian_matmul, _is_zero, _trace
+from .scalars import GaussianRational
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def char_poly(a: Matrix) -> tuple[GaussianRational, ...]:
             m = _add_scalar(_copy(bm) if k == 1 else bm, c)
             if k < d - 1:
                 bm = _gaussian_matmul(b, m)
-    return tuple(_scaled_back(re, im, scale**k) for k, (re, im) in enumerate(coeffs))
+    return tuple(_gaussian(re, im, scale**k) for k, (re, im) in enumerate(coeffs))
 
 
 def is_nilpotent(a: Matrix) -> NilpotencyReport:
@@ -134,15 +134,6 @@ def is_nilpotent(a: Matrix) -> NilpotencyReport:
 # ---- Gaussian-integer kernel --------------------------------------------------
 # Matrices over Z[i] as in `elemop.matrix`: (re, im), im None when real.
 
-def _trace(x) -> tuple[int, int]:
-    re, im = x
-    n = len(re)
-    return (
-        sum(re[i][i] for i in range(n)),
-        0 if im is None else sum(im[i][i] for i in range(n)),
-    )
-
-
 def _product_trace(x, y) -> tuple[int, int]:
     """tr(x y) = sum_ij x_ij y_ji, without forming x y."""
     (xr, xi), (yr, yi) = x, y
@@ -180,25 +171,11 @@ def _exact_div(n: int, k: int, a: Matrix) -> int:
     return q
 
 
-def _scaled_back(re: int, im: int, denominator: int) -> GaussianRational:
-    """(re + i*im) / denominator, as the shared ZERO or with no imaginary Fraction when real."""
-    if not im:
-        return GaussianRational(Fraction(re, denominator)) if re else ZERO
-    return GaussianRational(Fraction(re, denominator), Fraction(im, denominator))
-
-
-def _is_zero(x) -> bool:
-    re, im = x
-    return not any(map(any, re)) and (im is None or not any(map(any, im)))
-
-
 def _first_nonzero(x, denominator: int) -> EntryWitness:
     re, im = x
     for i, row in enumerate(re):
         for j, e in enumerate(row):
             f = 0 if im is None else im[i][j]
             if e or f:
-                return EntryWitness(
-                    i, j, GaussianRational(Fraction(e, denominator), Fraction(f, denominator))
-                )
+                return EntryWitness(i, j, _gaussian(e, f, denominator))
     raise IntegrityError("witness requested for a zero matrix")

@@ -13,17 +13,17 @@ matching matrix operations.
 It is assembled over Z[i] from the coefficients' integer forms
 (a_i, a_i*A_i) and (b_i, b_i*B_i) (see `elemop.matrix`): with L the lcm of
 the a_i*b_i, L times the sum is sum_i (L/(a_i*b_i)) kron(b_i*B_i.T, a_i*A_i),
-and the result is built once, keeping that form for `is_nilpotent`.
+summed in place by the Z[i] Kronecker routine behind `kron`, and the result
+is built once, keeping that form for `is_nilpotent`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from operator import add, sub
 
 from .errors import ShapeError
-from .matrix import Matrix
+from .matrix import Matrix, _add_kron
 from .nilpotency import NilpotencyReport, is_nilpotent
 from .scalars import as_scalar
 
@@ -66,19 +66,11 @@ class ElementaryOperator:
         forms = [(a._integer_form(), b._integer_form()) for a, b in self.terms]
         scale = lcm(*(sa * sb for (sa, _), (sb, _) in forms))
         size = self.dim * self.dim
-        re, im = ([[0] * size for _ in range(size)] for _ in range(2))
-        for (sa, (ar, ai)), (sb, (br, bi)) in forms:
+        acc = tuple([[0] * size for _ in range(size)] for _ in range(2))
+        for (sa, a), (sb, b) in forms:
             factor = scale // (sa * sb)
-            xr = [[factor * v for v in col] for col in zip(*br)]
-            _add_kron(re, xr, ar)
-            if ai is not None:
-                _add_kron(im, xr, ai)
-            if bi is not None:
-                xi = [[factor * v for v in col] for col in zip(*bi)]
-                _add_kron(im, xi, ar)
-                if ai is not None:
-                    _add_kron(re, xi, ai, sub)
-        return Matrix._from_integer_form(scale, re, im)
+            _add_kron(acc, [p and [[factor * v for v in col] for col in zip(*p)] for p in b], a)
+        return Matrix._from_integer_form(scale, *acc)
 
     # ---- algebra -----------------------------------------------------------
     def __add__(self, other):
@@ -172,15 +164,6 @@ def identity_operator(n: int) -> ElementaryOperator:
 def zero_operator(n: int) -> ElementaryOperator:
     z = Matrix.zero(n)
     return ElementaryOperator(n, ((z, z),))
-
-
-def _add_kron(acc, x, y, op=add) -> None:
-    """acc op= kron(x, y) in place, for int rows; x is n x n and so is y."""
-    n = len(y)
-    for p, xrow in enumerate(x):
-        for i, yrow in enumerate(y):
-            r = p * n + i
-            acc[r] = list(map(op, acc[r], [u * v for u in xrow for v in yrow]))
 
 
 def _need_square_pair(a: Matrix, b: Matrix) -> None:

@@ -109,6 +109,8 @@ class GaussianRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if other.re and not other.im:  # a nonzero real divisor needs no inverse
+            return GaussianRational(self.re / other.re, self.im / other.re)
         return self * other.inverse()
 
     def __rtruediv__(self, other):

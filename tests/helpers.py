@@ -11,7 +11,7 @@ from elemop import (
     NilpotencyReport,
     ONE,
     ZERO,
-    kron,
+    as_scalar,
 )
 
 
@@ -67,22 +67,105 @@ def rand_operator(
     return ElementaryOperator(dim, terms)
 
 
+# ---- reference matrix arithmetic -----------------------------------------------------
+# Matrix arithmetic as it ran before the Z[i] form: entry by entry in
+# GaussianRational arithmetic.  Every reference reads its operands through
+# `row_list` and builds its result from entries, so none runs on a form.
+
+def ref_identity(n: int) -> Matrix:
+    return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+
+
+def ref_zero(rows: int, cols: int) -> Matrix:
+    return Matrix([[ZERO] * cols for _ in range(rows)])
+
+
+def ref_add(a: Matrix, b: Matrix) -> Matrix:
+    assert a.shape == b.shape, "reference sum of different shapes"
+    return Matrix([[x + y for x, y in zip(p, q)] for p, q in zip(a.row_list(), b.row_list())])
+
+
+def ref_neg(a: Matrix) -> Matrix:
+    return Matrix([[-x for x in row] for row in a.row_list()])
+
+
+def ref_scale(c, a: Matrix) -> Matrix:
+    c = as_scalar(c)
+    return Matrix([[c * x for x in row] for row in a.row_list()])
+
+
+def ref_transpose(a: Matrix) -> Matrix:
+    return Matrix(list(zip(*a.row_list())))
+
+
+def ref_trace(a: Matrix) -> GaussianRational:
+    t = ZERO
+    for i, row in enumerate(a.row_list()):
+        t = t + row[i]
+    return t
+
+
+def ref_is_zero(a: Matrix) -> bool:
+    return all(not e for row in a.row_list() for e in row)
+
+
+def ref_kron(a: Matrix, b: Matrix) -> Matrix:
+    """Block (i, j) is a[i, j] * b."""
+    return Matrix([[x * y for x in arow for y in brow]
+                   for arow in a.row_list() for brow in b.row_list()])
+
+
+def ref_vec(x: Matrix) -> Matrix:
+    return Matrix([[e] for col in zip(*x.row_list()) for e in col])
+
+
+def ref_unvec(v: Matrix, rows: int, cols: int) -> Matrix:
+    flat = [row[0] for row in v.row_list()]
+    return Matrix([[flat[j * rows + i] for j in range(cols)] for i in range(rows)])
+
+
+def ref_matrix_poly(coeffs, a: Matrix) -> Matrix:
+    """Horner's rule with the constant coefficient first."""
+    ident = ref_identity(a.rows)
+    result = ref_zero(a.rows, a.rows)
+    for c in reversed(coeffs):
+        result = ref_add(ref_matmul(result, a), ref_scale(c, ident))
+    return result
+
+
+def ref_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """a * b summed entry by entry in GaussianRational arithmetic."""
+    assert a.cols == b.rows, "reference product of non-conformable shapes"
+    brows = b.row_list()
+    out = []
+    for arow in a.row_list():
+        row = []
+        for j in range(b.cols):
+            acc = ZERO
+            for k, aik in enumerate(arow):
+                if aik and brows[k][j]:
+                    acc = acc + aik * brows[k][j]
+            row.append(acc)
+        out.append(row)
+    return Matrix(out)
+
+
 # ---- reference nilpotency path ------------------------------------------------
 # The decision procedure as it ran before the Gaussian-integer kernel: the
-# same two routes, computed with Matrix arithmetic over Q(i) throughout.
+# same two routes over Q(i), on the reference arithmetic above.
 
 def ref_char_poly(a: Matrix) -> tuple[GaussianRational, ...]:
     """Faddeev-LeVerrier over Q(i): c_k = -tr(a M_k) / k, M_{k+1} = a M_k + c_k I."""
     d = a.rows
-    ident = Matrix.identity(d)
+    ident = ref_identity(d)
     coeffs = [ZERO] * (d + 1)
     coeffs[0] = ONE
     m = ident
     for k in range(1, d + 1):
-        am = a * m
-        coeffs[k] = -(am.trace() / k)
+        am = ref_matmul(a, m)
+        coeffs[k] = -(ref_trace(am) / k)
         if k < d:
-            m = am + coeffs[k] * ident
+            m = ref_add(am, ref_scale(coeffs[k], ident))
     return tuple(coeffs)
 
 
@@ -94,47 +177,30 @@ def ref_is_nilpotent(a: Matrix) -> NilpotencyReport:
     previous = None
     power = a
     for k in range(1, d + 1):
-        if power.is_zero:
+        if ref_is_zero(power):
             index = k
             if k > 1:
                 witness = next(
-                    EntryWitness(i, j, e) for i, j, e in previous.entries() if e
+                    EntryWitness(i, j, e)
+                    for i, row in enumerate(previous.row_list()) for j, e in enumerate(row) if e
                 )
             break
         if k < d:
             previous = power
-            power = power * a
+            power = ref_matmul(power, a)
     by_poly = all(not c for c in ref_char_poly(a)[1:])
     assert by_poly == (index is not None), "reference routes disagree"
     return NilpotencyReport(nilpotent=index is not None, index=index, witness=witness)
 
 
 # ---- reference superoperator ------------------------------------------------------
-# The assembly as it ran before the Gaussian-integer build: kron and Matrix
-# addition over Q(i).
+# The assembly as it ran before the Gaussian-integer build: Kronecker
+# products and sums over Q(i).
 
 def ref_superoperator(op: ElementaryOperator) -> Matrix:
     """sum_i kron(B_i.T, A_i), summed term by term from the zero matrix."""
-    s = Matrix.zero(op.dim * op.dim)
+    size = op.dim * op.dim
+    s = ref_zero(size, size)
     for a, b in op.terms:
-        s = s + kron(b.T, a)
+        s = ref_add(s, ref_kron(ref_transpose(b), a))
     return s
-
-
-# ---- reference matrix product -------------------------------------------------------
-# The product as it ran before the Z[i] kernel: a triple loop over Q(i) entries.
-
-def ref_matmul(a: Matrix, b: Matrix) -> Matrix:
-    """a * b summed entry by entry in GaussianRational arithmetic."""
-    assert a.cols == b.rows, "reference product of non-conformable shapes"
-    out = []
-    for arow in a.row_list():
-        row = []
-        for j in range(b.cols):
-            acc = ZERO
-            for k, aik in enumerate(arow):
-                if aik and b[k, j]:
-                    acc = acc + aik * b[k, j]
-            row.append(acc)
-        out.append(row)
-    return Matrix(out)

@@ -210,6 +210,17 @@ def test_parse_errors_exit_2(capsys):
     assert status == 2 and "cannot read term '1e999999999'" in err
 
 
+def test_invalid_inline_json_is_quoted_abridged(capsys):
+    document = '{"dim": 2, "terms": [["' + "1" * 1_000_000  # unterminated
+    status, out, err = run_cli(capsys, "superop", "--op", document)
+    assert status == 2 and out == ""
+    assert len(err) < 300 and "invalid JSON in '{" in err
+    assert f"({len(document):,} characters)" in err
+    # a short document is still quoted in full
+    status, _, err = run_cli(capsys, "superop", "--op", '{"dim": 2')
+    assert status == 2 and "invalid JSON in '{\"dim\": 2'" in err
+
+
 @pytest.mark.parametrize("flag", ["--matrix", "--op"])
 def test_inline_array_is_parsed_not_opened(capsys, flag):
     status, out, err = run_cli(capsys, "nilpotent", flag, " [1]")

@@ -24,7 +24,15 @@ from elemop import (
     thm22_check,
     thm23_check,
 )
-from helpers import rand_matrix, rand_scalar, wide_matrix
+from helpers import (
+    rand_matrix,
+    rand_scalar,
+    ref_add,
+    ref_identity,
+    ref_scale,
+    ref_trace,
+    wide_matrix,
+)
 
 J2 = Matrix([[0, 1], [0, 0]])
 J3 = Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -166,6 +174,10 @@ def test_trace_shift_matches_fraction_arithmetic():
         s = shifted()
         assert s == reference and s.row_list() == reference.row_list()
         assert s._form == Matrix(reference.row_list())._integer_form()
+        # and against the entry-wise reference, which runs on no form
+        assert expected == ref_trace(a) / a.rows
+        by_entries = ref_add(a, ref_scale(-expected, ref_identity(a.rows)))
+        assert s.row_list() == by_entries.row_list()
 
 
 def test_common_shift_builds_shifted_matrices_only_for_a_common_candidate(monkeypatch):

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from elemop import (
     GaussianRational,
+    IMAG,
     Matrix,
     matrix,
     ShapeError,
     ZERO,
+    basis_matrix,
     kron,
     matrix_poly,
     rank_one,
@@ -20,7 +22,24 @@ from elemop import (
     vec,
 )
 from elemop.jsonio import matrix_to_obj
-from helpers import rand_matrix, ref_matmul, wide_matrix
+from helpers import (
+    rand_matrix,
+    rand_scalar,
+    ref_add,
+    ref_identity,
+    ref_is_zero,
+    ref_kron,
+    ref_matmul,
+    ref_matrix_poly,
+    ref_neg,
+    ref_scale,
+    ref_trace,
+    ref_transpose,
+    ref_unvec,
+    ref_vec,
+    ref_zero,
+    wide_matrix,
+)
 
 J2 = Matrix([[0, 1], [0, 0]])
 J2T = Matrix([[0, 0], [1, 0]])
@@ -188,13 +207,16 @@ def test_transpose_and_hash():
 
 # ---- Z[i] product against the Q(i) reference ---------------------------------------
 
-def _assert_product_matches_reference(a: Matrix, b: Matrix) -> Matrix:
-    p = a * b
-    assert p == ref_matmul(a, b)
-    assert p.row_list() == ref_matmul(a, b).row_list()
+def _assert_matches(result: Matrix, reference: Matrix) -> Matrix:
+    assert result == reference
+    assert result.row_list() == reference.row_list()
     # the stored form is exactly a fresh conversion's, minimal scale included
-    assert p._form == Matrix(p.row_list())._integer_form()
-    return p
+    assert result._form == Matrix(result.row_list())._integer_form()
+    return result
+
+
+def _assert_product_matches_reference(a: Matrix, b: Matrix) -> Matrix:
+    return _assert_matches(a * b, ref_matmul(a, b))
 
 
 SHAPES = [(d, d, d) for d in (1, 2, 3, 4)] + [(1, d, 1) for d in (1, 2, 3, 4)] + [
@@ -247,6 +269,90 @@ def test_product_drops_cancelled_imaginary_part():
     assert q._form == (1, (((-1, 0), (0, 0)), None))
 
 
+# ---- every other operation on forms against the Q(i) references ----------------------
+
+# (operation, reference) on two d x d operands and a scalar
+FORM_OPS = {
+    "add": (lambda a, b, c: a + b, lambda a, b, c: ref_add(a, b)),
+    "sub": (lambda a, b, c: a - b, lambda a, b, c: ref_add(a, ref_neg(b))),
+    "neg": (lambda a, b, c: -a, lambda a, b, c: ref_neg(a)),
+    "scalar_left": (lambda a, b, c: c * a, lambda a, b, c: ref_scale(c, a)),
+    "scalar_right": (lambda a, b, c: a * c, lambda a, b, c: ref_scale(c, a)),
+    "transpose": (lambda a, b, c: a.T, lambda a, b, c: ref_transpose(a)),
+    "kron": (lambda a, b, c: kron(a, b), lambda a, b, c: ref_kron(a, b)),
+    "vec": (lambda a, b, c: vec(a), lambda a, b, c: ref_vec(a)),
+    "unvec": (lambda a, b, c: unvec(ref_vec(a), a.rows, a.cols),
+              lambda a, b, c: ref_unvec(ref_vec(a), a.rows, a.cols)),
+    "matrix_poly": (lambda a, b, c: matrix_poly([c, 1, -c], a),
+                    lambda a, b, c: ref_matrix_poly([c, 1, -c], a)),
+}
+
+
+def _operands(rng, d, kinds):
+    """Wide and small operands of each kind, entry-built and form-only."""
+    wide = [wide_matrix(rng, d, d, g) for g in kinds]
+    small = [rand_matrix(rng, d, gaussian=g) for g in kinds]
+    form_only = [m * Matrix.identity(d) for m in small]
+    return [(*wide, wide_matrix(rng, 1, 1, kinds[0])[0, 0]),
+            (*small, rand_scalar(rng, gaussian=kinds[0])),
+            (*form_only, rand_scalar(rng, gaussian=kinds[1]))]
+
+
+@pytest.mark.parametrize("name", FORM_OPS)
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("kinds", [(False, False), (True, True), (False, True), (True, False)])
+def test_form_operation_matches_reference(name, d, kinds):
+    op, ref = FORM_OPS[name]
+    rng = random.Random(f"{name}/{d}/{kinds}")
+    for a, b, c in _operands(rng, d, kinds):
+        _assert_matches(op(a, b, c), ref(a, b, c))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_trace_and_zero_test_match_reference(d, gaussian):
+    rng = random.Random(f"trace/{d}/{gaussian}")
+    for a in (wide_matrix(rng, d, d, gaussian), rand_matrix(rng, d, gaussian=gaussian),
+              rand_matrix(rng, d, gaussian=gaussian) * Matrix.identity(d)):
+        assert a.trace() == ref_trace(a) and str(a.trace()) == str(ref_trace(a))
+        for m in (a, a - a, 0 * a, a.T, kron(a, Matrix.zero(1, 2))):
+            assert m.is_zero is ref_is_zero(m)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 3), (3, 1), (2, 2), (4, 4)])
+def test_constant_matrices_match_reference(rows, cols):
+    _assert_matches(Matrix.zero(rows, cols), ref_zero(rows, cols))
+    _assert_matches(Matrix.identity(rows), ref_identity(rows))
+    one = ref_zero(rows, rows).row_list()
+    one[rows - 1][0] = GaussianRational(1)
+    _assert_matches(basis_matrix(rows, rows - 1, 0), Matrix(one))
+
+
+def test_form_operations_reduce_scale_and_drop_cancelled_imaginary_parts():
+    half = Matrix([["1/2", "3/2"]])
+    for result, form in [
+        # the scale reduces to 1
+        (half + Matrix([["1/2", "1/2"]]), (1, (((1, 2),), None))),
+        (2 * half, (1, (((1, 3),), None))),
+        (kron(Matrix([["1/2"]]), Matrix([[2, 4]])), (1, (((1, 2),), None))),
+        (matrix_poly(["1/2", "1/2"], Matrix([[1]])), (1, (((1,),), None))),
+        # the imaginary part cancels
+        (Matrix([["1/3+i"]]) + Matrix([["2/3-i"]]), (1, (((1,),), None))),
+        (IMAG * Matrix([["i", "1/2*i"]]), (2, (((-2, -1),), None))),
+        (kron(Matrix([["i"]]), Matrix([["i"], ["2i"]])), (1, (((-1,), (-2,)), None))),
+        (Matrix([["1+i", 0]]) - Matrix([["i", "-1"]]), (1, (((1, 1),), None))),
+        # the result is zero
+        (half - half, (1, (((0, 0),), None))),
+        (0 * Matrix([["1/3+2/5*i"]]), (1, (((0,),), None))),
+        (kron(Matrix.zero(2), Matrix([["1/7*i"]])), (1, (((0, 0), (0, 0)), None))),
+        (matrix_poly([0], Matrix([["1/3"]])), (1, (((0,),), None))),
+        (-Matrix.zero(1, 2), (1, (((0, 0),), None))),
+    ]:
+        assert result._form == form
+        assert Matrix(result.row_list())._integer_form() == form
+    assert (half - half).is_zero and not half.is_zero
+
+
 # ---- entries on demand and equality on forms ----------------------------------------
 
 PAIR_RNG = random.Random(12)
@@ -294,10 +400,26 @@ def test_product_reads_like_the_matrix_built_from_its_entries(m):
     assert p.is_zero == twin.is_zero and p.trace() == twin.trace() and p.T == twin.T
 
 
+def _has_entries(m: Matrix) -> bool:
+    try:
+        object.__getattribute__(m, "_rows")
+    except AttributeError:
+        return False
+    return True
+
+
 def test_unread_product_has_no_entries():
     p = Matrix([[1, 2], [3, 4]]) * J2
     with pytest.raises(AttributeError):
         object.__getattribute__(p, "_rows")
+    # no other operation on form-only operands builds entries either
+    q = Matrix([["1/2", "i"], [0, 3]]) * Matrix.identity(2)
+    derived = [p + q, p - q, -p, 2 * p, p * "1/3+i", p.T, p.transpose(), kron(p, q), vec(p),
+               unvec(vec(q), 2, 2), matrix_poly([1, "i", 2], p), p**3, rank_one(vec(p).T, vec(q)),
+               Matrix.identity(2), Matrix.zero(2, 3), basis_matrix(2, 0, 1)]
+    assert p.trace() == GaussianRational(3) and not p.is_zero and (p - p).is_zero
+    assert p != q and hash(p) == hash(p._form)
+    assert not any(map(_has_entries, [p, q, *derived]))
     assert p[0, 1] == GaussianRational(1)
     assert object.__getattribute__(p, "_rows") == ((ZERO, GaussianRational(1)),
                                                   (ZERO, GaussianRational(3)))

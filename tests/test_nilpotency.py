@@ -409,7 +409,8 @@ def test_derived_matrices_do_not_inherit_the_form():
     m = GAUSSIAN_2X2
     scale, (re, im) = m._integer_form()
     neg, tr, double = -m, m.T, m + m
-    assert neg._form is None and tr._form is None and double._form is None
+    # each arrives with its form, built by the operation itself
+    assert neg._form is not None and tr._form is not None and double._form is not None
     negate = lambda rows: tuple(tuple(-x for x in row) for row in rows)
     assert neg._integer_form() == (scale, (negate(re), negate(im)))
     assert tr._integer_form() == (scale, (tuple(zip(*re)), tuple(zip(*im))))

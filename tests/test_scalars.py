@@ -36,6 +36,11 @@ def test_division_and_inverse():
         ZERO.inverse()
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
+    # a real divisor divides each part, as multiplying by its inverse does
+    w = GaussianRational(Fraction(1, 2), Fraction(-3, 4))
+    assert w / 3 == GaussianRational(Fraction(1, 6), Fraction(-1, 4))
+    for d in (GaussianRational(Fraction(-3, 5)), GaussianRational(0, 2), z):
+        assert w / d == w * d.inverse()
 
 
 def test_int_and_fraction_coercion():
