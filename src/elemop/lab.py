@@ -131,44 +131,31 @@ def _rand_matrix(rng: random.Random, config: GeneratorConfig) -> Matrix:
 def _random_unimodular(rng: random.Random, dim: int) -> tuple[Matrix, Matrix]:
     """An exactly invertible integer matrix and its exact inverse.
 
-    Built as a short product of row shears and swaps; the inverse is
-    maintained alongside, so no elimination is ever needed.
+    Built as a short product of row shears and swaps applied to int rows;
+    the inverse is maintained alongside by the matching column operations,
+    so no elimination is ever needed.
     """
-    s = Matrix.identity(dim)
-    s_inv = Matrix.identity(dim)
-    if dim == 1:
-        return s, s_inv
-    for _ in range(dim + 2):
+    s = [[int(r == c) for c in range(dim)] for r in range(dim)]
+    s_inv = [list(row) for row in s]
+    for _ in range(dim + 2 if dim > 1 else 0):
         i, j = rng.sample(range(dim), 2)
-        if rng.random() < 0.25:
-            e = _swap_matrix(dim, i, j)
-            s = e * s
-            s_inv = s_inv * e
-        else:
+        if rng.random() < 0.25:  # swap rows i, j of s and columns i, j of s_inv
+            s[i], s[j] = s[j], s[i]
+            for row in s_inv:
+                row[i], row[j] = row[j], row[i]
+        else:  # add c times row i to row j of s; subtract c times column j from column i
             c = rng.choice((-2, -1, 1, 2))
-            s = _shear_matrix(dim, i, j, c) * s
-            s_inv = s_inv * _shear_matrix(dim, i, j, -c)
-    return s, s_inv
-
-
-def _shear_matrix(dim: int, i: int, j: int, c: int) -> Matrix:
-    # adds c times row i to row j
-    m = Matrix.identity(dim).row_list()
-    m[j][i] = as_scalar(c)  # i != j, so the identity has 0 here
-    return Matrix(m)
-
-
-def _swap_matrix(dim: int, i: int, j: int) -> Matrix:
-    m = Matrix.identity(dim).row_list()
-    m[i], m[j] = m[j], m[i]
-    return Matrix(m)
+            s[j] = [x + c * y for x, y in zip(s[j], s[i])]
+            for row in s_inv:
+                row[i] -= c * row[j]
+    return Matrix._from_integer_form(1, s, None), Matrix._from_integer_form(1, s_inv, None)
 
 
 # ---- generators --------------------------------------------------------------
 
 def _gen_nilpotent(rng: random.Random, config: GeneratorConfig) -> Matrix:
     dim = config.dim
-    upper = Matrix.zero(dim).row_list()
+    upper = [[ZERO] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
             upper[i][j] = _rand_scalar(rng, config)

@@ -150,6 +150,28 @@ def ref_matmul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(out)
 
 
+# ---- reference generator ------------------------------------------------------
+# The unimodular pair as `lab` built it before it worked on int rows: a
+# product of elementary Matrix factors, with the same draws in the same order.
+
+def ref_random_unimodular(rng: random.Random, dim: int) -> tuple[Matrix, Matrix]:
+    s = s_inv = ref_identity(dim)
+    if dim == 1:
+        return s, s_inv
+    for _ in range(dim + 2):
+        i, j = rng.sample(range(dim), 2)
+        if rng.random() < 0.25:
+            e = ref_identity(dim).row_list()
+            e[i], e[j] = e[j], e[i]
+            s, s_inv = ref_matmul(Matrix(e), s), ref_matmul(s_inv, Matrix(e))
+        else:
+            c = rng.choice((-2, -1, 1, 2))
+            shear, inverse = ref_identity(dim).row_list(), ref_identity(dim).row_list()
+            shear[j][i], inverse[j][i] = as_scalar(c), as_scalar(-c)  # row j += c * row i
+            s, s_inv = ref_matmul(Matrix(shear), s), ref_matmul(s_inv, Matrix(inverse))
+    return s, s_inv
+
+
 # ---- reference nilpotency path ------------------------------------------------
 # The decision procedure as it ran before the Gaussian-integer kernel: the
 # same two routes over Q(i), on the reference arithmetic above.

@@ -25,6 +25,7 @@ from elemop import (
 )
 from elemop.jsonio import dumps, matrix_from_obj, operator_from_obj
 from elemop.lab import _random_unimodular
+from helpers import ref_random_unimodular
 
 J2 = Matrix([[0, 1], [0, 0]])
 J3 = Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -44,6 +45,19 @@ def test_unimodular_pairs_are_exact_inverses():
             s, s_inv = _random_unimodular(rng, dim)
             assert s * s_inv == Matrix.identity(dim)
             assert s_inv * s == Matrix.identity(dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_unimodular_pairs_match_the_product_construction(dim):
+    # same pair and same draws as elementary factors multiplied out, so every
+    # seeded stream downstream of the generator is unchanged
+    for seed in range(60):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        s, s_inv = _random_unimodular(rng, dim)
+        ref_s, ref_s_inv = ref_random_unimodular(ref_rng, dim)
+        assert s == ref_s and s_inv == ref_s_inv
+        assert s.row_list() == ref_s.row_list() and s_inv.row_list() == ref_s_inv.row_list()
+        assert rng.getstate() == ref_rng.getstate()
 
 
 def test_generated_nilpotents():

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -108,6 +109,22 @@ def test_char_poly_coefficients_are_built_only_as_needed(m):
             assert c.im is ZERO.im  # no imaginary Fraction built
     # x^2 + 1 for [[0, i], [i, 0]]: a real polynomial of a non-real matrix
     assert char_poly(Matrix([[0, "i"], ["i", 0]]))[1] is ZERO
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize("d", range(1, 17))
+def test_char_poly_matches_reference_at_every_size(d, gaussian):
+    # every step split of s = isqrt(d), including s^2 - 1, s^2 and s^2 + 1
+    rng = random.Random(300 * d + gaussian)
+    cases = [rand_matrix(rng, d, gaussian=gaussian)]
+    assert d < 3 or len({e.re.denominator for _, _, e in cases[0].entries()}) > 1
+    if d == 16:  # dim-4 superoperators, one nilpotent and one not
+        config = lab.GeneratorConfig(dim=4, seed=d, gaussian=gaussian)
+        s, t = lab.gen_nilpotent(config), rand_matrix(rng, 4, gaussian=gaussian)
+        cases += [make_multiplication(s, t).superoperator(),
+                  make_generalized_derivation(s, t).superoperator()]
+    for a in cases:
+        assert char_poly(a) == ref_char_poly(a)
 
 
 def test_char_poly_rejects_non_square():
@@ -319,7 +336,13 @@ def test_every_index_and_witness_matches_reference(d, gaussian):
         assert all(a._integer_form()[1][1] is not None for a, k in cases if k != 1)
 
 
-@pytest.mark.parametrize("d, products", [(9, 4 + 7), (4, 2 + 2), (2, 1 + 0)])
+def _char_poly_products(d: int) -> int:
+    """Baby steps B^2..B^s and giant steps B^(2s)..B^(((d-1)//s)*s), s = isqrt(d)."""
+    s = isqrt(d)
+    return s - 1 + max(0, (d - 1) // s - 1)
+
+
+@pytest.mark.parametrize("d, products", [(16, 4 + 5), (9, 4 + 3), (4, 2 + 1), (2, 1 + 0)])
 def test_non_nilpotent_decision_forms_few_products(monkeypatch, d, products):
     rng = random.Random(d)
     a = _conjugated(_jordan_type(d, [d], rng, False, eigenvalue=ONE), rng, False)
@@ -329,10 +352,10 @@ def test_non_nilpotent_decision_forms_few_products(monkeypatch, d, products):
     kernel = matrix._int_matmul
     monkeypatch.setattr(matrix, "_int_matmul", lambda x, y: calls.append(1) or kernel(x, y))
     assert char_poly(a) == expected
-    assert len(calls) <= max(d - 2, 0)  # Faddeev-LeVerrier without its first and last
+    assert len(calls) == _char_poly_products(d)  # 5, 3, 1, 0
     calls.clear()
     assert not is_nilpotent(a).nilpotent
-    assert len(calls) <= products  # powering plus Faddeev-LeVerrier
+    assert len(calls) == products  # powering plus the power sums
 
 
 # ---- replayable integrity failures ---------------------------------------------
@@ -349,8 +372,8 @@ def test_route_disagreement_carries_the_matrix(monkeypatch):
         is_nilpotent(info.value.instance)
 
 
-def test_inexact_faddeev_leverrier_division_raises(monkeypatch):
-    monkeypatch.setattr(nilpotency, "_trace", lambda m: (1, 0))  # -1/2 at k = 2
+def test_inexact_newton_division_raises(monkeypatch):
+    monkeypatch.setattr(nilpotency, "_trace", lambda m: (1, 0))  # -21/2 at k = 2
     with pytest.raises(IntegrityError) as info:
         char_poly(FAMILY_A)
     assert "division by 2 is not exact" in str(info.value)
@@ -405,7 +428,7 @@ def test_deciding_twice_shares_and_keeps_one_form(m):
     assert m._form is form and form == _fresh(m)._integer_form()
 
 
-def test_derived_matrices_do_not_inherit_the_form():
+def test_derived_matrices_arrive_with_their_form():
     m = GAUSSIAN_2X2
     scale, (re, im) = m._integer_form()
     neg, tr, double = -m, m.T, m + m
