@@ -10,12 +10,26 @@ implications: the length-one criterion (`thm21_criterion`) and the common
 scalar shift criterion for generalized derivations (`fong_sourour_check`).
 For those, a violated biconditional raises IntegrityError, since it can
 only mean an implementation bug; its `instance` is the offending pair, as
-for every failed step of `thm21_proof_replay`.  A shifted matrix
-A - lam*I is built only when both sides share the candidate lam.
+for every failed step of `thm21_proof_replay`.  Both also predict the
+operator's nilpotency index from the coefficients' indices and raise
+IntegrityError when the decided index differs: min(ind A, ind B) for
+X -> AXB, and ind(S - lam*I) + ind(T - lam*I) - 1 for X -> SX - XT.  A
+shifted matrix A - lam*I is built only when both sides share the
+candidate lam.
+
+Per-coefficient facts (a matrix's NilpotencyReport, its shift candidate
+trace/d, and the report of A - lam*I) go through `_fact`.  Inside
+`_sweep_facts()`, which the exhaustive sweeps open around their pair
+loop, each fact is computed once per distinct coefficient and remembered
+until the sweep ends; outside it every call decides afresh.  Only
+coefficient facts are kept: each pair's operator is still built and
+decided, and both checks still run on every pair.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -84,8 +98,8 @@ def scalar_shift_witness(a: Matrix) -> ShiftWitness:
     """Find the unique candidate shift and keep it only if it works."""
     if not a.is_square:
         raise ShapeError(f"shift witness of non-square {a.rows}x{a.cols}")
-    candidate, shifted = _trace_shift(a)
-    report = is_nilpotent(shifted())
+    candidate, shifted = _shift(a)
+    report = shifted()
     if report.nilpotent:
         return ShiftWitness(candidate, report)
     return ShiftWitness(None)
@@ -97,6 +111,43 @@ def _trace_shift(a: Matrix):
     return lam, lambda: a - lam * Matrix.identity(a.rows)
 
 
+# Facts remembered per coefficient matrix while an exhaustive sweep runs,
+# keyed by (matrix, fact name); None outside a sweep.
+_SWEEP_FACTS: ContextVar[dict | None] = ContextVar("elemop_sweep_facts", default=None)
+
+
+@contextmanager
+def _sweep_facts():
+    """Remember coefficient facts until the block exits, however it exits."""
+    token = _SWEEP_FACTS.set({})
+    try:
+        yield
+    finally:
+        _SWEEP_FACTS.reset(token)
+
+
+def _fact(a: Matrix, name: str, compute):
+    """compute(), remembered under (a, name) while a sweep's memo is open.
+
+    Keys compare by matrix value.  A computation that raises stores
+    nothing, so every later read raises again, as an unmemoised call would.
+    """
+    memo = _SWEEP_FACTS.get()
+    if memo is None:
+        return compute()
+    key = (a, name)
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _shift(a: Matrix):
+    """The candidate lam = trace(A)/d, and a callable giving the report of
+    A - lam*I, which builds and decides that matrix on its first call."""
+    lam, shifted = _fact(a, "shift", lambda: _trace_shift(a))
+    return lam, lambda: _fact(a, "shifted", lambda: is_nilpotent(shifted()))
+
+
 def thm21_criterion(a: Matrix, b: Matrix) -> TheoremCheckResult:
     """Length-one criterion: X -> AXB is nilpotent iff A or B is nilpotent.
 
@@ -104,15 +155,23 @@ def thm21_criterion(a: Matrix, b: Matrix) -> TheoremCheckResult:
     match in both directions; a mismatch raises IntegrityError.
     """
     _need_square_pair(a, b)
-    a_nil = is_nilpotent(a)
-    b_nil = is_nilpotent(b)
-    hold = a_nil.nilpotent or b_nil.nilpotent
+    reports = (_fact(a, "report", lambda: is_nilpotent(a)),
+               _fact(b, "report", lambda: is_nilpotent(b)))
+    hold = any(r.nilpotent for r in reports)
     failures = () if hold else ("neither A nor B nilpotent",)
     conclusion = op_is_nilpotent(make_multiplication(a, b))
     if hold != conclusion.nilpotent:
         raise IntegrityError(
             "length-one biconditional violated: "
             f"hypotheses {hold} but operator nilpotent is {conclusion.nilpotent}",
+            (a, b),
+        )
+    # (L_A R_B)^k = L_(A^k) R_(B^k), so the index is the smaller factor index
+    predicted = min((r.index for r in reports if r.nilpotent), default=None)
+    if conclusion.index != predicted:
+        raise IntegrityError(
+            "length-one index violated: "
+            f"operator index {conclusion.index} but min(ind A, ind B) is {predicted}",
             (a, b),
         )
     return TheoremCheckResult(hold, failures, conclusion)
@@ -190,14 +249,15 @@ def fong_sourour_check(s: Matrix, t: Matrix) -> ShiftCheckResult:
     _need_square_pair(s, t)
     failures = []
     lam = None
-    cand_s, shifted_s = _trace_shift(s)
-    cand_t, shifted_t = _trace_shift(t)
+    cand_s, shifted_s = _shift(s)
+    cand_t, shifted_t = _shift(t)
     if cand_s != cand_t:
         failures.append("no common shift candidate: trace(S)/d != trace(T)/d")
     else:
-        if not is_nilpotent(shifted_s()).nilpotent:
+        report_s, report_t = shifted_s(), shifted_t()
+        if not report_s.nilpotent:
             failures.append("S - lam*I not nilpotent for the only candidate lam")
-        if not is_nilpotent(shifted_t()).nilpotent:
+        if not report_t.nilpotent:
             failures.append("T - lam*I not nilpotent for the only candidate lam")
         if len(failures) == 0:
             lam = cand_s
@@ -207,6 +267,15 @@ def fong_sourour_check(s: Matrix, t: Matrix) -> ShiftCheckResult:
         raise IntegrityError(
             "common-shift biconditional violated: "
             f"hypotheses {hold} but derivation nilpotent is {conclusion.nilpotent}",
+            (s, t),
+        )
+    # L_S - R_T = L_N - R_M with commuting terms N = S - lam*I, M = T - lam*I,
+    # so by the binomial theorem the index is ind N + ind M - 1
+    predicted = report_s.index + report_t.index - 1 if hold else None
+    if conclusion.index != predicted:
+        raise IntegrityError(
+            "common-shift index violated: derivation index "
+            f"{conclusion.index} but ind(S - lam*I) + ind(T - lam*I) - 1 is {predicted}",
             (s, t),
         )
     return ShiftCheckResult(hold, tuple(failures), conclusion, lam, lam)

@@ -28,6 +28,7 @@ from typing import Callable
 from . import jsonio
 from .criteria import (
     TheoremCheckResult,
+    _sweep_facts,
     fong_sourour_check,
     scalar_shift_witness,
     thm21_criterion,
@@ -446,6 +447,15 @@ def sweep_fong_sourour_exhaustive(dim: int = 2, entry_set=(-1, 0, 1)) -> SweepRe
 
 
 def _sweep_exhaustive(theorem: str, what: str, dim: int, entry_set) -> SweepReport:
+    """Run one criterion's checker on every ordered pair of the matrices
+    with entries in `entry_set`.
+
+    Each of the n matrices recurs in 2n - 1 of the n^2 pairs, so the
+    sweep opens `criteria._sweep_facts()` around its loop: each distinct
+    coefficient's nilpotency report and shift fact are decided once and
+    kept until the sweep returns or raises.  Each pair's operator is still
+    built and decided, and its biconditional and index still checked.
+    """
     if dim != 2:
         raise PreconditionError(f"the exhaustive {what} sweep is fixed at dimension 2")
     entry_set = tuple(entry_set)
@@ -453,8 +463,9 @@ def _sweep_exhaustive(theorem: str, what: str, dim: int, entry_set) -> SweepRepo
     config = {"dim": dim, "entry_set": [str(e) for e in entry_set]}
     report = SweepReport(theorem=theorem, mode="exhaustive", config=config)
     mats = _all_square_matrices(dim, entry_set)
-    for trial, pair in enumerate(itertools.product(mats, repeat=2)):
-        _record(spec, pair, report, trial, "exhaustive")
+    with _sweep_facts():
+        for trial, pair in enumerate(itertools.product(mats, repeat=2)):
+            _record(spec, pair, report, trial, "exhaustive")
     return report
 
 

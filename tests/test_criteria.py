@@ -371,6 +371,35 @@ def test_biconditional_violation_carries_the_pair(monkeypatch, check, pair):
     assert info.value.instance == pair
 
 
+def _index_off_by_one(monkeypatch):
+    real = criteria.op_is_nilpotent
+
+    def shifted_index(op):
+        report = real(op)
+        return NilpotencyReport(report.nilpotent, report.index and report.index + 1)
+
+    monkeypatch.setattr(criteria, "op_is_nilpotent", shifted_index)
+
+
+@pytest.mark.parametrize(
+    "check, pair, message",
+    [
+        # ind(X -> J2 X I) = min(2, infinity) = 2
+        (thm21_criterion, (J2, I2), "length-one index violated: operator index 3 but "
+         "min(ind A, ind B) is 2"),
+        # lam = 1: ind(0) + ind(J2) - 1 = 2
+        (fong_sourour_check, (I2, I2 + J2), "common-shift index violated: derivation index 3 "
+         "but ind(S - lam*I) + ind(T - lam*I) - 1 is 2"),
+    ],
+)
+def test_index_violation_carries_the_pair(monkeypatch, check, pair, message):
+    _index_off_by_one(monkeypatch)
+    with pytest.raises(IntegrityError) as info:
+        check(*pair)
+    assert str(info.value) == message
+    assert info.value.instance == pair
+
+
 def test_replay_failures_carry_the_pair(monkeypatch):
     import elemop.criteria as criteria
 

@@ -1,19 +1,28 @@
+import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
+import elemop.criteria as criteria_module
+import elemop.lab as lab_module
+import elemop.nilpotency as nilpotency_module
+import elemop.operators as operators_module
 from elemop import (
+    ONE,
     GeneratorConfig,
     IntegrityError,
     Matrix,
     NilpotencyReport,
     PreconditionError,
+    SweepReport,
     TheoremCheckResult,
     ZERO,
     char_poly,
     example_3_1,
     example_3_2,
+    fong_sourour_check,
     gen_commuting_tuple,
     gen_nilpotent,
     is_nilpotent,
@@ -22,6 +31,7 @@ from elemop import (
     sweep_fong_sourour_exhaustive,
     sweep_thm,
     sweep_thm21_exhaustive,
+    thm21_criterion,
 )
 from elemop.jsonio import dumps, matrix_from_obj, operator_from_obj
 from elemop.lab import _random_unimodular
@@ -142,6 +152,121 @@ def test_exhaustive_sweep_rejects_other_dims():
         sweep_thm21_exhaustive(dim=3)
     with pytest.raises(PreconditionError):
         sweep_fong_sourour_exhaustive(dim=3)
+
+
+# ---- the sweep memo ----------------------------------------------------------------
+#
+# Inside an exhaustive sweep each coefficient's facts are decided once; every
+# pair's operator is still decided; outside a sweep nothing is remembered.
+
+DISAGREE = "power iteration and characteristic polynomial disagree on nilpotency"
+SWEEPS = {"2.1": sweep_thm21_exhaustive, "1.1": sweep_fong_sourour_exhaustive}
+
+
+def _decisions_by_size(monkeypatch) -> Counter:
+    """Count is_nilpotent calls per matrix size: coefficients and shifted
+    coefficients (criteria) and superoperators (operators)."""
+    sizes = Counter()
+
+    def spy(a):
+        sizes[a.rows] += 1
+        return is_nilpotent(a)
+
+    for module in (criteria_module, operators_module):
+        monkeypatch.setattr(module, "is_nilpotent", spy)
+    return sizes
+
+
+def _break_2x2_decisions(monkeypatch):
+    """Every nilpotent 2x2 decision now raises the route disagreement;
+    superoperators (4x4) are decided as before."""
+    real = nilpotency_module.char_poly
+    monkeypatch.setattr(
+        nilpotency_module, "char_poly",
+        lambda a: (ONE,) * (a.rows + 1) if a.rows == 2 else real(a),
+    )
+
+
+@pytest.mark.parametrize("theorem", SWEEPS)
+@pytest.mark.parametrize("entry_set, mats", [((-1, 0, 1), 81), ((0, 1), 16)])
+def test_sweep_decides_each_coefficient_once(monkeypatch, theorem, entry_set, mats):
+    sizes = _decisions_by_size(monkeypatch)
+    assert SWEEPS[theorem](entry_set=entry_set).passed
+    assert sizes == {2: mats, 4: mats**2}
+
+
+def test_sweep_memo_keys_compare_by_value(monkeypatch):
+    # equal matrices built apart, all alive at once so no id is reused
+    pairs = [
+        (Matrix([[0, 1], [0, 0]]), Matrix([[1, 0], [0, 1]]), Matrix([[0, 0], [1, 0]]))
+        for _ in range(3)
+    ]
+    sizes = _decisions_by_size(monkeypatch)
+    with criteria_module._sweep_facts():
+        for j2, i2, j2t in pairs:
+            thm21_criterion(j2, i2)
+            fong_sourour_check(j2, j2t)
+    # reports of J2 and I; shifted reports of J2 and J2^T (lam = 0)
+    assert sizes == {2: 4, 4: 6}
+
+
+def test_sweep_memo_does_not_outlive_the_sweep(monkeypatch):
+    assert sweep_thm21_exhaustive(entry_set=(0, 1)).passed
+    _break_2x2_decisions(monkeypatch)
+    # J2 was a coefficient of that sweep; a live memo would answer from it
+    with pytest.raises(IntegrityError, match=DISAGREE):
+        thm21_criterion(J2, J2)
+    report = sweep_thm21_exhaustive(entry_set=(0, 1))
+    # 3 of the 16 0/1 matrices are nilpotent (0, E12, E21), and every pair
+    # holding one decides it afresh
+    assert len(report.violations) == 16**2 - 13**2
+    assert {v["reason"] for v in report.violations} == {DISAGREE}
+
+
+def test_sweep_memo_is_reset_when_the_sweep_raises(monkeypatch):
+    real = lab_module.thm21_criterion
+    calls = []
+
+    def interrupted(a, b):
+        calls.append((a, b))
+        if len(calls) == 7:
+            raise RuntimeError("interrupted")
+        return real(a, b)
+
+    monkeypatch.setattr(lab_module, "thm21_criterion", interrupted)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        sweep_thm21_exhaustive(entry_set=(0, 1))
+    assert J2 in {m for pair in calls[:6] for m in pair}
+    assert criteria_module._SWEEP_FACTS.get() is None
+    _break_2x2_decisions(monkeypatch)
+    with pytest.raises(IntegrityError, match=DISAGREE):
+        thm21_criterion(J2, J2)
+
+
+@pytest.mark.parametrize("theorem, violations", [("2.1", 2 * 81 - 1), ("1.1", 2 * 27 - 1)])
+def test_a_failed_fact_fails_every_pair_that_reads_it(monkeypatch, theorem, violations):
+    # nilpotent and traceless, so it is its own shifted matrix; no other
+    # {-1, 0, 1} matrix shifts to it
+    bad = Matrix([[1, 1], [-1, -1]])
+
+    def failing(a):
+        if a == bad:
+            raise IntegrityError("forced", a)
+        return is_nilpotent(a)
+
+    monkeypatch.setattr(criteria_module, "is_nilpotent", failing)
+    memoised = SWEEPS[theorem]()
+    # the same pairs checked one by one, with no memo open
+    unmemoised = SweepReport(theorem=theorem, mode="exhaustive", config=memoised.config)
+    spec = lab_module.criterion(theorem)
+    mats = lab_module._all_square_matrices(2, (-1, 0, 1))
+    for trial, pair in enumerate(itertools.product(mats, repeat=2)):
+        lab_module._record(spec, pair, unmemoised, trial, "exhaustive")
+    # 1.1 reads the shifted fact only on pairs with a common candidate:
+    # the 27 traceless matrices pair with bad on either side
+    assert len(memoised.violations) == violations
+    assert {v["reason"] for v in memoised.violations} == {"forced"}
+    assert memoised.to_obj() == unmemoised.to_obj()
 
 
 # ---- randomized sweeps -------------------------------------------------------------
