@@ -9,6 +9,7 @@ Diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -27,7 +28,13 @@ SEARCH_CHOICES = [c.cli for c in lab.CRITERIA if c.supports("search")]
 SWEEP_SAMPLING = {"trials": 200, "seed": 0, "entry_bound": 3, "gaussian": False}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call.
+
+    Parsing leaves it unchanged, and help text is laid out when printed, so
+    one parser serves every `main` call in a process; callers must not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="elemop",
         description="Exact nilpotency calculus for elementary operators on matrix algebras.",

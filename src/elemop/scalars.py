@@ -14,7 +14,8 @@ String form, shared with the JSON wire format:
     "0-1*i"        pure imaginary
 
 `format_scalar` emits exactly these whitespace-free forms; `parse_scalar`
-is tolerant (whitespace, a bare "i", "2i" and "3*i" are all accepted).
+is tolerant (whitespace, a bare "i", "2i" and "3*i" are all accepted); a
+"*" is allowed only between a number and "i", so "*i" and "2**i" are not.
 Each unsigned term must be ASCII digits with an optional "/digits"
 denominator, each run of digits at most 4,300 long (CPython's default
 limit for int strings, which parsing would otherwise be quadratic in when
@@ -37,6 +38,8 @@ from .errors import ParseError
 _F0 = Fraction(0)
 _TERM_BODY = re.compile(r"[0-9]{1,4300}(?:/[0-9]{1,4300})?")
 _QUOTED_MAX = 100  # longer input is abridged in error messages
+# a sign starts a new term unless it follows a sign or a "/"
+_split_terms = re.compile(r"(?<=[^+\-/])(?=[+-])").split
 
 
 def _as_fraction(x) -> Fraction:
@@ -176,10 +179,9 @@ def parse_scalar(text: str) -> GaussianRational:
     stripped = "".join(text.split())
     if not stripped:
         raise ParseError("empty scalar string")
-    terms = _split_terms(stripped)
     re_part = None
     im_part = None
-    for term in terms:
+    for term in _split_terms(stripped):
         value, imaginary = _parse_term(term, text)
         if imaginary:
             if im_part is not None:
@@ -192,36 +194,21 @@ def parse_scalar(text: str) -> GaussianRational:
     return GaussianRational(re_part or _F0, im_part or _F0)
 
 
-def _split_terms(s: str) -> list[str]:
-    terms = []
-    start = 0
-    for pos in range(1, len(s)):
-        if s[pos] in "+-" and s[pos - 1] not in "+-/":
-            terms.append(s[start:pos])
-            start = pos
-    terms.append(s[start:])
-    return terms
-
-
 def _parse_term(term: str, original: str) -> tuple[Fraction, bool]:
-    body = term
-    sign = 1
-    while body and body[0] in "+-":
-        if body[0] == "-":
-            sign = -sign
-        body = body[1:]
+    body = term.lstrip("+-")
+    sign = -1 if term.count("-", 0, len(term) - len(body)) % 2 else 1
     imaginary = body.endswith("i")
     if imaginary:
-        body = body[:-1].rstrip("*")
-        if not body:
-            body = "1"
+        body = body[:-1] or "1"
+        if body.endswith("*"):  # one "*", and only after a number
+            body = body[:-1]
     if not _TERM_BODY.fullmatch(body):
         raise ParseError(_bad_term(original, term))
+    num, _, den = body.partition("/")
     try:
-        value = Fraction(body)
+        return Fraction(sign * int(num), int(den or 1)), imaginary
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(_bad_term(original, term)) from exc
-    return sign * value, imaginary
 
 
 def _bad_term(original: str, term: str) -> str:

@@ -1,6 +1,7 @@
 """Seeded random value builders and reference paths shared by the test modules."""
 
 import random
+import re
 from fractions import Fraction
 
 from elemop import (
@@ -10,9 +11,11 @@ from elemop import (
     Matrix,
     NilpotencyReport,
     ONE,
+    ParseError,
     ZERO,
     as_scalar,
 )
+from elemop.scalars import _bad_term, _quoted
 
 
 def rand_fraction(rng: random.Random, bound: int = 3) -> Fraction:
@@ -226,3 +229,63 @@ def ref_superoperator(op: ElementaryOperator) -> Matrix:
     for a, b in op.terms:
         s = ref_add(s, ref_kron(ref_transpose(b), a))
     return s
+
+
+# ---- reference scalar parser --------------------------------------------------------
+# parse_scalar as it ran before the regex split and the one-Fraction term
+# parse: a character loop splits the terms, and each term is parsed as a
+# string and then signed.  It also read "*i", "-*i", "1+*i" and "2**i" as
+# i, -i, 1+i and 2i, forms the library now rejects.
+
+_REF_TERM_BODY = re.compile(r"[0-9]{1,4300}(?:/[0-9]{1,4300})?")
+
+
+def ref_parse_scalar(text: str) -> GaussianRational:
+    stripped = "".join(text.split())
+    if not stripped:
+        raise ParseError("empty scalar string")
+    re_part = None
+    im_part = None
+    for term in ref_split_terms(stripped):
+        value, imaginary = _ref_parse_term(term, text)
+        if imaginary:
+            if im_part is not None:
+                raise ParseError(f"two imaginary terms in scalar {_quoted(text)}")
+            im_part = value
+        else:
+            if re_part is not None:
+                raise ParseError(f"two real terms in scalar {_quoted(text)}")
+            re_part = value
+    return GaussianRational(re_part or 0, im_part or 0)
+
+
+def ref_split_terms(s: str) -> list[str]:
+    terms = []
+    start = 0
+    for pos in range(1, len(s)):
+        if s[pos] in "+-" and s[pos - 1] not in "+-/":
+            terms.append(s[start:pos])
+            start = pos
+    terms.append(s[start:])
+    return terms
+
+
+def _ref_parse_term(term: str, original: str) -> tuple[Fraction, bool]:
+    body = term
+    sign = 1
+    while body and body[0] in "+-":
+        if body[0] == "-":
+            sign = -sign
+        body = body[1:]
+    imaginary = body.endswith("i")
+    if imaginary:
+        body = body[:-1].rstrip("*")
+        if not body:
+            body = "1"
+    if not _REF_TERM_BODY.fullmatch(body):
+        raise ParseError(_bad_term(original, term))
+    try:
+        value = Fraction(body)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(_bad_term(original, term)) from exc
+    return sign * value, imaginary

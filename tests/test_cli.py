@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -295,6 +296,35 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["S_cubed_plus_S_zero"] is True
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    import elemop.cli as cli_module
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy_init)
+    cli_module.build_parser.cache_clear()
+    try:
+        request = ["check", "--theorem", "2.1", "--a", matrix_arg(J2), "--b", matrix_arg(I2)]
+        first = run_cli(capsys, *request)
+        per_build = len(built)
+        for argv, code in ((["check"], 2), (["sweep", "--help"], 0)):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+        capsys.readouterr()
+        assert run_cli(capsys, *request) == first
+        assert first[0] == 0 and json.loads(first[1])["consistent"] is True
+        # one top-level parser (its subparsers and shared parent are built with it)
+        assert built.count("elemop") == 1 and len(built) == per_build
+    finally:
+        cli_module.build_parser.cache_clear()
 
 
 def test_choices_come_from_the_criterion_table():

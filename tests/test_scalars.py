@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from elemop import GaussianRational, IMAG, ONE, ParseError, ZERO, format_scalar, parse_scalar
+from elemop.scalars import _split_terms
+from helpers import ref_parse_scalar, ref_split_terms
 
 fractions = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 scalars = st.builds(GaussianRational, fractions, fractions)
@@ -87,6 +90,10 @@ def test_canonical_emission(value, text):
         ("1-2i", GaussianRational(1, -2)),
         ("+1", ONE),
         ("-3/4*i+1/2", GaussianRational(Fraction(1, 2), Fraction(-3, 4))),
+        ("+i", IMAG),
+        ("1/2*i", GaussianRational(0, Fraction(1, 2))),
+        (" 3 * i ", GaussianRational(0, 3)),
+        ("1 + 2 i", GaussianRational(1, 2)),
     ],
 )
 def test_tolerant_parsing(text, value):
@@ -112,6 +119,16 @@ def test_parse_rejects_garbage(bad):
     ],
 )
 def test_parse_rejects_terms_outside_the_ascii_grammar(bad, term):
+    with pytest.raises(ParseError) as info:
+        parse_scalar(bad)
+    assert str(info.value) == f"bad scalar {bad!r}: cannot read term {term!r}"
+
+
+@pytest.mark.parametrize(
+    "bad, term",
+    [("*i", "*i"), ("-*i", "-*i"), ("1+*i", "+*i"), ("2**i", "2**i"), ("2***i", "2***i")],
+)
+def test_parse_allows_a_star_only_between_a_number_and_i(bad, term):
     with pytest.raises(ParseError) as info:
         parse_scalar(bad)
     assert str(info.value) == f"bad scalar {bad!r}: cannot read term {term!r}"
@@ -164,6 +181,57 @@ def test_parse_errors_quote_up_to_100_characters_and_abridge_longer_text():
     with pytest.raises(ParseError) as info:
         parse_scalar("1+2")
     assert str(info.value) == "two real terms in scalar '1+2'"
+
+
+# ---- the parser against its reference path ------------------------------------------
+# ref_parse_scalar is parse_scalar before the regex split and the one-Fraction
+# term parse.  The two agree on every string, value or error message, except
+# where a term has a "*" with no number before it or "**" before its "i":
+# the reference read those as imaginary terms, and parse_scalar rejects them.
+
+_STAR_WITHOUT_A_NUMBER = re.compile(r"[+-]*(?:\*+|.*\*\*)i")
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def _assert_matches_reference(text):
+    stripped = "".join(text.split())
+    assert _split_terms(stripped) == ref_split_terms(stripped)
+    outcome = _outcome(parse_scalar, text)
+    if any(_STAR_WITHOUT_A_NUMBER.fullmatch(t) for t in ref_split_terms(stripped)):
+        assert isinstance(outcome, str)  # rejected; the reference may have accepted
+    else:
+        assert outcome == _outcome(ref_parse_scalar, text)
+
+
+@given(st.text(alphabet="0123456789+-/*i ", max_size=24))
+def test_parse_matches_the_reference_parser(text):
+    _assert_matches_reference(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1/0", "0/0", "-0/5", "007/010", "--3", "+-2/4*i", "7" * 4300, "7" * 4301,
+     "1/-2", "3-", "i+i", "1-2*i+"],
+)
+def test_parse_matches_the_reference_parser_on_edge_cases(text):
+    _assert_matches_reference(text)
+
+
+def test_parse_edge_case_values():
+    assert parse_scalar("-0/5") == ZERO
+    assert parse_scalar("007/010") == GaussianRational(Fraction(7, 10))
+    assert parse_scalar("--3") == GaussianRational(3)
+    assert parse_scalar("+-2/4*i") == GaussianRational(0, Fraction(-1, 2))
+    assert parse_scalar("7" * 4300) == GaussianRational(int("7" * 4300))
+    for bad in ("1/0", "0/0", "7" * 4301):
+        with pytest.raises(ParseError, match="cannot read term"):
+            parse_scalar(bad)
 
 
 @given(scalars)
