@@ -49,14 +49,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("apply", parents=[common], help="apply an operator to a matrix")
     p.add_argument("--op", required=True, help="operator JSON (path or inline)")
     p.add_argument("--x", required=True, help="matrix JSON (path or inline)")
+    p.set_defaults(run=_run_apply)
 
     p = sub.add_parser("superop", parents=[common], help="superoperator matrix of an operator")
     p.add_argument("--op", required=True, help="operator JSON (path or inline)")
+    p.set_defaults(run=_run_superop)
 
     p = sub.add_parser("nilpotent", parents=[common], help="decide nilpotency with index and witness")
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--matrix", help="matrix JSON (path or inline)")
     target.add_argument("--op", help="operator JSON (path or inline)")
+    p.set_defaults(run=_run_nilpotent)
 
     p = sub.add_parser("check", parents=[common], help="run one structural criterion on concrete inputs")
     p.add_argument("--theorem", required=True, choices=CHECK_CHOICES)
@@ -64,11 +67,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="left coefficient(s); several only for --theorem 2.2")
     p.add_argument("--b", required=True, nargs="+", metavar="MATRIX",
                    help="right coefficient(s); several only for --theorem 2.2")
+    p.set_defaults(run=_run_check)
 
     p = sub.add_parser("examples", parents=[common], help="rebuild and verify a reference instance")
     p.add_argument("--which", required=True, choices=["3.1", "3.2"])
     p.add_argument("--params", metavar="a,b,c,d,k",
                    help="exact scalars for the parametric 3x3 family (3.2 only)")
+    p.set_defaults(run=_run_examples)
 
     p = sub.add_parser("sweep", parents=[common], help="sweep a criterion over generated instances")
     p.add_argument("--theorem", required=True, choices=SWEEP_CHOICES)
@@ -80,6 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="allow nonzero imaginary parts")
     p.add_argument("--exhaustive", action="store_true",
                    help="for --theorem 1.1: enumerate all dim-2 pairs with entries -1, 0, 1")
+    p.set_defaults(run=_run_sweep)
 
     p = sub.add_parser("search", parents=[common], help="search for converse failures of a criterion")
     p.add_argument("--target", required=True, choices=SEARCH_CHOICES)
@@ -88,6 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--entry-bound", type=int, default=3)
     p.add_argument("--gaussian", action="store_true")
+    p.set_defaults(run=_run_search)
 
     return parser
 
@@ -95,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        document, status = _dispatch(args)
+        document, status = args.run(args)
     except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -109,33 +116,21 @@ def main(argv=None) -> int:
     return status
 
 
-def _dispatch(args) -> tuple[dict, int]:
-    if args.command == "apply":
-        op = jsonio.operator_from_obj(_load(args.op))
-        x = jsonio.matrix_from_obj(_load(args.x))
-        return jsonio.matrix_to_obj(op(x)), 0
+def _run_apply(args) -> tuple[dict, int]:
+    op = jsonio.operator_from_obj(_load(args.op))
+    return jsonio.matrix_to_obj(op(jsonio.matrix_from_obj(_load(args.x)))), 0
 
-    if args.command == "superop":
-        op = jsonio.operator_from_obj(_load(args.op))
-        return jsonio.matrix_to_obj(op.superoperator()), 0
 
-    if args.command == "nilpotent":
-        if args.matrix is not None:
-            report = is_nilpotent(jsonio.matrix_from_obj(_load(args.matrix)))
-        else:
-            report = op_is_nilpotent(jsonio.operator_from_obj(_load(args.op)))
-        return jsonio.report_to_obj(report), 0
+def _run_superop(args) -> tuple[dict, int]:
+    return jsonio.matrix_to_obj(jsonio.operator_from_obj(_load(args.op)).superoperator()), 0
 
-    if args.command == "check":
-        return _run_check(args)
 
-    if args.command == "examples":
-        return _run_examples(args)
-
-    if args.command == "sweep":
-        return _run_sweep(args)
-
-    return _run_search(args)
+def _run_nilpotent(args) -> tuple[dict, int]:
+    if args.matrix is not None:
+        report = is_nilpotent(jsonio.matrix_from_obj(_load(args.matrix)))
+    else:
+        report = op_is_nilpotent(jsonio.operator_from_obj(_load(args.op)))
+    return jsonio.report_to_obj(report), 0
 
 
 def _run_check(args) -> tuple[dict, int]:
@@ -214,7 +209,8 @@ def _load(source: str):
     text = source if source.lstrip()[:1] in ("{", "[") else _read_file(source)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's stack allows
         raise ParseError(f"invalid JSON in {_quoted(source)}: {exc}") from exc
 
 

@@ -13,29 +13,31 @@ only mean an implementation bug; its `instance` is the offending pair, as
 for every failed step of `thm21_proof_replay`.  Both also predict the
 operator's nilpotency index from the coefficients' indices and raise
 IntegrityError when the decided index differs: min(ind A, ind B) for
-X -> AXB, and ind(S - lam*I) + ind(T - lam*I) - 1 for X -> SX - XT.  A
+X -> AXB, and ind(S - lam*I) + ind(T - lam*I) - 1 for X -> SX - XT.
+Both errors, for both equivalences, are raised by `_enforce`.  A
 shifted matrix A - lam*I is built only when both sides share the
 candidate lam.
 
-Per-coefficient facts (a matrix's NilpotencyReport, its shift candidate
-trace/d, and the report of A - lam*I) go through `_fact`.  Inside
-`_sweep_facts()`, which the exhaustive sweeps open around their pair
-loop, each fact is computed once per distinct coefficient and remembered
-until the sweep ends; outside it every call decides afresh.  Only
-coefficient facts are kept: each pair's operator is still built and
-decided, and both checks still run on every pair.
+Per-coefficient facts go through `_fact`: a matrix's NilpotencyReport,
+its shift candidate lam = trace/d (`_shift`), and the report of
+A - lam*I (`_shifted`).  Inside `_sweep_facts()`, which the exhaustive
+sweeps open around their pair loop, each fact is computed once per
+distinct coefficient and remembered until the sweep ends; outside it
+every call decides afresh.  The memo holds those values and nothing
+callable.  Only coefficient facts are kept: each pair's operator is
+still built and decided, and both checks still run on every pair.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import IntegrityError, PreconditionError, ShapeError
 from .matrix import Matrix, column_vector, rank_one, row_vector
-from .nilpotency import NilpotencyReport, is_nilpotent
+from .nilpotency import NilpotencyReport, _first_nonzero, is_nilpotent
 from .operators import (
     ElementaryOperator,
     _need_square_pair,
@@ -60,14 +62,10 @@ class TheoremCheckResult:
     hypotheses_hold: bool
     hypothesis_failures: tuple[str, ...]
     conclusion: NilpotencyReport
-    consistent: bool = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "consistent",
-            (not self.hypotheses_hold) or self.conclusion.nilpotent,
-        )
+    @property
+    def consistent(self) -> bool:
+        return (not self.hypotheses_hold) or self.conclusion.nilpotent
 
 
 @dataclass(frozen=True)
@@ -98,17 +96,10 @@ def scalar_shift_witness(a: Matrix) -> ShiftWitness:
     """Find the unique candidate shift and keep it only if it works."""
     if not a.is_square:
         raise ShapeError(f"shift witness of non-square {a.rows}x{a.cols}")
-    candidate, shifted = _shift(a)
-    report = shifted()
+    report = _shifted(a)
     if report.nilpotent:
-        return ShiftWitness(candidate, report)
+        return ShiftWitness(_shift(a), report)
     return ShiftWitness(None)
-
-
-def _trace_shift(a: Matrix):
-    """The candidate lam = trace(A)/d, and a callable that builds A - lam*I."""
-    lam = a.trace() / a.rows
-    return lam, lambda: a - lam * Matrix.identity(a.rows)
 
 
 # Facts remembered per coefficient matrix while an exhaustive sweep runs,
@@ -141,11 +132,31 @@ def _fact(a: Matrix, name: str, compute):
     return memo[key]
 
 
-def _shift(a: Matrix):
-    """The candidate lam = trace(A)/d, and a callable giving the report of
-    A - lam*I, which builds and decides that matrix on its first call."""
-    lam, shifted = _fact(a, "shift", lambda: _trace_shift(a))
-    return lam, lambda: _fact(a, "shifted", lambda: is_nilpotent(shifted()))
+def _shift(a: Matrix) -> GaussianRational:
+    """The only candidate lam with A - lam*I nilpotent: trace(A)/d."""
+    return _fact(a, "shift", lambda: a.trace() / a.rows)
+
+
+def _shifted(a: Matrix) -> NilpotencyReport:
+    """The report of A - lam*I for the candidate lam = _shift(a)."""
+    return _fact(a, "shifted", lambda: is_nilpotent(a - _shift(a) * Matrix.identity(a.rows)))
+
+
+def _enforce(name: str, noun: str, rule: str, pair, hold: bool,
+             conclusion: NilpotencyReport, predicted: int | None) -> None:
+    """Raise IntegrityError unless an equivalence's decided operator is
+    nilpotent exactly when its hypotheses hold, with the predicted index."""
+    if hold != conclusion.nilpotent:
+        raise IntegrityError(
+            f"{name} biconditional violated: "
+            f"hypotheses {hold} but {noun} nilpotent is {conclusion.nilpotent}",
+            pair,
+        )
+    if conclusion.index != predicted:
+        raise IntegrityError(
+            f"{name} index violated: {noun} index {conclusion.index} but {rule} is {predicted}",
+            pair,
+        )
 
 
 def thm21_criterion(a: Matrix, b: Matrix) -> TheoremCheckResult:
@@ -160,20 +171,9 @@ def thm21_criterion(a: Matrix, b: Matrix) -> TheoremCheckResult:
     hold = any(r.nilpotent for r in reports)
     failures = () if hold else ("neither A nor B nilpotent",)
     conclusion = op_is_nilpotent(make_multiplication(a, b))
-    if hold != conclusion.nilpotent:
-        raise IntegrityError(
-            "length-one biconditional violated: "
-            f"hypotheses {hold} but operator nilpotent is {conclusion.nilpotent}",
-            (a, b),
-        )
     # (L_A R_B)^k = L_(A^k) R_(B^k), so the index is the smaller factor index
     predicted = min((r.index for r in reports if r.nilpotent), default=None)
-    if conclusion.index != predicted:
-        raise IntegrityError(
-            "length-one index violated: "
-            f"operator index {conclusion.index} but min(ind A, ind B) is {predicted}",
-            (a, b),
-        )
+    _enforce("length-one", "operator", "min(ind A, ind B)", (a, b), hold, conclusion, predicted)
     return TheoremCheckResult(hold, failures, conclusion)
 
 
@@ -248,36 +248,23 @@ def fong_sourour_check(s: Matrix, t: Matrix) -> ShiftCheckResult:
     """
     _need_square_pair(s, t)
     failures = []
-    lam = None
-    cand_s, shifted_s = _shift(s)
-    cand_t, shifted_t = _shift(t)
-    if cand_s != cand_t:
+    lam = _shift(s)
+    if lam != _shift(t):
         failures.append("no common shift candidate: trace(S)/d != trace(T)/d")
     else:
-        report_s, report_t = shifted_s(), shifted_t()
+        report_s, report_t = _shifted(s), _shifted(t)
         if not report_s.nilpotent:
             failures.append("S - lam*I not nilpotent for the only candidate lam")
         if not report_t.nilpotent:
             failures.append("T - lam*I not nilpotent for the only candidate lam")
-        if len(failures) == 0:
-            lam = cand_s
     hold = not failures
     conclusion = op_is_nilpotent(make_generalized_derivation(s, t))
-    if hold != conclusion.nilpotent:
-        raise IntegrityError(
-            "common-shift biconditional violated: "
-            f"hypotheses {hold} but derivation nilpotent is {conclusion.nilpotent}",
-            (s, t),
-        )
     # L_S - R_T = L_N - R_M with commuting terms N = S - lam*I, M = T - lam*I,
     # so by the binomial theorem the index is ind N + ind M - 1
     predicted = report_s.index + report_t.index - 1 if hold else None
-    if conclusion.index != predicted:
-        raise IntegrityError(
-            "common-shift index violated: derivation index "
-            f"{conclusion.index} but ind(S - lam*I) + ind(T - lam*I) - 1 is {predicted}",
-            (s, t),
-        )
+    _enforce("common-shift", "derivation", "ind(S - lam*I) + ind(T - lam*I) - 1", (s, t),
+             hold, conclusion, predicted)
+    lam = lam if hold else None
     return ShiftCheckResult(hold, tuple(failures), conclusion, lam, lam)
 
 
@@ -351,7 +338,9 @@ def thm21_proof_replay(a: Matrix, b: Matrix) -> ProofReplay:
             "so the short-circuit branch applies and there is nothing to construct"
         )
 
-    zi, zj = _first_nonzero_position(bm)
+    scale, rows = bm._integer_form()
+    nonzero = _first_nonzero(rows, scale)
+    zi, zj = nonzero.row, nonzero.col
     z = column_vector(1 if r == zj else 0 for r in range(d))
     f = row_vector(1 if c == zi else 0 for c in range(d))
     f_bz = (f * (bm * z))[0, 0]
@@ -376,10 +365,3 @@ def thm21_proof_replay(a: Matrix, b: Matrix) -> ProofReplay:
     if not am.is_zero:
         raise IntegrityError("every column of A^m vanished but A^m != 0", (a, b))
     return ProofReplay(m, z, f, f_bz, tuple(steps), am, am.is_zero)
-
-
-def _first_nonzero_position(mat: Matrix) -> tuple[int, int]:
-    for i, j, e in mat.entries():
-        if e:
-            return i, j
-    raise IntegrityError("nonzero position requested in a zero matrix")

@@ -44,7 +44,7 @@ def matrix_from_obj(obj) -> Matrix:
     if missing:
         raise ParseError(f"matrix document missing keys: {sorted(missing)}")
     rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows >= 1 and cols >= 1):
+    if not (_is_count(rows) and _is_count(cols)):
         raise ParseError(f"bad matrix shape: rows={rows!r}, cols={cols!r}")
     if not isinstance(entries, list) or len(entries) != rows:
         raise ParseError(f"expected {rows} entry rows, got {_brief(entries)}")
@@ -62,6 +62,11 @@ def _entry_scalar(e, i: int, j: int) -> GaussianRational:
     if isinstance(e, int) and not isinstance(e, bool):
         return GaussianRational(e)
     raise ParseError(f"entry ({i}, {j}) must be a scalar string, got {e!r}")
+
+
+def _is_count(value) -> bool:
+    """A positive int; JSON true and false are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def _brief(value) -> str:
@@ -85,7 +90,7 @@ def operator_from_obj(obj) -> ElementaryOperator:
     if missing:
         raise ParseError(f"operator document missing keys: {sorted(missing)}")
     dim, terms = obj["dim"], obj["terms"]
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_count(dim):
         raise ParseError(f"bad operator dimension: {dim!r}")
     if not isinstance(terms, list) or not terms:
         raise ParseError("operator needs a nonempty terms list")

@@ -135,11 +135,7 @@ def make_multiplication(a: Matrix, b: Matrix) -> ElementaryOperator:
 
 def make_inner_derivation(a: Matrix) -> ElementaryOperator:
     """The commutator map X -> A X - X A."""
-    if not a.is_square:
-        raise ShapeError(f"derivation of non-square {a.rows}x{a.cols}")
-    n = a.rows
-    ident = Matrix.identity(n)
-    return ElementaryOperator(n, ((a, ident), (-ident, a)))
+    return make_generalized_derivation(a, a)
 
 
 def make_generalized_derivation(a: Matrix, b: Matrix) -> ElementaryOperator:

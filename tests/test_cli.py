@@ -222,6 +222,20 @@ def test_invalid_inline_json_is_quoted_abridged(capsys):
     assert status == 2 and "invalid JSON in '{\"dim\": 2'" in err
 
 
+@pytest.mark.parametrize("where", ["inline", "file"])
+def test_json_nested_past_the_decoder_stack_is_a_parse_error(capsys, tmp_path, where):
+    document = "[" * 100_000
+    source = document
+    if where == "file":
+        source = str(tmp_path / "deep.json")
+        Path(source).write_text(document, encoding="utf-8")
+    status, out, err = run_cli(capsys, "nilpotent", "--matrix", source)
+    assert status == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 200
+    assert lines[0].startswith("error: invalid JSON in ")
+
+
 @pytest.mark.parametrize("flag", ["--matrix", "--op"])
 def test_inline_array_is_parsed_not_opened(capsys, flag):
     status, out, err = run_cli(capsys, "nilpotent", flag, " [1]")

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from elemop import (
+    EntryWitness,
     GaussianRational,
     IntegrityError,
     Matrix,
@@ -29,6 +30,7 @@ from helpers import (
     rand_scalar,
     ref_add,
     ref_identity,
+    ref_is_nilpotent,
     ref_scale,
     ref_trace,
     wide_matrix,
@@ -167,28 +169,19 @@ def test_trace_shift_matches_fraction_arithmetic():
     samples += [wide_matrix(rng, d) for d in (1, 2, 3, 4) for _ in range(3)]
     samples += [rand_matrix(rng, 3, gaussian=g) for g in (False, True) for _ in range(3)]
     for a in samples:
-        lam, shifted = criteria._trace_shift(a)
-        expected = a.trace() / a.rows
+        lam = criteria._shift(a)
+        expected = ref_trace(a) / a.rows
         assert lam == expected and str(lam) == str(expected)
-        reference = a - expected * Matrix.identity(a.rows)
-        s = shifted()
-        assert s == reference and s.row_list() == reference.row_list()
-        assert s._form == Matrix(reference.row_list())._integer_form()
-        # and against the entry-wise reference, which runs on no form
-        assert expected == ref_trace(a) / a.rows
+        # the shifted report against A - lam*I built and decided entry-wise,
+        # on no form
         by_entries = ref_add(a, ref_scale(-expected, ref_identity(a.rows)))
-        assert s.row_list() == by_entries.row_list()
+        assert criteria._shifted(a) == ref_is_nilpotent(by_entries)
 
 
 def test_common_shift_builds_shifted_matrices_only_for_a_common_candidate(monkeypatch):
     built = []
-    real = criteria._trace_shift
-
-    def spy(a):
-        lam, shifted = real(a)
-        return lam, lambda: built.append(a) or shifted()
-
-    monkeypatch.setattr(criteria, "_trace_shift", spy)
+    real = criteria.is_nilpotent
+    monkeypatch.setattr(criteria, "is_nilpotent", lambda a: built.append(a) or real(a))
     fong_sourour_check(I2, Matrix.zero(2))
     assert built == []
     fong_sourour_check(J2, J2.T)
@@ -418,7 +411,8 @@ def test_replay_failures_carry_the_pair(monkeypatch):
     assert info.value.instance == (I2, I2)
 
     with monkeypatch.context() as m:
-        m.setattr(criteria, "_first_nonzero_position", lambda mat: (0, 1))  # a zero of B^m
+        # a zero of B^m
+        m.setattr(criteria, "_first_nonzero", lambda x, scale: EntryWitness(0, 1, ZERO))
         with pytest.raises(IntegrityError, match="functional vanishes") as info:
             thm21_proof_replay(I2, I2)
     assert info.value.instance == (I2, I2)

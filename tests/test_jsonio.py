@@ -67,6 +67,26 @@ def test_matrix_parsing_rejects_bad_documents(obj):
         matrix_from_obj(obj)
 
 
+ONE = {"rows": 1, "cols": 1, "entries": [["1"]]}
+
+
+@pytest.mark.parametrize(
+    "parse, obj, message",
+    [
+        (matrix_from_obj, {**ONE, "rows": True}, "bad matrix shape: rows=True, cols=1"),
+        (matrix_from_obj, {**ONE, "cols": True}, "bad matrix shape: rows=1, cols=True"),
+        (operator_from_obj, {"dim": True, "terms": [{"a": ONE, "b": ONE}]},
+         "bad operator dimension: True"),
+    ],
+    ids=["rows", "cols", "dim"],
+)
+def test_booleans_are_not_shape_fields(parse, obj, message):
+    # isinstance(True, int) holds, so a bare int check would read true as 1
+    with pytest.raises(ParseError) as info:
+        parse(obj)
+    assert str(info.value) == message
+
+
 def test_operator_round_trip():
     rng = random.Random(61)
     for _ in range(8):
