@@ -118,11 +118,13 @@ def main(argv=None) -> int:
 
 def _run_apply(args) -> tuple[dict, int]:
     op = jsonio.operator_from_obj(_load(args.op))
-    return jsonio.matrix_to_obj(op(jsonio.matrix_from_obj(_load(args.x)))), 0
+    x = jsonio.matrix_from_obj(_load(args.x))
+    return jsonio.matrix_to_obj(op(x)), 0
 
 
 def _run_superop(args) -> tuple[dict, int]:
-    return jsonio.matrix_to_obj(jsonio.operator_from_obj(_load(args.op)).superoperator()), 0
+    op = jsonio.operator_from_obj(_load(args.op))
+    return jsonio.matrix_to_obj(op.superoperator()), 0
 
 
 def _run_nilpotent(args) -> tuple[dict, int]:
