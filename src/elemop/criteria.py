@@ -18,14 +18,19 @@ Both errors, for both equivalences, are raised by `_enforce`.  A
 shifted matrix A - lam*I is built only when both sides share the
 candidate lam.
 
-Per-coefficient facts go through `_fact`: a matrix's NilpotencyReport,
-its shift candidate lam = trace/d (`_shift`), and the report of
-A - lam*I (`_shifted`).  Inside `_sweep_facts()`, which the exhaustive
-sweeps open around their pair loop, each fact is computed once per
-distinct coefficient and remembered until the sweep ends; outside it
-every call decides afresh.  The memo holds those values and nothing
-callable.  Only coefficient facts are kept: each pair's operator is
-still built and decided, and both checks still run on every pair.
+Facts go through `_fact`: a matrix's NilpotencyReport (`_report`), its
+shift candidate lam = trace/d (`_shift`), and the report of A - lam*I
+(`_shifted`).  Inside `_sweep_facts()`, which the exhaustive sweeps open
+around their pair loop, each fact is computed once per distinct matrix
+value and remembered until the sweep ends; outside it every call decides
+afresh.  The memo holds those values and nothing callable, keyed by a
+flat tuple (the fact name, then the size, scale and every entry of the
+Z[i] form as ints), and equal values are stored as one shared object.  Both
+equivalences decide their operator through `_decided`, the report of its
+superoperator, so in a sweep a superoperator value met again is not
+decided again; each pair still builds its operator, evaluates its
+hypotheses and runs `_enforce` against the index its own coefficients
+predict.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .errors import IntegrityError, PreconditionError, ShapeError
@@ -102,15 +108,16 @@ def scalar_shift_witness(a: Matrix) -> ShiftWitness:
     return ShiftWitness(None)
 
 
-# Facts remembered per coefficient matrix while an exhaustive sweep runs,
-# keyed by (matrix, fact name); None outside a sweep.
-_SWEEP_FACTS: ContextVar[dict | None] = ContextVar("elemop_sweep_facts", default=None)
+# Facts remembered while an exhaustive sweep runs, as (facts, shared): facts
+# maps a flat key to its value, shared maps each value to the one object
+# stored for every equal value; None outside a sweep.
+_SWEEP_FACTS: ContextVar[tuple[dict, dict] | None] = ContextVar("elemop_sweep_facts", default=None)
 
 
 @contextmanager
 def _sweep_facts():
-    """Remember coefficient facts until the block exits, however it exits."""
-    token = _SWEEP_FACTS.set({})
+    """Remember matrix facts until the block exits, however it exits."""
+    token = _SWEEP_FACTS.set(({}, {}))
     try:
         yield
     finally:
@@ -118,18 +125,34 @@ def _sweep_facts():
 
 
 def _fact(a: Matrix, name: str, compute):
-    """compute(), remembered under (a, name) while a sweep's memo is open.
+    """compute(), remembered under a's value and `name` while a sweep's memo is open.
 
-    Keys compare by matrix value.  A computation that raises stores
-    nothing, so every later read raises again, as an unmemoised call would.
+    `a` is square, so (name, size, scale, entries of re, then of im when
+    a is not real) identifies its value.  A computation that raises
+    stores nothing, so every later read raises again, as an unmemoised
+    call would.
     """
     memo = _SWEEP_FACTS.get()
     if memo is None:
         return compute()
-    key = (a, name)
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
+    facts, shared = memo
+    scale, (re, im) = a._integer_form()
+    key = (name, a.rows, scale, *chain.from_iterable(re), *chain.from_iterable(im or ()))
+    value = facts.get(key)
+    if value is None:  # no fact is None
+        value = compute()
+        facts[key] = value = shared.setdefault(value, value)
+    return value
+
+
+def _report(a: Matrix) -> NilpotencyReport:
+    """The nilpotency report of a square matrix."""
+    return _fact(a, "report", lambda: is_nilpotent(a))
+
+
+def _decided(op: ElementaryOperator) -> NilpotencyReport:
+    """The nilpotency report of an operator, read from its superoperator."""
+    return _report(op.superoperator())
 
 
 def _shift(a: Matrix) -> GaussianRational:
@@ -166,11 +189,10 @@ def thm21_criterion(a: Matrix, b: Matrix) -> TheoremCheckResult:
     match in both directions; a mismatch raises IntegrityError.
     """
     _need_square_pair(a, b)
-    reports = (_fact(a, "report", lambda: is_nilpotent(a)),
-               _fact(b, "report", lambda: is_nilpotent(b)))
+    reports = (_report(a), _report(b))
     hold = any(r.nilpotent for r in reports)
     failures = () if hold else ("neither A nor B nilpotent",)
-    conclusion = op_is_nilpotent(make_multiplication(a, b))
+    conclusion = _decided(make_multiplication(a, b))
     # (L_A R_B)^k = L_(A^k) R_(B^k), so the index is the smaller factor index
     predicted = min((r.index for r in reports if r.nilpotent), default=None)
     _enforce("length-one", "operator", "min(ind A, ind B)", (a, b), hold, conclusion, predicted)
@@ -258,7 +280,7 @@ def fong_sourour_check(s: Matrix, t: Matrix) -> ShiftCheckResult:
         if not report_t.nilpotent:
             failures.append("T - lam*I not nilpotent for the only candidate lam")
     hold = not failures
-    conclusion = op_is_nilpotent(make_generalized_derivation(s, t))
+    conclusion = _decided(make_generalized_derivation(s, t))
     # L_S - R_T = L_N - R_M with commuting terms N = S - lam*I, M = T - lam*I,
     # so by the binomial theorem the index is ind N + ind M - 1
     predicted = report_s.index + report_t.index - 1 if hold else None

@@ -450,11 +450,13 @@ def _sweep_exhaustive(theorem: str, what: str, dim: int, entry_set) -> SweepRepo
     """Run one criterion's checker on every ordered pair of the matrices
     with entries in `entry_set`.
 
-    Each of the n matrices recurs in 2n - 1 of the n^2 pairs, so the
-    sweep opens `criteria._sweep_facts()` around its loop: each distinct
-    coefficient's nilpotency report and shift fact are decided once and
-    kept until the sweep returns or raises.  Each pair's operator is still
-    built and decided, and its biconditional and index still checked.
+    Each of the n matrices recurs in 2n - 1 of the n^2 pairs, and many
+    pairs share a superoperator, so the sweep opens
+    `criteria._sweep_facts()` around its loop: each distinct coefficient's
+    nilpotency report and shift facts, and each distinct superoperator's
+    report, are decided once and kept until the sweep returns or raises.
+    Each pair's operator is still built, and its hypotheses, biconditional
+    and index still checked.
     """
     if dim != 2:
         raise PreconditionError(f"the exhaustive {what} sweep is fixed at dimension 2")

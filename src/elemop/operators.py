@@ -20,6 +20,7 @@ is built once, keeping that form for `is_nilpotent`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm
 
 from .errors import ShapeError
@@ -141,9 +142,8 @@ def make_inner_derivation(a: Matrix) -> ElementaryOperator:
 def make_generalized_derivation(a: Matrix, b: Matrix) -> ElementaryOperator:
     """The map X -> A X - X B."""
     _need_square_pair(a, b)
-    n = a.rows
-    ident = Matrix.identity(n)
-    return ElementaryOperator(n, ((a, ident), (-ident, b)))
+    ident, neg_ident = _identities(a.rows)
+    return ElementaryOperator(a.rows, ((a, ident), (neg_ident, b)))
 
 
 def make_v_operator(a: Matrix, b: Matrix) -> ElementaryOperator:
@@ -160,6 +160,14 @@ def identity_operator(n: int) -> ElementaryOperator:
 def zero_operator(n: int) -> ElementaryOperator:
     z = Matrix.zero(n)
     return ElementaryOperator(n, ((z, z),))
+
+
+@lru_cache(maxsize=16)
+def _identities(n: int) -> tuple[Matrix, Matrix]:
+    """I and -I of size n, built once per size; matrices are immutable, so
+    every derivation of that size shares them."""
+    ident = Matrix.identity(n)
+    return ident, -ident
 
 
 def _need_square_pair(a: Matrix, b: Matrix) -> None:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import elemop
-from elemop import GaussianRational, Matrix, NilpotencyReport, criteria, nilpotency
+from elemop import GaussianRational, Matrix, NilpotencyReport, SweepReport, criteria, lab, nilpotency
 from elemop.cli import main
 from elemop.jsonio import dumps, matrix_from_obj, matrix_to_obj, operator_to_obj
 from elemop.operators import make_multiplication, make_v_operator
@@ -156,6 +156,52 @@ def test_sweep_identical_invocations_are_byte_identical(capsys):
 def test_sweep_21_requires_dim_2(capsys):
     status, _, err = run_cli(capsys, "sweep", "--theorem", "2.1", "--dim", "3")
     assert status == 2 and "--dim 2" in err
+
+
+LARGE_DIM = [
+    ["sweep", "--theorem", "2.2", "--dim", "9"],
+    ["search", "--target", "2.3", "--dim", "9"],
+]
+
+
+def _patch_sweep_entries(monkeypatch, entry):
+    for name in ("sweep_thm", "search_converse_failures"):
+        monkeypatch.setattr(lab, name, entry)
+
+
+@pytest.mark.parametrize("argv", LARGE_DIM, ids=["sweep", "search"])
+def test_dim_above_the_cap_exits_2_before_any_trial(capsys, monkeypatch, argv):
+    def must_not_run(*args):
+        raise AssertionError("a capped --dim reached the sweep")
+
+    _patch_sweep_entries(monkeypatch, must_not_run)
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2 and out == ""
+    assert err == ("error: --dim 9 is above the cap of 8; "
+                   "pass --allow-large-dim to run it\n")
+
+
+@pytest.mark.parametrize("argv", LARGE_DIM, ids=["sweep", "search"])
+def test_allow_large_dim_admits_dim_9(capsys, monkeypatch, argv):
+    configs = []
+
+    def recorded(theorem, config, trials):
+        configs.append(config)
+        return SweepReport(theorem=theorem, mode="random", config=config.to_obj())
+
+    _patch_sweep_entries(monkeypatch, recorded)
+    status, out, _ = run_cli(capsys, *argv, "--allow-large-dim")
+    assert status == 0 and json.loads(out)["config"]["dim"] == 9
+    assert [c.dim for c in configs] == [9]
+
+
+def test_dim_at_the_cap_needs_no_override(capsys, monkeypatch):
+    _patch_sweep_entries(
+        monkeypatch,
+        lambda theorem, config, trials: SweepReport(theorem, "random", config.to_obj()),
+    )
+    status, _, _ = run_cli(capsys, "sweep", "--theorem", "2.2", "--dim", "8")
+    assert status == 0
 
 
 def test_search_finds_family_witnesses(capsys):
@@ -438,7 +484,7 @@ def test_check_route_failure_prints_the_matrix(capsys, monkeypatch):
 
 
 def test_check_biconditional_failure_prints_the_pair(capsys, monkeypatch):
-    monkeypatch.setattr(criteria, "op_is_nilpotent", lambda op: NilpotencyReport(False))
+    monkeypatch.setattr(criteria, "_decided", lambda op: NilpotencyReport(False))
     status, out, err = run_cli(
         capsys, "check", "--theorem", "2.1",
         "--a", matrix_arg(NILPOTENT_WIDE), "--b", matrix_arg(I2),

@@ -181,7 +181,13 @@ def test_trace_shift_matches_fraction_arithmetic():
 def test_common_shift_builds_shifted_matrices_only_for_a_common_candidate(monkeypatch):
     built = []
     real = criteria.is_nilpotent
-    monkeypatch.setattr(criteria, "is_nilpotent", lambda a: built.append(a) or real(a))
+
+    def spy(a):
+        if a.rows == 2:  # the 4x4 superoperator is decided too
+            built.append(a)
+        return real(a)
+
+    monkeypatch.setattr(criteria, "is_nilpotent", spy)
     fong_sourour_check(I2, Matrix.zero(2))
     assert built == []
     fong_sourour_check(J2, J2.T)
@@ -348,9 +354,9 @@ def test_consistency_flag_matches_definition():
 def _flip_conclusions(monkeypatch):
     import elemop.criteria as criteria
 
-    real = criteria.op_is_nilpotent
+    real = criteria._decided
     monkeypatch.setattr(
-        criteria, "op_is_nilpotent", lambda op: NilpotencyReport(not real(op).nilpotent)
+        criteria, "_decided", lambda op: NilpotencyReport(not real(op).nilpotent)
     )
 
 
@@ -373,13 +379,13 @@ def test_biconditional_violation_carries_the_pair(monkeypatch, check, pair, mess
 
 
 def _index_off_by_one(monkeypatch):
-    real = criteria.op_is_nilpotent
+    real = criteria._decided
 
     def shifted_index(op):
         report = real(op)
         return NilpotencyReport(report.nilpotent, report.index and report.index + 1)
 
-    monkeypatch.setattr(criteria, "op_is_nilpotent", shifted_index)
+    monkeypatch.setattr(criteria, "_decided", shifted_index)
 
 
 @pytest.mark.parametrize(

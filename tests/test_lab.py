@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ import elemop.nilpotency as nilpotency_module
 import elemop.operators as operators_module
 from elemop import (
     ONE,
+    GaussianRational,
     GeneratorConfig,
     IntegrityError,
     Matrix,
@@ -156,11 +158,16 @@ def test_exhaustive_sweep_rejects_other_dims():
 
 # ---- the sweep memo ----------------------------------------------------------------
 #
-# Inside an exhaustive sweep each coefficient's facts are decided once; every
-# pair's operator is still decided; outside a sweep nothing is remembered.
+# Inside an exhaustive sweep each distinct coefficient and each distinct
+# superoperator is decided once; every pair still builds its operator and
+# runs its checks; outside a sweep nothing is remembered.
 
 DISAGREE = "power iteration and characteristic polynomial disagree on nilpotency"
 SWEEPS = {"2.1": sweep_thm21_exhaustive, "1.1": sweep_fong_sourour_exhaustive}
+# distinct superoperators per sweep, keyed by (theorem, number of matrices):
+# kron(B^T, A) is unchanged by (A, B) -> (-A, -B) and is zero whenever A or B
+# is; X -> SX - XT is unchanged by (S, T) -> (S + cI, T + cI)
+DISTINCT_SUPEROPERATORS = {("2.1", 81): 3201, ("1.1", 81): 5265, ("2.1", 16): 226, ("1.1", 16): 240}
 
 
 def _decisions_by_size(monkeypatch) -> Counter:
@@ -172,7 +179,7 @@ def _decisions_by_size(monkeypatch) -> Counter:
         sizes[a.rows] += 1
         return is_nilpotent(a)
 
-    for module in (criteria_module, operators_module):
+    for module in (criteria_module, operators_module, lab_module):
         monkeypatch.setattr(module, "is_nilpotent", spy)
     return sizes
 
@@ -192,7 +199,45 @@ def _break_2x2_decisions(monkeypatch):
 def test_sweep_decides_each_coefficient_once(monkeypatch, theorem, entry_set, mats):
     sizes = _decisions_by_size(monkeypatch)
     assert SWEEPS[theorem](entry_set=entry_set).passed
-    assert sizes == {2: mats, 4: mats**2}
+    assert sizes == {2: mats, 4: DISTINCT_SUPEROPERATORS[theorem, mats]}
+
+
+def test_an_exhaustive_dim2_unit_makes_8628_decisions(monkeypatch):
+    # both {-1, 0, 1} sweeps, as one exhaustive_dim2 benchmark unit runs them
+    sizes = _decisions_by_size(monkeypatch)
+    for sweep in SWEEPS.values():
+        assert sweep().passed
+    assert sum(sizes.values()) == 81 + 3201 + 81 + 5265 == 8628
+
+
+@pytest.mark.parametrize("theorem", SWEEPS)
+def test_every_pair_still_runs_its_equivalence_checks(monkeypatch, theorem):
+    calls = []
+    real = criteria_module._enforce
+    monkeypatch.setattr(
+        criteria_module, "_enforce", lambda *args: calls.append(args[3]) or real(*args)
+    )
+    report = SWEEPS[theorem]()
+    assert report.passed and len(calls) == report.instances_tested == 6561
+    assert len(set(calls)) == 6561  # each call carries its own pair
+
+
+def test_equal_superoperators_share_one_decision(monkeypatch):
+    a, b = Matrix([[1, 1], [0, 1]]), Matrix([[0, 1], [1, -1]])
+    ident = Matrix.identity(2)
+    sizes = _decisions_by_size(monkeypatch)
+    with criteria_module._sweep_facts():
+        first = thm21_criterion(a, b).conclusion
+        # kron(B^T, A) == kron(-B^T, -A): no new 4x4 decision, the same report
+        assert thm21_criterion(-a, -b).conclusion is first
+        assert sizes[4] == 1
+        # kron(-B^T, A) is another value
+        thm21_criterion(a, -b)
+        assert sizes[4] == 2
+        # X -> SX - XT is unchanged by a common shift
+        derivation = fong_sourour_check(a, b).conclusion
+        assert fong_sourour_check(a + ident, b + ident).conclusion is derivation
+        assert sizes[4] == 3
 
 
 def test_sweep_memo_keys_compare_by_value(monkeypatch):
@@ -206,8 +251,20 @@ def test_sweep_memo_keys_compare_by_value(monkeypatch):
         for j2, i2, j2t in pairs:
             thm21_criterion(j2, i2)
             fong_sourour_check(j2, j2t)
-    # reports of J2 and I; shifted reports of J2 and J2^T (lam = 0)
-    assert sizes == {2: 4, 4: 6}
+    # reports of J2 and I; shifted reports of J2 and J2^T (lam = 0); the
+    # superoperators of X -> J2 X I and X -> J2 X - X J2^T
+    assert sizes == {2: 4, 4: 2}
+
+
+def test_sweep_memo_keys_tell_scale_and_imaginary_parts_apart():
+    # J2 times 1, 1/2 and i, and a matrix whose real part is J2: one Z[i]
+    # part in common, and four different reports
+    i = GaussianRational(0, 1)
+    mats = [J2, GaussianRational(Fraction(1, 2)) * J2, i * J2, J2 + i * J2.T]
+    with criteria_module._sweep_facts():
+        reports = [criteria_module._report(m) for m in mats]
+    assert reports == [is_nilpotent(m) for m in mats]
+    assert len(set(reports)) == 4
 
 
 def test_sweep_memo_does_not_outlive_the_sweep(monkeypatch):
@@ -256,17 +313,40 @@ def test_a_failed_fact_fails_every_pair_that_reads_it(monkeypatch, theorem, viol
 
     monkeypatch.setattr(criteria_module, "is_nilpotent", failing)
     memoised = SWEEPS[theorem]()
-    # the same pairs checked one by one, with no memo open
-    unmemoised = SweepReport(theorem=theorem, mode="exhaustive", config=memoised.config)
-    spec = lab_module.criterion(theorem)
-    mats = lab_module._all_square_matrices(2, (-1, 0, 1))
-    for trial, pair in enumerate(itertools.product(mats, repeat=2)):
-        lab_module._record(spec, pair, unmemoised, trial, "exhaustive")
     # 1.1 reads the shifted fact only on pairs with a common candidate:
     # the 27 traceless matrices pair with bad on either side
     assert len(memoised.violations) == violations
     assert {v["reason"] for v in memoised.violations} == {"forced"}
-    assert memoised.to_obj() == unmemoised.to_obj()
+    assert memoised.to_obj() == _unmemoised(theorem, memoised.config).to_obj()
+
+
+@pytest.mark.parametrize("theorem, violations", [("2.1", 2 * 81 - 1), ("1.1", 3)])
+def test_a_failed_decision_fails_every_pair_with_that_superoperator(
+    monkeypatch, theorem, violations
+):
+    zero = Matrix.zero(4)
+
+    def failing(a):
+        if a == zero:
+            raise IntegrityError("forced", a)
+        return is_nilpotent(a)
+
+    monkeypatch.setattr(criteria_module, "is_nilpotent", failing)
+    memoised = SWEEPS[theorem]()
+    # X -> AXB is zero when A or B is; X -> SX - XT when S = T = cI
+    assert len(memoised.violations) == violations
+    assert {v["reason"] for v in memoised.violations} == {"forced"}
+    assert memoised.to_obj() == _unmemoised(theorem, memoised.config).to_obj()
+
+
+def _unmemoised(theorem, config) -> SweepReport:
+    """The {-1, 0, 1} sweep's pairs checked one by one, with no memo open."""
+    report = SweepReport(theorem=theorem, mode="exhaustive", config=config)
+    spec = lab_module.criterion(theorem)
+    mats = lab_module._all_square_matrices(2, (-1, 0, 1))
+    for trial, pair in enumerate(itertools.product(mats, repeat=2)):
+        lab_module._record(spec, pair, report, trial, "exhaustive")
+    return report
 
 
 # ---- randomized sweeps -------------------------------------------------------------
