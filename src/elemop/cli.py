@@ -26,8 +26,8 @@ SWEEP_CHOICES = [c.cli for c in lab.CRITERIA if c.supports("sweep") or c.exhaust
 SEARCH_CHOICES = [c.cli for c in lab.CRITERIA if c.supports("search")]
 # defaults of the sweep flags that a randomized sweep uses and an exhaustive one rejects
 SWEEP_SAMPLING = {"trials": 200, "seed": 0, "entry_bound": 3, "gaussian": False}
-# the largest --dim a sweep or search takes without --allow-large-dim: one
-# trial takes about a second at dim 8 and several at dim 10
+# the largest --dim a sweep or search takes: one trial takes about a second
+# at dim 8 and several at dim 10
 DIM_CAP = 8
 
 
@@ -88,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="allow nonzero imaginary parts")
     p.add_argument("--exhaustive", action="store_true",
                    help="for --theorem 1.1: enumerate all dim-2 pairs with entries -1, 0, 1")
-    _add_dim_override(p)
     p.set_defaults(run=_run_sweep)
 
     p = sub.add_parser("search", parents=[common], help="search for converse failures of a criterion")
@@ -98,16 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--entry-bound", type=int, default=3)
     p.add_argument("--gaussian", action="store_true")
-    _add_dim_override(p)
     p.set_defaults(run=_run_search)
 
     return parser
-
-
-def _add_dim_override(p: argparse.ArgumentParser) -> None:
-    # left out of --help and usage, whose bytes the golden tests pin; the
-    # README documents it
-    p.add_argument("--allow-large-dim", action="store_true", help=argparse.SUPPRESS)
 
 
 def main(argv=None) -> int:
@@ -200,10 +192,8 @@ def _run_search(args) -> tuple[dict, int]:
 
 
 def _config(args) -> lab.GeneratorConfig:
-    if args.dim > DIM_CAP and not args.allow_large_dim:
-        raise ParseError(
-            f"--dim {args.dim} is above the cap of {DIM_CAP}; pass --allow-large-dim to run it"
-        )
+    if args.dim > DIM_CAP:
+        raise ParseError(f"--dim {args.dim} is above the cap of {DIM_CAP}")
     return lab.GeneratorConfig(
         dim=args.dim, entry_bound=args.entry_bound, seed=args.seed, gaussian=args.gaussian
     )

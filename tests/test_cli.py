@@ -177,31 +177,16 @@ def test_dim_above_the_cap_exits_2_before_any_trial(capsys, monkeypatch, argv):
     _patch_sweep_entries(monkeypatch, must_not_run)
     status, out, err = run_cli(capsys, *argv)
     assert status == 2 and out == ""
-    assert err == ("error: --dim 9 is above the cap of 8; "
-                   "pass --allow-large-dim to run it\n")
+    assert err == "error: --dim 9 is above the cap of 8\n"
 
 
-@pytest.mark.parametrize("argv", LARGE_DIM, ids=["sweep", "search"])
-def test_allow_large_dim_admits_dim_9(capsys, monkeypatch, argv):
-    configs = []
-
-    def recorded(theorem, config, trials):
-        configs.append(config)
-        return SweepReport(theorem=theorem, mode="random", config=config.to_obj())
-
-    _patch_sweep_entries(monkeypatch, recorded)
-    status, out, _ = run_cli(capsys, *argv, "--allow-large-dim")
-    assert status == 0 and json.loads(out)["config"]["dim"] == 9
-    assert [c.dim for c in configs] == [9]
-
-
-def test_dim_at_the_cap_needs_no_override(capsys, monkeypatch):
+def test_dim_at_the_cap_runs(capsys, monkeypatch):
     _patch_sweep_entries(
         monkeypatch,
         lambda theorem, config, trials: SweepReport(theorem, "random", config.to_obj()),
     )
-    status, _, _ = run_cli(capsys, "sweep", "--theorem", "2.2", "--dim", "8")
-    assert status == 0
+    status, out, _ = run_cli(capsys, "sweep", "--theorem", "2.2", "--dim", "8")
+    assert status == 0 and json.loads(out)["config"]["dim"] == 8
 
 
 def test_search_finds_family_witnesses(capsys):
