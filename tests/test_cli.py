@@ -114,6 +114,16 @@ def test_check_rejects_tuple_arguments_for_single_criteria(capsys):
     assert status == 2 and "exactly one" in err
 
 
+@pytest.mark.parametrize("theorem", ["2.1", "1.1"])
+def test_check_rejects_a_pair_of_two_sizes(capsys, theorem):
+    status, out, err = run_cli(
+        capsys, "check", "--theorem", theorem,
+        "--a", matrix_arg(J2), "--b", matrix_arg(Matrix.identity(3)),
+    )
+    assert status == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_examples_31(capsys):
     status, out, _ = run_cli(capsys, "examples", "--which", "3.1")
     assert status == 0
@@ -411,6 +421,13 @@ def test_exhaustive_sweep_names_the_first_sampling_flag(capsys, monkeypatch):
     )
     assert status == 2 and out == ""
     assert err == "error: --trials does not apply to an exhaustive sweep\n"
+
+
+def test_exhaustive_11_sweep_needs_dim_2(capsys, monkeypatch):
+    _forbid_sweeps(monkeypatch)
+    status, out, err = run_cli(capsys, "sweep", "--theorem", "1.1", "--exhaustive", "--dim", "3")
+    assert status == 2 and out == ""
+    assert err == "error: --exhaustive needs --dim 2\n"
 
 
 def test_random_sweep_fills_sampling_defaults(capsys, monkeypatch):

@@ -16,7 +16,10 @@ from elemop import (
     criteria,
     eq1_identity_residual,
     fong_sourour_check,
+    make_generalized_derivation,
+    make_inner_derivation,
     make_multiplication,
+    make_v_operator,
     matrix_poly,
     op_is_nilpotent,
     scalar_shift_witness,
@@ -121,6 +124,38 @@ def test_tuple_criterion_validation():
         thm22_check([I2], [I2, I2])
     with pytest.raises(ShapeError):
         thm22_check([I2], [I3])
+
+
+# ---- shape errors ----------------------------------------------------------------
+
+WIDE = Matrix([[1, 0, 2], [0, 1, 0]])
+PAIR_TAKERS = [
+    thm21_criterion,
+    thm23_check,
+    fong_sourour_check,
+    thm21_proof_replay,
+    lambda a, b: eq1_identity_residual(a, b, 0, 0),
+    make_multiplication,
+    make_generalized_derivation,
+    make_v_operator,
+]
+
+
+@pytest.mark.parametrize("pair", [(WIDE, WIDE), (I2, I3)], ids=["non-square", "two-sizes"])
+@pytest.mark.parametrize("takes_pair", PAIR_TAKERS, ids=[
+    "thm21_criterion", "thm23_check", "fong_sourour_check", "thm21_proof_replay",
+    "eq1_identity_residual", "make_multiplication", "make_generalized_derivation",
+    "make_v_operator",
+])
+def test_every_pair_entry_point_rejects_a_bad_shape(takes_pair, pair):
+    with pytest.raises(ShapeError):
+        takes_pair(*pair)
+
+
+@pytest.mark.parametrize("takes_one", [make_inner_derivation, scalar_shift_witness])
+def test_every_single_entry_point_rejects_a_non_square_matrix(takes_one):
+    with pytest.raises(ShapeError):
+        takes_one(WIDE)
 
 
 def test_commutation_fact_for_commuting_tuples():
