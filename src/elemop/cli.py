@@ -29,6 +29,9 @@ SWEEP_SAMPLING = {"trials": 200, "seed": 0, "entry_bound": 3, "gaussian": False}
 # the largest --dim a sweep or search takes: one trial takes about a second
 # at dim 8 and several at dim 10
 DIM_CAP = 8
+# the largest --entry-bound, for the same reason: a trial at --dim 8 takes about a
+# second at bound 10, and its time grows with the digits of the entries (15 s at 100)
+ENTRY_BOUND_CAP = 10
 
 
 @functools.cache
@@ -194,6 +197,8 @@ def _run_search(args) -> tuple[dict, int]:
 def _config(args) -> lab.GeneratorConfig:
     if args.dim > DIM_CAP:
         raise ParseError(f"--dim {args.dim} is above the cap of {DIM_CAP}")
+    if args.entry_bound > ENTRY_BOUND_CAP:
+        raise ParseError(f"--entry-bound {args.entry_bound} is above the cap of {ENTRY_BOUND_CAP}")
     return lab.GeneratorConfig(
         dim=args.dim, entry_bound=args.entry_bound, seed=args.seed, gaussian=args.gaussian
     )

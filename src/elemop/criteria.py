@@ -46,7 +46,6 @@ from .matrix import Matrix, column_vector, rank_one, row_vector
 from .nilpotency import NilpotencyReport, _first_nonzero, is_nilpotent
 from .operators import (
     ElementaryOperator,
-    _need_square_pair,
     make_generalized_derivation,
     make_inner_derivation,
     make_multiplication,
@@ -100,8 +99,6 @@ class ShiftWitness:
 
 def scalar_shift_witness(a: Matrix) -> ShiftWitness:
     """Find the unique candidate shift and keep it only if it works."""
-    if not a.is_square:
-        raise ShapeError(f"shift witness of non-square {a.rows}x{a.cols}")
     report = _shifted(a)
     if report.nilpotent:
         return ShiftWitness(_shift(a), report)
@@ -136,7 +133,7 @@ def _fact(a: Matrix, name: str, compute):
     if memo is None:
         return compute()
     facts, shared = memo
-    scale, (re, im) = a._integer_form()
+    scale, (re, im) = a._form
     key = (name, a.rows, scale, *chain.from_iterable(re), *chain.from_iterable(im or ()))
     value = facts.get(key)
     if value is None:  # no fact is None
@@ -188,7 +185,6 @@ def thm21_criterion(a: Matrix, b: Matrix) -> TheoremCheckResult:
     This is an equivalence, so the result's hypotheses and conclusion must
     match in both directions; a mismatch raises IntegrityError.
     """
-    _need_square_pair(a, b)
     reports = (_report(a), _report(b))
     hold = any(r.nilpotent for r in reports)
     failures = () if hold else ("neither A nor B nilpotent",)
@@ -214,12 +210,6 @@ def thm22_check(
         raise ShapeError(
             f"need equal-length nonempty tuples, got {len(a_tuple)} and {len(b_tuple)}"
         )
-    dim = a_tuple[0].rows
-    for m in (*a_tuple, *b_tuple):
-        if m.shape != (dim, dim):
-            raise ShapeError(
-                f"all coefficients must be {dim}x{dim}, got {m.rows}x{m.cols}"
-            )
 
     failures = []
     for label, tup in (("A", a_tuple), ("B", b_tuple)):
@@ -234,7 +224,7 @@ def thm22_check(
         if not (is_nilpotent(ai).nilpotent or is_nilpotent(bi).nilpotent):
             failures.append(f"index {i + 1}: neither A_{i + 1} nor B_{i + 1} nilpotent")
 
-    op = ElementaryOperator(dim, tuple(zip(a_tuple, b_tuple)))
+    op = ElementaryOperator(a_tuple[0].rows, tuple(zip(a_tuple, b_tuple)))
     conclusion = op_is_nilpotent(op)
     return TheoremCheckResult(not failures, tuple(failures), conclusion)
 
@@ -246,7 +236,6 @@ def thm23_check(a: Matrix, b: Matrix) -> ShiftCheckResult:
     shift witnesses exist for both.  Then the map is nilpotent.  The shifts
     found are reported even when the commutation hypothesis fails.
     """
-    _need_square_pair(a, b)
     failures = []
     if a * b != b * a:
         failures.append("A and B do not commute")
@@ -268,7 +257,6 @@ def fong_sourour_check(s: Matrix, t: Matrix) -> ShiftCheckResult:
     sides, so a single candidate decides existence.  The equivalence must
     hold in finite dimension; a violation raises IntegrityError.
     """
-    _need_square_pair(s, t)
     failures = []
     lam = _shift(s)
     if lam != _shift(t):
@@ -301,7 +289,6 @@ def eq1_identity_residual(
     superoperator is identically zero, commuting or not, and the tests
     assert exactly that.
     """
-    _need_square_pair(a, b)
     lam = as_scalar(lam)
     mu = as_scalar(mu)
     ident = Matrix.identity(a.rows)
@@ -347,7 +334,6 @@ class ProofReplay:
 
 def thm21_proof_replay(a: Matrix, b: Matrix) -> ProofReplay:
     """Replay the rank-one construction on a concrete nilpotent pair."""
-    _need_square_pair(a, b)
     d = a.rows
     report = op_is_nilpotent(make_multiplication(a, b))
     if not report.nilpotent:
@@ -360,7 +346,7 @@ def thm21_proof_replay(a: Matrix, b: Matrix) -> ProofReplay:
             "so the short-circuit branch applies and there is nothing to construct"
         )
 
-    scale, rows = bm._integer_form()
+    scale, rows = bm._form
     nonzero = _first_nonzero(rows, scale)
     zi, zj = nonzero.row, nonzero.col
     z = column_vector(1 if r == zj else 0 for r in range(d))

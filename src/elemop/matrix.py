@@ -8,11 +8,12 @@ Every operation runs on a matrix's Gaussian-integer form (D, D*A), D the
 least common denominator of all real and imaginary parts, held as tuples of
 int rows (imaginary rows None when A is real).  The form is canonical, so
 `==` and `hash` are taken of it, and each result is built from its form by
-`_from_integer_form`, which divides out one gcd.  Entries exist only at the
-boundary: a matrix built from entries fills its form on first use, one built
-from a form its entries when first read (`str`, indexing, `row_list`, JSON).
-Each fill stores one value computed from immutable inputs in one slot, so
-racing threads store equal values and a reader never sees a half-built one.
+`_from_integer_form`, which divides out one gcd.  Every matrix has its form
+from construction: `Matrix(rows)` computes it from the entries.  Entries
+exist only at the boundary, and a matrix built from a form builds them when
+first read (`str`, indexing, `row_list`, JSON).  That fill stores one value
+computed from the immutable form in one slot, so racing threads store equal
+values and a reader never sees a half-built one.
 """
 
 from __future__ import annotations
@@ -39,7 +40,10 @@ class Matrix:
             raise ShapeError("ragged rows: all rows must have equal length")
         self._rows = coerced
         self.rows, self.cols = len(coerced), width
-        self._form = None
+        scale = lcm(*(p.denominator for row in coerced for e in row for p in (e.re, e.im)))
+        re, im = (tuple(tuple(p.numerator * (scale // p.denominator) for p in map(part, row))
+                        for row in coerced) for part in (attrgetter("re"), attrgetter("im")))
+        self._form = (scale, (re, im if any(map(any, im)) else None))
 
     # ---- construction ----------------------------------------------------
     @classmethod
@@ -73,16 +77,6 @@ class Matrix:
         self._rows = tuple(tuple(map(value.__getitem__, row)) for row in cells)
         return self._rows
 
-    def _integer_form(self):
-        """(D, (re, im)): D times this matrix as int rows, computed once."""
-        if self._form is None:
-            rows = self._rows
-            scale = lcm(*(p.denominator for row in rows for e in row for p in (e.re, e.im)))
-            re, im = (tuple(tuple(p.numerator * (scale // p.denominator) for p in map(part, row))
-                            for row in rows) for part in (attrgetter("re"), attrgetter("im")))
-            self._form = (scale, (re, im if any(map(any, im)) else None))
-        return self._form
-
     # ---- shape -----------------------------------------------------------
     @property
     def shape(self) -> tuple[int, int]:
@@ -94,7 +88,7 @@ class Matrix:
 
     @property
     def is_zero(self) -> bool:
-        return _is_zero(self._integer_form()[1])
+        return _is_zero(self._form[1])
 
     def _shape_str(self) -> str:
         return f"{self.rows}x{self.cols}"
@@ -122,7 +116,7 @@ class Matrix:
             return NotImplemented
         if self.shape != other.shape:
             raise ShapeError(message.format(self._shape_str(), other._shape_str()))
-        (sa, (ar, ai)), (sb, (br, bi)) = self._integer_form(), other._integer_form()
+        (sa, (ar, ai)), (sb, (br, bi)) = self._form, other._form
         scale = lcm(sa, sb)
         fa, fb = scale // sa, scale // sb
         return Matrix._from_integer_form(scale, _mix(fa, ar, op, fb, br),
@@ -142,14 +136,14 @@ class Matrix:
         # (cr + i*ci)/cs times (re + i*im)/scale
         cs = lcm(c.re.denominator, c.im.denominator)
         cr, ci = (p.numerator * (cs // p.denominator) for p in (c.re, c.im))
-        scale, (re, im) = self._integer_form()
+        scale, (re, im) = self._form
         return Matrix._from_integer_form(cs * scale, _mix(cr, re, sub, ci, im),
                                          _mix(cr, im, add, ci, re) if im or ci else None)
 
     def _matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self._shape_str()} by {other._shape_str()}")
-        (sa, a), (sb, b) = self._integer_form(), other._integer_form()
+        (sa, a), (sb, b) = self._form, other._form
         return Matrix._from_integer_form(sa * sb, *_gaussian_matmul(a, b))
 
     def __pow__(self, k: int) -> "Matrix":
@@ -166,7 +160,7 @@ class Matrix:
     def trace(self) -> GaussianRational:
         if not self.is_square:
             raise ShapeError(f"trace of non-square {self._shape_str()}")
-        scale, parts = self._integer_form()
+        scale, parts = self._form
         return _gaussian(*_trace(parts), scale)
 
     @property
@@ -180,10 +174,10 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self._integer_form() == other._integer_form()
+        return self._form == other._form
 
     def __hash__(self):
-        return hash(self._integer_form())
+        return hash(self._form)
 
     def __str__(self):
         return "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in self._rows) + "]"
@@ -207,7 +201,7 @@ def _gaussian(re: int, im: int, denominator: int) -> GaussianRational:
 
 def _moved(m: Matrix, move) -> Matrix:
     """The matrix whose form is m's with move applied to each of its parts."""
-    scale, parts = m._integer_form()
+    scale, parts = m._form
     return Matrix._from_integer_form(scale, *(p and move(p) for p in parts))
 
 
@@ -265,7 +259,7 @@ def _add_kron(acc, x, y) -> None:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; block (i, j) equals a[i, j] * b."""
-    (sa, x), (sb, y) = a._integer_form(), b._integer_form()
+    (sa, x), (sb, y) = a._form, b._form
     acc = tuple([[0] * (a.cols * b.cols) for _ in range(a.rows * b.rows)] for _ in range(2))
     _add_kron(acc, x, y)
     return Matrix._from_integer_form(sa * sb, *acc)

@@ -83,7 +83,7 @@ def char_poly(a: Matrix) -> tuple[GaussianRational, ...]:
     """
     if not a.is_square:
         raise ShapeError(f"characteristic polynomial of non-square {a.rows}x{a.cols}")
-    scale, b = a._integer_form()
+    scale, b = a._form
     d = a.rows
     s = isqrt(d)
     baby = [None, b]  # baby[r] = B^r, r = 1..s
@@ -112,7 +112,7 @@ def is_nilpotent(a: Matrix) -> NilpotencyReport:
     """
     if not a.is_square:
         raise ShapeError(f"nilpotency of non-square {a.rows}x{a.cols}")
-    scale, b = a._integer_form()
+    scale, b = a._form
     d = a.rows
     index = None
     witness = None

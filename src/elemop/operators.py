@@ -1,9 +1,10 @@
 """Elementary operators X -> sum_i A_i X B_i as first-class values.
 
 An operator is a nonempty ordered list of coefficient pairs over one
-dimension.  The term list is a representation, not an identity: two
-different lists can induce the same linear map, so `op_equal` compares the
-superoperator matrices instead.
+dimension.  Its constructor is the one check of the coefficients' shapes:
+the `make_*` constructors and the criteria leave it to that.  The term list
+is a representation, not an identity: two different lists can induce the
+same linear map, so `op_equal` compares the superoperator matrices instead.
 
 The superoperator of X -> sum_i A_i X B_i under column-stacking vec is
 sum_i kron(B_i.T, A_i); it satisfies superop * vec(X) == vec(op(X)) for
@@ -64,7 +65,7 @@ class ElementaryOperator:
         return result
 
     def superoperator(self) -> Matrix:
-        forms = [(a._integer_form(), b._integer_form()) for a, b in self.terms]
+        forms = [(a._form, b._form) for a, b in self.terms]
         scale = lcm(*(sa * sb for (sa, _), (sb, _) in forms))
         size = self.dim * self.dim
         acc = tuple([[0] * size for _ in range(size)] for _ in range(2))
@@ -130,7 +131,6 @@ class ElementaryOperator:
 
 def make_multiplication(a: Matrix, b: Matrix) -> ElementaryOperator:
     """The length-one operator X -> A X B."""
-    _need_square_pair(a, b)
     return ElementaryOperator(a.rows, ((a, b),))
 
 
@@ -141,14 +141,12 @@ def make_inner_derivation(a: Matrix) -> ElementaryOperator:
 
 def make_generalized_derivation(a: Matrix, b: Matrix) -> ElementaryOperator:
     """The map X -> A X - X B."""
-    _need_square_pair(a, b)
     ident, neg_ident = _identities(a.rows)
     return ElementaryOperator(a.rows, ((a, ident), (neg_ident, b)))
 
 
 def make_v_operator(a: Matrix, b: Matrix) -> ElementaryOperator:
     """The antisymmetric map X -> A X B - B X A."""
-    _need_square_pair(a, b)
     return ElementaryOperator(a.rows, ((a, b), (-b, a)))
 
 
@@ -168,13 +166,6 @@ def _identities(n: int) -> tuple[Matrix, Matrix]:
     every derivation of that size shares them."""
     ident = Matrix.identity(n)
     return ident, -ident
-
-
-def _need_square_pair(a: Matrix, b: Matrix) -> None:
-    if not (a.is_square and b.is_square and a.rows == b.rows):
-        raise ShapeError(
-            f"need two square matrices of one size, got {a.rows}x{a.cols} and {b.rows}x{b.cols}"
-        )
 
 
 # ---- predicates --------------------------------------------------------------

@@ -199,6 +199,29 @@ def test_dim_at_the_cap_runs(capsys, monkeypatch):
     assert status == 0 and json.loads(out)["config"]["dim"] == 8
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--theorem", "2.2", "--entry-bound", "11"],
+    ["search", "--target", "2.3", "--entry-bound", "11"],
+], ids=["sweep", "search"])
+def test_entry_bound_above_the_cap_exits_2_before_any_trial(capsys, monkeypatch, argv):
+    def must_not_run(*args):
+        raise AssertionError("a capped --entry-bound reached the sweep")
+
+    _patch_sweep_entries(monkeypatch, must_not_run)
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2 and out == ""
+    assert err == "error: --entry-bound 11 is above the cap of 10\n"
+
+
+def test_entry_bound_at_the_cap_runs(capsys, monkeypatch):
+    _patch_sweep_entries(
+        monkeypatch,
+        lambda theorem, config, trials: SweepReport(theorem, "random", config.to_obj()),
+    )
+    status, out, _ = run_cli(capsys, "sweep", "--theorem", "2.2", "--entry-bound", "10")
+    assert status == 0 and json.loads(out)["config"]["entry_bound"] == 10
+
+
 def test_search_finds_family_witnesses(capsys):
     status, out, _ = run_cli(
         capsys, "search", "--target", "2.3", "--dim", "3", "--trials", "4", "--seed", "3"

@@ -211,7 +211,7 @@ def _assert_matches(result: Matrix, reference: Matrix) -> Matrix:
     assert result == reference
     assert result.row_list() == reference.row_list()
     # the stored form is exactly a fresh conversion's, minimal scale included
-    assert result._form == Matrix(result.row_list())._integer_form()
+    assert result._form == Matrix(result.row_list())._form
     return result
 
 
@@ -328,6 +328,12 @@ def test_constant_matrices_match_reference(rows, cols):
     _assert_matches(basis_matrix(rows, rows - 1, 0), Matrix(one))
 
 
+def test_a_matrix_built_from_entries_has_its_form_on_construction():
+    rows = [["1/2", "1/3*i"], [2, "-1/6+i"]]
+    assert Matrix(rows)._form == Matrix._from_integer_form(
+        6, [[3, 0], [12, -1]], [[0, 2], [0, 6]])._form
+
+
 def test_form_operations_reduce_scale_and_drop_cancelled_imaginary_parts():
     half = Matrix([["1/2", "3/2"]])
     for result, form in [
@@ -349,7 +355,7 @@ def test_form_operations_reduce_scale_and_drop_cancelled_imaginary_parts():
         (-Matrix.zero(1, 2), (1, (((0, 0),), None))),
     ]:
         assert result._form == form
-        assert Matrix(result.row_list())._integer_form() == form
+        assert Matrix(result.row_list())._form == form
     assert (half - half).is_zero and not half.is_zero
 
 
@@ -369,7 +375,7 @@ FORM_ONLY = [
 def test_gaussian_product_forms_at_most_three_int_products(monkeypatch, kinds, products):
     rng = random.Random(16)
     a, b = (wide_matrix(rng, 3, 3, gaussian) for gaussian in kinds)
-    (sa, x), (sb, y) = a._integer_form(), b._integer_form()
+    (sa, x), (sb, y) = a._form, b._form
     calls = []
     kernel = matrix._int_matmul
     monkeypatch.setattr(matrix, "_int_matmul", lambda p, q: calls.append(1) or kernel(p, q))
@@ -379,10 +385,8 @@ def test_gaussian_product_forms_at_most_three_int_products(monkeypatch, kinds, p
 
 
 def _entry_twin(m: Matrix) -> Matrix:
-    """The same matrix built from entries, with no form yet."""
-    twin = Matrix(m.row_list())
-    assert twin._form is None
-    return twin
+    """The same matrix built from entries."""
+    return Matrix(m.row_list())
 
 
 @pytest.mark.parametrize("m", FORM_ONLY)
@@ -433,7 +437,6 @@ def test_hash_is_taken_of_the_form_and_builds_no_entries():
         a, b = wide_matrix(rng, 3, 3, gaussian), wide_matrix(rng, 3, 3, True)
         p = a * b
         twin = ref_matmul(a, b)
-        assert twin._form is None
         assert hash(p) == hash(twin) and twin._form == p._form
         with pytest.raises(AttributeError):  # hashing the product read no entry
             object.__getattribute__(p, "_rows")

@@ -333,7 +333,7 @@ def test_every_index_and_witness_matches_reference(d, gaussian):
     denominators = max(len({e.re.denominator for _, _, e in a.entries()}) for a, _ in cases)
     assert d == 1 or denominators > 2
     if gaussian:
-        assert all(a._integer_form()[1][1] is not None for a, k in cases if k != 1)
+        assert all(a._form[1][1] is not None for a, k in cases if k != 1)
 
 
 def _char_poly_products(d: int) -> int:
@@ -401,10 +401,10 @@ def _is_int_rows(rows) -> bool:
 def test_integer_form_rows_are_tuples():
     sup = make_v_operator(GAUSSIAN_2X2, J2).superoperator()  # filled by the build
     for m in (J3, GAUSSIAN_2X2, sup):
-        scale, (re, im) = m._integer_form()
+        scale, (re, im) = m._form
         assert _is_int_rows(re) and (im is None or _is_int_rows(im))
-    assert J3._integer_form()[1][1] is None
-    assert GAUSSIAN_2X2._integer_form() == (
+    assert J3._form[1][1] is None
+    assert GAUSSIAN_2X2._form == (
         6, (((3, 0), (12, -6)), ((0, 2), (0, 6)))
     )
 
@@ -418,24 +418,23 @@ def test_integer_form_rows_are_tuples():
 ])
 def test_deciding_twice_shares_and_keeps_one_form(m):
     m = _fresh(m)
-    assert m._form is None
     first = is_nilpotent(m)
     form = m._form
-    # is_nilpotent filled the form; char_poly and a second decision reuse it
-    assert form == _fresh(m)._integer_form()
+    # the form is a fresh conversion's; char_poly and a second decision reuse it
+    assert form == _fresh(m)._form
     assert char_poly(m) == ref_char_poly(m)
     assert is_nilpotent(m) == first == ref_is_nilpotent(m)
-    assert m._form is form and form == _fresh(m)._integer_form()
+    assert m._form is form and form == _fresh(m)._form
 
 
 def test_derived_matrices_arrive_with_their_form():
     m = GAUSSIAN_2X2
-    scale, (re, im) = m._integer_form()
+    scale, (re, im) = m._form
     neg, tr, double = -m, m.T, m + m
     # each arrives with its form, built by the operation itself
     assert neg._form is not None and tr._form is not None and double._form is not None
     negate = lambda rows: tuple(tuple(-x for x in row) for row in rows)
-    assert neg._integer_form() == (scale, (negate(re), negate(im)))
-    assert tr._integer_form() == (scale, (tuple(zip(*re)), tuple(zip(*im))))
+    assert neg._form == (scale, (negate(re), negate(im)))
+    assert tr._form == (scale, (tuple(zip(*re)), tuple(zip(*im))))
     # 2m = [[1, 2/3 i], [4, -2+2i]]: the scale drops from 6 to 3
-    assert double._integer_form() == (3, (((3, 0), (12, -6)), ((0, 2), (0, 6))))
+    assert double._form == (3, (((3, 0), (12, -6)), ((0, 2), (0, 6))))

@@ -253,7 +253,7 @@ def _assert_matches_reference(op: ElementaryOperator):
     assert sup == ref_superoperator(op)
     # the stored form is exactly what a fresh conversion of the entries gives,
     # minimal scale included
-    assert sup._form == Matrix(sup.row_list())._integer_form()
+    assert sup._form == Matrix(sup.row_list())._form
     return sup
 
 
@@ -279,7 +279,7 @@ def test_assembly_matches_reference_on_wide_gaussian_dim3():
             (wide_matrix(rng, 3), wide_matrix(rng, 3)) for _ in range(1 + trial % 3)
         )
         # mixed denominators: the coefficients' own scales differ
-        scales.update(m._integer_form()[0] for pair in terms for m in pair)
+        scales.update(m._form[0] for pair in terms for m in pair)
         _assert_matches_reference(ElementaryOperator(3, terms))
     assert len(scales) > 10
 
