@@ -32,6 +32,9 @@ DIM_CAP = 8
 # the largest --entry-bound, for the same reason: a trial at --dim 8 takes about a
 # second at bound 10, and its time grows with the digits of the entries (15 s at 100)
 ENTRY_BOUND_CAP = 10
+# the largest --trials: a trial at the capped --dim and --entry-bound takes about
+# 1.2 s, so a capped sweep or search ends within about 20 minutes
+TRIALS_CAP = 1000
 
 
 @functools.cache
@@ -199,6 +202,8 @@ def _config(args) -> lab.GeneratorConfig:
         raise ParseError(f"--dim {args.dim} is above the cap of {DIM_CAP}")
     if args.entry_bound > ENTRY_BOUND_CAP:
         raise ParseError(f"--entry-bound {args.entry_bound} is above the cap of {ENTRY_BOUND_CAP}")
+    if args.trials > TRIALS_CAP:
+        raise ParseError(f"--trials {args.trials} is above the cap of {TRIALS_CAP}")
     return lab.GeneratorConfig(
         dim=args.dim, entry_bound=args.entry_bound, seed=args.seed, gaussian=args.gaussian
     )

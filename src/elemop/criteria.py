@@ -347,7 +347,7 @@ def thm21_proof_replay(a: Matrix, b: Matrix) -> ProofReplay:
         )
 
     scale, rows = bm._form
-    nonzero = _first_nonzero(rows, scale)
+    nonzero = _first_nonzero(rows, scale, (a, b))
     zi, zj = nonzero.row, nonzero.col
     z = column_vector(1 if r == zj else 0 for r in range(d))
     f = row_vector(1 if c == zi else 0 for c in range(d))

@@ -188,9 +188,10 @@ class Matrix:
 
 # ---- Z[i] helpers and kernels -------------------------------------------------------
 # A Z[i] matrix is a pair (re, im) of int-row sequences, im None when real.
-# Products come back as fresh lists, which callers may update in place; they
-# cost one int-matrix product per real pair of factors, two with one Gaussian
-# factor, three (Gauss's trick) with two.  `kron` shares `_add_kron` with `operators`.
+# Products and matrix-vector steps come back as fresh lists, which callers may
+# update in place; they cost one int-matrix product (or int step) per real pair
+# of factors, two with one Gaussian factor, three (Gauss's trick) with two.
+# `kron` shares `_add_kron` with `operators`.
 
 def _gaussian(re: int, im: int, denominator: int) -> GaussianRational:
     """(re + i*im) / denominator, as the shared ZERO or with no imaginary Fraction when real."""
@@ -242,6 +243,26 @@ def _gaussian_matmul(x, y):
         [list(map(sub, p, q)) for p, q in zip(rr, ii)],
         [[s - r - i for s, r, i in zip(*rows)] for rows in zip(ss, rr, ii)],
     )
+
+
+def _gaussian_matvec(b, bs, v):
+    """(br + i*bi)(vr + i*vi) for a Z[i] matrix b, bs = br + bi (None when b is
+    real) and a Z[i] vector v = (vr, vi) of int lists; im stays None for real
+    b and v.  One int step for real b and v, two with one of them Gaussian,
+    three (Gauss's trick, over the caller's bs) with both."""
+    (br, bi), (vr, vi) = b, v
+
+    def step(x, y):
+        return [sum(map(mul, row, y)) for row in x]
+
+    rr = step(br, vr)
+    if bi is None and vi is None:
+        return rr, None
+    if bi is None or vi is None:  # one factor is real: no i*i term
+        return rr, step(br, vi) if bi is None else step(bi, vr)
+    ii = step(bi, vi)
+    ss = step(bs, list(map(add, vr, vi)))
+    return list(map(sub, rr, ii)), [s - r - i for s, r, i in zip(ss, rr, ii)]
 
 
 def _add_kron(acc, x, y) -> None:

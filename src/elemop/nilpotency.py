@@ -2,35 +2,39 @@
 
 A square matrix over a field of characteristic zero is nilpotent exactly
 when its d-th power vanishes (Cayley-Hamilton), equivalently when its
-characteristic polynomial is x^d.  `is_nilpotent` decides by powering and
-then re-decides from the characteristic polynomial; the two routes must
-agree, and a disagreement raises IntegrityError.
+characteristic polynomial is x^d.  `is_nilpotent` decides from the powers
+B^k e_j of the unit columns and then re-decides from the characteristic
+polynomial; the two routes must agree, and a disagreement raises
+IntegrityError.
 
 Both routes run on Gaussian integers, not on Q(i).  Let D be the lcm of
 the denominators of every real and imaginary part of A; then B = D*A has
 entries in Z[i], held as rows of Python ints (real parts, plus imaginary
 parts only when some entry of A is non-real).  (D, B) is the form cached
 on the Matrix, so `is_nilpotent` and its `char_poly` share one conversion.
-Products, traces and zero tests use the Z[i] helpers of `elemop.matrix`,
-the ones behind Matrix `*`, `trace` and `is_zero`.
+Products, matrix-vector steps and traces use the Z[i] helpers of
+`elemop.matrix`, the ones behind Matrix `*` and `trace`.
 Nilpotency and its index are unchanged by the nonzero factor D, and
 B^k = D^k A^k and c_k(B) = D^k c_k(A) for the coefficient c_k of x^(d-k).
 Only what leaves the module is scaled back: the witness entry of B^(k-1)
 is divided by D^(k-1), and char_poly returns c_k(B) / D^k (the shared
 ZERO when it vanishes).
 
-The cost of a decision is the number of d x d products it forms, so each
-route forms as few as it can.  The power route squares, S_j = B^(2^j) for
-2^j <= d, stopping at the first zero square, then binary-lifts over the
-stored squares to the largest m <= d with B^m != 0, never multiplying
-past B^d: a non-nilpotent B takes floor(log2 d) + popcount(d) - 1
-products instead of d - 1 (4 instead of 8 at 9x9), and a nilpotent one
-gets its index m + 1 and its witness B^m on the way.  The
-characteristic-polynomial route reads the power sums tr(B^k), k = 1..d,
-from s = isqrt(d) baby steps and (d-1)//s giant steps, each power sum past
-B^s as the trace of a product it never forms: s - 1 + max(0, (d-1)//s - 1)
-products (3 at 9x9, 1 at 4x4, 0 at 2x2) instead of Faddeev-LeVerrier's
-d - 2.  It forms its own powers, so the two routes stay independent checks.
+The power route forms no d x d product.  It iterates each column, applying
+B to e_j, j = 0..d-1, until the iterate vanishes after ind_j steps or d
+steps have passed; one matrix-vector step costs a d-th of a product.  A
+column still nonzero after d steps proves B^d != 0 and ends the route, so a
+non-nilpotent B whose first column survives costs d steps, one product's
+worth, and a B whose leading columns die costs their steps on top.  Otherwise
+B is nilpotent of index max_j ind_j, found in sum_j ind_j steps (d*index for
+a dense B, d^2 at worst), and B^(index-1) is assembled from the last nonzero
+iterates of the columns that reached the index, every other column of it
+being zero; its first nonzero entry in row-major order is the witness.  The
+characteristic-polynomial route reads the power sums tr(B^k), k = 1..d, from
+s = isqrt(d) baby steps and (d-1)//s giant steps, each power sum past B^s as
+the trace of a product it never forms: s - 1 + max(0, (d-1)//s - 1) products
+(3 at 9x9, 1 at 4x4, 0 at 2x2) instead of Faddeev-LeVerrier's d - 2.  The
+routes share no powers, so they stay independent checks.
 """
 
 from __future__ import annotations
@@ -38,10 +42,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from math import isqrt
-from operator import mul
+from operator import add, mul
 
 from .errors import IntegrityError, ShapeError
-from .matrix import Matrix, _gaussian, _gaussian_matmul, _is_zero, _trace
+from .matrix import Matrix, _gaussian, _gaussian_matmul, _gaussian_matvec, _trace
 from .scalars import GaussianRational
 
 
@@ -114,27 +118,30 @@ def is_nilpotent(a: Matrix) -> NilpotencyReport:
         raise ShapeError(f"nilpotency of non-square {a.rows}x{a.cols}")
     scale, b = a._form
     d = a.rows
-    index = None
-    witness = None
-    if _is_zero(b):
-        index = 1
-    else:
-        squares = [b]  # S_j = B^(2^j), all nonzero
-        while (1 << len(squares)) <= d:
-            square = _gaussian_matmul(squares[-1], squares[-1])
-            if _is_zero(square):
+    br, bi = b
+    bs = None if bi is None else [list(map(add, *rows)) for rows in zip(br, bi)]
+    index, reached = 1, {}  # reached[j] = B^(index-1) e_j for the columns of that index
+    for j in range(d):
+        v = ([int(r == j) for r in range(d)], None)
+        for k in range(1, d + 1):
+            w = _gaussian_matvec(b, bs, v)
+            if not (any(w[0]) or w[1] is not None and any(w[1])):
                 break
-            squares.append(square)
-        # binary lifting: the largest m <= d with B^m != 0, and B^m itself
-        m, power = 1 << (len(squares) - 1), squares[-1]
-        for j in range(len(squares) - 2, -1, -1):
-            if m + (1 << j) <= d:
-                lifted = _gaussian_matmul(power, squares[j])
-                if not _is_zero(lifted):
-                    m, power = m + (1 << j), lifted
-        if m < d:
-            index = m + 1
-            witness = _first_nonzero(power, scale**m)
+            v = w
+        else:  # B^d e_j != 0
+            index = None
+            break
+        if k > index:
+            index, reached = k, {}
+        if k == index:
+            reached[j] = v
+    witness = None
+    if index is not None and index > 1:
+        # B^(index-1), column by column: every column but the reached ones is zero
+        columns = [reached.get(j, ([0] * d, [0] * d)) for j in range(d)]
+        power = (list(zip(*(c[0] for c in columns))),
+                 None if bi is None else list(zip(*(c[1] for c in columns))))
+        witness = _first_nonzero(power, scale ** (index - 1), a)
 
     by_poly = all(not c for c in char_poly(a)[1:])
     if by_poly != (index is not None):
@@ -168,11 +175,13 @@ def _exact_div(n: int, k: int, a: Matrix) -> int:
     return q
 
 
-def _first_nonzero(x, denominator: int) -> EntryWitness:
+def _first_nonzero(x, denominator: int, instance) -> EntryWitness:
+    """The first nonzero entry of x / denominator in row-major order; instance
+    is what a zero x is reported against."""
     re, im = x
     for i, row in enumerate(re):
         for j, e in enumerate(row):
             f = 0 if im is None else im[i][j]
             if e or f:
                 return EntryWitness(i, j, _gaussian(e, f, denominator))
-    raise IntegrityError("witness requested for a zero matrix")
+    raise IntegrityError("witness requested for a zero matrix", instance=instance)

@@ -222,6 +222,31 @@ def test_entry_bound_at_the_cap_runs(capsys, monkeypatch):
     assert status == 0 and json.loads(out)["config"]["entry_bound"] == 10
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--theorem", "2.2", "--trials", "1001"],
+    ["search", "--target", "2.3", "--trials", "1001"],
+], ids=["sweep", "search"])
+def test_trials_above_the_cap_exits_2_before_any_trial(capsys, monkeypatch, argv):
+    def must_not_run(*args):
+        raise AssertionError("a capped --trials reached the sweep")
+
+    _patch_sweep_entries(monkeypatch, must_not_run)
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2 and out == ""
+    assert err == "error: --trials 1001 is above the cap of 1000\n"
+
+
+def test_trials_at_the_cap_runs(capsys, monkeypatch):
+    seen = []
+    _patch_sweep_entries(
+        monkeypatch,
+        lambda theorem, config, trials: seen.append(trials)
+        or SweepReport(theorem, "random", config.to_obj()),
+    )
+    status, _, _ = run_cli(capsys, "sweep", "--theorem", "2.2", "--trials", "1000")
+    assert status == 0 and seen == [1000]
+
+
 def test_search_finds_family_witnesses(capsys):
     status, out, _ = run_cli(
         capsys, "search", "--target", "2.3", "--dim", "3", "--trials", "4", "--seed", "3"

@@ -453,7 +453,7 @@ def test_replay_failures_carry_the_pair(monkeypatch):
 
     with monkeypatch.context() as m:
         # a zero of B^m
-        m.setattr(criteria, "_first_nonzero", lambda x, scale: EntryWitness(0, 1, ZERO))
+        m.setattr(criteria, "_first_nonzero", lambda x, scale, instance: EntryWitness(0, 1, ZERO))
         with pytest.raises(IntegrityError, match="functional vanishes") as info:
             thm21_proof_replay(I2, I2)
     assert info.value.instance == (I2, I2)

@@ -9,11 +9,13 @@ from elemop import (
     GaussianRational,
     IntegrityError,
     Matrix,
+    NilpotencyReport,
     ONE,
     ShapeError,
     ZERO,
     as_scalar,
     char_poly,
+    criteria,
     is_nilpotent,
     lab,
     matrix,
@@ -24,7 +26,14 @@ from elemop.operators import (
     make_multiplication,
     make_v_operator,
 )
-from helpers import rand_matrix, ref_char_poly, ref_is_nilpotent
+from helpers import (
+    rand_matrix,
+    rand_scalar,
+    ref_char_poly,
+    ref_identity,
+    ref_is_nilpotent,
+    ref_matmul,
+)
 
 J2 = Matrix([[0, 1], [0, 0]])
 J3 = Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -342,7 +351,7 @@ def _char_poly_products(d: int) -> int:
     return s - 1 + max(0, (d - 1) // s - 1)
 
 
-@pytest.mark.parametrize("d, products", [(16, 4 + 5), (9, 4 + 3), (4, 2 + 1), (2, 1 + 0)])
+@pytest.mark.parametrize("d, products", [(16, 5), (9, 3), (4, 1), (2, 0)])
 def test_non_nilpotent_decision_forms_few_products(monkeypatch, d, products):
     rng = random.Random(d)
     a = _conjugated(_jordan_type(d, [d], rng, False, eigenvalue=ONE), rng, False)
@@ -352,13 +361,165 @@ def test_non_nilpotent_decision_forms_few_products(monkeypatch, d, products):
     kernel = matrix._int_matmul
     monkeypatch.setattr(matrix, "_int_matmul", lambda x, y: calls.append(1) or kernel(x, y))
     assert char_poly(a) == expected
-    assert len(calls) == _char_poly_products(d)  # 5, 3, 1, 0
+    assert len(calls) == _char_poly_products(d) == products  # 5, 3, 1, 0
     calls.clear()
     assert not is_nilpotent(a).nilpotent
-    assert len(calls) == products  # powering plus the power sums
+    assert len(calls) == products  # the power sums: the power route forms no product
+
+
+# ---- column iterates: matrix-vector steps -------------------------------------------
+
+def _count_steps(monkeypatch, a: Matrix) -> tuple[NilpotencyReport, int]:
+    calls = []
+    kernel = nilpotency._gaussian_matvec
+    with monkeypatch.context() as m:
+        m.setattr(nilpotency, "_gaussian_matvec",
+                  lambda b, bs, v: calls.append(1) or kernel(b, bs, v))
+        report = is_nilpotent(a)
+    return report, len(calls)
+
+
+def _shift(d: int) -> list[list]:
+    return [[int(c == r + 1) for c in range(d)] for r in range(d)]
+
+
+def _block_diag(x: Matrix, y: Matrix) -> Matrix:
+    k = x.rows
+    return Matrix([list(row) + [ZERO] * y.rows for row in x.row_list()]
+                  + [[ZERO] * k + list(row) for row in y.row_list()])
+
+
+def _densely_conjugated(n: Matrix, rng: random.Random, gaussian: bool) -> Matrix:
+    """P n P^-1 for P = I + u v^T, u and v with no zero entry, whose inverse is
+    I - u v^T / (1 + v^T u) (Sherman-Morrison)."""
+    d = n.rows
+    while True:
+        u, v = ([rand_scalar(rng, 3, gaussian) or ONE for _ in range(d)] for _ in range(2))
+        denominator = ONE + sum((x * y for x, y in zip(u, v)), ZERO)
+        if denominator:
+            break
+    uv = Matrix([[x * y for y in v] for x in u])
+    ident = Matrix.identity(d)
+    return (ident + uv) * n * (ident - (1 / denominator) * uv)
+
+
+def _ref_power(a: Matrix, k: int) -> Matrix:
+    power = ref_identity(a.rows)
+    for _ in range(k):
+        power = ref_matmul(power, a)
+    return power
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize("d", range(1, 10))
+def test_matrix_vector_steps_per_decision(monkeypatch, d, gaussian):
+    rng = random.Random(700 * d + gaussian)
+    # invertible: column 0 survives d steps, and that ends the route
+    invertible = _conjugated(_jordan_type(d, [d], rng, gaussian, eigenvalue=ONE), rng, gaussian)
+    report, steps = _count_steps(monkeypatch, invertible)
+    assert not report.nilpotent and steps == d
+    # the shift J_d: column j dies after j + 1 steps
+    report, steps = _count_steps(monkeypatch, Matrix(_shift(d)))
+    assert report.index == d and steps == d * (d + 1) // 2
+    # diag(J_k, invertible block): the k nilpotent columns die, then one column survives
+    for k in range(1, d):
+        block = _conjugated(_jordan_type(d - k, [d - k], rng, gaussian, eigenvalue=ONE),
+                            rng, gaussian)
+        report, steps = _count_steps(monkeypatch, _block_diag(Matrix(_shift(k)), block))
+        assert not report.nilpotent and steps == k * (k + 1) // 2 + d
+    # a dense nilpotent of index m whose every column reaches m (a conjugation
+    # that happens to shorten a column is drawn again)
+    for m in range(1, d + 1):
+        n = _jordan_type(d, _blocks(d, m, rng), rng, gaussian)
+        for _ in range(20):
+            a = _densely_conjugated(n, rng, gaussian)
+            power = _ref_power(a, m - 1)
+            if all(any(power[i, j] for i in range(d)) for j in range(d)):
+                break
+        else:
+            raise AssertionError(f"no conjugate of index {m} with every column reaching it")
+        report, steps = _count_steps(monkeypatch, a)
+        assert report.index == m and steps == d * m
+
+
+def _leading_columns_die(d: int, k: int, rng: random.Random, gaussian: bool) -> Matrix:
+    """[[N, C], [0, T]]: N strictly upper triangular k x k, T upper triangular
+    with a nonzero diagonal, C random, so columns 0..k-1 die and B is not nilpotent."""
+    rows = [[ZERO] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            if j > i or i >= k:
+                e = rand_scalar(rng, 3, gaussian)
+                rows[i][j] = e if (e or j > i) else ONE
+    return Matrix(rows)
+
+
+def _permuted_nilpotent(d: int, rng: random.Random, gaussian: bool) -> Matrix:
+    """P N P^T for a random strictly upper triangular N, sparse, and a random
+    permutation P: the witness can sit in any column."""
+    perm = rng.sample(range(d), d)
+    rows = [[ZERO] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            if rng.random() < 0.6:
+                rows[perm[i]][perm[j]] = rand_scalar(rng, 3, gaussian)
+    return Matrix(rows)
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize("d", range(1, 10))
+def test_column_iterates_match_reference(d, gaussian):
+    rng = random.Random(800 * d + gaussian)
+    dying = [_leading_columns_die(d, k, rng, gaussian) for k in range(1, d)]
+    nilpotent = [Matrix.zero(d), Matrix(_shift(d))]
+    nilpotent += [_permuted_nilpotent(d, rng, gaussian) for _ in range(6)]
+    others = [rand_matrix(rng, d, gaussian=gaussian)]
+    if d == 1:
+        others += [Matrix([[rand_scalar(rng, 3, gaussian) or ONE]]), Matrix([["i"]])]
+    for a in dying + nilpotent + others:
+        assert is_nilpotent(a) == ref_is_nilpotent(a)  # decision, index and witness
+    assert not any(is_nilpotent(a).nilpotent for a in dying)
+    reports = [is_nilpotent(a) for a in nilpotent]
+    assert reports[0] == NilpotencyReport(True, 1) and all(r.nilpotent for r in reports)
+    if d > 1:  # some witness sits outside column 0
+        assert any(r.witness.col != 0 for r in reports[1:] if r.witness is not None)
 
 
 # ---- replayable integrity failures ---------------------------------------------
+
+def test_zero_witness_carries_the_decided_matrix(monkeypatch):
+    # wipe each column's last nonzero iterate once the column dies, so the
+    # assembled B^(index-1) is zero and no witness can be read from it
+    kernel = nilpotency._gaussian_matvec
+    returned = []
+
+    def wiping(b, bs, v):
+        w = kernel(b, bs, v)
+        if not any(w[0]) and returned:
+            returned[-1][0][:] = [0] * len(w[0])
+        returned.append(w)
+        return w
+
+    monkeypatch.setattr(nilpotency, "_gaussian_matvec", wiping)
+    with pytest.raises(IntegrityError, match="witness requested for a zero matrix") as info:
+        is_nilpotent(J3)
+    assert info.value.instance == J3
+
+
+def test_first_nonzero_reports_its_instance(monkeypatch):
+    pair = (Matrix.zero(2), J2)
+    with pytest.raises(IntegrityError, match="witness requested for a zero matrix") as info:
+        nilpotency._first_nonzero(pair[0]._form[1], 1, pair)
+    assert info.value.instance == pair
+    # the proof replay hands its pair over
+    seen = []
+    kernel = criteria._first_nonzero
+    monkeypatch.setattr(criteria, "_first_nonzero",
+                        lambda x, scale, pair: seen.append(pair) or kernel(x, scale, pair))
+    b = 3 * Matrix.identity(3)
+    criteria.thm21_proof_replay(J3, b)
+    assert seen == [(J3, b)]
+
 
 def test_route_disagreement_carries_the_matrix(monkeypatch):
     message = "power iteration and characteristic polynomial disagree on nilpotency"
