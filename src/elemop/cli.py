@@ -26,9 +26,14 @@ SWEEP_CHOICES = [c.cli for c in lab.CRITERIA if c.supports("sweep") or c.exhaust
 SEARCH_CHOICES = [c.cli for c in lab.CRITERIA if c.supports("search")]
 # defaults of the sweep flags that a randomized sweep uses and an exhaustive one rejects
 SWEEP_SAMPLING = {"trials": 200, "seed": 0, "entry_bound": 3, "gaussian": False}
-# the largest --dim a sweep or search takes: one trial takes about a second
-# at dim 8 and several at dim 10
+# the largest --dim a sweep or search takes, and the largest operator or
+# coefficient any command reads: one trial takes about a second at dim 8 and
+# several at dim 10, and one decision of a two-term operator about 4.5x
+# longer per two more dimensions
 DIM_CAP = 8
+# the largest matrix `nilpotent --matrix` reads: the superoperator of a
+# DIM_CAP operator, the largest the CLI forms
+MATRIX_CAP = DIM_CAP * DIM_CAP
 # the largest --entry-bound, for the same reason: a trial at --dim 8 takes about a
 # second at bound 10, and its time grows with the digits of the entries (15 s at 100)
 ENTRY_BOUND_CAP = 10
@@ -126,28 +131,30 @@ def main(argv=None) -> int:
 
 
 def _run_apply(args) -> tuple[dict, int]:
-    op = jsonio.operator_from_obj(_load(args.op))
-    x = jsonio.matrix_from_obj(_load(args.x))
+    op_obj, x_obj = _load(args.op, "--op"), _load(args.x, "--x")
+    op, x = jsonio.operator_from_obj(op_obj), jsonio.matrix_from_obj(x_obj)
     return jsonio.matrix_to_obj(op(x)), 0
 
 
 def _run_superop(args) -> tuple[dict, int]:
-    op = jsonio.operator_from_obj(_load(args.op))
+    op = jsonio.operator_from_obj(_load(args.op, "--op"))
     return jsonio.matrix_to_obj(op.superoperator()), 0
 
 
 def _run_nilpotent(args) -> tuple[dict, int]:
     if args.matrix is not None:
-        report = is_nilpotent(jsonio.matrix_from_obj(_load(args.matrix)))
+        report = is_nilpotent(jsonio.matrix_from_obj(_load(args.matrix, "--matrix", MATRIX_CAP)))
     else:
-        report = op_is_nilpotent(jsonio.operator_from_obj(_load(args.op)))
+        report = op_is_nilpotent(jsonio.operator_from_obj(_load(args.op, "--op")))
     return jsonio.report_to_obj(report), 0
 
 
 def _run_check(args) -> tuple[dict, int]:
     spec = lab.criterion(args.theorem)
-    a_list = [jsonio.matrix_from_obj(_load(path)) for path in args.a]
-    b_list = [jsonio.matrix_from_obj(_load(path)) for path in args.b]
+    a_objs = [_load(path, "--a") for path in args.a]
+    b_objs = [_load(path, "--b") for path in args.b]
+    a_list = [jsonio.matrix_from_obj(obj) for obj in a_objs]
+    b_list = [jsonio.matrix_from_obj(obj) for obj in b_objs]
     if spec.tuples:
         result = spec.check((a_list, b_list))
     elif len(a_list) != 1 or len(b_list) != 1:
@@ -218,17 +225,30 @@ def _instance_obj(value):
     return format_scalar(as_scalar(value))
 
 
-def _load(source: str):
-    """Read a JSON document from an inline string or a file path.
+def _load(source: str, flag: str, cap: int = DIM_CAP):
+    """Read the JSON document given to `flag` from an inline string or a file
+    path, and reject it when it names a dimension above `cap`.
 
     Text whose first non-space character opens a JSON object or array is
-    inline; anything else names a file."""
+    inline; anything else names a file.  The dimensions checked are the
+    document's "dim", "rows" and "cols" and those of its terms' matrices,
+    read before any entry is parsed; a malformed document is left to the
+    jsonio parsers to reject."""
     text = source if source.lstrip()[:1] in ("{", "[") else _read_file(source)
     try:
-        return json.loads(text)
+        document = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: nesting deeper than the decoder's stack allows
         raise ParseError(f"invalid JSON in {_quoted(source)}: {exc}") from exc
+    parts = [document]
+    if isinstance(document, dict) and isinstance(document.get("terms"), list):
+        parts += [t.get(side) for t in document["terms"] if isinstance(t, dict) for side in "ab"]
+    for part in parts:
+        for key in ("dim", "rows", "cols"):
+            size = part.get(key) if isinstance(part, dict) else None
+            if isinstance(size, int) and size > cap:
+                raise ParseError(f"{flag} dimension {size} is above the cap of {cap}")
+    return document
 
 
 def _read_file(path: str) -> str:

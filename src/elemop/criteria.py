@@ -14,9 +14,11 @@ for every failed step of `thm21_proof_replay`.  Both also predict the
 operator's nilpotency index from the coefficients' indices and raise
 IntegrityError when the decided index differs: min(ind A, ind B) for
 X -> AXB, and ind(S - lam*I) + ind(T - lam*I) - 1 for X -> SX - XT.
-Both errors, for both equivalences, are raised by `_enforce`.  A
-shifted matrix A - lam*I is built only when both sides share the
-candidate lam.
+The commuting-families criterion (`thm22_check`) is an implication only,
+but when its hypotheses hold and its operator is nilpotent the index is
+bounded: at most 1 + sum_i (min(ind A_i, ind B_i) - 1).  Every one of
+these errors is raised by `_enforce`.  A shifted matrix A - lam*I is built
+only when both sides share the candidate lam.
 
 Facts go through `_fact`: a matrix's NilpotencyReport (`_report`), its
 shift candidate lam = trace/d (`_shift`), and the report of A - lam*I
@@ -26,11 +28,11 @@ value and remembered until the sweep ends; outside it every call decides
 afresh.  The memo holds those values and nothing callable, keyed by a
 flat tuple (the fact name, then the size, scale and every entry of the
 Z[i] form as ints), and equal values are stored as one shared object.  Both
-equivalences decide their operator through `_decided`, the report of its
-superoperator, so in a sweep a superoperator value met again is not
-decided again; each pair still builds its operator, evaluates its
-hypotheses and runs `_enforce` against the index its own coefficients
-predict.
+equivalences and `thm22_check` decide their operator through `_decided`,
+the report of its superoperator, so in a sweep a superoperator value met
+again is not decided again; each pair still builds its operator,
+evaluates its hypotheses and runs `_enforce` against the index its own
+coefficients predict.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import chain
+from operator import eq, le
 from typing import Sequence
 
 from .errors import IntegrityError, PreconditionError, ShapeError
@@ -163,16 +166,18 @@ def _shifted(a: Matrix) -> NilpotencyReport:
 
 
 def _enforce(name: str, noun: str, rule: str, pair, hold: bool,
-             conclusion: NilpotencyReport, predicted: int | None) -> None:
-    """Raise IntegrityError unless an equivalence's decided operator is
-    nilpotent exactly when its hypotheses hold, with the predicted index."""
+             conclusion: NilpotencyReport, predicted: int | None, within=eq) -> None:
+    """Raise IntegrityError unless a decided operator is nilpotent exactly
+    when its hypotheses hold, with an index that `within(index, predicted)`
+    accepts: equal to the prediction for an equivalence, at most the bound
+    for `thm22_check`, which calls this only once its operator is nilpotent."""
     if hold != conclusion.nilpotent:
         raise IntegrityError(
             f"{name} biconditional violated: "
             f"hypotheses {hold} but {noun} nilpotent is {conclusion.nilpotent}",
             pair,
         )
-    if conclusion.index != predicted:
+    if not within(conclusion.index, predicted):
         raise IntegrityError(
             f"{name} index violated: {noun} index {conclusion.index} but {rule} is {predicted}",
             pair,
@@ -202,7 +207,10 @@ def thm22_check(
 
     Hypotheses: the A_i commute pairwise, the B_i commute pairwise (no
     cross condition between the tuples), and for each index i at least one
-    of A_i, B_i is nilpotent.  Then the operator is nilpotent.
+    of A_i, B_i is nilpotent.  Then the operator is nilpotent, of index at
+    most 1 + sum_i (min(ind A_i, ind B_i) - 1); an index above that bound
+    raises IntegrityError with the pair of tuples.  B_i is decided only
+    where A_i is not nilpotent, or where the bound needs its index.
     """
     a_tuple = tuple(a_tuple)
     b_tuple = tuple(b_tuple)
@@ -220,12 +228,25 @@ def thm22_check(
                         f"{label}-tuple not pairwise commuting: "
                         f"{label}_{i + 1} and {label}_{j + 1}"
                     )
+    reports = []  # per index: A_i's report, and B_i's when A_i is not nilpotent
     for i, (ai, bi) in enumerate(zip(a_tuple, b_tuple)):
-        if not (is_nilpotent(ai).nilpotent or is_nilpotent(bi).nilpotent):
+        report_a = is_nilpotent(ai)
+        report_b = None if report_a.nilpotent else is_nilpotent(bi)
+        if not (report_a.nilpotent or report_b.nilpotent):
             failures.append(f"index {i + 1}: neither A_{i + 1} nor B_{i + 1} nilpotent")
+        reports.append((report_a, report_b))
 
     op = ElementaryOperator(a_tuple[0].rows, tuple(zip(a_tuple, b_tuple)))
-    conclusion = op_is_nilpotent(op)
+    conclusion = _decided(op)
+    if not failures and conclusion.nilpotent:
+        # the terms L_(A_i) R_(B_i) commute and have indices m_i = min(ind A_i, ind B_i),
+        # so a product of their powers vanishes once some power reaches its m_i
+        bound = 1 + sum(
+            min(r.index for r in (ra, rb or is_nilpotent(bi)) if r.nilpotent) - 1
+            for (ra, rb), bi in zip(reports, b_tuple)
+        )
+        _enforce("commuting-families", "operator", "1 + sum_i (min(ind A_i, ind B_i) - 1)",
+                 (a_tuple, b_tuple), True, conclusion, bound, within=le)
     return TheoremCheckResult(not failures, tuple(failures), conclusion)
 
 

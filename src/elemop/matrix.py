@@ -188,10 +188,11 @@ class Matrix:
 
 # ---- Z[i] helpers and kernels -------------------------------------------------------
 # A Z[i] matrix is a pair (re, im) of int-row sequences, im None when real.
-# Products and matrix-vector steps come back as fresh lists, which callers may
-# update in place; they cost one int-matrix product (or int step) per real pair
-# of factors, two with one Gaussian factor, three (Gauss's trick) with two.
-# `kron` shares `_add_kron` with `operators`.
+# Products, Kronecker products and matrix-vector steps come back as fresh
+# lists; nothing is summed in place.  Each costs one int kernel call (product,
+# Kronecker product or step) per real pair of factors, two with one Gaussian
+# factor, three (Gauss's trick) with two.  `kron` and `operators.superoperator`
+# share `_gaussian_kron`.
 
 def _gaussian(re: int, im: int, denominator: int) -> GaussianRational:
     """(re + i*im) / denominator, as the shared ZERO or with no imaginary Fraction when real."""
@@ -222,27 +223,48 @@ def _is_zero(x) -> bool:
     return not any(map(any, chain(x[0], x[1] or ())))
 
 
+def _add_rows(x, y):
+    """x + y entry by entry for int rows x and y."""
+    return [list(map(add, p, q)) for p, q in zip(x, y)]
+
+
 def _int_matmul(x, y):
     cols = tuple(zip(*y))
     return [[sum(map(mul, row, col)) for col in cols] for row in x]
 
 
-def _gaussian_matmul(x, y):
-    """(xr + i*xi)(yr + i*yi) for any conformable shapes; im stays None for real x, y."""
+def _int_kron(x, y):
+    """kron(x, y) for int rows x and y, in one pass."""
+    return [[u * v for u in xrow for v in yrow] for xrow in x for yrow in y]
+
+
+def _gaussian_product(kernel, x, y):
+    """kernel(xr + i*xi, yr + i*yi) for a bilinear int kernel; im stays None
+    for real x, y.  One kernel call for real x and y, two with one of them
+    Gaussian, three (Gauss's trick) with both."""
     (xr, xi), (yr, yi) = x, y
-    rr = _int_matmul(xr, yr)
+    rr = kernel(xr, yr)
     if xi is None and yi is None:
         return rr, None
     if xi is None or yi is None:  # one factor is real: no i*i term
-        return rr, _int_matmul(xr, yi) if xi is None else _int_matmul(xi, yr)
-    ii = _int_matmul(xi, yi)
+        return rr, kernel(xr, yi) if xi is None else kernel(xi, yr)
+    ii = kernel(xi, yi)
     # im = xr*yi + xi*yr = (xr + xi)(yr + yi) - rr - ii
-    ss = _int_matmul([list(map(add, *rows)) for rows in zip(xr, xi)],
-                     [list(map(add, *rows)) for rows in zip(yr, yi)])
+    ss = kernel(_add_rows(xr, xi), _add_rows(yr, yi))
     return (
         [list(map(sub, p, q)) for p, q in zip(rr, ii)],
         [[s - r - i for s, r, i in zip(*rows)] for rows in zip(ss, rr, ii)],
     )
+
+
+def _gaussian_matmul(x, y):
+    """x y over Z[i] for any conformable shapes."""
+    return _gaussian_product(_int_matmul, x, y)
+
+
+def _gaussian_kron(x, y):
+    """kron(x, y) over Z[i] for any shapes."""
+    return _gaussian_product(_int_kron, x, y)
 
 
 def _gaussian_matvec(b, bs, v):
@@ -265,25 +287,10 @@ def _gaussian_matvec(b, bs, v):
     return list(map(sub, rr, ii)), [s - r - i for s, r, i in zip(ss, rr, ii)]
 
 
-def _add_kron(acc, x, y) -> None:
-    """acc += kron(x, y) in place over Z[i]; acc is a pair of int-row lists."""
-    (xr, xi), (yr, yi) = x, y
-    for p, q, out, op in ((xr, yr, acc[0], add), (xi, yi, acc[0], sub),
-                          (xr, yi, acc[1], add), (xi, yr, acc[1], add)):
-        if p is not None and q is not None:
-            n = len(q)
-            for s, prow in enumerate(p):
-                for t, qrow in enumerate(q):
-                    r = s * n + t
-                    out[r] = list(map(op, out[r], [u * v for u in prow for v in qrow]))
-
-
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; block (i, j) equals a[i, j] * b."""
     (sa, x), (sb, y) = a._form, b._form
-    acc = tuple([[0] * (a.cols * b.cols) for _ in range(a.rows * b.rows)] for _ in range(2))
-    _add_kron(acc, x, y)
-    return Matrix._from_integer_form(sa * sb, *acc)
+    return Matrix._from_integer_form(sa * sb, *_gaussian_kron(x, y))
 
 
 def vec(x: Matrix) -> Matrix:

@@ -20,16 +20,18 @@ Only what leaves the module is scaled back: the witness entry of B^(k-1)
 is divided by D^(k-1), and char_poly returns c_k(B) / D^k (the shared
 ZERO when it vanishes).
 
-The power route forms no d x d product.  It iterates each column, applying
-B to e_j, j = 0..d-1, until the iterate vanishes after ind_j steps or d
-steps have passed; one matrix-vector step costs a d-th of a product.  A
-column still nonzero after d steps proves B^d != 0 and ends the route, so a
-non-nilpotent B whose first column survives costs d steps, one product's
-worth, and a B whose leading columns die costs their steps on top.  Otherwise
-B is nilpotent of index max_j ind_j, found in sum_j ind_j steps (d*index for
-a dense B, d^2 at worst), and B^(index-1) is assembled from the last nonzero
-iterates of the columns that reached the index, every other column of it
-being zero; its first nonzero entry in row-major order is the witness.  The
+The power route forms no d x d product.  It iterates each column j =
+0..d-1: the first iterate B e_j is column j of B, read with no arithmetic,
+and each later one is one matrix-vector step, a d-th of a product.  A
+column stops once its iterate vanishes, at B^(ind_j) e_j after ind_j - 1
+steps, or once B^d e_j is still nonzero, which proves B^d != 0 and ends
+the route: a non-nilpotent B whose first column survives, an invertible B
+among them, costs d - 1 steps, and a B whose leading columns die costs
+their steps on top.  Otherwise B is nilpotent of index max_j ind_j, found
+in sum_j (ind_j - 1) steps (d*(index - 1) for a dense B, d*(d - 1) at
+worst), and B^(index-1) is assembled from the last nonzero iterates of the
+columns that reached the index, every other column of it being zero; its
+first nonzero entry in row-major order is the witness.  The
 characteristic-polynomial route reads the power sums tr(B^k), k = 1..d, from
 s = isqrt(d) baby steps and (d-1)//s giant steps, each power sum past B^s as
 the trace of a product it never forms: s - 1 + max(0, (d-1)//s - 1) products
@@ -40,12 +42,12 @@ routes share no powers, so they stay independent checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from math import isqrt
-from operator import add, mul
+from operator import mul
 
 from .errors import IntegrityError, ShapeError
-from .matrix import Matrix, _gaussian, _gaussian_matmul, _gaussian_matvec, _trace
+from .matrix import Matrix, _add_rows, _gaussian, _gaussian_matmul, _gaussian_matvec, _trace
 from .scalars import GaussianRational
 
 
@@ -119,22 +121,22 @@ def is_nilpotent(a: Matrix) -> NilpotencyReport:
     scale, b = a._form
     d = a.rows
     br, bi = b
-    bs = None if bi is None else [list(map(add, *rows)) for rows in zip(br, bi)]
+    bs = None if bi is None else _add_rows(br, bi)
     index, reached = 1, {}  # reached[j] = B^(index-1) e_j for the columns of that index
-    for j in range(d):
-        v = ([int(r == j) for r in range(d)], None)
-        for k in range(1, d + 1):
-            w = _gaussian_matvec(b, bs, v)
-            if not (any(w[0]) or w[1] is not None and any(w[1])):
+    for j, (cr, ci) in enumerate(zip(zip(*br), zip(*bi) if bi else repeat(None))):
+        v, w, k = None, (cr, ci), 1  # w = B^k e_j; B e_j is column j of B
+        while any(w[0]) or w[1] is not None and any(w[1]):
+            if k == d:  # B^d e_j != 0
                 break
-            v = w
-        else:  # B^d e_j != 0
-            index = None
-            break
-        if k > index:
-            index, reached = k, {}
-        if k == index:
-            reached[j] = v
+            v, w, k = w, _gaussian_matvec(b, bs, w), k + 1
+        else:  # B^k e_j = 0, and v = B^(k-1) e_j
+            if k > index:
+                index, reached = k, {}
+            if k == index:
+                reached[j] = v
+            continue
+        index = None
+        break
     witness = None
     if index is not None and index > 1:
         # B^(index-1), column by column: every column but the reached ones is zero

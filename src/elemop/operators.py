@@ -13,19 +13,21 @@ matching matrix operations.
 
 It is assembled over Z[i] from the coefficients' integer forms
 (a_i, a_i*A_i) and (b_i, b_i*B_i) (see `elemop.matrix`): with L the lcm of
-the a_i*b_i, L times the sum is sum_i (L/(a_i*b_i)) kron(b_i*B_i.T, a_i*A_i),
-summed in place by the Z[i] Kronecker routine behind `kron`, and the result
-is built once, keeping that form for `is_nilpotent`.
+the a_i*b_i, L times the sum is sum_i kron(f_i*b_i*B_i.T, a_i*A_i) with
+f_i = L/(a_i*b_i).  Each term is one pass of the Z[i] Kronecker helper
+behind `kron`, the terms are summed row by row into fresh rows (the
+imaginary rows only over the non-real terms, and None when every term is
+real), and the result is built once, keeping that form for `is_nilpotent`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import lcm
 
 from .errors import ShapeError
-from .matrix import Matrix, _add_kron
+from .matrix import Matrix, _add_rows, _gaussian_kron
 from .nilpotency import NilpotencyReport, is_nilpotent
 from .scalars import as_scalar
 
@@ -67,12 +69,13 @@ class ElementaryOperator:
     def superoperator(self) -> Matrix:
         forms = [(a._form, b._form) for a, b in self.terms]
         scale = lcm(*(sa * sb for (sa, _), (sb, _) in forms))
-        size = self.dim * self.dim
-        acc = tuple([[0] * size for _ in range(size)] for _ in range(2))
-        for (sa, a), (sb, b) in forms:
-            factor = scale // (sa * sb)
-            _add_kron(acc, [p and [[factor * v for v in col] for col in zip(*p)] for p in b], a)
-        return Matrix._from_integer_form(scale, *acc)
+        terms = [
+            _gaussian_kron([p and _scaled_transpose(scale // (sa * sb), p) for p in b], a)
+            for (sa, a), (sb, b) in forms
+        ]
+        ims = [im for _, im in terms if im is not None]
+        return Matrix._from_integer_form(scale, reduce(_add_rows, [re for re, _ in terms]),
+                                         reduce(_add_rows, ims) if ims else None)
 
     # ---- algebra -----------------------------------------------------------
     def __add__(self, other):
@@ -158,6 +161,13 @@ def identity_operator(n: int) -> ElementaryOperator:
 def zero_operator(n: int) -> ElementaryOperator:
     z = Matrix.zero(n)
     return ElementaryOperator(n, ((z, z),))
+
+
+def _scaled_transpose(factor: int, rows):
+    """factor times the transpose of int rows."""
+    if factor == 1:
+        return list(zip(*rows))
+    return [[factor * v for v in col] for col in zip(*rows)]
 
 
 @lru_cache(maxsize=16)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import elemop
-from elemop import GaussianRational, Matrix, NilpotencyReport, SweepReport, criteria, lab, nilpotency
+from elemop import GaussianRational, Matrix, NilpotencyReport, SweepReport, cli, criteria, lab, nilpotency
 from elemop.cli import main
 from elemop.jsonio import dumps, matrix_from_obj, matrix_to_obj, operator_to_obj
 from elemop.operators import make_multiplication, make_v_operator
@@ -245,6 +245,98 @@ def test_trials_at_the_cap_runs(capsys, monkeypatch):
     )
     status, _, _ = run_cli(capsys, "sweep", "--theorem", "2.2", "--trials", "1000")
     assert status == 0 and seen == [1000]
+
+
+# ---- the size caps on documents ----------------------------------------------------
+
+def _corner_doc(n: int, cols: int | None = None) -> str:
+    """E_(0, last): nilpotent of index 2 when square and n > 1."""
+    cols = n if cols is None else cols
+    return json.dumps({"rows": n, "cols": cols, "entries": [
+        ["1" if (i, j) == (0, cols - 1) else "0" for j in range(cols)] for i in range(n)]})
+
+
+def _op_doc(n: int, coefficient: int | None = None) -> str:
+    """X -> E X I on n x n matrices, the first coefficient `coefficient` x `coefficient`."""
+    a, b = (json.loads(_corner_doc(k)) for k in (coefficient or n, n))
+    b["entries"] = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+    return json.dumps({"dim": n, "terms": [{"a": a, "b": b}]})
+
+
+DIM_CAP, MATRIX_CAP = cli.DIM_CAP, cli.MATRIX_CAP
+# the capped argument of each command, as argv at size n
+CAPPED = {
+    "apply --op": (lambda n: ["apply", "--op", _op_doc(n), "--x", _corner_doc(DIM_CAP)], "--op"),
+    "apply --x": (lambda n: ["apply", "--op", _op_doc(DIM_CAP), "--x", _corner_doc(n)], "--x"),
+    "superop --op": (lambda n: ["superop", "--op", _op_doc(n)], "--op"),
+    "nilpotent --op": (lambda n: ["nilpotent", "--op", _op_doc(n)], "--op"),
+    "nilpotent --matrix": (lambda n: ["nilpotent", "--matrix", _corner_doc(n)], "--matrix"),
+    "check --a": (lambda n: ["check", "--theorem", "2.1", "--a", _corner_doc(n),
+                             "--b", _corner_doc(DIM_CAP)], "--a"),
+    "check --b": (lambda n: ["check", "--theorem", "1.1", "--a", _corner_doc(DIM_CAP),
+                             "--b", _corner_doc(n)], "--b"),
+    "check 2.2 --b": (lambda n: ["check", "--theorem", "2.2", "--a", _corner_doc(DIM_CAP),
+                                 _corner_doc(DIM_CAP), "--b", _corner_doc(DIM_CAP),
+                                 _corner_doc(n)], "--b"),
+}
+
+
+def _cap(flag: str) -> int:
+    return MATRIX_CAP if flag == "--matrix" else DIM_CAP
+
+
+@pytest.mark.parametrize("case", CAPPED)
+def test_document_at_the_cap_runs(capsys, case):
+    argv, flag = CAPPED[case]
+    status, out, err = run_cli(capsys, *argv(_cap(flag)))
+    assert status == 0 and err == ""
+    document = json.loads(out)
+    if case.startswith("nilpotent"):
+        assert document["index"] == 2
+
+
+def _no_parse(monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("a capped document reached the parser")
+
+    for name in ("matrix_from_obj", "operator_from_obj"):
+        monkeypatch.setattr(elemop.jsonio, name, must_not_run)
+
+
+@pytest.mark.parametrize("case", CAPPED)
+def test_document_above_the_cap_exits_2_before_parsing(capsys, monkeypatch, case):
+    argv, flag = CAPPED[case]
+    _no_parse(monkeypatch)
+    status, out, err = run_cli(capsys, *argv(_cap(flag) + 1))
+    assert status == 2 and out == ""
+    assert err == f"error: {flag} dimension {_cap(flag) + 1} is above the cap of {_cap(flag)}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # one coefficient too large inside a small operator
+    (["nilpotent", "--op", _op_doc(2, coefficient=9)], "--op dimension 9 is above the cap of 8"),
+    # a wide matrix: the column count is capped too
+    (["nilpotent", "--matrix", _corner_doc(1, cols=65)],
+     "--matrix dimension 65 is above the cap of 64"),
+    (["apply", "--op", _op_doc(2), "--x", _corner_doc(2, cols=9)],
+     "--x dimension 9 is above the cap of 8"),
+], ids=["coefficient", "matrix-cols", "x-cols"])
+def test_every_dimension_of_a_document_is_capped(capsys, monkeypatch, argv, message):
+    _no_parse(monkeypatch)
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2 and out == "" and err == f"error: {message}\n"
+
+
+def test_malformed_documents_reach_the_parser_errors(capsys):
+    # sizes that are not counts, or sit where no dimension is read, are left to jsonio
+    for argv, message in [
+        (["nilpotent", "--op", "[1, 2]"], "operator document must be an object, got list"),
+        (["nilpotent", "--op", '{"dim": "9", "terms": []}'], "bad operator dimension: '9'"),
+        (["nilpotent", "--matrix", '{"rows": true, "cols": 1, "entries": [["0"]]}'],
+         "bad matrix shape: rows=True, cols=1"),
+    ]:
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 2 and out == "" and err == f"error: {message}\n"
 
 
 def test_search_finds_family_witnesses(capsys):

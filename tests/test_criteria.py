@@ -442,6 +442,51 @@ def test_index_violation_carries_the_pair(monkeypatch, check, pair, message):
     assert info.value.instance == pair
 
 
+@pytest.mark.parametrize("tuples, bound", [
+    # X -> J2 X: 1 + (2 - 1)
+    (((J2,), (I2,)), 2),
+    # X -> J2 X + X J2: 1 + (2 - 1) + (2 - 1), met with equality
+    (((J2, I2), (I2, J2)), 3),
+])
+def test_commuting_families_index_above_the_bound_carries_the_tuples(monkeypatch, tuples, bound):
+    assert thm22_check(*tuples).conclusion.index == bound
+    _index_off_by_one(monkeypatch)
+    with pytest.raises(IntegrityError) as info:
+        thm22_check(*tuples)
+    assert str(info.value) == (
+        f"commuting-families index violated: operator index {bound + 1} but "
+        f"1 + sum_i (min(ind A_i, ind B_i) - 1) is {bound}"
+    )
+    assert info.value.instance == tuples
+
+
+def test_commuting_families_index_below_the_bound_passes(monkeypatch):
+    # X -> J2 X + J2 X = 2 J2 X has index 2, under the bound 1 + 1 + 1 = 3
+    tuples = ((J2, J2), (I2, I2))
+    assert thm22_check(*tuples).conclusion.index == 2
+    _index_off_by_one(monkeypatch)
+    assert thm22_check(*tuples).conclusion.index == 3
+
+
+def test_commuting_families_decides_b_only_where_needed(monkeypatch):
+    decided = []
+    real = criteria.is_nilpotent
+
+    def spy(m):
+        if m.rows == 2:  # a coefficient, not the 4x4 superoperator
+            decided.append(m)
+        return real(m)
+
+    monkeypatch.setattr(criteria, "is_nilpotent", spy)
+    # hypotheses hold: B_1 = I2 is decided for the bound, after A_1 = J2
+    thm22_check([J2, I2], [I2, J2])
+    assert decided == [J2, I2, J2, I2]
+    # the A-tuple does not commute: B_i is decided only where A_i is not nilpotent
+    decided.clear()
+    thm22_check([SHIFT_A, SHIFT_B], [I2, I2])
+    assert decided == [SHIFT_A, SHIFT_B]
+
+
 def test_replay_failures_carry_the_pair(monkeypatch):
     import elemop.criteria as criteria
 

@@ -414,19 +414,20 @@ def _ref_power(a: Matrix, k: int) -> Matrix:
 @pytest.mark.parametrize("d", range(1, 10))
 def test_matrix_vector_steps_per_decision(monkeypatch, d, gaussian):
     rng = random.Random(700 * d + gaussian)
-    # invertible: column 0 survives d steps, and that ends the route
+    # invertible: column 0 is B e_0, read from B, and survives d - 1 more steps,
+    # and that ends the route
     invertible = _conjugated(_jordan_type(d, [d], rng, gaussian, eigenvalue=ONE), rng, gaussian)
     report, steps = _count_steps(monkeypatch, invertible)
-    assert not report.nilpotent and steps == d
-    # the shift J_d: column j dies after j + 1 steps
+    assert not report.nilpotent and steps == d - 1
+    # the shift J_d: column j dies after j + 1 iterates, the first read from B
     report, steps = _count_steps(monkeypatch, Matrix(_shift(d)))
-    assert report.index == d and steps == d * (d + 1) // 2
+    assert report.index == d and steps == d * (d - 1) // 2
     # diag(J_k, invertible block): the k nilpotent columns die, then one column survives
     for k in range(1, d):
         block = _conjugated(_jordan_type(d - k, [d - k], rng, gaussian, eigenvalue=ONE),
                             rng, gaussian)
         report, steps = _count_steps(monkeypatch, _block_diag(Matrix(_shift(k)), block))
-        assert not report.nilpotent and steps == k * (k + 1) // 2 + d
+        assert not report.nilpotent and steps == k * (k - 1) // 2 + d - 1
     # a dense nilpotent of index m whose every column reaches m (a conjugation
     # that happens to shorten a column is drawn again)
     for m in range(1, d + 1):
@@ -439,8 +440,7 @@ def test_matrix_vector_steps_per_decision(monkeypatch, d, gaussian):
         else:
             raise AssertionError(f"no conjugate of index {m} with every column reaching it")
         report, steps = _count_steps(monkeypatch, a)
-        assert report.index == m and steps == d * m
-
+        assert report.index == m and steps == d * (m - 1)
 
 def _leading_columns_die(d: int, k: int, rng: random.Random, gaussian: bool) -> Matrix:
     """[[N, C], [0, T]]: N strictly upper triangular k x k, T upper triangular

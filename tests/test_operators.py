@@ -23,8 +23,8 @@ from elemop import (
     vec,
     zero_operator,
 )
-from elemop import nilpotency
-from helpers import rand_matrix, rand_operator, ref_superoperator, wide_matrix
+from elemop import matrix, nilpotency
+from helpers import rand_matrix, rand_operator, ref_kron, ref_superoperator, wide_matrix
 
 J2 = Matrix([[0, 1], [0, 0]])
 E11 = basis_matrix(2, 0, 0)
@@ -299,6 +299,37 @@ def test_assembly_reduces_scale_and_drops_cancelled_imaginary_part():
     # the term scales multiply to 2, yet every entry is an integer, and
     # i*J2 (x) i*E11 is real
     assert scale == 1 and im is None
+
+
+def test_cancelled_gaussian_term_assembles_a_real_form():
+    i = GaussianRational(0, 1)
+    # i*E11 (x) i*E11 = -E11 (x) E11: the Gauss's-trick imaginary part cancels
+    for terms in (((i * E11, i * E11),), ((E12, J2), (i * E11, i * E11))):
+        op = ElementaryOperator(2, terms)
+        sup = _assert_matches_reference(op)
+        assert sup._form[1][1] is None
+    assert kron(i * E11, i * E11) == ref_kron(i * E11, i * E11) == -kron(E11, E11)
+    assert kron(i * E11, i * E11)._form == (1, (((-1, 0, 0, 0),) + ((0,) * 4,) * 3, None))
+
+
+@pytest.mark.parametrize("kinds, products", [
+    ((False, False), 1), ((False, True), 2), ((True, False), 2), ((True, True), 3),
+])
+def test_each_term_forms_one_two_or_three_int_kronecker_products(monkeypatch, kinds, products):
+    rng = random.Random(products + 10 * kinds[0])
+    a, b = (wide_matrix(rng, 2, 2, gaussian) for gaussian in kinds)
+    assert [m._form[1][1] is not None for m in (a, b)] == list(kinds)
+    calls = []
+    kernel = matrix._int_kron
+    monkeypatch.setattr(matrix, "_int_kron", lambda x, y: calls.append(1) or kernel(x, y))
+    assert kron(a, b) == ref_kron(a, b)
+    assert len(calls) == products
+    # a superoperator term kron(B.T, A) swaps the sides, not the count
+    for length in (1, 3):
+        calls.clear()
+        op = ElementaryOperator(2, ((a, b),) * length)
+        assert op.superoperator() == ref_superoperator(op)
+        assert len(calls) == length * products
 
 
 def test_assembly_does_not_call_kron(monkeypatch):
