@@ -34,6 +34,19 @@ DIM_CAP = 8
 # the largest matrix `nilpotent --matrix` reads: the superoperator of a
 # DIM_CAP operator, the largest the CLI forms
 MATRIX_CAP = DIM_CAP * DIM_CAP
+# the most decimal digits an accepted input may give one output entry: CPython
+# converts at most 4,300 digits of an int to text, and the margin covers the
+# digits that sums add
+DIGITS_CAP = 4000
+# the widest entries of a decided n x n matrix take WIDTH_BUDGET // n**4 digits,
+# where a dense Gaussian decision takes about a second (the fourth power is fitted
+# from n = 16 to 64), and never fewer than WIDTH_FLOOR; the witness of a power
+# below the n-th takes at most n - 1 times the width, so the cap is at most
+# DIGITS_CAP // (n - 1)
+WIDTH_BUDGET = 2**24
+# the width of an operator at the --dim cap with two-character entries such as -1
+# or -i: its dense Gaussian decision takes about 2 s, as one-character ones do
+WIDTH_FLOOR = 4
 # the largest --entry-bound, for the same reason: a trial at --dim 8 takes about a
 # second at bound 10, and its time grows with the digits of the entries (15 s at 100)
 ENTRY_BOUND_CAP = 10
@@ -132,20 +145,30 @@ def main(argv=None) -> int:
 
 def _run_apply(args) -> tuple[dict, int]:
     op_obj, x_obj = _load(args.op, "--op"), _load(args.x, "--x")
+    # an entry of sum_i A_i X B_i is built from a row of each A_i, X and a column of each B_i
+    _cap_digits("--op and --x", sum(_widest(a) + _widest(zip(*b)) for a, b in _terms(op_obj))
+                + sum(len(e) for row in _texts(x_obj) for e in row))
     op, x = jsonio.operator_from_obj(op_obj), jsonio.matrix_from_obj(x_obj)
     return jsonio.matrix_to_obj(op(x)), 0
 
 
 def _run_superop(args) -> tuple[dict, int]:
-    op = jsonio.operator_from_obj(_load(args.op, "--op"))
+    op_obj = _load(args.op, "--op")
+    # an entry of the superoperator is built from one entry of each coefficient
+    _cap_digits("--op", sum(_longest(a) + _longest(b) for a, b in _terms(op_obj)))
+    op = jsonio.operator_from_obj(op_obj)
     return jsonio.matrix_to_obj(op.superoperator()), 0
 
 
 def _run_nilpotent(args) -> tuple[dict, int]:
     if args.matrix is not None:
-        report = is_nilpotent(jsonio.matrix_from_obj(_load(args.matrix, "--matrix", MATRIX_CAP)))
+        matrix_obj = _load(args.matrix, "--matrix", MATRIX_CAP)
+        _cap_width("--matrix", _size(matrix_obj), [_texts(matrix_obj)], 1)
+        report = is_nilpotent(jsonio.matrix_from_obj(matrix_obj))
     else:
-        report = op_is_nilpotent(jsonio.operator_from_obj(_load(args.op, "--op")))
+        op_obj = _load(args.op, "--op")
+        _cap_width("--op", _size(op_obj, "dim") ** 2, [m for t in _terms(op_obj) for m in t], 2)
+        report = op_is_nilpotent(jsonio.operator_from_obj(op_obj))
     return jsonio.report_to_obj(report), 0
 
 
@@ -153,6 +176,9 @@ def _run_check(args) -> tuple[dict, int]:
     spec = lab.criterion(args.theorem)
     a_objs = [_load(path, "--a") for path in args.a]
     b_objs = [_load(path, "--b") for path in args.b]
+    # every criterion decides a superoperator, whose entries multiply an entry of each side
+    dim = max(map(_size, a_objs + b_objs))
+    _cap_width("--a and --b", dim * dim, [_texts(obj) for obj in a_objs + b_objs], 2)
     a_list = [jsonio.matrix_from_obj(obj) for obj in a_objs]
     b_list = [jsonio.matrix_from_obj(obj) for obj in b_objs]
     if spec.tuples:
@@ -173,6 +199,9 @@ def _run_examples(args) -> tuple[dict, int]:
     pieces = params.split(",")
     if len(pieces) != 5:
         raise ParseError(f"--params needs five comma-separated scalars, got {len(pieces)}")
+    # its outputs are polynomials of degree at most 4 in the parameters (the
+    # witness of V^2, whose entries are quadratic in them)
+    _cap_digits("--params", 4 * sum(map(len, pieces)))
     record = lab.example_3_2(*(parse_scalar(s) for s in pieces))
     return record.to_obj(), 0
 
@@ -249,6 +278,76 @@ def _load(source: str, flag: str, cap: int = DIM_CAP):
             if isinstance(size, int) and size > cap:
                 raise ParseError(f"{flag} dimension {size} is above the cap of {cap}")
     return document
+
+
+def _texts(matrix) -> list[list[str]]:
+    """A matrix document's entries as text, row by row, an int entry as its
+    digits and sign.  An entry the jsonio parsers reject reads as "" and a
+    row they reject is left out; those parsers report both."""
+    rows = matrix.get("entries") if isinstance(matrix, dict) else None
+    if not isinstance(rows, list):
+        return []
+    return [[e if isinstance(e, str) else str(e) if type(e) is int else "" for e in row]
+            for row in rows if isinstance(row, list)]
+
+
+def _terms(operator) -> list[tuple[list[list[str]], list[list[str]]]]:
+    """The entry texts of each term's a and b matrices in an operator document."""
+    terms = operator.get("terms") if isinstance(operator, dict) else None
+    if not isinstance(terms, list):
+        return []
+    return [(_texts(t.get("a")), _texts(t.get("b"))) for t in terms if isinstance(t, dict)]
+
+
+def _size(document, key: str = "rows") -> int:
+    """A document's row count (or other int field), 0 when it has no int one."""
+    size = document.get(key) if isinstance(document, dict) else None
+    return size if type(size) is int else 0
+
+
+def _longest(texts) -> int:
+    """The length of the longest text among a matrix's entries."""
+    return max((len(e) for row in texts for e in row), default=0)
+
+
+def _widest(lines) -> int:
+    """The longest total length of the texts of one line (a row, say)."""
+    return max((sum(map(len, line)) for line in lines), default=0)
+
+
+def _cap_digits(flags: str, digits: int) -> None:
+    """Reject input that could give an output entry more than DIGITS_CAP digits.
+
+    `digits` adds up the lengths of the entries, or scalars, that one output
+    entry is built from.  That bounds the entry's digits even when every
+    denominator is distinct: a product of rationals p/q has no more digits
+    than its factors' max(|p|, q) together, and a sum of such products over
+    the product of all their denominators adds only a few."""
+    if digits > DIGITS_CAP:
+        raise ParseError(f"{flags} could give an output entry of {digits} digits, "
+                         f"above the cap of {DIGITS_CAP}")
+
+
+def _cap_width(flags: str, n: int, matrices, factors: int) -> None:
+    """Reject the documents of an n x n decision whose entries are too wide.
+
+    The decision runs on the Gaussian-integer form D*M, D the lcm of every
+    denominator.  Each entry of M sums products of `factors` entries of
+    `matrices`, so an entry of D*M has at most `factors` times the longest
+    entry's digits plus D's, and D's, with every denominator distinct, are
+    at most the characters after each entry's first "/"."""
+    texts = [e for m in matrices for row in m for e in row]
+    width = (factors * max(map(len, texts), default=0)
+             + sum(len(e) - e.find("/") - 1 for e in texts if "/" in e))
+    cap = _width_cap(n)
+    if width > cap:
+        raise ParseError(f"{flags} entries are {width} digits wide, "
+                         f"above the cap of {cap} for a {n}x{n} decision")
+
+
+def _width_cap(n: int) -> int:
+    """The widest entries an n x n decision takes: see WIDTH_BUDGET."""
+    return max(WIDTH_FLOOR, min(WIDTH_BUDGET // max(n, 1) ** 4, DIGITS_CAP // max(n - 1, 1)))
 
 
 def _read_file(path: str) -> str:

@@ -8,12 +8,11 @@ Every operation runs on a matrix's Gaussian-integer form (D, D*A), D the
 least common denominator of all real and imaginary parts, held as tuples of
 int rows (imaginary rows None when A is real).  The form is canonical, so
 `==` and `hash` are taken of it, and each result is built from its form by
-`_from_integer_form`, which divides out one gcd.  Every matrix has its form
-from construction: `Matrix(rows)` computes it from the entries.  Entries
-exist only at the boundary, and a matrix built from a form builds them when
-first read (`str`, indexing, `row_list`, JSON).  That fill stores one value
-computed from the immutable form in one slot, so racing threads store equal
-values and a reader never sees a half-built one.
+`_from_integer_form`, which divides out one gcd.  The form is all a matrix
+holds: `Matrix(rows)` computes it from the entries and keeps none of them,
+and nothing writes to a matrix once it is built.  Entries exist only at the
+boundary: every reader (`str`, indexing, `entries`, `row_list`, JSON)
+builds them from the form when it is called.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .scalars import ZERO, GaussianRational, as_scalar
 
 
 class Matrix:
-    __slots__ = ("_rows", "rows", "cols", "_form")
+    __slots__ = ("rows", "cols", "_form")
 
     def __init__(self, rows: Sequence[Sequence]):
         coerced = tuple(tuple(as_scalar(e) for e in row) for row in rows)
@@ -38,7 +37,6 @@ class Matrix:
         width = len(coerced[0])
         if any(len(row) != width for row in coerced):
             raise ShapeError("ragged rows: all rows must have equal length")
-        self._rows = coerced
         self.rows, self.cols = len(coerced), width
         scale = lcm(*(p.denominator for row in coerced for e in row for p in (e.re, e.im)))
         re, im = (tuple(tuple(p.numerator * (scale // p.denominator) for p in map(part, row))
@@ -56,7 +54,7 @@ class Matrix:
 
     @classmethod
     def _from_integer_form(cls, scale: int, re, im) -> "Matrix":
-        """(re + i*im) / scale for int rows (im may be None); entries wait for a read."""
+        """(re + i*im) / scale for int rows (im may be None)."""
         if not re or not re[0]:
             raise ShapeError("a matrix needs at least one row and one column")
         g = gcd(scale, *chain(*re, *(im or ())))
@@ -66,16 +64,6 @@ class Matrix:
         out.rows, out.cols = len(re), len(re[0])
         out._form = (scale // g, (re, im if im and any(map(any, im)) else None))
         return out
-
-    def __getattr__(self, name):
-        # only `_rows` is ever unset: built here on first read, each distinct value once
-        if name != "_rows":
-            raise AttributeError(name)
-        scale, (re, im) = self._form
-        cells = [tuple(zip(rr, ri)) for rr, ri in zip(re, im or repeat(repeat(0)))]
-        value = {c: _gaussian(*c, scale) for c in set(chain.from_iterable(cells))}
-        self._rows = tuple(tuple(map(value.__getitem__, row)) for row in cells)
-        return self._rows
 
     # ---- shape -----------------------------------------------------------
     @property
@@ -94,14 +82,22 @@ class Matrix:
         return f"{self.rows}x{self.cols}"
 
     # ---- access ----------------------------------------------------------
+    def _entry_rows(self) -> tuple[tuple[GaussianRational, ...], ...]:
+        """The entries, built from the form on each call, one object per distinct value."""
+        scale, (re, im) = self._form
+        cells = [tuple(zip(rr, ri)) for rr, ri in zip(re, im or repeat(repeat(0)))]
+        value = {c: _gaussian(*c, scale) for c in set(chain.from_iterable(cells))}
+        return tuple(tuple(map(value.__getitem__, row)) for row in cells)
+
     def __getitem__(self, key):
-        return self._rows[key[0]][key[1]] if isinstance(key, tuple) else self._rows[key]
+        rows = self._entry_rows()
+        return rows[key[0]][key[1]] if isinstance(key, tuple) else rows[key]
 
     def entries(self) -> Iterator[tuple[int, int, GaussianRational]]:
-        return ((i, j, e) for i, row in enumerate(self._rows) for j, e in enumerate(row))
+        return ((i, j, e) for i, row in enumerate(self._entry_rows()) for j, e in enumerate(row))
 
     def row_list(self) -> list[list[GaussianRational]]:
-        return [list(row) for row in self._rows]
+        return [list(row) for row in self._entry_rows()]
 
     # ---- arithmetic --------------------------------------------------------
     def __add__(self, other):
@@ -180,7 +176,8 @@ class Matrix:
         return hash(self._form)
 
     def __str__(self):
-        return "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in self._rows) + "]"
+        rows = ("[" + ", ".join(map(str, row)) + "]" for row in self._entry_rows())
+        return "[" + ", ".join(rows) + "]"
 
     def __repr__(self):
         return f"Matrix({self})"

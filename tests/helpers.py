@@ -70,6 +70,16 @@ def rand_operator(
     return ElementaryOperator(dim, terms)
 
 
+# ---- reference entry reader ----------------------------------------------------------
+# What every Matrix entry reader must return, read straight off the form.
+
+def ref_entry_rows(m: Matrix) -> list[list[GaussianRational]]:
+    """m's entries, each divided out of its Z[i] form in plain Fraction arithmetic."""
+    scale, (re, im) = m._form
+    return [[GaussianRational(Fraction(x, scale), Fraction(y, scale)) for x, y in zip(rr, ri)]
+            for rr, ri in zip(re, im or [[0] * m.cols] * m.rows)]
+
+
 # ---- reference matrix arithmetic -----------------------------------------------------
 # Matrix arithmetic as it ran before the Z[i] form: entry by entry in
 # GaussianRational arithmetic.  Every reference reads its operands through

@@ -249,16 +249,16 @@ def test_trials_at_the_cap_runs(capsys, monkeypatch):
 
 # ---- the size caps on documents ----------------------------------------------------
 
-def _corner_doc(n: int, cols: int | None = None) -> str:
-    """E_(0, last): nilpotent of index 2 when square and n > 1."""
+def _corner_doc(n: int, cols: int | None = None, value: str = "1") -> str:
+    """value * E_(0, last): nilpotent of index 2 when square, n > 1 and value != 0."""
     cols = n if cols is None else cols
     return json.dumps({"rows": n, "cols": cols, "entries": [
-        ["1" if (i, j) == (0, cols - 1) else "0" for j in range(cols)] for i in range(n)]})
+        [value if (i, j) == (0, cols - 1) else "0" for j in range(cols)] for i in range(n)]})
 
 
-def _op_doc(n: int, coefficient: int | None = None) -> str:
-    """X -> E X I on n x n matrices, the first coefficient `coefficient` x `coefficient`."""
-    a, b = (json.loads(_corner_doc(k)) for k in (coefficient or n, n))
+def _op_doc(n: int, coefficient: int | None = None, value: str = "1") -> str:
+    """X -> value*E X I on n x n matrices, the first coefficient `coefficient` x `coefficient`."""
+    a, b = json.loads(_corner_doc(coefficient or n, value=value)), json.loads(_corner_doc(n))
     b["entries"] = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
     return json.dumps({"dim": n, "terms": [{"a": a, "b": b}]})
 
@@ -337,6 +337,152 @@ def test_malformed_documents_reach_the_parser_errors(capsys):
     ]:
         status, out, err = run_cli(capsys, *argv)
         assert status == 2 and out == "" and err == f"error: {message}\n"
+
+
+# ---- the entry caps on documents -------------------------------------------------------
+
+def _fraction(width: int, factors: int) -> str:
+    """A fraction "9..9/7..7" that gives a document of one-character entries the
+    width `width` in a decision whose entries multiply `factors` of them: its
+    length times `factors`, plus its denominator's length, which is as long as
+    it can be."""
+    for m in range(width, 0, -1):
+        length, rest = divmod(width - m, factors)
+        if not rest and length - 1 - m >= 1:
+            return "9" * (length - 1 - m) + "/" + "7" * m
+    raise ValueError(width)
+
+
+# the decided argument of each command, as argv at entry width w, the flags named, the size
+WIDE = {
+    "nilpotent --matrix": (lambda w: ["nilpotent", "--matrix", _corner_doc(16, value=_fraction(w, 1))],
+                           "--matrix", 16),
+    "nilpotent --op": (lambda w: ["nilpotent", "--op", _op_doc(2, value=_fraction(w, 2))], "--op", 4),
+    "check": (lambda w: ["check", "--theorem", "2.1", "--a", _corner_doc(3, value=_fraction(w, 2)),
+                         "--b", _corner_doc(3)], "--a and --b", 9),
+}
+
+
+def test_the_width_cap_falls_with_the_size_of_the_decision():
+    caps = {n: cli._width_cap(n) for n in (1, 2, 3, 4, 9, 16, 25, 36, 49, 64)}
+    # witness-bound up to 9x9, time-bound from 16x16, and two-character operators at the --dim cap
+    assert caps == {1: 4000, 2: 4000, 3: 2000, 4: 1333, 9: 500, 16: 256, 25: 42, 36: 9,
+                    49: 4, 64: 4}
+
+
+@pytest.mark.parametrize("case", WIDE)
+def test_entries_at_the_width_cap_run(capsys, case):
+    argv, _, n = WIDE[case]
+    status, out, err = run_cli(capsys, *argv(cli._width_cap(n)))
+    assert status == 0 and err == ""
+    if case.startswith("nilpotent"):
+        assert json.loads(out)["index"] == 2
+
+
+@pytest.mark.parametrize("case", WIDE)
+def test_entries_above_the_width_cap_exit_2_before_parsing(capsys, monkeypatch, case):
+    argv, flags, n = WIDE[case]
+    cap = cli._width_cap(n)
+    _no_parse(monkeypatch)
+    status, out, err = run_cli(capsys, *argv(cap + 1))
+    assert status == 2 and out == ""
+    assert err == (f"error: {flags} entries are {cap + 1} digits wide, "
+                   f"above the cap of {cap} for a {n}x{n} decision\n")
+
+
+def _square(n: int, entry) -> str:
+    return json.dumps({"rows": n, "cols": n, "entries": [[entry] * n for _ in range(n)]})
+
+
+@pytest.mark.parametrize("argv, message", [
+    # 256 short fractions: with every denominator distinct their lcm has 256 digits
+    (["nilpotent", "--matrix", _square(16, "1/2")], "--matrix entries are 259 digits wide"),
+    # a JSON int counts its digits and sign
+    (["nilpotent", "--matrix", _square(16, -(10**256))], "--matrix entries are 258 digits wide"),
+    # the width of a check adds up every --a and --b: either of these alone is 334 wide
+    (["check", "--theorem", "2.2", "--a", _square(3, "1/" + "7" * 30), _square(3, "1/" + "7" * 30),
+      "--b", _square(3, "0"), _square(3, "0")], "--a and --b entries are 604 digits wide"),
+], ids=["denominators", "json-int", "every-check-document"])
+def test_every_entry_counts_toward_the_width(capsys, monkeypatch, argv, message):
+    _no_parse(monkeypatch)
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2 and out == "" and err.startswith(f"error: {message}, above the cap of ")
+
+
+def _doc(entries: list[list[str]]) -> dict:
+    return {"rows": len(entries), "cols": len(entries[0]), "entries": entries}
+
+
+def _one_term(a: str, b: str) -> str:
+    return json.dumps({"dim": 1, "terms": [{"a": _doc([[a]]), "b": _doc([[b]])}]})
+
+
+def _coprime_fractions(digits: int, count: int) -> list[str]:
+    """`count` fractions of `digits` characters in all, their denominators pairwise
+    coprime: each output digit the bound counts is really there."""
+    size = digits // count
+    dens = [str(10 ** (size // 2) + k) for k in (1, 3, 7)][:count]  # 10^s+1, +3, +7: coprime
+    nums = ["9" * (size - 1 - len(d)) for d in dens]
+    out = [f"{n}/{d}" for n, d in zip(nums, dens)]
+    out[0] = "9" * (digits - sum(map(len, out))) + out[0]
+    return out
+
+
+def _apply_argv(a: str, b: str, x: str) -> list[str]:
+    return ["apply", "--op", _one_term(a, b), "--x", json.dumps(_doc([[x]]))]
+
+
+# the commands whose outputs are built from their inputs' entries, as argv whose
+# bound is `digits`, and the flags named
+DIGITS = {
+    "superop": (lambda digits: ["superop", "--op", _one_term(*_coprime_fractions(digits, 2))], "--op"),
+    "apply": (lambda digits: _apply_argv(*_coprime_fractions(digits, 3)), "--op and --x"),
+    # a = b = c = d = 10^s and k = 2*10^s: each output a polynomial of degree <= 4 in them
+    "examples": (lambda digits: ["examples", "--which", "3.2", "--params", ",".join(
+        ["+" * (digits // 4 - 1000) + "1" + "0" * 199] + ["1" + "0" * 199] * 3 + ["2" + "0" * 199])],
+                 "--params"),
+}
+
+
+@pytest.mark.parametrize("argv, flags, digits", [
+    # an entry of A X B reads a whole row of A and a whole column of B
+    (["apply", "--op", json.dumps({"dim": 2, "terms": [{
+        "a": _doc([["7" * 1000, "7" * 1000], ["0", "0"]]),
+        "b": _doc([["7" * 1000, "0"], ["7" * 1000, "0"]])}]}),
+      "--x", json.dumps(_doc([["1", "0"], ["0", "1"]]))], "--op and --x", 4004),
+    # an entry of the superoperator reads one entry of every term's coefficients
+    (["superop", "--op", json.dumps({"dim": 1, "terms": [
+        {"a": _doc([["7" * 2000]]), "b": _doc([["1"]])}] * 2})], "--op", 4002),
+], ids=["apply-row-and-column", "superop-terms"])
+def test_every_factor_counts_toward_the_digits(capsys, monkeypatch, argv, flags, digits):
+    _no_parse(monkeypatch)
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2 and out == ""
+    assert err == (f"error: {flags} could give an output entry of {digits} digits, "
+                   f"above the cap of {cli.DIGITS_CAP}\n")
+
+
+@pytest.mark.parametrize("case", DIGITS)
+def test_input_at_the_digits_cap_runs(capsys, case):
+    argv, _ = DIGITS[case]
+    status, out, err = run_cli(capsys, *argv(cli.DIGITS_CAP))
+    assert status == 0 and err == ""
+    if case != "examples":
+        (entry,), = json.loads(out)["entries"]
+        # the product of the coprime fractions: about DIGITS_CAP digits, under the 4,300 of CPython
+        assert cli.DIGITS_CAP - 10 <= len(entry) <= cli.DIGITS_CAP
+
+
+@pytest.mark.parametrize("case", DIGITS)
+def test_input_above_the_digits_cap_exits_2_before_parsing(capsys, monkeypatch, case):
+    argv, flags = DIGITS[case]
+    _no_parse(monkeypatch)
+    monkeypatch.setattr(cli, "parse_scalar", lambda *args: pytest.fail("a piece reached the parser"))
+    digits = cli.DIGITS_CAP + (4 if case == "examples" else 1)
+    status, out, err = run_cli(capsys, *argv(digits))
+    assert status == 2 and out == ""
+    assert err == (f"error: {flags} could give an output entry of {digits} digits, "
+                   f"above the cap of {cli.DIGITS_CAP}\n")
 
 
 def test_search_finds_family_witnesses(capsys):
@@ -479,18 +625,71 @@ def test_checked_property_failure_exits_1(capsys, monkeypatch):
     assert json.loads(out)["passed"] is False
 
 
-def test_module_entry_point_runs():
+def _op9_doc() -> str:
+    """A two-term operator of dimension 9 with entries -1, 0 and 1."""
+    def m(k):
+        return {"rows": 9, "cols": 9,
+                "entries": [[str((i * 9 + j + k) % 3 - 1) for j in range(9)] for i in range(9)]}
+    return json.dumps({"dim": 9, "terms": [{"a": m(0), "b": m(1)}, {"a": m(2), "b": m(0)}]})
+
+
+E11I = '{"rows":2,"cols":2,"entries":[["i","0"],["0","0"]]}'
+OP9_PATH = "<op9.json>"  # replaced by the path of a file holding _op9_doc()
+# the CLI as a process: argv, exit code, subprocess timeout, and a check of stdout
+PROCESS_CASES = {
+    "examples-3.1": (["examples", "--which", "3.1"], 0, None,
+                     lambda out: json.loads(out)["S_cubed_plus_S_zero"] is True),
+    "unknown-theorem": (["check", "--theorem", "9"], 2, None, None),
+    # a real sweep: the subcommand table, the sweep memo and the equivalence checks
+    "sweep-2.1": (["sweep", "--theorem", "2.1", "--dim", "2"], 0, None,
+                  lambda out: (json.loads(out)["passed"], json.loads(out)["instances_tested"])
+                  == (True, 6561)),
+    # the other memoised sweep: 6561 pairs, the common-shift hypotheses on 131
+    "sweep-1.1-exhaustive": (
+        ["sweep", "--theorem", "1.1", "--exhaustive", "--dim", "2"], 0, None,
+        lambda out: [json.loads(out)[k] for k in ("passed", "instances_tested", "hypothesis_instances")]
+        == [True, 6561, 131]),
+    # a --dim above the cap exits 2 before any trial; a sweep that starts runs into the timeout
+    "sweep-dim-50": (["sweep", "--theorem", "2.2", "--dim", "50"], 2, 10, None),
+    # so does an --entry-bound above its cap: a search at bound 1000 would run for minutes
+    "search-entry-bound-1000": (
+        ["search", "--target", "2.3", "--dim", "8", "--entry-bound", "1000"], 2, 10, None),
+    # and so does a --trials above its cap: 100000 trials would run for hours
+    "sweep-trials-100000": (["sweep", "--theorem", "2.2", "--trials", "100000"], 2, 10, None),
+    # the column-iterate route on the 3x3 shift: index 3, witness J^2 at row 0, column 2
+    "nilpotent-shift": (
+        ["nilpotent", "--matrix",
+         '{"rows":3,"cols":3,"entries":[["0","1","0"],["0","0","1"],["0","0","0"]]}'], 0, None,
+        lambda out: (json.loads(out)["index"], json.loads(out)["witness"]["row"],
+                     json.loads(out)["witness"]["col"]) == (3, 0, 2)),
+    # one Gaussian x Gaussian term whose imaginary part cancels: i*E11 (x) i*E11 = -E11 (x) E11
+    "superop-cancelling-term": (
+        ["superop", "--op", f'{{"dim":2,"terms":[{{"a":{E11I},"b":{E11I}}}]}}'], 0, None,
+        lambda out: json.loads(out)["entries"][0][0] == "-1" and "*i" not in out),
+    # a two-term operator above the dimension cap exits 2 before it is parsed
+    "nilpotent-op-dim-9": (["nilpotent", "--op", OP9_PATH], 2, 10, None),
+    # JSON nested past the decoder's recursion limit is a parse error, not a crash
+    "nested-json": (["nilpotent", "--matrix", "[" * 100000], 2, None, None),
+}
+
+
+@pytest.mark.parametrize("case", PROCESS_CASES)
+def test_module_entry_point_runs(tmp_path, case):
+    argv, code, timeout, check = PROCESS_CASES[case]
+    op9 = tmp_path / "op9.json"
+    op9.write_text(_op9_doc(), encoding="utf-8")
     # the child imports the same elemop as this process, installed or not
     src = str(Path(elemop.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "elemop.cli", "examples", "--which", "3.1"],
+        [sys.executable, "-m", "elemop.cli", *(str(op9) if a == OP9_PATH else a for a in argv)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
     )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["S_cubed_plus_S_zero"] is True
+    assert proc.returncode == code, proc.stderr
+    assert check is None or check(proc.stdout), proc.stdout
 
 
 def test_one_parser_serves_every_call(capsys, monkeypatch):

@@ -22,10 +22,12 @@ from elemop import (
     vec,
 )
 from elemop.jsonio import matrix_to_obj
+from elemop.scalars import format_scalar
 from helpers import (
     rand_matrix,
     rand_scalar,
     ref_add,
+    ref_entry_rows,
     ref_identity,
     ref_is_zero,
     ref_kron,
@@ -405,18 +407,16 @@ def test_product_reads_like_the_matrix_built_from_its_entries(m):
 
 
 def _has_entries(m: Matrix) -> bool:
-    try:
-        object.__getattribute__(m, "_rows")
-    except AttributeError:
-        return False
-    return True
+    """Whether m holds anything besides its shape and an int form."""
+    scale, (re, im) = m._form
+    ints = all(type(x) is int for part in (re, im or ()) for row in part for x in row)
+    return hasattr(m, "__dict__") or type(scale) is not int or not ints
 
 
 def test_unread_product_has_no_entries():
     p = Matrix([[1, 2], [3, 4]]) * J2
-    with pytest.raises(AttributeError):
-        object.__getattribute__(p, "_rows")
-    # no other operation on form-only operands builds entries either
+    form = p._form
+    # no operation on form-only operands builds entries
     q = Matrix([["1/2", "i"], [0, 3]]) * Matrix.identity(2)
     derived = [p + q, p - q, -p, 2 * p, p * "1/3+i", p.T, p.transpose(), kron(p, q), vec(p),
                unvec(vec(q), 2, 2), matrix_poly([1, "i", 2], p), p**3, rank_one(vec(p).T, vec(q)),
@@ -424,11 +424,53 @@ def test_unread_product_has_no_entries():
     assert p.trace() == GaussianRational(3) and not p.is_zero and (p - p).is_zero
     assert p != q and hash(p) == hash(p._form)
     assert not any(map(_has_entries, [p, q, *derived]))
+    # nor does reading them: each read builds them afresh and stores none
     assert p[0, 1] == GaussianRational(1)
-    assert object.__getattribute__(p, "_rows") == ((ZERO, GaussianRational(1)),
-                                                  (ZERO, GaussianRational(3)))
+    assert p.row_list() == [[ZERO, GaussianRational(1)], [ZERO, GaussianRational(3)]]
+    assert not _has_entries(p) and p._form is form
+    with pytest.raises(AttributeError):
+        p._rows = ((ZERO, ZERO), (ZERO, ZERO))
     with pytest.raises(AttributeError):
         p.no_such_attribute
+
+
+def test_a_matrix_has_only_its_shape_and_form_slots():
+    assert Matrix.__slots__ == ("rows", "cols", "_form")
+
+
+def _reader_cases():
+    """(matrix, its entries) for entry-built and form-built, real and Gaussian matrices."""
+    rng = random.Random(18)
+    cases = []
+    for gaussian in (False, True):
+        rows = [[rand_scalar(rng, 1, gaussian) for _ in range(3)] for _ in range(2)]
+        cases.append(pytest.param(Matrix(rows), rows, id=f"entries-gaussian={gaussian}"))
+        a, b = wide_matrix(rng, 2, 3, gaussian), wide_matrix(rng, 3, 3, gaussian)
+        product = a * b
+        assert product == ref_matmul(a, b)
+        rows = ref_entry_rows(product)
+        cases.append(pytest.param(product, rows, id=f"form-gaussian={gaussian}"))
+    cases.append(pytest.param(J2 * J2T, [[GaussianRational(1), ZERO], [ZERO, ZERO]], id="form-0-1"))
+    return cases
+
+
+@pytest.mark.parametrize("m, rows", _reader_cases())
+def test_every_entry_reader_builds_the_entries_from_the_form(m, rows):
+    form = m._form
+    assert ref_entry_rows(m) == rows
+    assert m.row_list() == rows
+    assert [m[i] for i in range(m.rows)] == [tuple(row) for row in rows]  # as the probes read it
+    assert all(type(m[i]) is tuple for i in range(m.rows))
+    assert [[m[i, j] for j in range(m.cols)] for i in range(m.rows)] == rows
+    assert list(m.entries()) == [(i, j, e) for i, row in enumerate(rows) for j, e in enumerate(row)]
+    text = "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in rows) + "]"
+    assert str(m) == text and repr(m) == f"Matrix({text})"
+    assert matrix_to_obj(m) == {"rows": m.rows, "cols": m.cols,
+                                "entries": [[format_scalar(e) for e in row] for row in rows]}
+    # one object per distinct value within a read, and the form is left as it was
+    read = m.row_list()
+    assert len({id(e) for row in read for e in row}) == len({e for row in read for e in row})
+    assert m._form is form and not _has_entries(m)
 
 
 def test_hash_is_taken_of_the_form_and_builds_no_entries():
@@ -438,8 +480,6 @@ def test_hash_is_taken_of_the_form_and_builds_no_entries():
         p = a * b
         twin = ref_matmul(a, b)
         assert hash(p) == hash(twin) and twin._form == p._form
-        with pytest.raises(AttributeError):  # hashing the product read no entry
-            object.__getattribute__(p, "_rows")
         assert hash(_entry_twin(p)) == hash(p) == hash(p._form)
     # equal zero matrices of one shape hash equal whichever way they were made
     assert hash(Matrix.zero(2, 1) * Matrix.zero(1, 2)) == hash(Matrix.zero(2))
