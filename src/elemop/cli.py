@@ -145,17 +145,21 @@ def main(argv=None) -> int:
 
 def _run_apply(args) -> tuple[dict, int]:
     op_obj, x_obj = _load(args.op, "--op"), _load(args.x, "--x")
+    terms, x_texts = _terms(op_obj), _texts(x_obj)
+    _cap_scale("--op and --x", [m for t in terms for m in t] + [x_texts])
     # an entry of sum_i A_i X B_i is built from a row of each A_i, X and a column of each B_i
-    _cap_digits("--op and --x", sum(_widest(a) + _widest(zip(*b)) for a, b in _terms(op_obj))
-                + sum(len(e) for row in _texts(x_obj) for e in row))
+    _cap_digits("--op and --x", sum(_widest(a) + _widest(zip(*b)) for a, b in terms)
+                + sum(len(e) for row in x_texts for e in row))
     op, x = jsonio.operator_from_obj(op_obj), jsonio.matrix_from_obj(x_obj)
     return jsonio.matrix_to_obj(op(x)), 0
 
 
 def _run_superop(args) -> tuple[dict, int]:
     op_obj = _load(args.op, "--op")
+    terms = _terms(op_obj)
+    _cap_scale("--op", [m for t in terms for m in t])
     # an entry of the superoperator is built from one entry of each coefficient
-    _cap_digits("--op", sum(_longest(a) + _longest(b) for a, b in _terms(op_obj)))
+    _cap_digits("--op", sum(_longest(a) + _longest(b) for a, b in terms))
     op = jsonio.operator_from_obj(op_obj)
     return jsonio.matrix_to_obj(op.superoperator()), 0
 
@@ -334,15 +338,31 @@ def _cap_width(flags: str, n: int, matrices, factors: int) -> None:
     The decision runs on the Gaussian-integer form D*M, D the lcm of every
     denominator.  Each entry of M sums products of `factors` entries of
     `matrices`, so an entry of D*M has at most `factors` times the longest
-    entry's digits plus D's, and D's, with every denominator distinct, are
-    at most the characters after each entry's first "/"."""
-    texts = [e for m in matrices for row in m for e in row]
-    width = (factors * max(map(len, texts), default=0)
-             + sum(len(e) - e.find("/") - 1 for e in texts if "/" in e))
+    entry's digits plus D's, which `_scale_digits` bounds."""
+    width = (factors * max((len(e) for m in matrices for row in m for e in row), default=0)
+             + _scale_digits(matrices))
     cap = _width_cap(n)
     if width > cap:
         raise ParseError(f"{flags} entries are {width} digits wide, "
                          f"above the cap of {cap} for a {n}x{n} decision")
+
+
+def _cap_scale(flags: str, matrices) -> None:
+    """Reject documents whose common denominator could pass DIGITS_CAP digits.
+
+    A superoperator holds every entry over the lcm of all the denominators,
+    and each product of an application over the lcm of its factors', so the
+    cost grows with that lcm's digits even where every output entry is short."""
+    digits = _scale_digits(matrices)
+    if digits > DIGITS_CAP:
+        raise ParseError(f"{flags} denominators could give a common scale of {digits} digits, "
+                         f"above the cap of {DIGITS_CAP}")
+
+
+def _scale_digits(matrices) -> int:
+    """The most digits the lcm of the entries' denominators can have: with
+    every denominator distinct, the characters after each entry's first "/"."""
+    return sum(len(e) - e.find("/") - 1 for m in matrices for row in m for e in row if "/" in e)
 
 
 def _width_cap(n: int) -> int:

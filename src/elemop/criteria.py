@@ -3,7 +3,10 @@
 Each checker evaluates its hypotheses on concrete matrices, decides the
 conclusion (nilpotency of the associated operator) directly from the
 superoperator, and reports both together with a consistency flag:
-hypotheses holding must imply a nilpotent conclusion.
+hypotheses holding must imply a nilpotent conclusion.  Every checker lives
+here: `thm21_criterion`, `thm22_check`, `_each_term_check` (the length-2
+extension of 2.1, which example 3.1 refutes), `thm23_check` and
+`fong_sourour_check`, and `thm21_proof_replay` beside them.
 
 Two of the criteria are exact equivalences in finite dimension, not just
 implications: the length-one criterion (`thm21_criterion`) and the common
@@ -20,19 +23,19 @@ bounded: at most 1 + sum_i (min(ind A_i, ind B_i) - 1).  Every one of
 these errors is raised by `_enforce`.  A shifted matrix A - lam*I is built
 only when both sides share the candidate lam.
 
-Facts go through `_fact`: a matrix's NilpotencyReport (`_report`), its
-shift candidate lam = trace/d (`_shift`), and the report of A - lam*I
-(`_shifted`).  Inside `_sweep_facts()`, which the exhaustive sweeps open
-around their pair loop, each fact is computed once per distinct matrix
-value and remembered until the sweep ends; outside it every call decides
-afresh.  The memo holds those values and nothing callable, keyed by a
-flat tuple (the fact name, then the size, scale and every entry of the
-Z[i] form as ints), and equal values are stored as one shared object.  Both
-equivalences and `thm22_check` decide their operator through `_decided`,
-the report of its superoperator, so in a sweep a superoperator value met
-again is not decided again; each pair still builds its operator,
-evaluates its hypotheses and runs `_enforce` against the index its own
-coefficients predict.
+Checkers decide only through `_report` (a matrix's NilpotencyReport) and
+`_decided` (an operator's, the report of its superoperator); the shift
+facts are the candidate lam = trace/d (`_shift`) and the report of
+A - lam*I (`_shifted`).  All of them go through `_fact`.  Inside
+`_sweep_facts()`, which the exhaustive sweeps open around their pair loop,
+each fact is computed once per distinct matrix value and remembered until
+the sweep ends; outside it every call decides afresh.  The memo holds
+those values and nothing callable, keyed by a flat tuple (the fact name,
+then the size, scale and every entry of the Z[i] form as ints), and equal
+values are stored as one shared object.  So in a sweep a coefficient or
+superoperator value met again is not decided again; each pair still
+builds its operator, evaluates its hypotheses and runs `_enforce` against
+the index its own coefficients predict.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from .operators import (
     make_inner_derivation,
     make_multiplication,
     make_v_operator,
-    op_is_nilpotent,
 )
 from .scalars import GaussianRational, as_scalar
 
@@ -209,8 +211,7 @@ def thm22_check(
     cross condition between the tuples), and for each index i at least one
     of A_i, B_i is nilpotent.  Then the operator is nilpotent, of index at
     most 1 + sum_i (min(ind A_i, ind B_i) - 1); an index above that bound
-    raises IntegrityError with the pair of tuples.  B_i is decided only
-    where A_i is not nilpotent, or where the bound needs its index.
+    raises IntegrityError with the pair of tuples.
     """
     a_tuple = tuple(a_tuple)
     b_tuple = tuple(b_tuple)
@@ -228,26 +229,30 @@ def thm22_check(
                         f"{label}-tuple not pairwise commuting: "
                         f"{label}_{i + 1} and {label}_{j + 1}"
                     )
-    reports = []  # per index: A_i's report, and B_i's when A_i is not nilpotent
-    for i, (ai, bi) in enumerate(zip(a_tuple, b_tuple)):
-        report_a = is_nilpotent(ai)
-        report_b = None if report_a.nilpotent else is_nilpotent(bi)
-        if not (report_a.nilpotent or report_b.nilpotent):
-            failures.append(f"index {i + 1}: neither A_{i + 1} nor B_{i + 1} nilpotent")
-        reports.append((report_a, report_b))
+    reports = [(_report(ai), _report(bi)) for ai, bi in zip(a_tuple, b_tuple)]
+    failures += [f"index {i}: neither A_{i} nor B_{i} nilpotent"
+                 for i, (ra, rb) in enumerate(reports, 1) if not (ra.nilpotent or rb.nilpotent)]
 
     op = ElementaryOperator(a_tuple[0].rows, tuple(zip(a_tuple, b_tuple)))
     conclusion = _decided(op)
     if not failures and conclusion.nilpotent:
         # the terms L_(A_i) R_(B_i) commute and have indices m_i = min(ind A_i, ind B_i),
         # so a product of their powers vanishes once some power reaches its m_i
-        bound = 1 + sum(
-            min(r.index for r in (ra, rb or is_nilpotent(bi)) if r.nilpotent) - 1
-            for (ra, rb), bi in zip(reports, b_tuple)
-        )
+        bound = 1 + sum(min(r.index for r in pair if r.nilpotent) - 1 for pair in reports)
         _enforce("commuting-families", "operator", "1 + sum_i (min(ind A_i, ind B_i) - 1)",
                  (a_tuple, b_tuple), True, conclusion, bound, within=le)
     return TheoremCheckResult(not failures, tuple(failures), conclusion)
+
+
+def _each_term_check(op: ElementaryOperator) -> TheoremCheckResult:
+    """The length-one hypothesis asked of every term: each has a nilpotent
+    coefficient.  Example 3.1 meets it on a non-nilpotent operator."""
+    failures = tuple(
+        f"index {i + 1}: neither coefficient nilpotent"
+        for i, (ai, bi) in enumerate(op.terms)
+        if not (_report(ai).nilpotent or _report(bi).nilpotent)
+    )
+    return TheoremCheckResult(not failures, failures, _decided(op))
 
 
 def thm23_check(a: Matrix, b: Matrix) -> ShiftCheckResult:
@@ -266,7 +271,7 @@ def thm23_check(a: Matrix, b: Matrix) -> ShiftCheckResult:
         failures.append("no scalar shift makes A nilpotent")
     if not wb.found:
         failures.append("no scalar shift makes B nilpotent")
-    conclusion = op_is_nilpotent(make_v_operator(a, b))
+    conclusion = _decided(make_v_operator(a, b))
     return ShiftCheckResult(not failures, tuple(failures), conclusion, wa.lam, wb.lam)
 
 
@@ -356,7 +361,7 @@ class ProofReplay:
 def thm21_proof_replay(a: Matrix, b: Matrix) -> ProofReplay:
     """Replay the rank-one construction on a concrete nilpotent pair."""
     d = a.rows
-    report = op_is_nilpotent(make_multiplication(a, b))
+    report = _decided(make_multiplication(a, b))
     if not report.nilpotent:
         raise PreconditionError("X -> AXB is not nilpotent; nothing to replay")
     m = report.index

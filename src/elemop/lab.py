@@ -7,7 +7,8 @@ implication (2.2, 2.3) is violated only by hypotheses that hold on a
 non-nilpotent operator; a nilpotent operator without them is a converse
 finding.  A conjecture (the length-2 extension of 2.1) is known to fail
 (example 3.1), so it yields converse findings only.  The table drives the
-sweeps, the search and the CLI's check, sweep and search.
+sweeps, the search and the CLI's check, sweep and search; the checkers it
+calls live in `elemop.criteria`, and none lives here.
 
 Everything here is deterministic: a GeneratorConfig (including its seed)
 fixes every generated instance, every sweep order and therefore every
@@ -27,7 +28,7 @@ from typing import Callable
 
 from . import jsonio
 from .criteria import (
-    TheoremCheckResult,
+    _each_term_check,
     _sweep_facts,
     fong_sourour_check,
     scalar_shift_witness,
@@ -228,8 +229,10 @@ class Criterion:
     unconstrained one; `from_pair` maps a search pair (a, b) to an instance.
     `commutation_fact`, when set, must hold on every structured instance
     whose hypotheses hold.  `exhaustive` runs the exhaustive dim-2 sweep.
-    Adapters reach library functions through this module's globals, so a
-    wrapper installed there (a test's monkeypatch, a tracer) sees the call.
+    `check` adapts a checker of `elemop.criteria`, where every checker
+    lives.  Adapters reach library functions through this module's globals,
+    so a wrapper installed there (a test's monkeypatch, a tracer) sees the
+    call.
     """
 
     name: str
@@ -315,17 +318,6 @@ def _structured_common_shift(rng: random.Random, config: GeneratorConfig):
     return lam * ident + n1, lam * ident + n2
 
 
-def _each_term_check(op: ElementaryOperator) -> TheoremCheckResult:
-    """The length-one hypothesis asked of every term: each has a nilpotent
-    coefficient."""
-    failures = tuple(
-        f"index {i + 1}: neither coefficient nilpotent"
-        for i, (ai, bi) in enumerate(op.terms)
-        if not (is_nilpotent(ai).nilpotent or is_nilpotent(bi).nilpotent)
-    )
-    return TheoremCheckResult(not failures, failures, op_is_nilpotent(op))
-
-
 def _commutation_fact_holds(tuples) -> bool:
     """Superoperators of the leading partial sum and the last term commute
     whenever both coefficient tuples commute within themselves."""
@@ -348,7 +340,7 @@ CRITERIA = (
         exhaustive=lambda: sweep_thm21_exhaustive(),
     ),
     Criterion(
-        "2.1-extension", "2.1-ext", CONJECTURE, _each_term_check, _operator_obj,
+        "2.1-extension", "2.1-ext", CONJECTURE, lambda op: _each_term_check(op), _operator_obj,
         from_pair=lambda a, b: make_v_operator(a, b),
     ),
     Criterion(

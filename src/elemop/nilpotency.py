@@ -10,8 +10,8 @@ IntegrityError.
 Both routes run on Gaussian integers, not on Q(i).  Let D be the lcm of
 the denominators of every real and imaginary part of A; then B = D*A has
 entries in Z[i], held as rows of Python ints (real parts, plus imaginary
-parts only when some entry of A is non-real).  (D, B) is the form cached
-on the Matrix, so `is_nilpotent` and its `char_poly` share one conversion.
+parts only when some entry of A is non-real).  (D, B) is the form the
+Matrix holds, so `is_nilpotent` and its `char_poly` share one conversion.
 Products, matrix-vector steps and traces use the Z[i] helpers of
 `elemop.matrix`, the ones behind Matrix `*` and `trace`.
 Nilpotency and its index are unchanged by the nonzero factor D, and

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -485,6 +486,45 @@ def test_input_above_the_digits_cap_exits_2_before_parsing(capsys, monkeypatch, 
                    f"above the cap of {cli.DIGITS_CAP}\n")
 
 
+def _unit_fractions(digits: int, count: int) -> list[str]:
+    """`count` fractions 1/q, the q distinct, whose denominators have `digits` characters in all."""
+    sizes = [digits // count + (k < digits % count) for k in range(count)]
+    return ["1/" + str(10 ** (size - 1) + k + 1) for k, size in enumerate(sizes)]
+
+
+def _scale_argv(command: str, digits: int) -> list[str]:
+    """A dim-2 superop, or apply, request whose denominators have `digits` characters in all."""
+    fractions = iter(_unit_fractions(digits, 8 if command == "superop" else 12))
+
+    def matrix():
+        return _doc([[next(fractions), next(fractions)], [next(fractions), next(fractions)]])
+
+    op = json.dumps({"dim": 2, "terms": [{"a": matrix(), "b": matrix()}]})
+    return ["superop", "--op", op] if command == "superop" else ["apply", "--op", op, "--x",
+                                                                  json.dumps(matrix())]
+
+
+# the commands that put every entry over a common scale, and the flags named
+SCALED = {"superop": "--op", "apply": "--op and --x"}
+
+
+@pytest.mark.parametrize("command", SCALED)
+def test_common_scale_at_the_cap_runs(capsys, command):
+    status, out, err = run_cli(capsys, *_scale_argv(command, cli.DIGITS_CAP))
+    assert status == 0 and err == ""
+    assert len(json.loads(out)["entries"]) == (4 if command == "superop" else 2)
+
+
+@pytest.mark.parametrize("command", SCALED)
+def test_common_scale_above_the_cap_exits_2_before_parsing(capsys, monkeypatch, command):
+    _no_parse(monkeypatch)
+    digits = cli.DIGITS_CAP + 1
+    status, out, err = run_cli(capsys, *_scale_argv(command, digits))
+    assert status == 2 and out == ""
+    assert err == (f"error: {SCALED[command]} denominators could give a common scale of "
+                   f"{digits} digits, above the cap of {cli.DIGITS_CAP}\n")
+
+
 def test_search_finds_family_witnesses(capsys):
     status, out, _ = run_cli(
         capsys, "search", "--target", "2.3", "--dim", "3", "--trials", "4", "--seed", "3"
@@ -633,6 +673,18 @@ def _op9_doc() -> str:
     return json.dumps({"dim": 9, "terms": [{"a": m(0), "b": m(1)}, {"a": m(2), "b": m(0)}]})
 
 
+def _unit_fraction_op_doc() -> str:
+    """A dim-8 one-term operator of 26.5 KB whose 128 entries are 1/q, each q a
+    distinct random 200-digit number: its superoperator would hold 4,096
+    entries over a common denominator of about 25,600 digits."""
+    rng = random.Random(1)
+
+    def m():
+        return _doc([["1/" + str(rng.randrange(10**199, 10**200)) for _ in range(8)]
+                     for _ in range(8)])
+    return json.dumps({"dim": 8, "terms": [{"a": m(), "b": m()}]})
+
+
 E11I = '{"rows":2,"cols":2,"entries":[["i","0"],["0","0"]]}'
 OP9_PATH = "<op9.json>"  # replaced by the path of a file holding _op9_doc()
 # the CLI as a process: argv, exit code, subprocess timeout, and a check of stdout
@@ -666,6 +718,8 @@ PROCESS_CASES = {
     "superop-cancelling-term": (
         ["superop", "--op", f'{{"dim":2,"terms":[{{"a":{E11I},"b":{E11I}}}]}}'], 0, None,
         lambda out: json.loads(out)["entries"][0][0] == "-1" and "*i" not in out),
+    # denominators whose common scale is above the digits cap exit 2 before any entry is parsed
+    "superop-common-scale": (["superop", "--op", _unit_fraction_op_doc()], 2, 10, None),
     # a two-term operator above the dimension cap exits 2 before it is parsed
     "nilpotent-op-dim-9": (["nilpotent", "--op", OP9_PATH], 2, 10, None),
     # JSON nested past the decoder's recursion limit is a parse error, not a crash

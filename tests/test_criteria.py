@@ -16,12 +16,14 @@ from elemop import (
     criteria,
     eq1_identity_residual,
     fong_sourour_check,
+    lab,
     make_generalized_derivation,
     make_inner_derivation,
     make_multiplication,
     make_v_operator,
     matrix_poly,
     op_is_nilpotent,
+    operators,
     scalar_shift_witness,
     thm21_criterion,
     thm21_proof_replay,
@@ -468,30 +470,61 @@ def test_commuting_families_index_below_the_bound_passes(monkeypatch):
     assert thm22_check(*tuples).conclusion.index == 3
 
 
-def test_commuting_families_decides_b_only_where_needed(monkeypatch):
+def _decisions(monkeypatch, rows=None):
+    """The matrices decided from now on through the `is_nilpotent` of any
+    module a checker could call it from, those of `rows` rows only when it
+    is given."""
     decided = []
     real = criteria.is_nilpotent
 
     def spy(m):
-        if m.rows == 2:  # a coefficient, not the 4x4 superoperator
+        if rows is None or m.rows == rows:
             decided.append(m)
         return real(m)
 
-    monkeypatch.setattr(criteria, "is_nilpotent", spy)
-    # hypotheses hold: B_1 = I2 is decided for the bound, after A_1 = J2
+    for module in (criteria, operators, lab):
+        monkeypatch.setattr(module, "is_nilpotent", spy)
+    return decided
+
+
+def test_commuting_families_decides_each_coefficient_once(monkeypatch):
+    decided = _decisions(monkeypatch, rows=2)  # coefficients, not the 4x4 superoperator
+    # hypotheses hold: the bound reads the reports already made
     thm22_check([J2, I2], [I2, J2])
-    assert decided == [J2, I2, J2, I2]
-    # the A-tuple does not commute: B_i is decided only where A_i is not nilpotent
+    assert decided == [J2, I2, I2, J2]
+    # the A-tuple does not commute: every coefficient is still decided, once
     decided.clear()
     thm22_check([SHIFT_A, SHIFT_B], [I2, I2])
-    assert decided == [SHIFT_A, SHIFT_B]
+    assert decided == [SHIFT_A, I2, SHIFT_B, I2]
+
+
+# every checker of the module, on an instance, and thm21_proof_replay beside them
+CHECKERS = {
+    "2.1": lambda: thm21_criterion(J2, I2),
+    "2.1-ext": lambda: criteria._each_term_check(make_v_operator(SHIFT_A, SHIFT_B)),
+    "2.2": lambda: thm22_check([J2, I2], [I2, J2]),
+    "2.3": lambda: thm23_check(FAMILY_A, FAMILY_B),
+    "1.1": lambda: fong_sourour_check(J2 + I2, J2.T + I2),
+    "replay": lambda: thm21_proof_replay(J2, I2),
+}
+
+
+@pytest.mark.parametrize("checker", CHECKERS)
+def test_a_checker_run_again_in_a_sweep_decides_nothing(monkeypatch, checker):
+    decided = _decisions(monkeypatch)
+    with criteria._sweep_facts():
+        first = CHECKERS[checker]()
+        assert decided
+        decided.clear()
+        assert CHECKERS[checker]() == first
+    assert decided == []
 
 
 def test_replay_failures_carry_the_pair(monkeypatch):
     import elemop.criteria as criteria
 
     # X -> X claimed nilpotent of index 1: every step of the replay must fail
-    monkeypatch.setattr(criteria, "op_is_nilpotent", lambda op: NilpotencyReport(True, 1))
+    monkeypatch.setattr(criteria, "_decided", lambda op: NilpotencyReport(True, 1))
     with pytest.raises(IntegrityError, match="rank-one construction failed") as info:
         thm21_proof_replay(I2, I2)
     assert info.value.instance == (I2, I2)

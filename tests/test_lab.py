@@ -505,7 +505,7 @@ CHECKERS = {
     "1.1": "fong_sourour_check",
     "2.2": "thm22_check",
     "2.3": "thm23_check",
-    "2.1-ext": "op_is_nilpotent",
+    "2.1-ext": "_each_term_check",
 }
 EXHAUSTIVE = {"2.1": sweep_thm21_exhaustive, "1.1": sweep_fong_sourour_exhaustive}
 FORCED_MODES = [
@@ -532,7 +532,7 @@ def _forced_cases():
             if forced == (False, True) and theorem not in ("2.1", "1.1") and mode != "structured":
                 continue  # a converse finding of an implication, not a violation
             if forced is not None and theorem == "2.1-ext":
-                continue  # the conjecture's checker is the decision itself
+                continue  # a conjecture's results are converse findings, never violations
             yield theorem, mode, outcome
 
 

@@ -525,7 +525,7 @@ def test_non_conformable_product_keeps_its_message():
         (Matrix([[1, 2]]) * Matrix.identity(2)) * Matrix([[1, "i"]])
 
 
-def test_racing_entry_fills_agree():
+def test_concurrent_reads_agree_and_leave_the_form_alone():
     rng = random.Random(14)
     factors = [(wide_matrix(rng, 4, 4, True), wide_matrix(rng, 4, 4, False)) for _ in range(12)]
     products = [a * b for a, b in factors]
