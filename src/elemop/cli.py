@@ -144,8 +144,7 @@ def main(argv=None) -> int:
 
 
 def _run_apply(args) -> tuple[dict, int]:
-    op_obj, x_obj = _load(args.op, "--op"), _load(args.x, "--x")
-    terms, x_texts = _terms(op_obj), _texts(x_obj)
+    (op_obj, _, terms), (x_obj, x_texts) = _operator(args.op), _matrix(args.x, "--x")
     _cap_scale("--op and --x", [m for t in terms for m in t] + [x_texts])
     # an entry of sum_i A_i X B_i is built from a row of each A_i, X and a column of each B_i
     _cap_digits("--op and --x", sum(_widest(a) + _widest(zip(*b)) for a, b in terms)
@@ -155,8 +154,7 @@ def _run_apply(args) -> tuple[dict, int]:
 
 
 def _run_superop(args) -> tuple[dict, int]:
-    op_obj = _load(args.op, "--op")
-    terms = _terms(op_obj)
+    op_obj, _, terms = _operator(args.op)
     _cap_scale("--op", [m for t in terms for m in t])
     # an entry of the superoperator is built from one entry of each coefficient
     _cap_digits("--op", sum(_longest(a) + _longest(b) for a, b in terms))
@@ -166,31 +164,29 @@ def _run_superop(args) -> tuple[dict, int]:
 
 def _run_nilpotent(args) -> tuple[dict, int]:
     if args.matrix is not None:
-        matrix_obj = _load(args.matrix, "--matrix", MATRIX_CAP)
-        _cap_width("--matrix", _size(matrix_obj), [_texts(matrix_obj)], 1)
+        matrix_obj, texts = _matrix(args.matrix, "--matrix", MATRIX_CAP)
+        _cap_width("--matrix", len(texts), [texts], 1)
         report = is_nilpotent(jsonio.matrix_from_obj(matrix_obj))
     else:
-        op_obj = _load(args.op, "--op")
-        _cap_width("--op", _size(op_obj, "dim") ** 2, [m for t in _terms(op_obj) for m in t], 2)
+        op_obj, dim, terms = _operator(args.op)
+        _cap_width("--op", dim * dim, [m for t in terms for m in t], 2)
         report = op_is_nilpotent(jsonio.operator_from_obj(op_obj))
     return jsonio.report_to_obj(report), 0
 
 
 def _run_check(args) -> tuple[dict, int]:
     spec = lab.criterion(args.theorem)
-    a_objs = [_load(path, "--a") for path in args.a]
-    b_objs = [_load(path, "--b") for path in args.b]
+    a_docs = [_matrix(source, "--a") for source in args.a]
+    b_docs = [_matrix(source, "--b") for source in args.b]
+    texts = [t for _, t in a_docs + b_docs]
     # every criterion decides a superoperator, whose entries multiply an entry of each side
-    dim = max(map(_size, a_objs + b_objs))
-    _cap_width("--a and --b", dim * dim, [_texts(obj) for obj in a_objs + b_objs], 2)
-    a_list = [jsonio.matrix_from_obj(obj) for obj in a_objs]
-    b_list = [jsonio.matrix_from_obj(obj) for obj in b_objs]
-    if spec.tuples:
-        result = spec.check((a_list, b_list))
-    elif len(a_list) != 1 or len(b_list) != 1:
+    dim = max(map(len, texts))
+    _cap_width("--a and --b", dim * dim, texts, 2)
+    a_list = [jsonio.matrix_from_obj(obj) for obj, _ in a_docs]
+    b_list = [jsonio.matrix_from_obj(obj) for obj, _ in b_docs]
+    if not spec.tuples and len(a_list) + len(b_list) > 2:
         raise ParseError(f"--theorem {args.theorem} takes exactly one --a and one --b")
-    else:
-        result = spec.check((a_list[0], b_list[0]))
+    result = spec.check((a_list, b_list) if spec.tuples else (a_list[0], b_list[0]))
     return jsonio.check_to_obj(result), 0 if result.consistent else 1
 
 
@@ -258,55 +254,38 @@ def _instance_obj(value):
     return format_scalar(as_scalar(value))
 
 
-def _load(source: str, flag: str, cap: int = DIM_CAP):
-    """Read the JSON document given to `flag` from an inline string or a file
-    path, and reject it when it names a dimension above `cap`.
-
-    Text whose first non-space character opens a JSON object or array is
-    inline; anything else names a file.  The dimensions checked are the
-    document's "dim", "rows" and "cols" and those of its terms' matrices,
-    read before any entry is parsed; a malformed document is left to the
-    jsonio parsers to reject."""
+def _load(source: str, flag: str):
+    """Read the JSON document given to `flag`: inline when its first non-space
+    character opens a JSON object or array, else from the file it names."""
     text = source if source.lstrip()[:1] in ("{", "[") else _read_file(source)
     try:
-        document = json.loads(text)
+        return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: nesting deeper than the decoder's stack allows
         raise ParseError(f"invalid JSON in {_quoted(source)}: {exc}") from exc
-    parts = [document]
-    if isinstance(document, dict) and isinstance(document.get("terms"), list):
-        parts += [t.get(side) for t in document["terms"] if isinstance(t, dict) for side in "ab"]
-    for part in parts:
-        for key in ("dim", "rows", "cols"):
-            size = part.get(key) if isinstance(part, dict) else None
-            if isinstance(size, int) and size > cap:
-                raise ParseError(f"{flag} dimension {size} is above the cap of {cap}")
-    return document
 
 
-def _texts(matrix) -> list[list[str]]:
-    """A matrix document's entries as text, row by row, an int entry as its
-    digits and sign.  An entry the jsonio parsers reject reads as "" and a
-    row they reject is left out; those parsers report both."""
-    rows = matrix.get("entries") if isinstance(matrix, dict) else None
-    if not isinstance(rows, list):
-        return []
-    return [[e if isinstance(e, str) else str(e) if type(e) is int else "" for e in row]
-            for row in rows if isinstance(row, list)]
+def _matrix(source: str, flag: str, cap: int = DIM_CAP):
+    """The matrix document given to `flag` and its entry texts, shape and size checked."""
+    document = _load(source, flag)
+    texts = jsonio.matrix_texts(document)
+    _cap_dims(flag, [texts], cap)
+    return document, texts
 
 
-def _terms(operator) -> list[tuple[list[list[str]], list[list[str]]]]:
-    """The entry texts of each term's a and b matrices in an operator document."""
-    terms = operator.get("terms") if isinstance(operator, dict) else None
-    if not isinstance(terms, list):
-        return []
-    return [(_texts(t.get("a")), _texts(t.get("b"))) for t in terms if isinstance(t, dict)]
+def _operator(source: str):
+    """The --op document, its dimension and its terms' entry texts, shape and size checked."""
+    document = _load(source, "--op")
+    dim, terms = jsonio.operator_texts(document)
+    _cap_dims("--op", [m for t in terms for m in t], DIM_CAP, dim)
+    return document, dim, terms
 
 
-def _size(document, key: str = "rows") -> int:
-    """A document's row count (or other int field), 0 when it has no int one."""
-    size = document.get(key) if isinstance(document, dict) else None
-    return size if type(size) is int else 0
+def _cap_dims(flag: str, matrices, cap: int, *sizes: int) -> None:
+    """Reject `sizes` and the row and column counts of `matrices` above `cap`."""
+    for size in [*sizes, *(n for m in matrices for n in (len(m), len(m[0])))]:
+        if size > cap:
+            raise ParseError(f"{flag} dimension {size} is above the cap of {cap}")
 
 
 def _longest(texts) -> int:

@@ -8,6 +8,11 @@ Entry strings are the canonical exact scalar forms from
 emission is canonical and whitespace-free.  Floating point never appears on
 the wire.  `dumps` renders any document deterministically, so equal values
 always produce byte-identical text.
+
+Reading has two halves: `matrix_texts` and `operator_texts` check a
+document's shape and return its entry strings (a JSON int as its digits and
+sign) without parsing a scalar, so a caller can bound a document first;
+`matrix_from_obj` and `operator_from_obj` then `parse_scalar` every entry.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from .errors import ParseError
 from .matrix import Matrix
 from .nilpotency import NilpotencyReport
 from .operators import ElementaryOperator
-from .scalars import GaussianRational, format_scalar, parse_scalar
+from .scalars import format_scalar, parse_scalar
 
 
 def dumps(document) -> str:
@@ -37,7 +42,8 @@ def matrix_to_obj(m: Matrix) -> dict:
     }
 
 
-def matrix_from_obj(obj) -> Matrix:
+def matrix_texts(obj) -> list[list[str]]:
+    """The entry strings of a matrix document, row by row, its shape checked."""
     if not isinstance(obj, dict):
         raise ParseError(f"matrix document must be an object, got {type(obj).__name__}")
     missing = {"rows", "cols", "entries"} - obj.keys()
@@ -48,19 +54,27 @@ def matrix_from_obj(obj) -> Matrix:
         raise ParseError(f"bad matrix shape: rows={rows!r}, cols={cols!r}")
     if not isinstance(entries, list) or len(entries) != rows:
         raise ParseError(f"expected {rows} entry rows, got {_brief(entries)}")
-    parsed = []
+    texts = []
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"entry row {i} is not a list of {cols} scalars")
-        parsed.append([_entry_scalar(e, i, j) for j, e in enumerate(row)])
-    return Matrix(parsed)
+        texts.append([_entry_text(e, i, j) for j, e in enumerate(row)])
+    return texts
 
 
-def _entry_scalar(e, i: int, j: int) -> GaussianRational:
+def matrix_from_obj(obj) -> Matrix:
+    return _matrix(matrix_texts(obj))
+
+
+def _matrix(texts: list[list[str]]) -> Matrix:
+    return Matrix([[parse_scalar(e) for e in row] for row in texts])
+
+
+def _entry_text(e, i: int, j: int) -> str:
     if isinstance(e, str):
-        return parse_scalar(e)
+        return e
     if isinstance(e, int) and not isinstance(e, bool):
-        return GaussianRational(e)
+        return str(e)
     raise ParseError(f"entry ({i}, {j}) must be a scalar string, got {e!r}")
 
 
@@ -83,7 +97,8 @@ def operator_to_obj(op: ElementaryOperator) -> dict:
     }
 
 
-def operator_from_obj(obj) -> ElementaryOperator:
+def operator_texts(obj) -> tuple[int, list[tuple[list[list[str]], list[list[str]]]]]:
+    """An operator document's dimension and each term's a and b entry strings."""
     if not isinstance(obj, dict):
         raise ParseError(f"operator document must be an object, got {type(obj).__name__}")
     missing = {"dim", "terms"} - obj.keys()
@@ -98,8 +113,13 @@ def operator_from_obj(obj) -> ElementaryOperator:
     for k, term in enumerate(terms):
         if not isinstance(term, dict) or {"a", "b"} - term.keys():
             raise ParseError(f'term {k} must be an object with "a" and "b" matrices')
-        pairs.append((matrix_from_obj(term["a"]), matrix_from_obj(term["b"])))
-    return ElementaryOperator(dim, tuple(pairs))
+        pairs.append((matrix_texts(term["a"]), matrix_texts(term["b"])))
+    return dim, pairs
+
+
+def operator_from_obj(obj) -> ElementaryOperator:
+    dim, pairs = operator_texts(obj)
+    return ElementaryOperator(dim, tuple((_matrix(a), _matrix(b)) for a, b in pairs))
 
 
 # ---- reports ---------------------------------------------------------------
