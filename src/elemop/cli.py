@@ -53,6 +53,11 @@ ENTRY_BOUND_CAP = 10
 # the largest --trials: a trial at the capped --dim and --entry-bound takes about
 # 1.2 s, so a capped sweep or search ends within about 20 minutes
 TRIALS_CAP = 1000
+# the most terms an --op document, and the most documents an --a or --b of
+# `check`, may give: `check --theorem 2.2` compares every pair of coefficients on
+# a side, and at the --dim cap with dense entries 1, -1, i and -i took 1.8-1.9 s at
+# 32 terms, 2.8-3.6 s at 64 and 7.1-9.1 s at 128; `nilpotent --op` took 1.2-1.9 s
+TERMS_CAP = 64
 
 
 @functools.cache
@@ -176,6 +181,10 @@ def _run_nilpotent(args) -> tuple[dict, int]:
 
 def _run_check(args) -> tuple[dict, int]:
     spec = lab.criterion(args.theorem)
+    if not spec.tuples and len(args.a) + len(args.b) > 2:
+        raise ParseError(f"--theorem {args.theorem} takes exactly one --a and one --b")
+    for flag, sources in (("--a", args.a), ("--b", args.b)):
+        _cap_terms(flag, len(sources), "documents")
     a_docs = [_matrix(source, "--a") for source in args.a]
     b_docs = [_matrix(source, "--b") for source in args.b]
     texts = [t for _, t in a_docs + b_docs]
@@ -184,8 +193,6 @@ def _run_check(args) -> tuple[dict, int]:
     _cap_width("--a and --b", dim * dim, texts, 2)
     a_list = [jsonio.matrix_from_obj(obj) for obj, _ in a_docs]
     b_list = [jsonio.matrix_from_obj(obj) for obj, _ in b_docs]
-    if not spec.tuples and len(a_list) + len(b_list) > 2:
-        raise ParseError(f"--theorem {args.theorem} takes exactly one --a and one --b")
     result = spec.check((a_list, b_list) if spec.tuples else (a_list[0], b_list[0]))
     return jsonio.check_to_obj(result), 0 if result.consistent else 1
 
@@ -277,6 +284,7 @@ def _operator(source: str):
     """The --op document, its dimension and its terms' entry texts, shape and size checked."""
     document = _load(source, "--op")
     dim, terms = jsonio.operator_texts(document)
+    _cap_terms("--op", len(terms), "terms")
     _cap_dims("--op", [m for t in terms for m in t], DIM_CAP, dim)
     return document, dim, terms
 
@@ -286,6 +294,12 @@ def _cap_dims(flag: str, matrices, cap: int, *sizes: int) -> None:
     for size in [*sizes, *(n for m in matrices for n in (len(m), len(m[0])))]:
         if size > cap:
             raise ParseError(f"{flag} dimension {size} is above the cap of {cap}")
+
+
+def _cap_terms(flag: str, count: int, what: str) -> None:
+    """Reject more than TERMS_CAP terms, or documents, given to `flag`."""
+    if count > TERMS_CAP:
+        raise ParseError(f"{flag} gives {count} {what}, above the cap of {TERMS_CAP}")
 
 
 def _longest(texts) -> int:

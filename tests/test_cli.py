@@ -525,6 +525,81 @@ def test_common_scale_above_the_cap_exits_2_before_parsing(capsys, monkeypatch, 
                    f"{digits} digits, above the cap of {cli.DIGITS_CAP}\n")
 
 
+# ---- the term cap on operators and on check's documents -------------------------------
+
+TERMS_CAP = cli.TERMS_CAP
+ZERO = json.dumps(_doc([["0"]]))
+
+
+def _terms_doc(count: int) -> str:
+    """X -> sum of `count` terms 0 X 0 on 1 x 1 matrices."""
+    return json.dumps({"dim": 1, "terms": [{"a": _doc([["0"]]), "b": _doc([["0"]])}] * count})
+
+
+def _check_argv(a: int, b: int) -> list[str]:
+    return ["check", "--theorem", "2.2", "--a", *[ZERO] * a, "--b", *[ZERO] * b]
+
+
+# each command that reads a list of terms, as argv with `count` of them, the flag
+# named and what it counts
+TERMS = {
+    "nilpotent --op": (lambda k: ["nilpotent", "--op", _terms_doc(k)], "--op", "terms"),
+    "superop": (lambda k: ["superop", "--op", _terms_doc(k)], "--op", "terms"),
+    "apply": (lambda k: ["apply", "--op", _terms_doc(k), "--x", ZERO], "--op", "terms"),
+    "check --a": (lambda k: _check_argv(k, min(k, TERMS_CAP)), "--a", "documents"),
+    "check --b": (lambda k: _check_argv(min(k, TERMS_CAP), k), "--b", "documents"),
+}
+
+
+@pytest.mark.parametrize("case", TERMS)
+def test_terms_at_the_cap_run(capsys, case):
+    argv, _, _ = TERMS[case]
+    status, out, err = run_cli(capsys, *argv(TERMS_CAP))
+    assert status == 0 and err == ""
+    if case.startswith("check"):
+        assert json.loads(out)["consistent"] is True
+
+
+@pytest.mark.parametrize("case", TERMS)
+def test_terms_above_the_cap_exit_2_before_parsing(capsys, monkeypatch, case):
+    argv, flag, what = TERMS[case]
+    _no_parse(monkeypatch)
+    status, out, err = run_cli(capsys, *argv(TERMS_CAP + 1))
+    assert status == 2 and out == ""
+    assert err == f"error: {flag} gives {TERMS_CAP + 1} {what}, above the cap of {TERMS_CAP}\n"
+
+
+@pytest.mark.parametrize("theorem, count, message", [
+    ("2.2", TERMS_CAP + 1, f"--a gives {TERMS_CAP + 1} documents, above the cap of {TERMS_CAP}"),
+    ("2.1", 2, "--theorem 2.1 takes exactly one --a and one --b"),
+])
+def test_check_counts_its_documents_before_reading_any(capsys, tmp_path, theorem, count, message):
+    # reading any of these would fail on the missing file instead
+    missing = str(tmp_path / "missing.json")
+    status, out, err = run_cli(capsys, "check", "--theorem", theorem,
+                               "--a", *[missing] * count, "--b", missing)
+    assert status == 2 and out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # 65 rows named but one given: over the --matrix cap, and malformed
+    (["nilpotent", "--matrix", json.dumps({"rows": 65, "cols": 1, "entries": [["0"]]})],
+     "expected 65 entry rows, got [['0']]"),
+    # a coefficient over the dimension cap in a term without "b"
+    (["nilpotent", "--op", json.dumps({"dim": 2, "terms": [{"a": json.loads(_corner_doc(9))}]})],
+     'term 0 must be an object with "a" and "b" matrices'),
+    # more terms than the cap, the last one malformed
+    (["superop", "--op", json.dumps({"dim": 1, "terms": [{"a": _doc([["0"]]), "b": _doc([["0"]])}]
+                                     * TERMS_CAP + [{"a": _doc([["0"]]), "b": {}}]})],
+     "matrix document missing keys: ['cols', 'entries', 'rows']"),
+], ids=["matrix-rows", "operator-dimension", "operator-terms"])
+def test_a_malformed_document_over_a_cap_gets_the_shape_message(capsys, monkeypatch, argv, message):
+    # every document is shape-checked before any cap is applied to its texts
+    _no_parse(monkeypatch)
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2 and out == "" and err == f"error: {message}\n"
+
+
 def test_search_finds_family_witnesses(capsys):
     status, out, _ = run_cli(
         capsys, "search", "--target", "2.3", "--dim", "3", "--trials", "4", "--seed", "3"
@@ -685,8 +760,16 @@ def _unit_fraction_op_doc() -> str:
     return json.dumps({"dim": 8, "terms": [{"a": m(), "b": m()}]})
 
 
+def _op2000_doc() -> str:
+    """A dim-8 operator of 2,000 terms with entries -1, 0 and 1 (1.7 MB)."""
+    def m(k):
+        return _doc([[str((i * 8 + j + k) % 3 - 1) for j in range(8)] for i in range(8)])
+    return json.dumps({"dim": 8, "terms": [{"a": m(k), "b": m(k + 1)} for k in range(2000)]})
+
+
 E11I = '{"rows":2,"cols":2,"entries":[["i","0"],["0","0"]]}'
-OP9_PATH = "<op9.json>"  # replaced by the path of a file holding _op9_doc()
+# argv placeholders, each replaced by the path of a file holding its document
+FILES = {"<op9.json>": _op9_doc, "<op2000.json>": _op2000_doc}
 # the CLI as a process: argv, exit code, subprocess timeout, and a check of stdout
 PROCESS_CASES = {
     "examples-3.1": (["examples", "--which", "3.1"], 0, None,
@@ -721,7 +804,12 @@ PROCESS_CASES = {
     # denominators whose common scale is above the digits cap exit 2 before any entry is parsed
     "superop-common-scale": (["superop", "--op", _unit_fraction_op_doc()], 2, 10, None),
     # a two-term operator above the dimension cap exits 2 before it is parsed
-    "nilpotent-op-dim-9": (["nilpotent", "--op", OP9_PATH], 2, 10, None),
+    "nilpotent-op-dim-9": (["nilpotent", "--op", "<op9.json>"], 2, 10, None),
+    # so does one of more terms than the cap: all 2,000 of these would be decided
+    "nilpotent-op-2000-terms": (["nilpotent", "--op", "<op2000.json>"], 2, 10, None),
+    # check counts its documents before reading any: comparing every pair of
+    # 3,000 per side would run into the timeout
+    "check-3000-documents": (_check_argv(3000, 3000), 2, 10, None),
     # JSON nested past the decoder's recursion limit is a parse error, not a crash
     "nested-json": (["nilpotent", "--matrix", "[" * 100000], 2, None, None),
 }
@@ -730,13 +818,14 @@ PROCESS_CASES = {
 @pytest.mark.parametrize("case", PROCESS_CASES)
 def test_module_entry_point_runs(tmp_path, case):
     argv, code, timeout, check = PROCESS_CASES[case]
-    op9 = tmp_path / "op9.json"
-    op9.write_text(_op9_doc(), encoding="utf-8")
+    for name in set(argv) & FILES.keys():
+        (tmp_path / name.strip("<>")).write_text(FILES[name](), encoding="utf-8")
     # the child imports the same elemop as this process, installed or not
     src = str(Path(elemop.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "elemop.cli", *(str(op9) if a == OP9_PATH else a for a in argv)],
+        [sys.executable, "-m", "elemop.cli", *(str(tmp_path / a.strip("<>")) if a in FILES else a
+                                               for a in argv)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},

@@ -16,11 +16,14 @@ from elemop.jsonio import (
     check_to_obj,
     dumps,
     matrix_from_obj,
+    matrix_texts,
     matrix_to_obj,
     operator_from_obj,
+    operator_texts,
     operator_to_obj,
     report_to_obj,
 )
+from elemop.scalars import parse_scalar
 from helpers import rand_matrix, rand_operator
 
 J2 = Matrix([[0, 1], [0, 0]])
@@ -85,6 +88,69 @@ def test_booleans_are_not_shape_fields(parse, obj, message):
     with pytest.raises(ParseError) as info:
         parse(obj)
     assert str(info.value) == message
+
+
+ONE_TERM = {"a": ONE, "b": ONE}
+
+
+# every message of the readers, each raised by the parser too
+@pytest.mark.parametrize("read, parse, obj, message", [
+    (matrix_texts, matrix_from_obj, "not an object", "matrix document must be an object, got str"),
+    (matrix_texts, matrix_from_obj, {"rows": 2, "cols": 2},
+     "matrix document missing keys: ['entries']"),
+    (matrix_texts, matrix_from_obj, {"rows": 0, "cols": 2, "entries": []},
+     "bad matrix shape: rows=0, cols=2"),
+    (matrix_texts, matrix_from_obj, {"rows": 2, "cols": 2, "entries": [["1", "2"]]},
+     "expected 2 entry rows, got [['1', '2']]"),
+    (matrix_texts, matrix_from_obj, {"rows": 1, "cols": 1, "entries": "1" * 50},
+     "expected 1 entry rows, got '" + "1" * 36 + "..."),
+    (matrix_texts, matrix_from_obj, {"rows": 1, "cols": 2, "entries": [["1"]]},
+     "entry row 0 is not a list of 2 scalars"),
+    (matrix_texts, matrix_from_obj, {"rows": 1, "cols": 2, "entries": [["1", 1.5]]},
+     "entry (0, 1) must be a scalar string, got 1.5"),
+    (matrix_texts, matrix_from_obj, {"rows": 1, "cols": 1, "entries": [[True]]},
+     "entry (0, 0) must be a scalar string, got True"),
+    (operator_texts, operator_from_obj, [ONE_TERM], "operator document must be an object, got list"),
+    (operator_texts, operator_from_obj, {"dim": 1}, "operator document missing keys: ['terms']"),
+    (operator_texts, operator_from_obj, {"dim": 0, "terms": [ONE_TERM]}, "bad operator dimension: 0"),
+    (operator_texts, operator_from_obj, {"dim": 1, "terms": []}, "operator needs a nonempty terms list"),
+    (operator_texts, operator_from_obj, {"dim": 1, "terms": [ONE_TERM, {"a": ONE}]},
+     'term 1 must be an object with "a" and "b" matrices'),
+    (operator_texts, operator_from_obj, {"dim": 1, "terms": [{"a": ONE, "b": {**ONE, "cols": 2}}]},
+     "entry row 0 is not a list of 2 scalars"),
+])
+def test_readers_and_parsers_raise_the_same_messages(read, parse, obj, message):
+    for function in (read, parse):
+        with pytest.raises(ParseError) as info:
+            function(obj)
+        assert str(info.value) == message
+
+
+def test_readers_return_entry_texts_and_parse_nothing():
+    obj = {"rows": 1, "cols": 4, "entries": [[-12, 0, 10**30, "bogus"]]}
+    assert matrix_texts(obj) == [["-12", "0", "1" + "0" * 30, "bogus"]]
+    assert operator_texts({"dim": 1, "terms": [{"a": ONE, "b": obj}]}) == (
+        1, [([["1"]], [["-12", "0", "1" + "0" * 30, "bogus"]])])
+    with pytest.raises(ParseError):
+        matrix_from_obj(obj)
+
+
+def test_parsers_are_the_readers_then_parse_scalar():
+    rng = random.Random(63)
+
+    def parsed(texts):
+        return Matrix([[parse_scalar(e) for e in row] for row in texts])
+
+    for _ in range(10):
+        obj = matrix_to_obj(rand_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), gaussian=True))
+        # JSON ints in some places, spaces and shorthands in others
+        obj["entries"][0][0] = rng.randint(-9, 9)
+        obj["entries"][-1][-1] = " -3 / 4 + i "
+        assert matrix_from_obj(obj) == parsed(matrix_texts(obj))
+        op = operator_to_obj(rand_operator(rng, rng.randint(1, 3), 2, gaussian=True))
+        dim, pairs = operator_texts(op)
+        assert operator_from_obj(op) == ElementaryOperator(
+            dim, tuple((parsed(a), parsed(b)) for a, b in pairs))
 
 
 def test_operator_round_trip():
