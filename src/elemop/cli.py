@@ -181,7 +181,7 @@ def _run_nilpotent(args) -> tuple[dict, int]:
 
 def _run_check(args) -> tuple[dict, int]:
     spec = lab.criterion(args.theorem)
-    if not spec.tuples and len(args.a) + len(args.b) > 2:
+    if not spec.tuples and (len(args.a), len(args.b)) != (1, 1):
         raise ParseError(f"--theorem {args.theorem} takes exactly one --a and one --b")
     for flag, sources in (("--a", args.a), ("--b", args.b)):
         _cap_terms(flag, len(sources), "documents")
