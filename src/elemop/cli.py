@@ -184,7 +184,7 @@ def _run_check(args) -> tuple[dict, int]:
     if not spec.tuples and (len(args.a), len(args.b)) != (1, 1):
         raise ParseError(f"--theorem {args.theorem} takes exactly one --a and one --b")
     for flag, sources in (("--a", args.a), ("--b", args.b)):
-        _cap_terms(flag, len(sources), "documents")
+        _cap_terms(flag, len(sources), "document")
     a_docs = [_matrix(source, "--a") for source in args.a]
     b_docs = [_matrix(source, "--b") for source in args.b]
     texts = [t for _, t in a_docs + b_docs]
@@ -284,7 +284,7 @@ def _operator(source: str):
     """The --op document, its dimension and its terms' entry texts, shape and size checked."""
     document = _load(source, "--op")
     dim, terms = jsonio.operator_texts(document)
-    _cap_terms("--op", len(terms), "terms")
+    _cap_terms("--op", len(terms), "term")
     _cap_dims("--op", [m for t in terms for m in t], DIM_CAP, dim)
     return document, dim, terms
 
@@ -296,10 +296,10 @@ def _cap_dims(flag: str, matrices, cap: int, *sizes: int) -> None:
             raise ParseError(f"{flag} dimension {size} is above the cap of {cap}")
 
 
-def _cap_terms(flag: str, count: int, what: str) -> None:
-    """Reject more than TERMS_CAP terms, or documents, given to `flag`."""
+def _cap_terms(flag: str, count: int, unit: str) -> None:
+    """Reject more than TERMS_CAP of `unit` (a term or a document) given to `flag`."""
     if count > TERMS_CAP:
-        raise ParseError(f"{flag} gives {count} {what}, above the cap of {TERMS_CAP}")
+        raise ParseError(f"{flag} gives {count} {unit}s, above the cap of {TERMS_CAP}")
 
 
 def _longest(texts) -> int:
