@@ -185,6 +185,9 @@ def _run_check(args) -> tuple[dict, int]:
         raise ParseError(f"--theorem {args.theorem} takes exactly one --a and one --b")
     for flag, sources in (("--a", args.a), ("--b", args.b)):
         _cap_terms(flag, len(sources), "document")
+    if len(args.a) != len(args.b):
+        raise ParseError(f"--theorem {args.theorem} takes equal numbers of --a and --b "
+                         f"documents, got {len(args.a)} and {len(args.b)}")
     a_docs = [_matrix(source, "--a") for source in args.a]
     b_docs = [_matrix(source, "--b") for source in args.b]
     texts = [t for _, t in a_docs + b_docs]
@@ -344,8 +347,9 @@ def _cap_scale(flags: str, matrices) -> None:
     """Reject documents whose common denominator could pass DIGITS_CAP digits.
 
     A superoperator holds every entry over the lcm of all the denominators,
-    and each product of an application over the lcm of its factors', so the
-    cost grows with that lcm's digits even where every output entry is short."""
+    and an application sums its terms over the lcm of the coefficients'
+    scales times X's, so the cost grows with that lcm's digits even where
+    every output entry is short."""
     digits = _scale_digits(matrices)
     if digits > DIGITS_CAP:
         raise ParseError(f"{flags} denominators could give a common scale of {digits} digits, "

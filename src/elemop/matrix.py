@@ -11,8 +11,10 @@ int rows (imaginary rows None when A is real).  The form is canonical, so
 `_from_integer_form`, which divides out one gcd.  The form is all a matrix
 holds: `Matrix(rows)` computes it from the entries and keeps none of them,
 and nothing writes to a matrix once it is built.  Entries exist only at the
-boundary: every reader (`str`, indexing, `entries`, `row_list`, JSON)
-builds them from the form when it is called.
+boundary: every entry reader (`str`, indexing, `entries`, `row_list`)
+builds them from the form when it is called.  The JSON wire format
+(`elemop.jsonio`) builds none: it reads entry texts into a form and writes
+them from one.
 """
 
 from __future__ import annotations

@@ -18,6 +18,10 @@ f_i = L/(a_i*b_i).  Each term is one pass of the Z[i] Kronecker helper
 behind `kron`, the terms are summed row by row into fresh rows (the
 imaginary rows only over the non-real terms, and None when every term is
 real), and the result is built once, keeping that form for `is_nilpotent`.
+
+Applying the operator to X with form (x, x*X) runs the same way: each term
+is two Z[i] products a_i*A_i (x*X) b_i*B_i, scaled after the product by
+f_i, and the sum over L*x is built once, with one gcd pass in all.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from functools import lru_cache, reduce
 from math import lcm
 
 from .errors import ShapeError
-from .matrix import Matrix, _add_rows, _gaussian_kron
+from .matrix import Matrix, _add_rows, _gaussian_kron, _gaussian_matmul
 from .nilpotency import NilpotencyReport, is_nilpotent
 from .scalars import as_scalar
 
@@ -61,21 +65,23 @@ class ElementaryOperator:
             raise ShapeError(
                 f"operator on {self.dim}x{self.dim} applied to {x.rows}x{x.cols}"
             )
-        result = Matrix.zero(self.dim)
-        for a, b in self.terms:
-            result = result + a * x * b
-        return result
+        (sx, xf), forms = x._form, [(a._form, b._form) for a, b in self.terms]
+        scale = lcm(*(sa * sb for (sa, _), (sb, _) in forms))
+        terms = [
+            [p and _scaled(scale // (sa * sb), p)
+             for p in _gaussian_matmul(_gaussian_matmul(a, xf), b)]
+            for (sa, a), (sb, b) in forms
+        ]
+        return _summed(scale * sx, terms)
 
     def superoperator(self) -> Matrix:
         forms = [(a._form, b._form) for a, b in self.terms]
         scale = lcm(*(sa * sb for (sa, _), (sb, _) in forms))
         terms = [
-            _gaussian_kron([p and _scaled_transpose(scale // (sa * sb), p) for p in b], a)
+            _gaussian_kron([p and _scaled(scale // (sa * sb), zip(*p)) for p in b], a)
             for (sa, a), (sb, b) in forms
         ]
-        ims = [im for _, im in terms if im is not None]
-        return Matrix._from_integer_form(scale, reduce(_add_rows, [re for re, _ in terms]),
-                                         reduce(_add_rows, ims) if ims else None)
+        return _summed(scale, terms)
 
     # ---- algebra -----------------------------------------------------------
     def __add__(self, other):
@@ -163,11 +169,20 @@ def zero_operator(n: int) -> ElementaryOperator:
     return ElementaryOperator(n, ((z, z),))
 
 
-def _scaled_transpose(factor: int, rows):
-    """factor times the transpose of int rows."""
+def _scaled(factor: int, rows):
+    """factor times int rows, as a list of rows."""
     if factor == 1:
-        return list(zip(*rows))
-    return [[factor * v for v in col] for col in zip(*rows)]
+        return list(rows)
+    return [[factor * v for v in row] for row in rows]
+
+
+def _summed(scale: int, terms) -> Matrix:
+    """The matrix sum(terms) / scale for Z[i] matrices (re, im) of one shape:
+    summed row by row into fresh rows, the imaginary rows only over the
+    non-real terms, and built once."""
+    ims = [im for _, im in terms if im is not None]
+    return Matrix._from_integer_form(scale, reduce(_add_rows, [re for re, _ in terms]),
+                                     reduce(_add_rows, ims) if ims else None)
 
 
 @lru_cache(maxsize=16)

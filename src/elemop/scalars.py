@@ -20,11 +20,18 @@ Each unsigned term must be ASCII digits with an optional "/digits"
 denominator, each run of digits at most 4,300 long (CPython's default
 limit for int strings, which parsing would otherwise be quadratic in when
 that limit is lifted); decimals, exponents, underscores, non-ASCII digits
-and longer runs are rejected before `Fraction` sees them, so no input can
-make it expand a huge exponent or parse a huge number.  A ParseError quotes
+and longer runs are rejected before any digits are converted, so no input
+can expand a huge exponent or parse a huge number.  A ParseError quotes
 the input and the rejected term in full up to 100 characters; longer ones
 are abridged to their first 50 characters and their length, so a rejected
 megabyte term gives a message of about a hundred bytes.
+
+The grammar lives in `_parse_parts`, which returns a scalar's parts as the
+ints written, unreduced; `parse_scalar` reduces them into a
+`GaussianRational`, and `elemop.jsonio` builds a matrix's Z[i] form from
+them with no `Fraction` at all.  `_format_parts` is `format_scalar` for a
+value given as ints (real + i*imag)/den, which is how `jsonio` emits a
+matrix straight from its form.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError
 
@@ -174,8 +182,31 @@ def format_scalar(z: GaussianRational) -> str:
     return f"{z.re}{sign}{abs(z.im)}*i"
 
 
+def _format_parts(real: int, imag: int, den: int) -> str:
+    """format_scalar of (real + i*imag)/den for ints, den > 0, with no Fraction built."""
+    if not imag:
+        return _ratio(real, den)
+    return f"{_ratio(real, den)}{'+' if imag > 0 else '-'}{_ratio(abs(imag), den)}*i"
+
+
+def _ratio(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0: one gcd, none for a zero."""
+    if not num:
+        return "0"
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def parse_scalar(text: str) -> GaussianRational:
     """Parse a scalar string; tolerant of whitespace and of "i" shorthands."""
+    (re_num, re_den), (im_num, im_den) = _parse_parts(text)
+    return GaussianRational(Fraction(re_num, re_den), Fraction(im_num, im_den))
+
+
+def _parse_parts(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The scalar grammar: ((re_num, re_den), (im_num, im_den)), each part
+    as written, so unreduced, with a positive denominator; (0, 1) for an
+    absent part."""
     stripped = "".join(text.split())
     if not stripped:
         raise ParseError("empty scalar string")
@@ -191,10 +222,10 @@ def parse_scalar(text: str) -> GaussianRational:
             if re_part is not None:
                 raise ParseError(f"two real terms in scalar {_quoted(text)}")
             re_part = value
-    return GaussianRational(re_part or _F0, im_part or _F0)
+    return re_part or (0, 1), im_part or (0, 1)
 
 
-def _parse_term(term: str, original: str) -> tuple[Fraction, bool]:
+def _parse_term(term: str, original: str) -> tuple[tuple[int, int], bool]:
     body = term.lstrip("+-")
     sign = -1 if term.count("-", 0, len(term) - len(body)) % 2 else 1
     imaginary = body.endswith("i")
@@ -206,9 +237,12 @@ def _parse_term(term: str, original: str) -> tuple[Fraction, bool]:
         raise ParseError(_bad_term(original, term))
     num, _, den = body.partition("/")
     try:
-        return Fraction(sign * int(num), int(den or 1)), imaginary
-    except (ValueError, ZeroDivisionError) as exc:
+        num, den = sign * int(num), int(den or 1)
+    except ValueError as exc:  # a digit limit lowered below the grammar's
         raise ParseError(_bad_term(original, term)) from exc
+    if not den:
+        raise ParseError(_bad_term(original, term))
+    return (num, den), imaginary
 
 
 def _bad_term(original: str, term: str) -> str:

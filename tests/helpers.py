@@ -14,6 +14,8 @@ from elemop import (
     ParseError,
     ZERO,
     as_scalar,
+    format_scalar,
+    parse_scalar,
 )
 from elemop.scalars import _bad_term, _quoted
 
@@ -161,6 +163,43 @@ def ref_matmul(a: Matrix, b: Matrix) -> Matrix:
             row.append(acc)
         out.append(row)
     return Matrix(out)
+
+
+def ref_apply(op: ElementaryOperator, x: Matrix) -> Matrix:
+    """sum_i A_i X B_i, each product and the sum in GaussianRational arithmetic."""
+    result = ref_zero(x.rows, x.cols)
+    for a, b in op.terms:
+        result = ref_add(result, ref_matmul(ref_matmul(a, x), b))
+    return result
+
+
+# ---- reference wire reader and emitter ------------------------------------------------
+# jsonio's matrix reader and emitter as they ran before they worked on the
+# Z[i] form: a Matrix of parse_scalar entries, and format_scalar over row_list.
+
+def ref_matrix_from_texts(texts) -> Matrix:
+    return Matrix([[parse_scalar(e) for e in row] for row in texts])
+
+
+def ref_matrix_to_obj(m: Matrix) -> dict:
+    return {
+        "rows": m.rows,
+        "cols": m.cols,
+        "entries": [[format_scalar(e) for e in row] for row in m.row_list()],
+    }
+
+
+def record_scales(monkeypatch) -> list[int]:
+    """The scale of every matrix built from a Z[i] form from now on, in order."""
+    scales = []
+    build = Matrix._from_integer_form.__func__
+
+    def spy(cls, scale, re, im):
+        scales.append(scale)
+        return build(cls, scale, re, im)
+
+    monkeypatch.setattr(Matrix, "_from_integer_form", classmethod(spy))
+    return scales
 
 
 # ---- reference generator ------------------------------------------------------

@@ -581,6 +581,19 @@ def test_check_counts_its_documents_before_reading_any(capsys, tmp_path, theorem
     assert status == 2 and out == "" and err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("extra", ["missing-file", "bad-scalar"])
+def test_check_rejects_unequal_tuple_counts_before_loading(capsys, monkeypatch, tmp_path, extra):
+    # loading the extra --b would fail on the missing file or on "1/0" instead
+    _no_parse(monkeypatch)
+    unreadable = (str(tmp_path / "missing.json") if extra == "missing-file"
+                  else json.dumps(_doc([["1/0"]])))
+    status, out, err = run_cli(capsys, "check", "--theorem", "2.2",
+                               "--a", ZERO, "--b", ZERO, unreadable)
+    assert status == 2 and out == ""
+    assert err == ("error: --theorem 2.2 takes equal numbers of --a and --b documents, "
+                   "got 1 and 2\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     # 65 rows named but one given: over the --matrix cap, and malformed
     (["nilpotent", "--matrix", json.dumps({"rows": 65, "cols": 1, "entries": [["0"]]})],

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from elemop import (
     ElementaryOperator,
@@ -24,7 +26,14 @@ from elemop.jsonio import (
     report_to_obj,
 )
 from elemop.scalars import parse_scalar
-from helpers import rand_matrix, rand_operator
+from helpers import (
+    rand_matrix,
+    rand_operator,
+    record_scales,
+    ref_matrix_from_texts,
+    ref_matrix_to_obj,
+    wide_matrix,
+)
 
 J2 = Matrix([[0, 1], [0, 0]])
 
@@ -210,3 +219,105 @@ def test_dumps_is_deterministic_and_round_trips():
     assert text.endswith("\n")
     reparsed = operator_from_obj(json.loads(text))
     assert reparsed.terms == op.terms
+
+
+# ---- the readers and the emitter against the entry path ----------------------------
+# matrix_from_obj builds the Z[i] form from the texts' integer parts, and
+# matrix_to_obj writes each entry from the form's ints; the reference goes
+# through parse_scalar, GaussianRational entries and format_scalar.
+
+def _doc(entries) -> dict:
+    return {"rows": len(entries), "cols": len(entries[0]), "entries": entries}
+
+
+def _wide_denominators(seed: int) -> list[list[str]]:
+    """A 3x3 matrix whose every part has its own 32-48-bit denominator."""
+    rng = random.Random(seed)
+
+    def part():
+        return f"{rng.randint(-2**48, 2**48)}/{rng.getrandbits(rng.randint(32, 48)) | 1 << 31}"
+
+    return [[f"{part()}+{part()}*i" for _ in range(3)] for _ in range(3)]
+
+
+WIRE_CASES = {
+    "unreduced": [["2/4", "6/3"], ["-0/5", "007/010"]],
+    "tolerant": [["2i", "3*i"], [" 1 / 2 + i ", "- 7 / 3 i"]],
+    "json-ints": [[0, -12], [10**30, 7]],
+    "pure-imaginary": [["i", "2/3*i"], ["0+5*i", "-0+1/2*i"]],
+    "negative-imaginary": [["-i", "1-2/3*i"], ["-7*i", "0-1*i"]],
+    "zero": [["0", "0/3"], ["-0", "0*i"]],
+    "imaginary-cancels": [["1+0*i", "2-0/4*i"], ["-0*i", "5+0/9*i"]],
+    "one-denominator-reduces": [["3/6", "6/6"], ["9/6", "-12/6"]],
+    "wide-denominators": _wide_denominators(64),
+}
+
+
+@pytest.mark.parametrize("entries", WIRE_CASES.values(), ids=WIRE_CASES)
+def test_reader_and_emitter_match_the_entry_path(entries):
+    obj = _doc(entries)
+    m, ref = matrix_from_obj(obj), ref_matrix_from_texts(matrix_texts(obj))
+    assert m._form == ref._form
+    assert dumps(matrix_to_obj(m)) == dumps(ref_matrix_to_obj(ref))
+
+
+@pytest.mark.parametrize("m", [
+    Matrix.zero(2, 3),
+    Matrix([["i", "-2*i"], ["1/2*i", "0"]]),
+    Matrix([["-1/3*i", "-i"]]),
+    Matrix([["1/2"], ["3"], ["-5/4+1/6*i"]]),
+    wide_matrix(random.Random(65), 3),
+    wide_matrix(random.Random(66), 2, 3, gaussian=False),
+], ids=["zero", "pure-imaginary", "negative-imaginary", "mixed", "wide", "wide-real"])
+def test_emitter_matches_the_entry_path(m):
+    assert matrix_to_obj(m) == ref_matrix_to_obj(m)
+
+
+def test_reader_builds_over_the_lcm_of_the_denominators(monkeypatch):
+    scales = record_scales(monkeypatch)
+    m = matrix_from_obj(_doc([["1/6", "1/4"], ["5/6+1/4*i", "2/4"]]))
+    assert scales == [12] and m._form[0] == 12
+
+
+@pytest.mark.parametrize("bad", ["1/0", "0/0", "i+i", "1+2", "7" * 4301, " ", "1.5"])
+def test_reader_raises_the_entry_paths_messages(bad):
+    texts = [["1/2", bad]]
+    with pytest.raises(ParseError) as ours:
+        matrix_from_obj(_doc(texts))
+    with pytest.raises(ParseError) as reference:
+        ref_matrix_from_texts(texts)
+    assert str(ours.value) == str(reference.value)
+
+
+@st.composite
+def _entry_texts(draw):
+    """A scalar text in any spelling the grammar takes: padded and unreduced
+    numbers, "i", "2i" and "3*i" shorthands, either term first, spaces."""
+    def number():
+        pad = draw(st.sampled_from(["", "0", "00"]))
+        den = draw(st.none() | st.integers(1, 2**48))
+        return pad + str(draw(st.integers(0, 2**48))) + ("" if den is None else f"/{pad}{den}")
+
+    def imaginary():
+        return "i" if draw(st.booleans()) else number() + draw(st.sampled_from(["", "*"])) + "i"
+
+    space = st.sampled_from(["", " "])
+    kind = draw(st.sampled_from(["re", "im", "re+im", "im+re"]))
+    first = number() if kind.startswith("re") else imaginary()
+    text = draw(st.sampled_from(["", "-", "+"])) + draw(space) + first
+    if "+" in kind:
+        second = imaginary() if kind.endswith("im") else number()
+        text += draw(space) + draw(st.sampled_from(["-", "+"])) + draw(space) + second
+    return text
+
+
+_entries = _entry_texts() | st.integers(-2**64, 2**64)
+
+
+@given(st.integers(1, 3).flatmap(lambda cols: st.lists(
+    st.lists(_entries, min_size=cols, max_size=cols), min_size=1, max_size=3)))
+def test_reader_and_emitter_match_the_entry_path_on_any_spelling(entries):
+    obj = _doc(entries)
+    m, ref = matrix_from_obj(obj), ref_matrix_from_texts(matrix_texts(obj))
+    assert m._form == ref._form
+    assert matrix_to_obj(m) == ref_matrix_to_obj(ref)

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -24,7 +25,15 @@ from elemop import (
     zero_operator,
 )
 from elemop import matrix, nilpotency
-from helpers import rand_matrix, rand_operator, ref_kron, ref_superoperator, wide_matrix
+from helpers import (
+    rand_matrix,
+    rand_operator,
+    record_scales,
+    ref_apply,
+    ref_kron,
+    ref_superoperator,
+    wide_matrix,
+)
 
 J2 = Matrix([[0, 1], [0, 0]])
 E11 = basis_matrix(2, 0, 0)
@@ -137,6 +146,73 @@ def test_apply_shape_check():
     op = rand_operator(random.Random(26), 2, 1)
     with pytest.raises(ShapeError):
         op(Matrix.zero(3))
+
+
+# ---- the one-pass application ---------------------------------------------------
+# op(x) sums f_i * (a_i*A_i)(x*X)(b_i*B_i) over L*x, f_i = L/(a_i*b_i); the
+# reference sums A_i X B_i term by term in GaussianRational arithmetic.
+
+def _coefficient(rng: random.Random, dim: int, gaussian: bool, den: int) -> Matrix:
+    """A dim x dim matrix whose form's scale is den: its corner is 1/den, and
+    every other part is a multiple of 1/den."""
+    def part():
+        return Fraction(rng.randint(-5, 5), den)
+
+    rows = [[GaussianRational(part(), part() if gaussian else 0) for _ in range(dim)]
+            for _ in range(dim)]
+    rows[0][0] = GaussianRational(Fraction(1, den), rows[0][0].im)
+    return Matrix(rows)
+
+
+def _factors(op: ElementaryOperator) -> list[int]:
+    """f_i = L/(a_i*b_i) for each term of op."""
+    products = [a._form[0] * b._form[0] for a, b in op.terms]
+    return [lcm(*products) // p for p in products]
+
+
+@pytest.mark.parametrize("kind", ["real", "gaussian", "mixed"])
+@pytest.mark.parametrize("length, scaled", [(1, False), (2, False), (3, False), (2, True), (3, True)])
+def test_apply_matches_the_reference_sum_and_the_superoperator(kind, length, scaled):
+    rng = random.Random(f"{kind}-{length}-{scaled}")
+    for dim in (1, 2, 3):
+        # "mixed" alternates real and Gaussian coefficients and applies them to a real X
+        terms = tuple(
+            (_coefficient(rng, dim, kind == "gaussian" or (kind == "mixed" and k % 2 == 0),
+                          k + 2 if scaled else 1),
+             _coefficient(rng, dim, kind == "gaussian" or (kind == "mixed" and k % 2 == 1), 1))
+            for k in range(length)
+        )
+        op = ElementaryOperator(dim, terms)
+        assert (max(_factors(op)) > 1) == scaled
+        x = _coefficient(rng, dim, kind == "gaussian", 5)
+        result = op(x)
+        assert result == ref_apply(op, x)
+        assert result == unvec(op.superoperator() * vec(x), dim, dim)
+        # the stored form is exactly a fresh conversion's, minimal scale included
+        assert result._form == Matrix(result.row_list())._form
+
+
+def test_apply_drops_a_cancelled_imaginary_part():
+    i_e11 = GaussianRational(0, 1) * E11
+    result = make_multiplication(i_e11, i_e11)(E11)
+    assert result == -E11 and result._form == (1, (((-1, 0), (0, 0)), None))
+
+
+def test_apply_builds_its_result_once_without_matrix_products(monkeypatch):
+    rng = random.Random(29)
+    op = ElementaryOperator(2, tuple((_coefficient(rng, 2, True, d), _coefficient(rng, 2, False, 3))
+                                     for d in (2, 4, 5)))
+    x = _coefficient(rng, 2, True, 7)
+    expected = ref_apply(op, x)
+
+    def no_product(*args):
+        raise AssertionError("the application formed a Matrix product")
+
+    monkeypatch.setattr(Matrix, "_matmul", no_product)
+    scales = record_scales(monkeypatch)
+    assert op(x) == expected
+    # one build, over L*x with L = lcm(2*3, 4*3, 5*3)
+    assert scales == [60 * 7]
 
 
 # ---- algebra -----------------------------------------------------------------
