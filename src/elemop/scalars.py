@@ -29,9 +29,10 @@ megabyte term gives a message of about a hundred bytes.
 The grammar lives in `_parse_parts`, which returns a scalar's parts as the
 ints written, unreduced; `parse_scalar` reduces them into a
 `GaussianRational`, and `elemop.jsonio` builds a matrix's Z[i] form from
-them with no `Fraction` at all.  `_format_parts` is `format_scalar` for a
-value given as ints (real + i*imag)/den, which is how `jsonio` emits a
-matrix straight from its form.
+them with no `Fraction` at all.  The spelling lives in `_format_parts`,
+which writes a value given as ints (real + i*imag)/den; `format_scalar`
+hands it a scalar's parts over their common denominator, and `jsonio` emits
+a matrix straight from its form with it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ParseError
 
@@ -176,14 +177,14 @@ def _coerce(x):
 
 def format_scalar(z: GaussianRational) -> str:
     """Canonical whitespace-free string form of a scalar."""
-    if not z.im:
-        return str(z.re)
-    sign = "+" if z.im > 0 else "-"
-    return f"{z.re}{sign}{abs(z.im)}*i"
+    re_den, im_den = z.re.denominator, z.im.denominator
+    den = lcm(re_den, im_den)
+    return _format_parts(z.re.numerator * (den // re_den), z.im.numerator * (den // im_den), den)
 
 
 def _format_parts(real: int, imag: int, den: int) -> str:
-    """format_scalar of (real + i*imag)/den for ints, den > 0, with no Fraction built."""
+    """The canonical string of (real + i*imag)/den for ints, den > 0: each
+    part as str(Fraction) would write it, the real part always written."""
     if not imag:
         return _ratio(real, den)
     return f"{_ratio(real, den)}{'+' if imag > 0 else '-'}{_ratio(abs(imag), den)}*i"

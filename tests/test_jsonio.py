@@ -25,7 +25,6 @@ from elemop.jsonio import (
     operator_to_obj,
     report_to_obj,
 )
-from elemop.scalars import parse_scalar
 from helpers import (
     rand_matrix,
     rand_operator,
@@ -146,20 +145,16 @@ def test_readers_return_entry_texts_and_parse_nothing():
 
 def test_parsers_are_the_readers_then_parse_scalar():
     rng = random.Random(63)
-
-    def parsed(texts):
-        return Matrix([[parse_scalar(e) for e in row] for row in texts])
-
     for _ in range(10):
         obj = matrix_to_obj(rand_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), gaussian=True))
         # JSON ints in some places, spaces and shorthands in others
         obj["entries"][0][0] = rng.randint(-9, 9)
         obj["entries"][-1][-1] = " -3 / 4 + i "
-        assert matrix_from_obj(obj) == parsed(matrix_texts(obj))
+        assert matrix_from_obj(obj) == ref_matrix_from_texts(matrix_texts(obj))
         op = operator_to_obj(rand_operator(rng, rng.randint(1, 3), 2, gaussian=True))
         dim, pairs = operator_texts(op)
         assert operator_from_obj(op) == ElementaryOperator(
-            dim, tuple((parsed(a), parsed(b)) for a, b in pairs))
+            dim, tuple((ref_matrix_from_texts(a), ref_matrix_from_texts(b)) for a, b in pairs))
 
 
 def test_operator_round_trip():
