@@ -2,7 +2,7 @@
 
 Every subcommand reads and writes the shared JSON formats and emits exactly
 one UTF-8 JSON document.  Exit codes: 0 success (and every checked property
-consistent), 1 a checked property failed, 2 usage or parse error.
+consistent), 1 a checked property failed, 2 a usage, parse or output error.
 Diagnostics go to standard error.
 """
 
@@ -135,6 +135,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         document, status = args.run(args)
+        _emit(document, args.output)
     except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -144,7 +145,6 @@ def main(argv=None) -> int:
             instance = json.dumps(_instance_obj(exc.instance), separators=(",", ":"))
             print(f"instance: {instance}", file=sys.stderr)
         return 1
-    _emit(document, args.output)
     return status
 
 

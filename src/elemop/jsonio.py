@@ -13,19 +13,16 @@ Reading has two halves: `matrix_texts` and `operator_texts` check a
 document's shape and return its entry strings (a JSON int as its digits and
 sign) without parsing a scalar, so a caller can bound a document first;
 `matrix_from_obj` and `operator_from_obj` then read every entry with the
-grammar of `parse_scalar` into integer parts, and build each matrix's
-Gaussian-integer form (L, L*A), L the lcm of the denominators as written,
-which `Matrix._from_integer_form` reduces to the canonical form.  Emission
-runs the other way: `matrix_to_obj` writes each distinct cell (re, im)/D of
-a matrix's form straight from its ints.  Neither builds a `Fraction` or a
-`GaussianRational` for an entry.
+grammar of `parse_scalar` into integer parts and hand them to
+`Matrix._from_parts`, which builds the form.  Emission runs the other way:
+`matrix_to_obj` spells each distinct cell of a matrix's form from its ints
+through `Matrix._cells`.  Neither builds a `Fraction` or a
+`GaussianRational` for an entry, and neither touches the form itself.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, repeat
-from math import lcm
 
 from .criteria import ShiftCheckResult, TheoremCheckResult
 from .errors import ParseError
@@ -43,14 +40,7 @@ def dumps(document) -> str:
 # ---- matrices -----------------------------------------------------------
 
 def matrix_to_obj(m: Matrix) -> dict:
-    scale, (re, im) = m._form
-    cells = [list(zip(rr, ri)) for rr, ri in zip(re, im or repeat(repeat(0)))]
-    text = {c: _format_parts(*c, scale) for c in set(chain.from_iterable(cells))}
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [[text[c] for c in row] for row in cells],
-    }
+    return {"rows": m.rows, "cols": m.cols, "entries": m._cells(_format_parts)}
 
 
 def matrix_texts(obj) -> list[list[str]]:
@@ -78,10 +68,7 @@ def matrix_from_obj(obj) -> Matrix:
 
 
 def _matrix(texts: list[list[str]]) -> Matrix:
-    cells = [[_parse_parts(e) for e in row] for row in texts]
-    scale = lcm(*(d for row in cells for cell in row for _, d in cell))
-    re, im = ([[c[k][0] * (scale // c[k][1]) for c in row] for row in cells] for k in (0, 1))
-    return Matrix._from_integer_form(scale, re, im)
+    return Matrix._from_parts([list(map(_parse_parts, row)) for row in texts])
 
 
 def _entry_text(e, i: int, j: int) -> str:

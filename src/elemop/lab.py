@@ -16,6 +16,9 @@ report byte-for-byte.  Trials draw from disjoint per-trial streams derived
 from the master seed, so they could run in any order or in parallel and
 still merge identically by trial index.  Streams stay disjoint for at most
 1,000,003 trials, so no run takes more.
+
+Random matrix entries are drawn as int (num, den) parts and built into a
+form by `Matrix._from_parts`, so only scalar coefficients become Fractions.
 """
 
 from __future__ import annotations
@@ -111,23 +114,28 @@ def _sub_seed(seed: int, index: int) -> int:
     return seed * _STREAM_STRIDE + index
 
 
-def _rand_fraction(rng: random.Random, bound: int) -> Fraction:
+def _rand_part(rng: random.Random, bound: int) -> tuple[int, int]:
     num = rng.randint(-bound, bound)
     den = 0
     while den == 0:
         den = rng.randint(-bound, bound)
-    return Fraction(num, den)
+    return num, den
+
+
+def _rand_cell(rng: random.Random, config: GeneratorConfig):
+    """An entry's int parts ((re_num, re_den), (im_num, im_den)), im drawn if Gaussian."""
+    re = _rand_part(rng, config.entry_bound)
+    return re, _rand_part(rng, config.entry_bound) if config.gaussian else (0, 1)
 
 
 def _rand_scalar(rng: random.Random, config: GeneratorConfig) -> GaussianRational:
-    re = _rand_fraction(rng, config.entry_bound)
-    im = _rand_fraction(rng, config.entry_bound) if config.gaussian else 0
-    return GaussianRational(re, im)
+    (re_num, re_den), (im_num, im_den) = _rand_cell(rng, config)
+    return GaussianRational(Fraction(re_num, re_den), Fraction(im_num, im_den))
 
 
 def _rand_matrix(rng: random.Random, config: GeneratorConfig) -> Matrix:
     dim = config.dim
-    return Matrix([[_rand_scalar(rng, config) for _ in range(dim)] for _ in range(dim)])
+    return Matrix._from_parts([[_rand_cell(rng, config) for _ in range(dim)] for _ in range(dim)])
 
 
 def _random_unimodular(rng: random.Random, dim: int) -> tuple[Matrix, Matrix]:
@@ -156,13 +164,11 @@ def _random_unimodular(rng: random.Random, dim: int) -> tuple[Matrix, Matrix]:
 # ---- generators --------------------------------------------------------------
 
 def _gen_nilpotent(rng: random.Random, config: GeneratorConfig) -> Matrix:
-    dim = config.dim
-    upper = [[ZERO] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            upper[i][j] = _rand_scalar(rng, config)
+    dim, zero = config.dim, ((0, 1), (0, 1))
+    upper = Matrix._from_parts([[_rand_cell(rng, config) if j > i else zero for j in range(dim)]
+                                for i in range(dim)])
     s, s_inv = _random_unimodular(rng, dim)
-    return s * Matrix(upper) * s_inv
+    return s * upper * s_inv
 
 
 def gen_nilpotent(config: GeneratorConfig) -> Matrix:

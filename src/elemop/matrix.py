@@ -9,12 +9,13 @@ least common denominator of all real and imaginary parts, held as tuples of
 int rows (imaginary rows None when A is real).  The form is canonical, so
 `==` and `hash` are taken of it, and each result is built from its form by
 `_from_integer_form`, which divides out one gcd.  The form is all a matrix
-holds: `Matrix(rows)` computes it from the entries and keeps none of them,
-and nothing writes to a matrix once it is built.  Entries exist only at the
-boundary: every entry reader (`str`, indexing, `entries`, `row_list`)
-builds them from the form when it is called.  The JSON wire format
-(`elemop.jsonio`) builds none: it reads entry texts into a form and writes
-them from one.
+holds, and nothing writes to a matrix once it is built.  `Matrix(rows)`
+computes it from the entries and keeps none; `_from_parts` builds it from
+int cells, as the JSON reader (`elemop.jsonio`) and the generators
+(`elemop.lab`) draw them, with no entry built.  The form is read cell by
+cell only through `_cells`, one walk over its distinct cells: the entry
+readers (`str`, indexing, `entries`, `row_list`) build the entries with it
+when called, and `jsonio` writes entry texts with it.
 """
 
 from __future__ import annotations
@@ -55,6 +56,14 @@ class Matrix:
         return cls._from_integer_form(1, [[0] * (rows if cols is None else cols)] * rows, None)
 
     @classmethod
+    def _from_parts(cls, cells) -> "Matrix":
+        """The matrix of int cells ((re_num, re_den), (im_num, im_den)) row by row, any
+        nonzero denominators: the form over their lcm, reduced by `_from_integer_form`."""
+        scale = lcm(*(d for row in cells for cell in row for _, d in cell))
+        re, im = ([[c[k][0] * (scale // c[k][1]) for c in row] for row in cells] for k in (0, 1))
+        return cls._from_integer_form(scale, re, im)
+
+    @classmethod
     def _from_integer_form(cls, scale: int, re, im) -> "Matrix":
         """(re + i*im) / scale for int rows (im may be None)."""
         if not re or not re[0]:
@@ -84,12 +93,16 @@ class Matrix:
         return f"{self.rows}x{self.cols}"
 
     # ---- access ----------------------------------------------------------
-    def _entry_rows(self) -> tuple[tuple[GaussianRational, ...], ...]:
-        """The entries, built from the form on each call, one object per distinct value."""
+    def _cells(self, convert) -> list[list]:
+        """convert(re, im, scale) of each cell (re + i*im)/scale of the form,
+        row by row, in fresh lists: one call and one object per distinct cell."""
         scale, (re, im) = self._form
-        cells = [tuple(zip(rr, ri)) for rr, ri in zip(re, im or repeat(repeat(0)))]
-        value = {c: _gaussian(*c, scale) for c in set(chain.from_iterable(cells))}
-        return tuple(tuple(map(value.__getitem__, row)) for row in cells)
+        cells = [list(zip(rr, ri)) for rr, ri in zip(re, im or repeat(repeat(0)))]
+        value = {c: convert(*c, scale) for c in set(chain.from_iterable(cells))}
+        return [list(map(value.__getitem__, row)) for row in cells]
+
+    def _entry_rows(self) -> tuple[tuple[GaussianRational, ...], ...]:
+        return tuple(map(tuple, self._cells(_gaussian)))
 
     def __getitem__(self, key):
         rows = self._entry_rows()
@@ -99,7 +112,7 @@ class Matrix:
         return ((i, j, e) for i, row in enumerate(self._entry_rows()) for j, e in enumerate(row))
 
     def row_list(self) -> list[list[GaussianRational]]:
-        return [list(row) for row in self._entry_rows()]
+        return self._cells(_gaussian)
 
     # ---- arithmetic --------------------------------------------------------
     def __add__(self, other):

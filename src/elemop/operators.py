@@ -11,17 +11,17 @@ sum_i kron(B_i.T, A_i); it satisfies superop * vec(X) == vec(op(X)) for
 every X, and turns addition, composition and scaling of operators into the
 matching matrix operations.
 
-It is assembled over Z[i] from the coefficients' integer forms
-(a_i, a_i*A_i) and (b_i, b_i*B_i) (see `elemop.matrix`): with L the lcm of
-the a_i*b_i, L times the sum is sum_i kron(f_i*b_i*B_i.T, a_i*A_i) with
-f_i = L/(a_i*b_i).  Each term is one pass of the Z[i] Kronecker helper
-behind `kron`, the terms are summed row by row into fresh rows (the
-imaginary rows only over the non-real terms, and None when every term is
-real), and the result is built once, keeping that form for `is_nilpotent`.
-
-Applying the operator to X with form (x, x*X) runs the same way: each term
-is two Z[i] products a_i*A_i (x*X) b_i*B_i, scaled after the product by
-f_i, and the sum over L*x is built once, with one gcd pass in all.
+Both the superoperator and the action on a matrix are one term sum over
+Z[i] (`_term_sum`), from the coefficients' integer forms (a_i, a_i*A_i) and
+(b_i, b_i*B_i) (see `elemop.matrix`): with L the lcm of the a_i*b_i and
+f_i = L/(a_i*b_i), each term is computed in ints scaled by f_i, the terms
+are summed row by row into fresh rows (the imaginary rows only over the
+non-real terms, and None when every term is real), and the result is built
+once, with one gcd pass in all.  For the superoperator, L times the sum is
+sum_i kron(f_i*b_i*B_i.T, a_i*A_i), each term one pass of the Z[i]
+Kronecker helper behind `kron`, and the result keeps that form for
+`is_nilpotent`.  For X with form (x, x*X), each term is the two Z[i]
+products a_i*A_i (x*X) b_i*B_i, scaled after the product, over L*x.
 """
 
 from __future__ import annotations
@@ -65,23 +65,25 @@ class ElementaryOperator:
             raise ShapeError(
                 f"operator on {self.dim}x{self.dim} applied to {x.rows}x{x.cols}"
             )
-        (sx, xf), forms = x._form, [(a._form, b._form) for a, b in self.terms]
-        scale = lcm(*(sa * sb for (sa, _), (sb, _) in forms))
-        terms = [
-            [p and _scaled(scale // (sa * sb), p)
-             for p in _gaussian_matmul(_gaussian_matmul(a, xf), b)]
-            for (sa, a), (sb, b) in forms
-        ]
-        return _summed(scale * sx, terms)
+        sx, xf = x._form
+        return self._term_sum(sx, lambda f, a, b: [
+            p and _scaled(f, p) for p in _gaussian_matmul(_gaussian_matmul(a, xf), b)])
 
     def superoperator(self) -> Matrix:
+        return self._term_sum(1, lambda f, a, b: _gaussian_kron(
+            [p and _scaled(f, zip(*p)) for p in b], a))
+
+    def _term_sum(self, scale: int, term) -> Matrix:
+        """sum_i term(f_i, a_i*A_i, b_i*B_i) / (scale*L) over the terms' Z[i]
+        forms, L the lcm of the a_i*b_i and f_i = L/(a_i*b_i); each term is a
+        Z[i] matrix (re, im), summed row by row into fresh rows (the imaginary
+        rows only over the non-real terms), and the sum is built once."""
         forms = [(a._form, b._form) for a, b in self.terms]
-        scale = lcm(*(sa * sb for (sa, _), (sb, _) in forms))
-        terms = [
-            _gaussian_kron([p and _scaled(scale // (sa * sb), zip(*p)) for p in b], a)
-            for (sa, a), (sb, b) in forms
-        ]
-        return _summed(scale, terms)
+        common = lcm(*(sa * sb for (sa, _), (sb, _) in forms))
+        terms = [term(common // (sa * sb), a, b) for (sa, a), (sb, b) in forms]
+        ims = [im for _, im in terms if im is not None]
+        return Matrix._from_integer_form(scale * common, reduce(_add_rows, [re for re, _ in terms]),
+                                         reduce(_add_rows, ims) if ims else None)
 
     # ---- algebra -----------------------------------------------------------
     def __add__(self, other):
@@ -174,15 +176,6 @@ def _scaled(factor: int, rows):
     if factor == 1:
         return list(rows)
     return [[factor * v for v in row] for row in rows]
-
-
-def _summed(scale: int, terms) -> Matrix:
-    """The matrix sum(terms) / scale for Z[i] matrices (re, im) of one shape:
-    summed row by row into fresh rows, the imaginary rows only over the
-    non-real terms, and built once."""
-    ims = [im for _, im in terms if im is not None]
-    return Matrix._from_integer_form(scale, reduce(_add_rows, [re for re, _ in terms]),
-                                     reduce(_add_rows, ims) if ims else None)
 
 
 @lru_cache(maxsize=16)

@@ -28,8 +28,8 @@ megabyte term gives a message of about a hundred bytes.
 
 The grammar lives in `_parse_parts`, which returns a scalar's parts as the
 ints written, unreduced; `parse_scalar` reduces them into a
-`GaussianRational`, and `elemop.jsonio` builds a matrix's Z[i] form from
-them with no `Fraction` at all.  The spelling lives in `_format_parts`,
+`GaussianRational`, and `elemop.jsonio` hands them to `Matrix._from_parts`,
+which builds a matrix's Z[i] form with no `Fraction` at all.  The spelling lives in `_format_parts`,
 which writes a value given as ints (real + i*imag)/den; `format_scalar`
 hands it a scalar's parts over their common denominator, and `jsonio` emits
 a matrix straight from its form with it.

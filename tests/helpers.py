@@ -224,6 +224,38 @@ def ref_random_unimodular(rng: random.Random, dim: int) -> tuple[Matrix, Matrix]
     return s, s_inv
 
 
+# The entry draws as `lab` made them before it drew int parts: each part a
+# Fraction, each entry a GaussianRational, each matrix built by Matrix(rows).
+
+def ref_rand_fraction(rng: random.Random, bound: int) -> Fraction:
+    num = rng.randint(-bound, bound)
+    den = 0
+    while den == 0:
+        den = rng.randint(-bound, bound)
+    return Fraction(num, den)
+
+
+def ref_rand_scalar(rng: random.Random, config) -> GaussianRational:
+    re = ref_rand_fraction(rng, config.entry_bound)
+    im = ref_rand_fraction(rng, config.entry_bound) if config.gaussian else 0
+    return GaussianRational(re, im)
+
+
+def ref_rand_matrix(rng: random.Random, config) -> Matrix:
+    dim = config.dim
+    return Matrix([[ref_rand_scalar(rng, config) for _ in range(dim)] for _ in range(dim)])
+
+
+def ref_gen_nilpotent(rng: random.Random, config) -> Matrix:
+    dim = config.dim
+    upper = [[ZERO] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            upper[i][j] = ref_rand_scalar(rng, config)
+    s, s_inv = ref_random_unimodular(rng, dim)
+    return ref_matmul(ref_matmul(s, Matrix(upper)), s_inv)
+
+
 # ---- reference nilpotency path ------------------------------------------------
 # The decision procedure as it ran before the Gaussian-integer kernel: the
 # same two routes over Q(i), on the reference arithmetic above.

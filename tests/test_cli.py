@@ -632,6 +632,16 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(out_path.read_text())["nilpotent"] is True
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_an_unwritable_output_path_is_an_input_error(tmp_path, capsys, where):
+    out_path = tmp_path / "missing" / "out.json" if where == "missing-dir" else tmp_path
+    status, out, err = run_cli(
+        capsys, "superop", "--op", operator_arg(make_multiplication(J2, I2)), "-o", str(out_path)
+    )
+    assert status == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_emitted_documents_reparse(capsys):
     _, out, _ = run_cli(capsys, "superop", "--op", operator_arg(make_multiplication(J2, I2)))
     from elemop.jsonio import matrix_from_obj

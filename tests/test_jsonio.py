@@ -143,7 +143,7 @@ def test_readers_return_entry_texts_and_parse_nothing():
         matrix_from_obj(obj)
 
 
-def test_parsers_are_the_readers_then_parse_scalar():
+def test_readers_agree_with_matrices_of_parse_scalar_entries():
     rng = random.Random(63)
     for _ in range(10):
         obj = matrix_to_obj(rand_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), gaussian=True))

@@ -36,8 +36,8 @@ from elemop import (
     thm21_criterion,
 )
 from elemop.jsonio import dumps, matrix_from_obj, operator_from_obj
-from elemop.lab import _random_unimodular
-from helpers import ref_random_unimodular
+from elemop.lab import _gen_nilpotent, _rand_matrix, _random_unimodular
+from helpers import ref_gen_nilpotent, ref_rand_matrix, ref_random_unimodular
 
 J2 = Matrix([[0, 1], [0, 0]])
 J3 = Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -70,6 +70,22 @@ def test_unimodular_pairs_match_the_product_construction(dim):
         assert s == ref_s and s_inv == ref_s_inv
         assert s.row_list() == ref_s.row_list() and s_inv.row_list() == ref_s_inv.row_list()
         assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize("bound", [1, 3, 10])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("draw, ref_draw", [(_rand_matrix, ref_rand_matrix),
+                                            (_gen_nilpotent, ref_gen_nilpotent)])
+def test_int_part_draws_match_the_fraction_path(draw, ref_draw, dim, bound, gaussian):
+    # same matrices from the same draws as Fraction entries built by Matrix(rows),
+    # so every seeded stream downstream of the generators is unchanged
+    config = GeneratorConfig(dim=dim, entry_bound=bound, gaussian=gaussian)
+    for seed in range(12):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        m, ref = draw(rng, config), ref_draw(ref_rng, config)
+        assert m == ref
+        assert rng.random() == ref_rng.random()
 
 
 def test_generated_nilpotents():

@@ -451,13 +451,20 @@ def _reader_cases():
         rows = ref_entry_rows(product)
         cases.append(pytest.param(product, rows, id=f"form-gaussian={gaussian}"))
     cases.append(pytest.param(J2 * J2T, [[GaussianRational(1), ZERO], [ZERO, ZERO]], id="form-0-1"))
+    # int parts with negative and unreduced denominators, zero imaginary parts over odd ones
+    for name, cells in (
+        ("real", [[((2, -4), (0, 1)), ((6, -3), (0, 7))], [((0, -5), (0, -3)), ((7, 10), (0, 1))]]),
+        ("gaussian", [[((2, -4), (0, 1)), ((-6, -3), (3, -9))], [((0, -5), (-7, 10)), ((5, 1), (4, 2))]]),
+    ):
+        rows = [[GaussianRational(Fraction(*re), Fraction(*im)) for re, im in row] for row in cells]
+        cases.append(pytest.param(Matrix._from_parts(cells), rows, id=f"parts-{name}"))
     return cases
 
 
 @pytest.mark.parametrize("m, rows", _reader_cases())
 def test_every_entry_reader_builds_the_entries_from_the_form(m, rows):
     form = m._form
-    assert ref_entry_rows(m) == rows
+    assert ref_entry_rows(m) == rows and form == Matrix(rows)._form  # a canonical form
     assert m.row_list() == rows
     assert [m[i] for i in range(m.rows)] == [tuple(row) for row in rows]  # as the probes read it
     assert all(type(m[i]) is tuple for i in range(m.rows))
