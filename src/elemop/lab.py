@@ -18,7 +18,7 @@ still merge identically by trial index.  Streams stay disjoint for at most
 1,000,003 trials, so no run takes more.
 
 Random matrix entries are drawn as int (num, den) parts and built into a
-form by `Matrix._from_parts`, so only scalar coefficients become Fractions.
+form by `Matrix._from_parts`, and scalar coefficients by `scalars._gaussian`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 from . import jsonio
@@ -49,7 +48,7 @@ from .operators import (
     op_is_nilpotent,
     zero_operator,
 )
-from .scalars import ZERO, GaussianRational, as_scalar, format_scalar
+from .scalars import ZERO, GaussianRational, _gaussian, as_scalar, format_scalar
 
 RNG_NAME = "python-random-mt19937"
 # trial t of seed s draws from stream s * _STREAM_STRIDE + t
@@ -130,7 +129,7 @@ def _rand_cell(rng: random.Random, config: GeneratorConfig):
 
 def _rand_scalar(rng: random.Random, config: GeneratorConfig) -> GaussianRational:
     (re_num, re_den), (im_num, im_den) = _rand_cell(rng, config)
-    return GaussianRational(Fraction(re_num, re_den), Fraction(im_num, im_den))
+    return _gaussian(re_num * im_den, im_num * re_den, re_den * im_den)
 
 
 def _rand_matrix(rng: random.Random, config: GeneratorConfig) -> Matrix:
@@ -352,7 +351,8 @@ CRITERIA = (
     Criterion(
         "2.2", "2.2", IMPLICATION, lambda tuples: thm22_check(*tuples), _tuples_obj,
         tuples=True, structured=_structured_tuples, random=_random_tuples,
-        from_pair=lambda a, b: ([a, -b], [b, a]), commutation_fact=_commutation_fact_holds,
+        from_pair=lambda a, b: ([a, -b], [b, a]),
+        commutation_fact=lambda tuples: _commutation_fact_holds(tuples),
     ),
     Criterion(
         "2.3", "2.3", IMPLICATION, lambda pair: thm23_check(*pair), _pair_obj,

@@ -9,42 +9,36 @@ least common denominator of all real and imaginary parts, held as tuples of
 int rows (imaginary rows None when A is real).  The form is canonical, so
 `==` and `hash` are taken of it, and each result is built from its form by
 `_from_integer_form`, which divides out one gcd.  The form is all a matrix
-holds, and nothing writes to a matrix once it is built.  `Matrix(rows)`
-computes it from the entries and keeps none; `_from_parts` builds it from
-int cells, as the JSON reader (`elemop.jsonio`) and the generators
-(`elemop.lab`) draw them, with no entry built.  The form is read cell by
-cell only through `_cells`, one walk over its distinct cells: the entry
-readers (`str`, indexing, `entries`, `row_list`) build the entries with it
-when called, and `jsonio` writes entry texts with it.
+holds, and nothing writes to a matrix once it is built.  `Matrix(rows)`,
+the JSON reader (`elemop.jsonio`) and the generators (`elemop.lab`) all
+build it through `_from_parts` from int cells; `Matrix(rows)` reads each
+entry into ints with `scalars._int_parts`.  The form is read cell by cell
+only through `_cells`, one walk over its distinct cells: the entry readers
+(`str`, indexing, `entries`, `row_list`) build the entries with it and
+`scalars._gaussian` when called, and `jsonio` writes entry texts with it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm
-from operator import add, attrgetter, mul, sub
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ShapeError
-from .scalars import ZERO, GaussianRational, as_scalar
+from .scalars import GaussianRational, _gaussian, _int_parts, as_scalar
 
 
 class Matrix:
     __slots__ = ("rows", "cols", "_form")
 
     def __init__(self, rows: Sequence[Sequence]):
-        coerced = tuple(tuple(as_scalar(e) for e in row) for row in rows)
-        if not coerced or not coerced[0]:
-            raise ShapeError("a matrix needs at least one row and one column")
-        width = len(coerced[0])
-        if any(len(row) != width for row in coerced):
+        cells = [[((re, d), (im, d)) for re, im, d in map(_int_parts, map(as_scalar, row))]
+                 for row in rows]
+        if cells and cells[0] and any(len(row) != len(cells[0]) for row in cells):
             raise ShapeError("ragged rows: all rows must have equal length")
-        self.rows, self.cols = len(coerced), width
-        scale = lcm(*(p.denominator for row in coerced for e in row for p in (e.re, e.im)))
-        re, im = (tuple(tuple(p.numerator * (scale // p.denominator) for p in map(part, row))
-                        for row in coerced) for part in (attrgetter("re"), attrgetter("im")))
-        self._form = (scale, (re, im if any(map(any, im)) else None))
+        built = Matrix._from_parts(cells)
+        self.rows, self.cols, self._form = built.rows, built.cols, built._form
 
     # ---- construction ----------------------------------------------------
     @classmethod
@@ -145,8 +139,7 @@ class Matrix:
         except TypeError:
             return NotImplemented
         # (cr + i*ci)/cs times (re + i*im)/scale
-        cs = lcm(c.re.denominator, c.im.denominator)
-        cr, ci = (p.numerator * (cs // p.denominator) for p in (c.re, c.im))
+        cr, ci, cs = _int_parts(c)
         scale, (re, im) = self._form
         return Matrix._from_integer_form(cs * scale, _mix(cr, re, sub, ci, im),
                                          _mix(cr, im, add, ci, re) if im or ci else None)
@@ -203,15 +196,8 @@ class Matrix:
 # Products, Kronecker products and matrix-vector steps come back as fresh
 # lists; nothing is summed in place.  Each costs one int kernel call (product,
 # Kronecker product or step) per real pair of factors, two with one Gaussian
-# factor, three (Gauss's trick) with two.  `kron` and `operators.superoperator`
-# share `_gaussian_kron`.
-
-def _gaussian(re: int, im: int, denominator: int) -> GaussianRational:
-    """(re + i*im) / denominator, as the shared ZERO or with no imaginary Fraction when real."""
-    if not im:
-        return GaussianRational(Fraction(re, denominator)) if re else ZERO
-    return GaussianRational(Fraction(re, denominator), Fraction(im, denominator))
-
+# factor (products only), three (Gauss's trick) with two.  `kron` and
+# `operators.superoperator` share `_gaussian_kron`.
 
 def _moved(m: Matrix, move) -> Matrix:
     """The matrix whose form is m's with move applied to each of its parts."""
@@ -281,19 +267,18 @@ def _gaussian_kron(x, y):
 
 def _gaussian_matvec(b, bs, v):
     """(br + i*bi)(vr + i*vi) for a Z[i] matrix b, bs = br + bi (None when b is
-    real) and a Z[i] vector v = (vr, vi) of int lists; im stays None for real
-    b and v.  One int step for real b and v, two with one of them Gaussian,
-    three (Gauss's trick, over the caller's bs) with both."""
+    real) and a Z[i] vector v = (vr, vi) of int lists, vi None exactly when b
+    is real, as for every iterate of b on a column of b; im stays None for a
+    real b.  One int step for a real b, three (Gauss's trick, over the
+    caller's bs) for a Gaussian one."""
     (br, bi), (vr, vi) = b, v
 
     def step(x, y):
         return [sum(map(mul, row, y)) for row in x]
 
     rr = step(br, vr)
-    if bi is None and vi is None:
+    if bi is None:
         return rr, None
-    if bi is None or vi is None:  # one factor is real: no i*i term
-        return rr, step(br, vi) if bi is None else step(bi, vr)
     ii = step(bi, vi)
     ss = step(bs, list(map(add, vr, vi)))
     return list(map(sub, rr, ii)), [s - r - i for s, r, i in zip(ss, rr, ii)]

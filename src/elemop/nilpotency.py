@@ -47,8 +47,8 @@ from math import isqrt
 from operator import mul
 
 from .errors import IntegrityError, ShapeError
-from .matrix import Matrix, _add_rows, _gaussian, _gaussian_matmul, _gaussian_matvec, _trace
-from .scalars import GaussianRational
+from .matrix import Matrix, _add_rows, _gaussian_matmul, _gaussian_matvec, _trace
+from .scalars import GaussianRational, _gaussian
 
 
 @dataclass(frozen=True)

@@ -26,13 +26,13 @@ the input and the rejected term in full up to 100 characters; longer ones
 are abridged to their first 50 characters and their length, so a rejected
 megabyte term gives a message of about a hundred bytes.
 
-The grammar lives in `_parse_parts`, which returns a scalar's parts as the
-ints written, unreduced; `parse_scalar` reduces them into a
-`GaussianRational`, and `elemop.jsonio` hands them to `Matrix._from_parts`,
-which builds a matrix's Z[i] form with no `Fraction` at all.  The spelling lives in `_format_parts`,
-which writes a value given as ints (real + i*imag)/den; `format_scalar`
-hands it a scalar's parts over their common denominator, and `jsonio` emits
-a matrix straight from its form with it.
+Scalars and ints meet only here: `_gaussian` builds a `GaussianRational`
+from ints (re + i*im)/den, and `_int_parts` reads one as (re, im, den) over
+the lcm of its part denominators.  The grammar lives in `_parse_parts`,
+which returns a scalar's parts as the ints written, unreduced, for
+`parse_scalar` and for `Matrix._from_parts` (through `elemop.jsonio`).  The
+spelling lives in `_format_parts`, which writes ints (real + i*imag)/den,
+for `format_scalar` and for `jsonio`'s emission straight from a form.
 """
 
 from __future__ import annotations
@@ -175,11 +175,23 @@ def _coerce(x):
     return NotImplemented
 
 
-def format_scalar(z: GaussianRational) -> str:
-    """Canonical whitespace-free string form of a scalar."""
+def _gaussian(re: int, im: int, den: int) -> GaussianRational:
+    """(re + i*im) / den for ints: the shared ZERO, no imaginary Fraction when real."""
+    if not im:
+        return GaussianRational(Fraction(re, den)) if re else ZERO
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
+def _int_parts(z: GaussianRational) -> tuple[int, int, int]:
+    """Ints (re, im, den) with z = (re + i*im) / den, den the lcm of z's denominators."""
     re_den, im_den = z.re.denominator, z.im.denominator
     den = lcm(re_den, im_den)
-    return _format_parts(z.re.numerator * (den // re_den), z.im.numerator * (den // im_den), den)
+    return z.re.numerator * (den // re_den), z.im.numerator * (den // im_den), den
+
+
+def format_scalar(z: GaussianRational) -> str:
+    """Canonical whitespace-free string form of a scalar."""
+    return _format_parts(*_int_parts(z))
 
 
 def _format_parts(real: int, imag: int, den: int) -> str:
@@ -201,7 +213,7 @@ def _ratio(num: int, den: int) -> str:
 def parse_scalar(text: str) -> GaussianRational:
     """Parse a scalar string; tolerant of whitespace and of "i" shorthands."""
     (re_num, re_den), (im_num, im_den) = _parse_parts(text)
-    return GaussianRational(Fraction(re_num, re_den), Fraction(im_num, im_den))
+    return _gaussian(re_num * im_den, im_num * re_den, re_den * im_den)
 
 
 def _parse_parts(text: str) -> tuple[tuple[int, int], tuple[int, int]]:

@@ -624,6 +624,29 @@ def test_implication_converse_in_a_random_trial_is_a_finding(monkeypatch):
     assert _replayed(finding) == calls[1]
 
 
+def test_a_failed_commutation_fact_is_filed_for_each_held_structured_trial(monkeypatch):
+    import elemop.lab as lab_module
+
+    real = lab_module.thm22_check
+    checked = []  # (instance, hypotheses hold), structured then random in each trial
+
+    def recording(a_tuple, b_tuple):
+        result = real(a_tuple, b_tuple)
+        checked.append(((a_tuple, b_tuple), result.hypotheses_hold))
+        return result
+
+    monkeypatch.setattr(lab_module, "thm22_check", recording)
+    monkeypatch.setattr(lab_module, "_commutation_fact_holds", lambda tuples: False)
+    report = sweep_thm("2.2", GeneratorConfig(dim=2, seed=4), 4)
+
+    held = [(trial, instance) for trial, (instance, hold) in enumerate(checked[::2]) if hold]
+    assert held and len(checked) == 8
+    assert [(v["trial"], v["kind"], v["reason"]) for v in report.violations] == [
+        (trial, "structured", "commutation fact failed") for trial, _ in held
+    ]
+    assert [_replayed(v) for v in report.violations] == [instance for _, instance in held]
+
+
 # ---- trial cap --------------------------------------------------------------------------------
 
 @pytest.mark.parametrize("run", [sweep_thm, search_converse_failures])

@@ -199,6 +199,11 @@ def test_matrix_poly_evaluates_with_identity_constant():
     assert matrix_poly([0], J2) == Matrix.zero(2)
 
 
+def test_matrix_poly_of_a_non_square_matrix_is_a_shape_error():
+    with pytest.raises(ShapeError, match="2x3"):
+        matrix_poly([1], Matrix.zero(2, 3))
+
+
 def test_transpose_and_hash():
     m = Matrix([[1, 2], [3, 4]])
     assert m.T == Matrix([[1, 3], [2, 4]])

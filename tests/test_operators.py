@@ -273,6 +273,24 @@ def test_operator_validation():
         rand_operator(random.Random(0), 2, 1).compose(rand_operator(random.Random(0), 3, 1))
 
 
+def test_multiplying_by_a_scalar_is_scaling():
+    op = rand_operator(random.Random(39), 2, 2)
+    assert (op * 2).terms == (2 * op).terms == op.scaled(2).terms
+
+
+@pytest.mark.parametrize("apply, error", [
+    (lambda op: op * 1.5, TypeError),
+    (lambda op: 1.5 * op, TypeError),
+    (lambda op: op ** -1, ValueError),
+    (lambda op: op ** 1.5, ValueError),
+    (lambda op: op + 1, TypeError),
+    (lambda op: op @ 1, TypeError),
+], ids=["times-float", "float-times", "negative-power", "float-power", "plus-int", "compose-int"])
+def test_operator_arithmetic_rejects_what_it_cannot_take(apply, error):
+    with pytest.raises(error):
+        apply(identity_operator(2))
+
+
 # ---- extensional equality -------------------------------------------------------
 
 def test_op_equal_ignores_term_representation():

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from elemop import GaussianRational, IMAG, ONE, ParseError, ZERO, format_scalar, parse_scalar
+from elemop import (
+    GaussianRational,
+    IMAG,
+    ONE,
+    ParseError,
+    ZERO,
+    as_scalar,
+    format_scalar,
+    parse_scalar,
+)
 from elemop.scalars import _split_terms
 from helpers import ref_parse_scalar, ref_split_terms
 
@@ -52,6 +61,18 @@ def test_int_and_fraction_coercion():
     assert 2 * z == ONE
     assert Fraction(1, 2) - z == ZERO
     assert 1 / GaussianRational(2) == GaussianRational(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("build", [GaussianRational, as_scalar, lambda x: GaussianRational(0, x)])
+def test_a_float_is_no_exact_scalar(build):
+    with pytest.raises(TypeError):
+        build(1.5)
+
+
+def test_repr_and_str_are_the_canonical_spelling():
+    z = GaussianRational(1, -1)
+    assert repr(z) == "GaussianRational('1-1*i')"
+    assert str(z) == "1-1*i"
 
 
 def test_predicates():
