@@ -29,10 +29,12 @@ facts are the candidate lam = trace/d (`_shift`) and the report of
 A - lam*I (`_shifted`).  All of them go through `_fact`.  Inside
 `_sweep_facts()`, which the exhaustive sweeps open around their pair loop,
 each fact is computed once per distinct matrix value and remembered until
-the sweep ends; outside it every call decides afresh.  The memo holds
-those values and nothing callable, keyed by a flat tuple (the fact name,
-then the size, scale and every entry of the Z[i] form as ints), and equal
-values are stored as one shared object.  So in a sweep a coefficient or
+the sweep ends; outside it every call decides afresh.  The memo is one
+dict from a flat tuple (the fact name, then the size, scale and every
+entry of the Z[i] form as ints) to what the fact's computation returned,
+so it holds values and nothing callable.  Most stored values are "not
+nilpotent", and `is_nilpotent` returns one report object for that, so
+those keys all hold the same object.  So in a sweep a coefficient or
 superoperator value met again is not decided again; each pair still
 builds its operator, evaluates its hypotheses and runs `_enforce` against
 the index its own coefficients predict.
@@ -110,16 +112,15 @@ def scalar_shift_witness(a: Matrix) -> ShiftWitness:
     return ShiftWitness(None)
 
 
-# Facts remembered while an exhaustive sweep runs, as (facts, shared): facts
-# maps a flat key to its value, shared maps each value to the one object
-# stored for every equal value; None outside a sweep.
-_SWEEP_FACTS: ContextVar[tuple[dict, dict] | None] = ContextVar("elemop_sweep_facts", default=None)
+# Facts remembered while an exhaustive sweep runs, a flat key mapped to what
+# compute() returned for it; None outside a sweep.
+_SWEEP_FACTS: ContextVar[dict | None] = ContextVar("elemop_sweep_facts", default=None)
 
 
 @contextmanager
 def _sweep_facts():
     """Remember matrix facts until the block exits, however it exits."""
-    token = _SWEEP_FACTS.set(({}, {}))
+    token = _SWEEP_FACTS.set({})
     try:
         yield
     finally:
@@ -134,16 +135,14 @@ def _fact(a: Matrix, name: str, compute):
     stores nothing, so every later read raises again, as an unmemoised
     call would.
     """
-    memo = _SWEEP_FACTS.get()
-    if memo is None:
+    facts = _SWEEP_FACTS.get()
+    if facts is None:
         return compute()
-    facts, shared = memo
     scale, (re, im) = a._form
     key = (name, a.rows, scale, *chain.from_iterable(re), *chain.from_iterable(im or ()))
     value = facts.get(key)
     if value is None:  # no fact is None
-        value = compute()
-        facts[key] = value = shared.setdefault(value, value)
+        facts[key] = value = compute()
     return value
 
 

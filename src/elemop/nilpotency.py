@@ -74,6 +74,10 @@ class NilpotencyReport:
     witness: EntryWitness | None = None
 
 
+# the one report `is_nilpotent` returns for every non-nilpotent matrix
+NOT_NILPOTENT = NilpotencyReport(nilpotent=False)
+
+
 def char_poly(a: Matrix) -> tuple[GaussianRational, ...]:
     """Monic characteristic polynomial det(xI - a), leading coefficient first.
 
@@ -151,7 +155,7 @@ def is_nilpotent(a: Matrix) -> NilpotencyReport:
             "power iteration and characteristic polynomial disagree on nilpotency",
             instance=a,
         )
-    return NilpotencyReport(nilpotent=index is not None, index=index, witness=witness)
+    return NOT_NILPOTENT if index is None else NilpotencyReport(True, index, witness)
 
 
 # ---- Gaussian-integer kernel --------------------------------------------------

@@ -158,6 +158,14 @@ def test_family_matrix_not_nilpotent():
     assert report.index is None and report.witness is None
 
 
+def test_every_non_nilpotent_matrix_gets_the_one_shared_report():
+    # different sizes, a real and a non-real matrix: one report object
+    others = [FAMILY_A, Matrix.identity(2), Matrix([["i", 1], [0, "1/2"]])]
+    reports = [is_nilpotent(a) for a in others]
+    assert all(r is nilpotency.NOT_NILPOTENT for r in reports)
+    assert nilpotency.NOT_NILPOTENT == NilpotencyReport(False)
+
+
 def test_difference_matrix_index_two():
     n = Matrix([[0, 0, 1], [0, 0, 1], [0, 0, 0]])
     report = is_nilpotent(n)
