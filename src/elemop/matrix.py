@@ -322,7 +322,10 @@ def matrix_poly(coeffs: Sequence, a: Matrix) -> Matrix:
 
 
 def basis_matrix(n: int, i: int, j: int) -> Matrix:
-    """The n x n matrix with a single 1 in position (i, j)."""
+    """The n x n matrix with a single 1 in position (i, j), for 0 <= i, j < n;
+    any other position raises ShapeError."""
+    if not (0 <= i < n and 0 <= j < n):
+        raise ShapeError(f"position ({i}, {j}) is outside a {n}x{n} matrix")
     return Matrix._from_integer_form(
         1, [[int((r, c) == (i, j)) for c in range(n)] for r in range(n)], None
     )

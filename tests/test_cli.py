@@ -147,6 +147,11 @@ def test_examples_32_bad_params_exit_2(capsys):
     assert status == 2 and "five" in err
 
 
+def test_examples_31_takes_no_params_exit_2(capsys):
+    status, _, err = run_cli(capsys, "examples", "--which", "3.1", "--params", "1,2,3,0,3")
+    assert status == 2 and "--params only applies to --which 3.2" in err
+
+
 def test_sweep_small_random(capsys):
     status, out, _ = run_cli(
         capsys, "sweep", "--theorem", "2.2", "--dim", "2", "--trials", "5", "--seed", "3"

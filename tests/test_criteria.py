@@ -434,6 +434,9 @@ def _index_off_by_one(monkeypatch):
         # lam = 1: ind(0) + ind(J2) - 1 = 2
         (fong_sourour_check, (I2, I2 + J2), "common-shift index violated: derivation index 3 "
          "but ind(S - lam*I) + ind(T - lam*I) - 1 is 2"),
+        # lam = 1, mu = 2: 2(ind(J2) + ind(0)) - 3 = 3, met with equality
+        (thm23_check, (I2 + J2, 2 * I2), "scalar-shift index violated: operator index 4 "
+         "but 2(ind(A - lam*I) + ind(B - mu*I)) - 3 is 3"),
     ],
 )
 def test_index_violation_carries_the_pair(monkeypatch, check, pair, message):

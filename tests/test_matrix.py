@@ -87,6 +87,21 @@ def test_addition_and_scaling():
     assert Fraction(1, 2) * m == Matrix([["1/2", "1"], ["3/2", "2"]])
 
 
+@pytest.mark.parametrize("apply", [
+    lambda m: m + 1,
+    lambda m: m - 1,
+    lambda m: 1.5 * m,
+    lambda m: m * 1.5,
+], ids=["plus-int", "minus-int", "float-times", "times-float"])
+def test_matrix_arithmetic_rejects_what_it_cannot_take(apply):
+    with pytest.raises(TypeError):
+        apply(Matrix.identity(2))
+
+
+def test_a_matrix_is_not_equal_to_a_scalar():
+    assert (Matrix.identity(1) == 1) is False
+
+
 def test_shape_errors_name_both_shapes():
     with pytest.raises(ShapeError, match="2x2.*2x3"):
         Matrix.zero(2) + Matrix.zero(2, 3)
@@ -333,6 +348,13 @@ def test_constant_matrices_match_reference(rows, cols):
     one = ref_zero(rows, rows).row_list()
     one[rows - 1][0] = GaussianRational(1)
     _assert_matches(basis_matrix(rows, rows - 1, 0), Matrix(one))
+
+
+@pytest.mark.parametrize("n, i, j", [(2, 5, 5), (2, -1, 0), (3, 0, 3)])
+def test_basis_matrix_rejects_a_position_outside_it(n, i, j):
+    with pytest.raises(ShapeError) as info:
+        basis_matrix(n, i, j)
+    assert str(info.value) == f"position ({i}, {j}) is outside a {n}x{n} matrix"
 
 
 def test_a_matrix_built_from_entries_has_its_form_on_construction():

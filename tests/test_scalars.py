@@ -55,6 +55,19 @@ def test_division_and_inverse():
         assert w / d == w * d.inverse()
 
 
+@pytest.mark.parametrize("apply", [
+    lambda: ONE + 1.5,
+    lambda: ONE - 1.5,
+    lambda: 1.5 - ONE,
+    lambda: ONE / 1.5,
+    lambda: 1.5 / ONE,
+    lambda: ONE + "1",
+], ids=["plus-float", "minus-float", "float-minus", "over-float", "float-over", "plus-str"])
+def test_scalar_arithmetic_rejects_what_it_cannot_take(apply):
+    with pytest.raises(TypeError):
+        apply()
+
+
 def test_int_and_fraction_coercion():
     z = GaussianRational(Fraction(1, 2))
     assert z + 1 == GaussianRational(Fraction(3, 2))
@@ -175,6 +188,14 @@ def test_parse_caps_each_digit_run_without_the_int_string_limit():
                 f"bad scalar {bad[:50]!r}... ({len(bad):,} characters): "
                 f"cannot read term {term[:50]!r}... ({len(term):,} characters)"
             )
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # a limit lowered below the grammar's 4,300 digits: int() refuses the run,
+    # and the parser reports the term, not int()'s ValueError
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ParseError, match="cannot read term"):
+            parse_scalar("7" * 641)
     finally:
         sys.set_int_max_str_digits(limit)
 
