@@ -270,8 +270,9 @@ def _load(source: str, flag: str):
     text = source if source.lstrip()[:1] in ("{", "[") else _read_file(source)
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: nesting deeper than the decoder's stack allows
+    except (ValueError, RecursionError) as exc:
+        # ValueError: a JSONDecodeError, or an int literal over the int-string
+        # digit limit; RecursionError: nesting deeper than the decoder's stack allows
         raise ParseError(f"invalid JSON in {_quoted(source)}: {exc}") from exc
 
 

@@ -11,11 +11,12 @@ int rows (imaginary rows None when A is real).  The form is canonical, so
 `_from_integer_form`, which divides out one gcd.  The form is all a matrix
 holds, and nothing writes to a matrix once it is built.  `Matrix(rows)`,
 the JSON reader (`elemop.jsonio`) and the generators (`elemop.lab`) all
-build it through `_from_parts` from int cells; `Matrix(rows)` reads each
-entry into ints with `scalars._int_parts`.  The form is read cell by cell
-only through `_cells`, one walk over its distinct cells: the entry readers
-(`str`, indexing, `entries`, `row_list`) build the entries with it and
-`scalars._gaussian` when called, and `jsonio` writes entry texts with it.
+build it through `_from_parts` from int cells; `Matrix(rows)` takes each
+entry's canonical ints (re_num + i*im_num)/den as its cell.  The form is
+read cell by cell only through `_cells`, one walk over its distinct cells:
+the entry readers (`str`, indexing, `entries`, `row_list`) build the
+entries with it and `scalars._gaussian` when called, and `jsonio` writes
+entry texts with it.
 """
 
 from __future__ import annotations
@@ -26,14 +27,14 @@ from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ShapeError
-from .scalars import GaussianRational, _gaussian, _int_parts, as_scalar
+from .scalars import GaussianRational, _gaussian, as_scalar
 
 
 class Matrix:
     __slots__ = ("rows", "cols", "_form")
 
     def __init__(self, rows: Sequence[Sequence]):
-        cells = [[((re, d), (im, d)) for re, im, d in map(_int_parts, map(as_scalar, row))]
+        cells = [[((z.re_num, z.den), (z.im_num, z.den)) for z in map(as_scalar, row)]
                  for row in rows]
         if cells and cells[0] and any(len(row) != len(cells[0]) for row in cells):
             raise ShapeError("ragged rows: all rows must have equal length")
@@ -139,7 +140,7 @@ class Matrix:
         except TypeError:
             return NotImplemented
         # (cr + i*ci)/cs times (re + i*im)/scale
-        cr, ci, cs = _int_parts(c)
+        cr, ci, cs = c.re_num, c.im_num, c.den
         scale, (re, im) = self._form
         return Matrix._from_integer_form(cs * scale, _mix(cr, re, sub, ci, im),
                                          _mix(cr, im, add, ci, re) if im or ci else None)

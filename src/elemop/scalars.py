@@ -2,9 +2,12 @@
 
 Q(i) is the scalar field of the whole package.  Every quantity here is exact,
 so equality of matrices, vanishing of operator powers and polynomial
-identities are all decidable without tolerances.  Canonical form (coprime
-numerator/denominator, positive denominator) is maintained for free by
-`fractions.Fraction`.
+identities are all decidable without tolerances.  A scalar is held as the
+ints (re_num + i*im_num)/den in canonical form, den > 0 and
+gcd(re_num, im_num, den) = 1: the 1x1 case of a `Matrix`'s Gaussian-integer
+form.  Every operation computes on those ints; `re`, `im` and `norm()` are
+`Fraction` views built when read, and a zero part reads as one shared
+`Fraction(0)`.
 
 String form, shared with the JSON wire format:
 
@@ -26,13 +29,14 @@ the input and the rejected term in full up to 100 characters; longer ones
 are abridged to their first 50 characters and their length, so a rejected
 megabyte term gives a message of about a hundred bytes.
 
-Scalars and ints meet only here: `_gaussian` builds a `GaussianRational`
-from ints (re + i*im)/den, and `_int_parts` reads one as (re, im, den) over
-the lcm of its part denominators.  The grammar lives in `_parse_parts`,
-which returns a scalar's parts as the ints written, unreduced, for
-`parse_scalar` and for `Matrix._from_parts` (through `elemop.jsonio`).  The
-spelling lives in `_format_parts`, which writes ints (real + i*imag)/den,
-for `format_scalar` and for `jsonio`'s emission straight from a form.
+`_canonical` divides out one gcd and makes the denominator positive; the
+constructor stores through it, and so does `_gaussian`, the builder of every
+scalar that an operation, a trace, a coefficient or a parse makes from ints.
+The grammar lives in `_parse_parts`, which returns a scalar's parts as the
+ints written, unreduced, for `parse_scalar` and for `Matrix._from_parts`
+(through `elemop.jsonio`).  The spelling lives in `_format_parts`, which
+writes ints (real + i*imag)/den, for `format_scalar` and for `jsonio`'s
+emission straight from a form.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+from operator import attrgetter
 
 from .errors import ParseError
 
@@ -49,30 +54,38 @@ _TERM_BODY = re.compile(r"[0-9]{1,4300}(?:/[0-9]{1,4300})?")
 _QUOTED_MAX = 100  # longer input is abridged in error messages
 # a sign starts a new term unless it follows a sign or a "/"
 _split_terms = re.compile(r"(?<=[^+\-/])(?=[+-])").split
+_new, _set = object.__new__, object.__setattr__
+_parts = attrgetter("re_num", "im_num", "den")  # a scalar's canonical ints
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class GaussianRational:
-    """An element of Q(i), immutable and hashable."""
+    """An element of Q(i), immutable and hashable: (re_num + i*im_num) / den
+    in canonical form, den > 0 and gcd(re_num, im_num, den) = 1."""
 
-    re: Fraction = _F0
-    im: Fraction = _F0
+    re_num: int
+    im_num: int
+    den: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
+    def __init__(self, re=0, im=0):
+        for part in (re, im):
+            if not isinstance(part, (int, Fraction)):
+                raise TypeError(f"cannot build an exact rational from {type(part).__name__}")
+        (a, b), (c, d) = re.as_integer_ratio(), im.as_integer_ratio()
+        _canonical(self, a * d, c * b, b * d)
+
+    # ---- Fraction views -------------------------------------------------
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.re_num, self.den) if self.re_num else _F0
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.im_num, self.den) if self.im_num else _F0
 
     # ---- predicates -----------------------------------------------------
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.re_num or self.im_num)
 
     @property
     def is_zero(self) -> bool:
@@ -80,75 +93,83 @@ class GaussianRational:
 
     @property
     def is_real(self) -> bool:
-        return not self.im
+        return not self.im_num
 
     # ---- arithmetic ------------------------------------------------------
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if (other := _coerce(other)) is NotImplemented:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        (a, b, d), (c, e, f) = _parts(self), _parts(other)
+        return _gaussian(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if (other := _coerce(other)) is NotImplemented:
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        (a, b, d), (c, e, f) = _parts(self), _parts(other)
+        return _gaussian(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         return other - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if (other := _coerce(other)) is NotImplemented:
             return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not b and not d:  # the common all-real case
-            return GaussianRational(a * c, _F0)
-        return GaussianRational(a * c - b * d, a * d + b * c)
+        (a, b, d), (c, e, f) = _parts(self), _parts(other)
+        return _gaussian(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gaussian(-self.re_num, -self.im_num, self.den)
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if (other := _coerce(other)) is NotImplemented:
             return NotImplemented
-        if other.re and not other.im:  # a nonzero real divisor needs no inverse
-            return GaussianRational(self.re / other.re, self.im / other.re)
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if (other := _coerce(other)) is NotImplemented:
             return NotImplemented
         return other * self.inverse()
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gaussian(self.re_num, -self.im_num, self.den)
 
     def norm(self) -> Fraction:
         """Squared modulus re^2 + im^2; rational, zero only at zero."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = _parts(self)
+        return Fraction(a * a + b * b, d * d)
 
     def inverse(self) -> "GaussianRational":
-        n = self.norm()
+        a, b, d = _parts(self)
+        n = a * a + b * b
         if not n:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _gaussian(a * d, -b * d, n)
 
     def __str__(self) -> str:
         return format_scalar(self)
 
     def __repr__(self) -> str:
         return f"GaussianRational({format_scalar(self)!r})"
+
+
+def _canonical(z: GaussianRational, re: int, im: int, den: int) -> GaussianRational:
+    """Store (re + i*im) / den, den nonzero, into z with den > 0 and one gcd divided out."""
+    g = gcd(re, im, den) if den > 0 else -gcd(re, im, den)
+    _set(z, "re_num", re // g)
+    _set(z, "im_num", im // g)
+    _set(z, "den", den // g)
+    return z
+
+
+def _gaussian(re: int, im: int, den: int) -> GaussianRational:
+    """(re + i*im) / den for ints, den nonzero: the shared ZERO when zero."""
+    return _canonical(_new(GaussianRational), re, im, den) if re or im else ZERO
 
 
 ZERO = GaussianRational()
@@ -158,13 +179,11 @@ IMAG = GaussianRational(0, 1)
 
 def as_scalar(x) -> GaussianRational:
     """Coerce an int, Fraction, scalar string or GaussianRational into Q(i)."""
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
     if isinstance(x, str):
         return parse_scalar(x)
-    raise TypeError(f"cannot interpret {type(x).__name__} as a scalar")
+    if (z := _coerce(x)) is NotImplemented:
+        raise TypeError(f"cannot interpret {type(x).__name__} as a scalar")
+    return z
 
 
 def _coerce(x):
@@ -175,23 +194,9 @@ def _coerce(x):
     return NotImplemented
 
 
-def _gaussian(re: int, im: int, den: int) -> GaussianRational:
-    """(re + i*im) / den for ints: the shared ZERO, no imaginary Fraction when real."""
-    if not im:
-        return GaussianRational(Fraction(re, den)) if re else ZERO
-    return GaussianRational(Fraction(re, den), Fraction(im, den))
-
-
-def _int_parts(z: GaussianRational) -> tuple[int, int, int]:
-    """Ints (re, im, den) with z = (re + i*im) / den, den the lcm of z's denominators."""
-    re_den, im_den = z.re.denominator, z.im.denominator
-    den = lcm(re_den, im_den)
-    return z.re.numerator * (den // re_den), z.im.numerator * (den // im_den), den
-
-
 def format_scalar(z: GaussianRational) -> str:
     """Canonical whitespace-free string form of a scalar."""
-    return _format_parts(*_int_parts(z))
+    return _format_parts(*_parts(z))
 
 
 def _format_parts(real: int, imag: int, den: int) -> str:

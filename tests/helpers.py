@@ -2,6 +2,7 @@
 
 import random
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 from elemop import (
@@ -370,3 +371,72 @@ def _ref_parse_term(term: str, original: str) -> tuple[Fraction, bool]:
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(_bad_term(original, term)) from exc
     return sign * value, imaginary
+
+
+# ---- reference scalar arithmetic --------------------------------------------------------
+# Q(i) arithmetic as it ran when a scalar held its real and imaginary parts as
+# two Fractions, each kept canonical by Fraction itself.  A GaussianRational,
+# which computes on its canonical ints, must agree with it value for value.
+
+@dataclass(frozen=True)
+class FractionPair:
+    re: Fraction
+    im: Fraction = Fraction(0)
+
+    def __bool__(self) -> bool:
+        return bool(self.re) or bool(self.im)
+
+    @property
+    def is_real(self) -> bool:
+        return not self.im
+
+    def __add__(self, other):
+        other = _pair(other)
+        return FractionPair(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _pair(other)
+        return FractionPair(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return _pair(other) - self
+
+    def __mul__(self, other):
+        other = _pair(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return FractionPair(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return FractionPair(-self.re, -self.im)
+
+    def __truediv__(self, other):
+        return self * _pair(other).inverse()
+
+    def __rtruediv__(self, other):
+        return _pair(other) * self.inverse()
+
+    def conjugate(self) -> "FractionPair":
+        return FractionPair(self.re, -self.im)
+
+    def norm(self) -> Fraction:
+        return self.re * self.re + self.im * self.im
+
+    def inverse(self) -> "FractionPair":
+        n = self.norm()
+        if not n:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        return FractionPair(self.re / n, -self.im / n)
+
+    def text(self) -> str:
+        """The canonical scalar string: each part as str(Fraction) writes it."""
+        if not self.im:
+            return str(self.re)
+        return f"{self.re}{'+' if self.im > 0 else '-'}{abs(self.im)}*i"
+
+
+def _pair(x) -> FractionPair:
+    return x if isinstance(x, FractionPair) else FractionPair(Fraction(x))

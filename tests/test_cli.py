@@ -706,6 +706,23 @@ def test_json_nested_past_the_decoder_stack_is_a_parse_error(capsys, tmp_path, w
     assert lines[0].startswith("error: invalid JSON in ")
 
 
+@pytest.mark.parametrize("where", ["inline", "file"])
+def test_json_int_over_the_digit_limit_is_a_parse_error(capsys, tmp_path, where):
+    # json.loads raises a plain ValueError for an int literal of more digits than
+    # CPython converts by default (4,300); it names the document like any other
+    document = '{"rows": 1, "cols": 1, "entries": [[' + "7" * 5000 + "]]}"
+    source = document
+    if where == "file":
+        source = str(tmp_path / "wide.json")
+        Path(source).write_text(document, encoding="utf-8")
+    status, out, err = run_cli(capsys, "nilpotent", "--matrix", source)
+    assert status == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 400
+    assert lines[0].startswith(f"error: invalid JSON in {cli._quoted(source)}: ")
+    assert "4300" in lines[0]
+
+
 @pytest.mark.parametrize("flag", ["--matrix", "--op"])
 def test_inline_array_is_parsed_not_opened(capsys, flag):
     status, out, err = run_cli(capsys, "nilpotent", flag, " [1]")

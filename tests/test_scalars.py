@@ -1,4 +1,5 @@
 import math
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -17,8 +18,8 @@ from elemop import (
     format_scalar,
     parse_scalar,
 )
-from elemop.scalars import _split_terms
-from helpers import ref_parse_scalar, ref_split_terms
+from elemop.scalars import _gaussian, _split_terms
+from helpers import FractionPair, ref_parse_scalar, ref_split_terms
 
 fractions = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 scalars = st.builds(GaussianRational, fractions, fractions)
@@ -301,3 +302,73 @@ def test_results_stay_canonical(x, y):
         for part in (value.re, value.im):
             assert part.denominator > 0
             assert math.gcd(part.numerator, part.denominator) == 1
+
+
+# ---- the int parts against the Fraction-pair reference ---------------------------------
+# (num, den) draws with signed denominators, as lab._rand_part makes them
+ratios = st.tuples(st.integers(-60, 60), st.integers(-12, 12).filter(bool))
+
+
+def _agrees(z, ref):
+    """z is the canonical scalar of the reference value ref, read every way."""
+    assert type(z) is GaussianRational
+    assert z.den > 0 and math.gcd(z.re_num, z.im_num, z.den) == 1
+    assert (z.re, z.im) == (ref.re, ref.im)
+    assert type(z.re) is type(z.im) is Fraction
+    assert z == GaussianRational(ref.re, ref.im)
+    assert hash(z) == hash(GaussianRational(ref.re, ref.im))
+    assert format_scalar(z) == ref.text()
+    assert bool(z) == bool(ref) and z.is_real == ref.is_real
+    assert z.norm() == ref.norm() and type(z.norm()) is Fraction
+
+
+@given(ratios, ratios, ratios, ratios, st.sampled_from(["scalar", "int", "fraction"]))
+def test_int_parts_agree_with_the_fraction_pair_reference(xr, xi, yr, yi, kind):
+    x = GaussianRational(Fraction(*xr), Fraction(*xi))
+    rx = FractionPair(Fraction(*xr), Fraction(*xi))
+    _agrees(x, rx)
+    if kind == "scalar":
+        y, ry = GaussianRational(Fraction(*yr), Fraction(*yi)), FractionPair(Fraction(*yr), Fraction(*yi))
+    else:  # a plain operand, coerced forward and reflected
+        y = ry = yr[0] if kind == "int" else Fraction(*yr)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for a, b, ra, rb in ((x, y, rx, ry), (y, x, ry, rx)):
+            if op is operator.truediv and not rb:
+                with pytest.raises(ZeroDivisionError, match="division by zero in Q"):
+                    op(a, b)
+                with pytest.raises(ZeroDivisionError):
+                    op(ra, rb)
+            else:
+                _agrees(op(a, b), op(ra, rb))
+    _agrees(-x, -rx)
+    _agrees(x.conjugate(), rx.conjugate())
+    if rx:
+        _agrees(x.inverse(), rx.inverse())
+    else:
+        with pytest.raises(ZeroDivisionError, match="division by zero in Q"):
+            x.inverse()
+
+
+@given(ratios, ratios, st.integers(1, 9), st.integers(-9, 9).filter(bool))
+def test_every_construction_path_gives_one_canonical_scalar(re_part, im_part, k, m):
+    (rn, rd), (imn, imd) = re_part, im_part
+    ref = FractionPair(Fraction(rn, rd), Fraction(imn, imd))
+    re_value, im_value = ref.re, ref.im
+    unreduced = (f"{re_value.numerator * k}/{re_value.denominator * k}"
+                 f"{'-' if im_value < 0 else '+'}{abs(im_value.numerator) * k}/"
+                 f"{im_value.denominator * k}*i")
+    built = [
+        GaussianRational(re_value, im_value),
+        GaussianRational(re=re_value, im=im_value),
+        parse_scalar(unreduced),
+        # as lab._rand_scalar builds one: denominators signed and unreduced
+        _gaussian(rn * imd, imn * rd, rd * imd),
+        _gaussian(m * rn * imd, m * imn * rd, m * rd * imd),
+    ]
+    for z in built:
+        _agrees(z, ref)
+        assert z == built[0] and hash(z) == hash(built[0])
+        if not im_value:
+            assert z.im is ZERO.im  # the one shared Fraction(0)
+    if not ref:
+        assert all(z is ZERO for z in built[2:])  # the builder shares ZERO
