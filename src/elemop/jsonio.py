@@ -13,11 +13,11 @@ Reading has two halves: `matrix_texts` and `operator_texts` check a
 document's shape and return its entry strings (a JSON int as its digits and
 sign) without parsing a scalar, so a caller can bound a document first;
 `matrix_from_obj` and `operator_from_obj` then read every entry with the
-grammar of `parse_scalar` into integer parts and hand them to
-`Matrix._from_parts`, which builds the form.  Emission runs the other way:
-`matrix_to_obj` spells each distinct cell of a matrix's form from its ints
-through `Matrix._cells`.  Neither builds a `Fraction` or a
-`GaussianRational` for an entry, and neither touches the form itself.
+grammar of `parse_scalar` into its int cell (re, im, den) and hand the cells
+to `Matrix._from_parts`, which builds the form.  Emission runs the other way,
+in the same shape: `matrix_to_obj` spells each distinct cell of a matrix's
+form from its ints through `Matrix._cells`.  Neither builds a `Fraction` or
+a `GaussianRational` for an entry, and neither touches the form itself.
 """
 
 from __future__ import annotations

@@ -17,8 +17,11 @@ from the master seed, so they could run in any order or in parallel and
 still merge identically by trial index.  Streams stay disjoint for at most
 1,000,003 trials, so no run takes more.
 
-Random matrix entries are drawn as int (num, den) parts and built into a
-form by `Matrix._from_parts`, and scalar coefficients by `scalars._gaussian`.
+Each random entry is drawn as two int parts (num, den), denominators signed
+and unreduced, and put over the lcm of the two as its cell (re, im, den) by
+`scalars._cell`: the one int shape in which an entry enters a form.  Random
+matrices are built from their cells by `Matrix._from_parts`, and scalar
+coefficients by `scalars._gaussian`.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .operators import (
     op_is_nilpotent,
     zero_operator,
 )
-from .scalars import ZERO, GaussianRational, _gaussian, as_scalar, format_scalar
+from .scalars import ZERO, GaussianRational, _cell, _gaussian, as_scalar, format_scalar
 
 RNG_NAME = "python-random-mt19937"
 # trial t of seed s draws from stream s * _STREAM_STRIDE + t
@@ -121,15 +124,14 @@ def _rand_part(rng: random.Random, bound: int) -> tuple[int, int]:
     return num, den
 
 
-def _rand_cell(rng: random.Random, config: GeneratorConfig):
-    """An entry's int parts ((re_num, re_den), (im_num, im_den)), im drawn if Gaussian."""
+def _rand_cell(rng: random.Random, config: GeneratorConfig) -> tuple[int, int, int]:
+    """An entry's cell (re, im, den), the real part drawn first, im only if Gaussian."""
     re = _rand_part(rng, config.entry_bound)
-    return re, _rand_part(rng, config.entry_bound) if config.gaussian else (0, 1)
+    return _cell(re, _rand_part(rng, config.entry_bound) if config.gaussian else (0, 1))
 
 
 def _rand_scalar(rng: random.Random, config: GeneratorConfig) -> GaussianRational:
-    (re_num, re_den), (im_num, im_den) = _rand_cell(rng, config)
-    return _gaussian(re_num * im_den, im_num * re_den, re_den * im_den)
+    return _gaussian(*_rand_cell(rng, config))
 
 
 def _rand_matrix(rng: random.Random, config: GeneratorConfig) -> Matrix:
@@ -163,7 +165,7 @@ def _random_unimodular(rng: random.Random, dim: int) -> tuple[Matrix, Matrix]:
 # ---- generators --------------------------------------------------------------
 
 def _gen_nilpotent(rng: random.Random, config: GeneratorConfig) -> Matrix:
-    dim, zero = config.dim, ((0, 1), (0, 1))
+    dim, zero = config.dim, (0, 0, 1)
     upper = Matrix._from_parts([[_rand_cell(rng, config) if j > i else zero for j in range(dim)]
                                 for i in range(dim)])
     s, s_inv = _random_unimodular(rng, dim)

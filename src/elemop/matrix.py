@@ -9,14 +9,16 @@ least common denominator of all real and imaginary parts, held as tuples of
 int rows (imaginary rows None when A is real).  The form is canonical, so
 `==` and `hash` are taken of it, and each result is built from its form by
 `_from_integer_form`, which divides out one gcd.  The form is all a matrix
-holds, and nothing writes to a matrix once it is built.  `Matrix(rows)`,
+holds, and nothing writes to a matrix once it is built.  An entry enters
+and leaves the form in one int shape, the cell (re, im, den) of
+(re + i*im)/den, as a `GaussianRational` stores its ints.  `Matrix(rows)`,
 the JSON reader (`elemop.jsonio`) and the generators (`elemop.lab`) all
-build it through `_from_parts` from int cells; `Matrix(rows)` takes each
-entry's canonical ints (re_num + i*im_num)/den as its cell.  The form is
-read cell by cell only through `_cells`, one walk over its distinct cells:
-the entry readers (`str`, indexing, `entries`, `row_list`) build the
-entries with it and `scalars._gaussian` when called, and `jsonio` writes
-entry texts with it.
+build the form through `_from_parts` from cells; `Matrix(rows)` takes each
+entry's canonical ints as its cell.  The form is read cell by cell only
+through `_cells`, one walk over its distinct cells, whose cells
+`_from_parts` turns back into the same matrix: the entry readers (`str`,
+indexing, `entries`, `row_list`) build the entries with it and
+`scalars._gaussian` when called, and `jsonio` writes entry texts with it.
 """
 
 from __future__ import annotations
@@ -27,15 +29,14 @@ from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ShapeError
-from .scalars import GaussianRational, _gaussian, as_scalar
+from .scalars import GaussianRational, _gaussian, _parts, as_scalar
 
 
 class Matrix:
     __slots__ = ("rows", "cols", "_form")
 
     def __init__(self, rows: Sequence[Sequence]):
-        cells = [[((z.re_num, z.den), (z.im_num, z.den)) for z in map(as_scalar, row)]
-                 for row in rows]
+        cells = [list(map(_parts, map(as_scalar, row))) for row in rows]
         if cells and cells[0] and any(len(row) != len(cells[0]) for row in cells):
             raise ShapeError("ragged rows: all rows must have equal length")
         built = Matrix._from_parts(cells)
@@ -52,10 +53,10 @@ class Matrix:
 
     @classmethod
     def _from_parts(cls, cells) -> "Matrix":
-        """The matrix of int cells ((re_num, re_den), (im_num, im_den)) row by row, any
-        nonzero denominators: the form over their lcm, reduced by `_from_integer_form`."""
-        scale = lcm(*(d for row in cells for cell in row for _, d in cell))
-        re, im = ([[c[k][0] * (scale // c[k][1]) for c in row] for row in cells] for k in (0, 1))
+        """The matrix of int cells (re, im, den) row by row, any nonzero denominators:
+        the form over their lcm, reduced by `_from_integer_form`; the inverse of `_cells`."""
+        scale = lcm(*(c[2] for row in cells for c in row))
+        re, im = ([[c[k] * (scale // c[2]) for c in row] for row in cells] for k in (0, 1))
         return cls._from_integer_form(scale, re, im)
 
     @classmethod

@@ -32,11 +32,14 @@ megabyte term gives a message of about a hundred bytes.
 `_canonical` divides out one gcd and makes the denominator positive; the
 constructor stores through it, and so does `_gaussian`, the builder of every
 scalar that an operation, a trace, a coefficient or a parse makes from ints.
-The grammar lives in `_parse_parts`, which returns a scalar's parts as the
-ints written, unreduced, for `parse_scalar` and for `Matrix._from_parts`
-(through `elemop.jsonio`).  The spelling lives in `_format_parts`, which
-writes ints (real + i*imag)/den, for `format_scalar` and for `jsonio`'s
-emission straight from a form.
+A scalar's ints are also its cell: the one int shape, (re, im, den) for
+(re + i*im)/den, in which an entry enters a `Matrix` form (`_from_parts`)
+and leaves it (`_cells`).  The grammar lives in `_parse_parts`, which returns
+the cell of the parts as written, over the lcm of their two denominators and
+unreduced, for `parse_scalar` and for `Matrix._from_parts` (through
+`elemop.jsonio`); `_cell` builds it, and `elemop.lab` draws cells with it
+too.  The spelling lives in `_format_parts`, which writes a cell, for
+`format_scalar` and for `jsonio`'s emission straight from a form.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import attrgetter
 
 from .errors import ParseError
@@ -217,14 +220,13 @@ def _ratio(num: int, den: int) -> str:
 
 def parse_scalar(text: str) -> GaussianRational:
     """Parse a scalar string; tolerant of whitespace and of "i" shorthands."""
-    (re_num, re_den), (im_num, im_den) = _parse_parts(text)
-    return _gaussian(re_num * im_den, im_num * re_den, re_den * im_den)
+    return _gaussian(*_parse_parts(text))
 
 
-def _parse_parts(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The scalar grammar: ((re_num, re_den), (im_num, im_den)), each part
-    as written, so unreduced, with a positive denominator; (0, 1) for an
-    absent part."""
+def _parse_parts(text: str) -> tuple[int, int, int]:
+    """The scalar grammar: the cell (re, im, den) of the two parts as written,
+    over the lcm of their positive denominators and so unreduced; an absent
+    part is 0/1."""
     stripped = "".join(text.split())
     if not stripped:
         raise ParseError("empty scalar string")
@@ -240,7 +242,14 @@ def _parse_parts(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
             if re_part is not None:
                 raise ParseError(f"two real terms in scalar {_quoted(text)}")
             re_part = value
-    return re_part or (0, 1), im_part or (0, 1)
+    return _cell(re_part or (0, 1), im_part or (0, 1))
+
+
+def _cell(re: tuple[int, int], im: tuple[int, int]) -> tuple[int, int, int]:
+    """The cell (re_num + i*im_num)/den of two parts (num, den), any nonzero
+    denominators: over the lcm of the two, unreduced."""
+    den = lcm(re[1], im[1])
+    return re[0] * (den // re[1]), im[0] * (den // im[1]), den
 
 
 def _parse_term(term: str, original: str) -> tuple[tuple[int, int], bool]:

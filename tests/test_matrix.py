@@ -22,7 +22,7 @@ from elemop import (
     vec,
 )
 from elemop.jsonio import matrix_to_obj
-from elemop.scalars import format_scalar
+from elemop.scalars import _gaussian, format_scalar
 from helpers import (
     rand_matrix,
     rand_scalar,
@@ -478,12 +478,13 @@ def _reader_cases():
         rows = ref_entry_rows(product)
         cases.append(pytest.param(product, rows, id=f"form-gaussian={gaussian}"))
     cases.append(pytest.param(J2 * J2T, [[GaussianRational(1), ZERO], [ZERO, ZERO]], id="form-0-1"))
-    # int parts with negative and unreduced denominators, zero imaginary parts over odd ones
+    # int cells (re, im, den) with negative and unreduced denominators, zeros over odd ones
     for name, cells in (
-        ("real", [[((2, -4), (0, 1)), ((6, -3), (0, 7))], [((0, -5), (0, -3)), ((7, 10), (0, 1))]]),
-        ("gaussian", [[((2, -4), (0, 1)), ((-6, -3), (3, -9))], [((0, -5), (-7, 10)), ((5, 1), (4, 2))]]),
+        ("real", [[(2, 0, -4), (42, 0, -21)], [(0, 0, -15), (7, 0, 10)]]),
+        ("gaussian", [[(2, 0, -4), (-18, 3, -9)], [(0, -7, 10), (10, 4, 2)]]),
     ):
-        rows = [[GaussianRational(Fraction(*re), Fraction(*im)) for re, im in row] for row in cells]
+        rows = [[GaussianRational(Fraction(re, den), Fraction(im, den)) for re, im, den in row]
+                for row in cells]
         cases.append(pytest.param(Matrix._from_parts(cells), rows, id=f"parts-{name}"))
     return cases
 
@@ -505,6 +506,23 @@ def test_every_entry_reader_builds_the_entries_from_the_form(m, rows):
     read = m.row_list()
     assert len({id(e) for row in read for e in row}) == len({e for row in read for e in row})
     assert m._form is form and not _has_entries(m)
+
+
+# int cells (re, im, den): wide signed parts over signed, unreduced denominators
+wide_ints = st.integers(-(2**80), 2**80)
+signed_dens = st.integers(-(10**6), 10**6).filter(bool)
+
+
+@given(st.data(), st.booleans(), st.integers(1, 3), st.integers(1, 3))
+def test_from_parts_builds_each_cell_as_its_scalar_and_inverts_cells(data, gaussian, rows, cols):
+    cell = st.tuples(wide_ints, wide_ints if gaussian else st.just(0), signed_dens)
+    cells = data.draw(st.lists(st.lists(cell, min_size=cols, max_size=cols),
+                               min_size=rows, max_size=rows))
+    m = Matrix._from_parts(cells)
+    assert m == Matrix([[_gaussian(*c) for c in row] for row in cells])
+    # the cells a form leaves by build it again, for a form-built product as well
+    for x in (m, m * m.T):
+        assert Matrix._from_parts(x._cells(lambda *c: c)) == x
 
 
 def test_hash_is_taken_of_the_form_and_builds_no_entries():

@@ -18,7 +18,7 @@ from elemop import (
     format_scalar,
     parse_scalar,
 )
-from elemop.scalars import _gaussian, _split_terms
+from elemop.scalars import _cell, _gaussian, _split_terms
 from helpers import FractionPair, ref_parse_scalar, ref_split_terms
 
 fractions = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -361,9 +361,11 @@ def test_every_construction_path_gives_one_canonical_scalar(re_part, im_part, k,
         GaussianRational(re_value, im_value),
         GaussianRational(re=re_value, im=im_value),
         parse_scalar(unreduced),
-        # as lab._rand_scalar builds one: denominators signed and unreduced
+        # from ints with signed and unreduced denominators, and from the cell
+        # over their lcm, as lab._rand_scalar builds one
         _gaussian(rn * imd, imn * rd, rd * imd),
         _gaussian(m * rn * imd, m * imn * rd, m * rd * imd),
+        _gaussian(*_cell(re_part, im_part)),
     ]
     for z in built:
         _agrees(z, ref)
