@@ -132,12 +132,16 @@ class GaussianRational:
     def __truediv__(self, other):
         if (other := _coerce(other)) is NotImplemented:
             return NotImplemented
-        return self * other.inverse()
+        (a, b, d), (c, e, f) = _parts(self), _parts(other)
+        if not (n := c * c + e * e):
+            raise ZeroDivisionError("division by zero in Q(i)")
+        # f(a + bi)(c - ei) / (d(c^2 + e^2))
+        return _gaussian(f * (a * c + b * e), f * (b * c - a * e), d * n)
 
     def __rtruediv__(self, other):
         if (other := _coerce(other)) is NotImplemented:
             return NotImplemented
-        return other * self.inverse()
+        return other / self
 
     def conjugate(self) -> "GaussianRational":
         return _gaussian(self.re_num, -self.im_num, self.den)
@@ -148,11 +152,7 @@ class GaussianRational:
         return Fraction(a * a + b * b, d * d)
 
     def inverse(self) -> "GaussianRational":
-        a, b, d = _parts(self)
-        n = a * a + b * b
-        if not n:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return _gaussian(a * d, -b * d, n)
+        return ONE / self
 
     def __str__(self) -> str:
         return format_scalar(self)

@@ -18,6 +18,7 @@ from elemop import (
     format_scalar,
     parse_scalar,
 )
+import elemop.scalars as scalars_module
 from elemop.scalars import _cell, _gaussian, _split_terms
 from helpers import FractionPair, ref_parse_scalar, ref_split_terms
 
@@ -294,6 +295,19 @@ def test_field_laws(x, y, z):
     if y:
         assert y * y.inverse() == ONE
         assert (x / y) * y == x
+
+
+def test_division_builds_one_scalar(monkeypatch):
+    x, y = GaussianRational(Fraction(1, 2), 3), GaussianRational(2, Fraction(-1, 3))
+    assert (x / y) * y == x and (2 / y) * y == GaussianRational(2) and y.inverse() * y == ONE
+    calls = []
+    canonical = scalars_module._canonical
+    monkeypatch.setattr(scalars_module, "_canonical", lambda *args: calls.append(args) or canonical(*args))
+    # one formula per quotient; 2 / y also coerces the 2
+    for divide, count in ((lambda: x / y, 1), (lambda: 2 / y, 2), (y.inverse, 1)):
+        calls.clear()
+        divide()
+        assert len(calls) == count
 
 
 @given(scalars, scalars)
