@@ -73,6 +73,10 @@ class GeneratorConfig:
     gaussian: bool = False
 
     def __post_init__(self):
+        for name in ("dim", "entry_bound", "seed"):
+            _check_int(name, getattr(self, name))
+        if not isinstance(self.gaussian, bool):
+            raise PreconditionError(f"gaussian must be a bool, got {type(self.gaussian).__name__}")
         if self.dim < 1:
             raise PreconditionError(f"dimension must be >= 1, got {self.dim}")
         if self.entry_bound < 1:
@@ -82,6 +86,12 @@ class GeneratorConfig:
 
     def to_obj(self) -> dict:
         return asdict(self)
+
+
+def _check_int(name: str, value) -> None:
+    """Reject a value that is not an int, or is a bool, naming its field."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise PreconditionError(f"{name} must be an int, got {type(value).__name__}")
 
 
 @dataclass
@@ -418,6 +428,7 @@ def _record(
 
 
 def _check_trials(trials: int) -> None:
+    _check_int("trials", trials)
     if trials < 1:
         raise PreconditionError(f"trials must be >= 1, got {trials}")
     if trials > _STREAM_STRIDE:

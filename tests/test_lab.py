@@ -150,6 +150,23 @@ def test_config_validation():
         GeneratorConfig(dim=2, entry_bound=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dim", 2.0), ("dim", True), ("dim", "2"), ("entry_bound", 2.5), ("entry_bound", True),
+    ("seed", 0.5), ("seed", True), ("seed", Fraction(1)), ("gaussian", "yes"), ("gaussian", 1),
+    ("trials", 2.5), ("trials", True),
+])
+def test_inputs_of_the_wrong_type_are_rejected_by_name(field, value):
+    # a float seed would reach the report as a JSON float, a float bound randrange
+    if field == "trials":
+        calls = [lambda: sweep_thm("2.2", GeneratorConfig(dim=2), value),
+                 lambda: search_converse_failures("2.3", GeneratorConfig(dim=2), value)]
+    else:
+        calls = [lambda: GeneratorConfig(**{"dim": 2, field: value})]
+    for call in calls:
+        with pytest.raises(PreconditionError, match=f"^{field} must be an? (int|bool), got "):
+            call()
+
+
 # ---- exhaustive sweeps ----------------------------------------------------------
 
 def test_exhaustive_sweep_on_reduced_entry_set():
