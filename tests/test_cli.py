@@ -880,6 +880,17 @@ def test_module_entry_point_runs(tmp_path, case):
     assert check is None or check(proc.stdout), proc.stdout
 
 
+@pytest.mark.parametrize("argv, code", [(["examples", "--which", "3.1"], 0),
+                                        (["nilpotent", "--matrix", "[1]"], 2)])
+def test_module_entry_writes_what_main_writes(capsys, argv, code):
+    # `python -m elemop.cli`, as the README documents it, with src on the path
+    src = str(Path(elemop.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "elemop.cli", *argv], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout) == (main(argv), capsys.readouterr().out.encode())
+    assert proc.returncode == code
+
+
 def test_one_parser_serves_every_call(capsys, monkeypatch):
     import elemop.cli as cli_module
 
