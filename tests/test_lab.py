@@ -156,7 +156,7 @@ def test_config_validation():
     ("trials", 2.5), ("trials", True),
 ])
 def test_inputs_of_the_wrong_type_are_rejected_by_name(field, value):
-    # a float seed would reach the report as a JSON float, a float bound randrange
+    # a float seed would reach the sweep report as a JSON float, a float bound randrange
     if field == "trials":
         calls = [lambda: sweep_thm("2.2", GeneratorConfig(dim=2), value),
                  lambda: search_converse_failures("2.3", GeneratorConfig(dim=2), value)]
