@@ -2,9 +2,12 @@
 
 A square matrix over a field of characteristic zero is nilpotent exactly
 when its d-th power vanishes (Cayley-Hamilton), equivalently when its
-characteristic polynomial is x^d.  `is_nilpotent` decides from the powers
-B^k e_j of the unit columns and then re-decides from the characteristic
-polynomial; the two routes must agree, and a disagreement raises
+characteristic polynomial is x^d, equivalently when the power sums tr(A^k),
+k = 1..d, all vanish (Newton's identities).  `is_nilpotent` decides from
+the powers B^k e_j of the unit columns and then checks the verdict from
+the power sums: "not nilpotent" needs one nonzero power sum, so that check
+stops at the first one, and "nilpotent" needs the characteristic
+polynomial to be x^d.  The two routes must agree, and a disagreement raises
 IntegrityError.
 
 Both routes run on Gaussian integers, not on Q(i).  Let D be the lcm of
@@ -32,11 +35,15 @@ in sum_j (ind_j - 1) steps (d*(index - 1) for a dense B, d*(d - 1) at
 worst), and B^(index-1) is assembled from the last nonzero iterates of the
 columns that reached the index, every other column of it being zero; its
 first nonzero entry in row-major order is the witness.  The
-characteristic-polynomial route reads the power sums tr(B^k), k = 1..d, from
-s = isqrt(d) baby steps and (d-1)//s giant steps, each power sum past B^s as
-the trace of a product it never forms: s - 1 + max(0, (d-1)//s - 1) products
-(3 at 9x9, 1 at 4x4, 0 at 2x2) instead of Faddeev-LeVerrier's d - 2.  The
-routes share no powers, so they stay independent checks.
+power-sum route reads tr(B^k), k = 1..d, from s = isqrt(d) baby steps and
+(d-1)//s giant steps, each power sum past B^s as the trace of a product it
+never forms, and forms each step only when the next power sum needs it:
+all d power sums take s - 1 + max(0, (d-1)//s - 1) products (3 at 9x9, 1
+at 4x4, 0 at 2x2) instead of Faddeev-LeVerrier's d - 2, and a
+non-nilpotent B whose trace is nonzero takes none.  A nilpotent verdict,
+and a non-nilpotent B whose first d - 1 power sums vanish (the companion
+matrix of x^d - c), still form every step.  The routes share no powers,
+so they stay independent checks.
 """
 
 from __future__ import annotations
@@ -85,31 +92,20 @@ def char_poly(a: Matrix) -> tuple[GaussianRational, ...]:
     give the coefficients through Newton's identities
     k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1).  B has entries in
     Z[i], so every p_k and c_k does too and each division by k is exact;
-    an inexact one raises IntegrityError.  With s = isqrt(d), only the baby
-    steps B^2..B^s and the giant steps B^(2s), B^(3s), .. up to
-    B^(((d-1)//s)*s) are formed, and p_k for k = qs + r, 1 <= r <= s, is
-    tr(B^r) or tr(B^(qs) B^r), read without forming the product: that is
-    s - 1 + max(0, (d-1)//s - 1) products (3 at 9x9, 1 at 4x4, 0 at 2x2).
+    an inexact one raises IntegrityError.  The power sums come from
+    `_power_sums`: s - 1 + max(0, (d-1)//s - 1) products for s = isqrt(d)
+    (3 at 9x9, 1 at 4x4, 0 at 2x2).
     """
     if not a.is_square:
         raise ShapeError(f"characteristic polynomial of non-square {a.rows}x{a.cols}")
     scale, b = a._form
-    d = a.rows
-    s = isqrt(d)
-    baby = [None, b]  # baby[r] = B^r, r = 1..s
-    while len(baby) <= s:
-        baby.append(_gaussian_matmul(baby[-1], b))
-    giant = [None, baby[s]]  # giant[q] = B^(qs), q = 1..(d-1)//s
-    while len(giant) <= (d - 1) // s:
-        giant.append(_gaussian_matmul(giant[-1], baby[s]))
-    coeffs, sums = [(1, 0)], [None]  # c_0 = 1 is the coefficient of x^d; sums[k] = p_k
-    for k in range(1, d + 1):
-        q, r = divmod(k - 1, s)
-        sums.append(_trace(baby[r + 1]) if q == 0 else _product_trace(giant[q], baby[r + 1]))
-        re, im = sums[k]
-        for (cr, ci), (pr, pi) in zip(coeffs[1:], reversed(sums[1:k])):
+    coeffs, sums = [(1, 0)], []  # c_0 = 1 is the coefficient of x^d; sums = p_1..p_(k-1)
+    for k, p in enumerate(_power_sums(b, a.rows), 1):
+        re, im = p
+        for (cr, ci), (pr, pi) in zip(coeffs[1:], reversed(sums)):
             re += cr * pr - ci * pi
             im += cr * pi + ci * pr
+        sums.append(p)
         coeffs.append((_exact_div(-re, k, a), _exact_div(-im, k, a)))
     return tuple(_gaussian(re, im, scale**k) for k, (re, im) in enumerate(coeffs))
 
@@ -118,7 +114,12 @@ def is_nilpotent(a: Matrix) -> NilpotencyReport:
     """Decide nilpotency of a square matrix, with index and witness.
 
     The index never exceeds the dimension: if a^d != 0 the matrix is not
-    nilpotent at all.
+    nilpotent at all.  The column iterates give the verdict, and the power
+    sums tr(B^k) of B = D*a check it: a "not nilpotent" verdict holds once
+    one of them is nonzero, so the check stops at the first nonzero one
+    (tr(B) for most inputs, forming no product), and a nilpotent verdict
+    holds when `char_poly(a)` is x^d, which takes every power sum.  A
+    disagreement raises IntegrityError with a as its instance.
     """
     if not a.is_square:
         raise ShapeError(f"nilpotency of non-square {a.rows}x{a.cols}")
@@ -141,25 +142,50 @@ def is_nilpotent(a: Matrix) -> NilpotencyReport:
             continue
         index = None
         break
-    witness = None
-    if index is not None and index > 1:
-        # B^(index-1), column by column: every column but the reached ones is zero
-        columns = [reached.get(j, ([0] * d, [0] * d)) for j in range(d)]
-        power = (list(zip(*(c[0] for c in columns))),
-                 None if bi is None else list(zip(*(c[1] for c in columns))))
-        witness = _first_nonzero(power, scale ** (index - 1), a)
-
-    by_poly = all(not c for c in char_poly(a)[1:])
-    if by_poly != (index is not None):
+    if index is None:  # confirmed by the first nonzero tr(B^k)
+        confirmed, report = any(map(any, _power_sums(b, d))), NOT_NILPOTENT
+    else:  # confirmed by char_poly(a) = x^d, which needs every power sum
+        witness = None
+        if index > 1:
+            # B^(index-1), column by column: every column but the reached ones is zero
+            columns = [reached.get(j, ([0] * d, [0] * d)) for j in range(d)]
+            power = (list(zip(*(c[0] for c in columns))),
+                     None if bi is None else list(zip(*(c[1] for c in columns))))
+            witness = _first_nonzero(power, scale ** (index - 1), a)
+        confirmed, report = not any(char_poly(a)[1:]), NilpotencyReport(True, index, witness)
+    if not confirmed:
         raise IntegrityError(
             "power iteration and characteristic polynomial disagree on nilpotency",
             instance=a,
         )
-    return NOT_NILPOTENT if index is None else NilpotencyReport(True, index, witness)
+    return report
 
 
 # ---- Gaussian-integer kernel --------------------------------------------------
 # Matrices over Z[i] as in `elemop.matrix`: (re, im), im None when real.
+
+def _power_sums(b, d: int):
+    """tr(B^k) as (re, im), k = 1..d, for a d x d Z[i] matrix b = B, lazily.
+
+    With s = isqrt(d), p_k for k = qs + r, 1 <= r <= s, is tr(B^r) or
+    tr(B^(qs) B^r), read without forming the product.  The baby steps
+    B^2..B^s and the giant steps B^(2s), B^(3s), .. are formed only when the
+    next power sum needs them: all d sums take s - 1 + max(0, (d-1)//s - 1)
+    products, and a caller that stops at k forms only those up to p_k.
+    """
+    s = isqrt(d)
+    baby, giant = [None, b], None  # baby[r] = B^r; giant = B^(qs)
+    for k in range(1, d + 1):
+        q, r = divmod(k - 1, s)
+        if q == 0:
+            if r:
+                baby.append(_gaussian_matmul(baby[-1], b))
+            yield _trace(baby[r + 1])
+        else:
+            if r == 0:
+                giant = baby[s] if q == 1 else _gaussian_matmul(giant, baby[s])
+            yield _product_trace(giant, baby[r + 1])
+
 
 def _product_trace(x, y) -> tuple[int, int]:
     """tr(x y) = sum_ij x_ij y_ji, without forming x y."""

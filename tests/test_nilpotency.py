@@ -353,6 +353,36 @@ def test_every_index_and_witness_matches_reference(d, gaussian):
         assert all(a._form[1][1] is not None for a, k in cases if k != 1)
 
 
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize("d", range(1, 17))
+def test_power_sums_vanish_exactly_when_char_poly_is_x_to_the_d(d, gaussian):
+    # the reference tests' matrices: a random one per size (with the signed 2x2
+    # ones and the dim-4 superoperators), and conjugated Jordan types of every
+    # index and of a nonzero eigenvalue, here at every size up to 16
+    rng = random.Random(300 * d + gaussian)
+    cases = [rand_matrix(rng, d, gaussian=gaussian)]
+    if d == 2 and not gaussian:
+        cases += SIGNED_2X2
+    if d == 16:
+        config = lab.GeneratorConfig(dim=4, seed=d, gaussian=gaussian)
+        s, t = lab.gen_nilpotent(config), rand_matrix(rng, 4, gaussian=gaussian)
+        cases += [make_multiplication(s, t).superoperator(),
+                  make_generalized_derivation(s, t).superoperator()]
+    rng = random.Random(100 * d + gaussian)
+    for k in range(1, d + 1):
+        cases.append(_conjugated(_jordan_type(d, _blocks(d, k, rng), rng, gaussian), rng, gaussian))
+    for size in sorted({1, d // 2 or 1, d}):
+        lam = GaussianRational(Fraction(rng.choice((-1, 2)), 3), 1 if gaussian else 0)
+        n = _jordan_type(d, _blocks(d, size, rng), rng, gaussian, eigenvalue=lam)
+        cases.append(_conjugated(n, rng, gaussian))
+    decisions = set()
+    for a in cases:
+        vanish = not any(map(any, nilpotency._power_sums(a._form[1], d)))
+        assert vanish == all(not c for c in char_poly(a)[1:]) == is_nilpotent(a).nilpotent
+        decisions.add(vanish)
+    assert decisions == {False, True}
+
+
 def _char_poly_products(d: int) -> int:
     """Baby steps B^2..B^s and giant steps B^(2s)..B^(((d-1)//s)*s), s = isqrt(d)."""
     s = isqrt(d)
@@ -372,7 +402,30 @@ def test_non_nilpotent_decision_forms_few_products(monkeypatch, d, products):
     assert len(calls) == _char_poly_products(d) == products  # 5, 3, 1, 0
     calls.clear()
     assert not is_nilpotent(a).nilpotent
-    assert len(calls) == products  # the power sums: the power route forms no product
+    # tr(B) = d*D != 0 for eigenvalue 1 ends the check, and the power route forms no product
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("d, every", [(16, 5), (9, 3), (4, 1), (3, 1), (2, 0)])
+def test_power_sum_check_stops_at_the_first_nonzero_one(monkeypatch, d, every):
+    # swap: coordinates 0 and 1 exchanged, traceless with tr(B^2) = 2 D^2, so the
+    # check forms B^2 (a baby step when s = isqrt(d) > 1; p_2 = tr(B B) otherwise);
+    # cycle: the companion matrix of x^d - 1, whose first d - 1 power sums vanish,
+    # so the check forms every baby and giant step, as a nilpotent verdict does
+    rng = random.Random(900 + d)
+    swap = [[int({r, c} == {0, 1}) for c in range(d)] for r in range(d)]
+    cycle = [[int(c == (r + 1) % d) for c in range(d)] for r in range(d)]
+    assert _char_poly_products(d) == every
+    cases = [(swap, int(isqrt(d) > 1), False), (cycle, every, False), (_shift(d), every, True)]
+    calls = []
+    kernel = matrix._int_matmul
+    for rows, products, nilpotent in cases:
+        a = _conjugated(Matrix(rows), rng, False)
+        with monkeypatch.context() as m:
+            m.setattr(matrix, "_int_matmul", lambda x, y: calls.append(1) or kernel(x, y))
+            assert is_nilpotent(a).nilpotent == nilpotent
+        assert len(calls) == products
+        calls.clear()
 
 
 # ---- column iterates: matrix-vector steps -------------------------------------------
@@ -536,6 +589,18 @@ def test_route_disagreement_carries_the_matrix(monkeypatch):
         is_nilpotent(J3)
     assert str(info.value) == message
     assert info.value.instance == J3
+    # replaying the instance reproduces the failure
+    with pytest.raises(IntegrityError, match=message):
+        is_nilpotent(info.value.instance)
+
+
+def test_power_sum_disagreement_carries_the_matrix(monkeypatch):
+    message = "power iteration and characteristic polynomial disagree on nilpotency"
+    monkeypatch.setattr(nilpotency, "_power_sums", lambda b, d: iter([(0, 0)] * d))
+    with pytest.raises(IntegrityError) as info:
+        is_nilpotent(FAMILY_A)
+    assert str(info.value) == message
+    assert info.value.instance == FAMILY_A
     # replaying the instance reproduces the failure
     with pytest.raises(IntegrityError, match=message):
         is_nilpotent(info.value.instance)
