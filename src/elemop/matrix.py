@@ -54,10 +54,15 @@ class Matrix:
     @classmethod
     def _from_parts(cls, cells) -> "Matrix":
         """The matrix of int cells (re, im, den) row by row, any nonzero denominators:
-        the form over their lcm, reduced by `_from_integer_form`; the inverse of `_cells`."""
+        the form over their lcm, reduced by `_from_integer_form`; the inverse of `_cells`.
+        A real input builds no imaginary rows."""
         scale = lcm(*(c[2] for row in cells for c in row))
-        re, im = ([[c[k] * (scale // c[2]) for c in row] for row in cells] for k in (0, 1))
-        return cls._from_integer_form(scale, re, im)
+
+        def part(k):
+            return [[c[k] * (scale // c[2]) for c in row] for row in cells]
+
+        real = not any(c[1] for row in cells for c in row)
+        return cls._from_integer_form(scale, part(0), None if real else part(1))
 
     @classmethod
     def _from_integer_form(cls, scale: int, re, im) -> "Matrix":

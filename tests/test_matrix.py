@@ -525,6 +525,18 @@ def test_from_parts_builds_each_cell_as_its_scalar_and_inverts_cells(data, gauss
         assert Matrix._from_parts(x._cells(lambda *c: c)) == x
 
 
+def test_real_cells_build_no_imaginary_rows(monkeypatch):
+    cells = [[(2, 0, -4), (42, 0, -21)], [(0, 0, -15), (7, 0, 10)]]
+    rows = [[_gaussian(*c) for c in row] for row in cells]
+    handed = []
+    build = Matrix._from_integer_form.__func__
+    monkeypatch.setattr(Matrix, "_from_integer_form", classmethod(
+        lambda cls, scale, re, im: handed.append(im) or build(cls, scale, re, im)))
+    m = Matrix._from_parts(cells)
+    assert handed == [None]  # no all-zero rows built, scanned and dropped
+    assert m._form[1][1] is None and m == Matrix(rows)
+
+
 def test_hash_is_taken_of_the_form_and_builds_no_entries():
     rng = random.Random(15)
     for gaussian in (False, True):
