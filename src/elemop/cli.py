@@ -42,7 +42,12 @@ DIGITS_CAP = 4000
 # where a dense Gaussian decision takes about a second (the fourth power is fitted
 # from n = 16 to 64), and never fewer than WIDTH_FLOOR; the witness of a power
 # below the n-th takes at most n - 1 times the width, so the cap is at most
-# DIGITS_CAP // (n - 1)
+# DIGITS_CAP // (n - 1).  The budget bounds the worst case, which the power-sum
+# check's early stop leaves as it was: a nilpotent decision, and a non-nilpotent
+# one whose first n - 1 power sums vanish (the companion matrix of x^n - c), still
+# form every power sum.  So it is not raised although a dense random decision got
+# about 10x faster (0.19-0.32 s -> 0.02-0.03 s at n = 16 with 128-digit Gaussian
+# entries, 2-core x86) while a dense nilpotent one stayed at about 0.5 s
 WIDTH_BUDGET = 2**24
 # the width of an operator at the --dim cap with two-character entries such as -1
 # or -i: its dense Gaussian decision takes about 2 s, as one-character ones do

@@ -177,14 +177,11 @@ def _power_sums(b, d: int):
     baby, giant = [None, b], None  # baby[r] = B^r; giant = B^(qs)
     for k in range(1, d + 1):
         q, r = divmod(k - 1, s)
-        if q == 0:
-            if r:
-                baby.append(_gaussian_matmul(baby[-1], b))
-            yield _trace(baby[r + 1])
-        else:
-            if r == 0:
-                giant = baby[s] if q == 1 else _gaussian_matmul(giant, baby[s])
-            yield _product_trace(giant, baby[r + 1])
+        if q == 0 and r:
+            baby.append(_gaussian_matmul(baby[-1], b))
+        elif q and not r:
+            giant = baby[s] if q == 1 else _gaussian_matmul(giant, baby[s])
+        yield _trace(baby[r + 1]) if q == 0 else _product_trace(giant, baby[r + 1])
 
 
 def _product_trace(x, y) -> tuple[int, int]:
