@@ -22,7 +22,7 @@ from .scalars import _quoted, as_scalar, format_scalar, parse_scalar
 
 
 CHECK_CHOICES = [c.cli for c in lab.CRITERIA if c.supports("check")]
-SWEEP_CHOICES = [c.cli for c in lab.CRITERIA if c.supports("sweep") or c.exhaustive]
+SWEEP_CHOICES = [c.cli for c in lab.CRITERIA if c.supports("sweep") or c.supports("exhaustive")]
 SEARCH_CHOICES = [c.cli for c in lab.CRITERIA if c.supports("search")]
 # defaults of the sweep flags that a randomized sweep uses and an exhaustive one rejects
 SWEEP_SAMPLING = {"trials": 200, "seed": 0, "entry_bound": 3, "gaussian": False}
@@ -223,7 +223,7 @@ def _run_examples(args) -> tuple[dict, int]:
 
 def _run_sweep(args) -> tuple[dict, int]:
     spec = lab.criterion(args.theorem)
-    exhaustive = spec.exhaustive and (args.exhaustive or not spec.supports("sweep"))
+    exhaustive = spec.supports("exhaustive") and (args.exhaustive or not spec.supports("sweep"))
     if exhaustive and args.dim != 2:
         raise ParseError(
             "--exhaustive needs --dim 2" if spec.supports("sweep")
@@ -235,7 +235,7 @@ def _run_sweep(args) -> tuple[dict, int]:
         elif exhaustive:
             raise ParseError(f"--{key.replace('_', '-')} does not apply to an exhaustive sweep")
     if exhaustive:
-        report = spec.exhaustive()
+        report = lab._sweep_exhaustive(args.theorem)
     elif args.exhaustive:
         raise ParseError(f"--exhaustive does not apply to --theorem {args.theorem}")
     else:

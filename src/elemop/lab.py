@@ -240,55 +240,51 @@ class Criterion:
 
     `kind` is EQUIVALENCE, IMPLICATION or CONJECTURE (see the module
     docstring).  An instance is what `check` takes: an (a, b) pair, a pair
-    of coefficient tuples when `tuples` is set, or an operator; `dump` gives
-    its JSON fields.  From a trial's stream, `structured` draws an instance
-    that satisfies the hypotheses by construction and `random` an
-    unconstrained one; `from_pair` maps a search pair (a, b) to an instance.
+    of coefficient tuples when `tuples` is set, or an operator.  From a
+    trial's stream, `structured` draws an instance that satisfies the
+    hypotheses by construction and `random` an unconstrained one;
+    `from_pair` maps a search pair (a, b) to an instance.
     `commutation_fact`, when set, must hold on every structured instance
-    whose hypotheses hold.  `exhaustive` runs the exhaustive dim-2 sweep.
-    `check` adapts a checker of `elemop.criteria`, where every checker
-    lives.  Adapters reach library functions through this module's globals,
-    so a wrapper installed there (a test's monkeypatch, a tracer) sees the
-    call.
+    whose hypotheses hold.  `check` adapts a checker of `elemop.criteria`,
+    where every checker lives.  Adapters reach library functions through
+    this module's globals, so a wrapper installed there (a test's
+    monkeypatch, a tracer) sees the call.
     """
 
     name: str
     cli: str
     kind: str
     check: Callable
-    dump: Callable
     tuples: bool = False
     structured: Callable | None = None
     random: Callable | None = None
     from_pair: Callable | None = None
     commutation_fact: Callable | None = None
-    exhaustive: Callable | None = None
 
     def supports(self, mode: str) -> bool:
-        """Whether "check", the randomized "sweep" or "search" can run it."""
+        """Whether "check", the randomized "sweep", "search" or the
+        "exhaustive" dim-2 sweep can run it; only an equivalence has an
+        exhaustive sweep, a check both ways on every small pair."""
         if mode == "sweep":
             return self.structured is not None
         if mode == "search":
             return self.from_pair is not None
+        if mode == "exhaustive":
+            return self.kind == EQUIVALENCE
         return self.kind != CONJECTURE
 
 
-def _pair_obj(pair) -> dict:
-    a, b = pair
-    # the empty reason on pair findings is part of the report format
-    return {"a": jsonio.matrix_to_obj(a), "b": jsonio.matrix_to_obj(b), "reason": ""}
-
-
-def _tuples_obj(tuples) -> dict:
-    a_tuple, b_tuple = tuples
-    return {
-        "a_tuple": [jsonio.matrix_to_obj(m) for m in a_tuple],
-        "b_tuple": [jsonio.matrix_to_obj(m) for m in b_tuple],
-    }
-
-
-def _operator_obj(op) -> dict:
-    return {"operator": jsonio.operator_to_obj(op)}
+def _instance_obj(instance) -> dict:
+    """The JSON fields of an instance, by its shape: an operator, an (a, b)
+    matrix pair, or a pair of coefficient tuples."""
+    if isinstance(instance, ElementaryOperator):
+        return {"operator": jsonio.operator_to_obj(instance)}
+    a, b = instance
+    if isinstance(a, Matrix):
+        # the empty reason on pair findings is part of the report format
+        return {"a": jsonio.matrix_to_obj(a), "b": jsonio.matrix_to_obj(b), "reason": ""}
+    return {"a_tuple": [jsonio.matrix_to_obj(m) for m in a],
+            "b_tuple": [jsonio.matrix_to_obj(m) for m in b]}
 
 
 def _random_pair(rng: random.Random, config: GeneratorConfig) -> tuple[Matrix, Matrix]:
@@ -352,28 +348,24 @@ def _commutation_fact_holds(tuples) -> bool:
 
 # Order matters: the CLI lists choices in table order.
 CRITERIA = (
+    Criterion("2.1", "2.1", EQUIVALENCE, lambda pair: thm21_criterion(*pair)),
     Criterion(
-        "2.1", "2.1", EQUIVALENCE, lambda pair: thm21_criterion(*pair), _pair_obj,
-        exhaustive=lambda: sweep_thm21_exhaustive(),
-    ),
-    Criterion(
-        "2.1-extension", "2.1-ext", CONJECTURE, lambda op: _each_term_check(op), _operator_obj,
+        "2.1-extension", "2.1-ext", CONJECTURE, lambda op: _each_term_check(op),
         from_pair=lambda a, b: make_v_operator(a, b),
     ),
     Criterion(
-        "2.2", "2.2", IMPLICATION, lambda tuples: thm22_check(*tuples), _tuples_obj,
+        "2.2", "2.2", IMPLICATION, lambda tuples: thm22_check(*tuples),
         tuples=True, structured=_structured_tuples, random=_random_tuples,
         from_pair=lambda a, b: ([a, -b], [b, a]),
         commutation_fact=lambda tuples: _commutation_fact_holds(tuples),
     ),
     Criterion(
-        "2.3", "2.3", IMPLICATION, lambda pair: thm23_check(*pair), _pair_obj,
+        "2.3", "2.3", IMPLICATION, lambda pair: thm23_check(*pair),
         structured=_structured_shifts, random=_random_pair, from_pair=lambda a, b: (a, b),
     ),
     Criterion(
-        "fong_sourour", "1.1", EQUIVALENCE, lambda pair: fong_sourour_check(*pair), _pair_obj,
+        "fong_sourour", "1.1", EQUIVALENCE, lambda pair: fong_sourour_check(*pair),
         structured=_structured_common_shift, random=_random_pair,
-        exhaustive=lambda: sweep_fong_sourour_exhaustive(),
     ),
 )
 
@@ -421,7 +413,7 @@ def _record(
         if built and hold and spec.commutation_fact and not spec.commutation_fact(instance):
             reasons.append("commutation fact failed")
     if reasons or converse:
-        found = spec.dump(instance) | {"trial": trial, "kind": kind}
+        found = _instance_obj(instance) | {"trial": trial, "kind": kind}
         report.violations.extend(found | {"reason": reason} for reason in reasons)
         if converse:
             report.converse_failures.append(found | converse)
@@ -445,21 +437,22 @@ def _all_square_matrices(dim: int, entry_set) -> list[Matrix]:
     ]
 
 
-def sweep_thm21_exhaustive(dim: int = 2, entry_set=(-1, 0, 1)) -> SweepReport:
+def sweep_thm21_exhaustive(entry_set=(-1, 0, 1)) -> SweepReport:
     """Check the length-one biconditional on every ordered pair of small
     matrices: X -> AXB nilpotent exactly when A or B is."""
-    return _sweep_exhaustive("2.1", "length-one", dim, entry_set)
+    return _sweep_exhaustive("2.1", entry_set)
 
 
-def sweep_fong_sourour_exhaustive(dim: int = 2, entry_set=(-1, 0, 1)) -> SweepReport:
+def sweep_fong_sourour_exhaustive(entry_set=(-1, 0, 1)) -> SweepReport:
     """Check the common-shift biconditional for X -> SX - XT on every
     ordered pair of small matrices."""
-    return _sweep_exhaustive("1.1", "common-shift", dim, entry_set)
+    return _sweep_exhaustive("1.1", entry_set)
 
 
-def _sweep_exhaustive(theorem: str, what: str, dim: int, entry_set) -> SweepReport:
-    """Run one criterion's checker on every ordered pair of the matrices
-    with entries in `entry_set`.
+def _sweep_exhaustive(theorem: str, entry_set=(-1, 0, 1)) -> SweepReport:
+    """Run an equivalence's checker on every ordered pair of the 2x2
+    matrices with entries in `entry_set`; the report is named by the
+    criterion's CLI spelling.
 
     Each of the n matrices recurs in 2n - 1 of the n^2 pairs, and many
     pairs share a superoperator, so the sweep opens
@@ -469,13 +462,11 @@ def _sweep_exhaustive(theorem: str, what: str, dim: int, entry_set) -> SweepRepo
     Each pair's operator is still built, and its hypotheses, biconditional
     and index still checked.
     """
-    if dim != 2:
-        raise PreconditionError(f"the exhaustive {what} sweep is fixed at dimension 2")
+    spec = criterion(theorem, "exhaustive")
     entry_set = tuple(entry_set)
-    spec = criterion(theorem)
-    config = {"dim": dim, "entry_set": [str(e) for e in entry_set]}
-    report = SweepReport(theorem=theorem, mode="exhaustive", config=config)
-    mats = _all_square_matrices(dim, entry_set)
+    config = {"dim": 2, "entry_set": [str(e) for e in entry_set]}
+    report = SweepReport(theorem=spec.cli, mode="exhaustive", config=config)
+    mats = _all_square_matrices(2, entry_set)
     with _sweep_facts():
         for trial, pair in enumerate(itertools.product(mats, repeat=2)):
             _record(spec, pair, report, trial, "exhaustive")

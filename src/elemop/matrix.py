@@ -17,8 +17,9 @@ build the form through `_from_parts` from cells; `Matrix(rows)` takes each
 entry's canonical ints as its cell.  The form is read cell by cell only
 through `_cells`, one walk over its distinct cells, whose cells
 `_from_parts` turns back into the same matrix: the entry readers (`str`,
-indexing, `entries`, `row_list`) build the entries with it and
+row indexing, `entries`, `row_list`) build the entries with it and
 `scalars._gaussian` when called, and `jsonio` writes entry texts with it.
+Indexing by a pair (i, j) builds only that entry, from its one cell.
 """
 
 from __future__ import annotations
@@ -106,8 +107,13 @@ class Matrix:
         return tuple(map(tuple, self._cells(_gaussian)))
 
     def __getitem__(self, key):
-        rows = self._entry_rows()
-        return rows[key[0]][key[1]] if isinstance(key, tuple) else rows[key]
+        """The entry at an (i, j) key, built from its one cell; for a row
+        index or a slice, what the tuple of entry rows gives."""
+        if isinstance(key, tuple):
+            scale, (re, im) = self._form
+            i, j = key
+            return _gaussian(re[i][j], im[i][j] if im else 0, scale)
+        return self._entry_rows()[key]
 
     def entries(self) -> Iterator[tuple[int, int, GaussianRational]]:
         return ((i, j, e) for i, row in enumerate(self._entry_rows()) for j, e in enumerate(row))

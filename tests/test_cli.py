@@ -731,19 +731,24 @@ def test_inline_array_is_parsed_not_opened(capsys, flag):
     assert "No such file" not in err
 
 
-def test_sweep_21_dispatches_to_exhaustive(capsys, monkeypatch):
+@pytest.mark.parametrize("sweep, theorem", [
+    pytest.param(["--theorem", "2.1"], "2.1", id="2.1"),
+    pytest.param(["--theorem", "2.1", "--exhaustive"], "2.1", id="2.1-exhaustive"),
+    pytest.param(["--theorem", "1.1", "--exhaustive"], "1.1", id="1.1-exhaustive"),
+])
+def test_sweep_dispatches_to_exhaustive(capsys, monkeypatch, sweep, theorem):
     import elemop.cli as cli_module
     from elemop.lab import SweepReport
 
     calls = []
 
-    def fake_exhaustive():
-        calls.append("2.1")
-        return SweepReport(theorem="2.1", mode="exhaustive", config={"dim": 2})
+    def fake_exhaustive(name):
+        calls.append(name)
+        return SweepReport(theorem=name, mode="exhaustive", config={"dim": 2})
 
-    monkeypatch.setattr(cli_module.lab, "sweep_thm21_exhaustive", fake_exhaustive)
-    status, out, _ = run_cli(capsys, "sweep", "--theorem", "2.1", "--dim", "2")
-    assert status == 0 and calls == ["2.1"]
+    monkeypatch.setattr(cli_module.lab, "_sweep_exhaustive", fake_exhaustive)
+    status, out, _ = run_cli(capsys, "sweep", *sweep, "--dim", "2")
+    assert status == 0 and calls == [theorem]
     assert json.loads(out)["mode"] == "exhaustive"
 
 
@@ -753,8 +758,8 @@ def test_sweep_11_exhaustive_flag(capsys, monkeypatch):
 
     monkeypatch.setattr(
         cli_module.lab,
-        "sweep_fong_sourour_exhaustive",
-        lambda: SweepReport(theorem="1.1", mode="exhaustive", config={"dim": 2}),
+        "_sweep_exhaustive",
+        lambda name: SweepReport(theorem=name, mode="exhaustive", config={"dim": 2}),
     )
     status, out, _ = run_cli(capsys, "sweep", "--theorem", "1.1", "--dim", "2", "--exhaustive")
     assert status == 0 and json.loads(out)["mode"] == "exhaustive"
@@ -939,7 +944,7 @@ def _forbid_sweeps(monkeypatch):
     def fail(*args):
         raise AssertionError("a sweep ran")
 
-    for name in ("sweep_thm21_exhaustive", "sweep_fong_sourour_exhaustive", "sweep_thm"):
+    for name in ("_sweep_exhaustive", "sweep_thm"):
         monkeypatch.setattr(cli_module.lab, name, fail)
 
 

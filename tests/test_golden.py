@@ -54,8 +54,8 @@ def _library_cases():
                     search_converse_failures, target, _config(dim, gaussian, 5, bound),
                     trials, seeds,
                 )
-    cases["exhaustive:2.1"] = (sweep_thm21_exhaustive, 2, (0, 1))
-    cases["exhaustive:1.1"] = (sweep_fong_sourour_exhaustive, 2, (0, 1))
+    cases["exhaustive:2.1"] = (sweep_thm21_exhaustive, (0, 1))
+    cases["exhaustive:1.1"] = (sweep_fong_sourour_exhaustive, (0, 1))
     return cases
 
 

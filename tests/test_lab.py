@@ -182,11 +182,19 @@ def test_exhaustive_common_shift_on_reduced_entry_set():
     assert report.violations == []
 
 
-def test_exhaustive_sweep_rejects_other_dims():
-    with pytest.raises(PreconditionError):
-        sweep_thm21_exhaustive(dim=3)
-    with pytest.raises(PreconditionError):
-        sweep_fong_sourour_exhaustive(dim=3)
+@pytest.mark.parametrize("theorem", ["2.2", "2.3", "2.1-ext"])
+def test_only_an_equivalence_sweeps_exhaustively(theorem):
+    with pytest.raises(PreconditionError, match=f"^unknown exhaustive target '{theorem}'$"):
+        lab_module._sweep_exhaustive(theorem)
+
+
+def test_exhaustive_mode_is_the_equivalences():
+    assert [c.name for c in lab_module.CRITERIA if c.supports("exhaustive")] == [
+        "2.1", "fong_sourour"
+    ]
+    # reports are named by CLI spelling, whichever name the sweep was asked by
+    for name, cli in (("2.1", "2.1"), ("fong_sourour", "1.1"), ("1.1", "1.1")):
+        assert lab_module._sweep_exhaustive(name, (0,)).theorem == cli
 
 
 # ---- the sweep memo ----------------------------------------------------------------

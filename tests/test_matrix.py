@@ -508,6 +508,23 @@ def test_every_entry_reader_builds_the_entries_from_the_form(m, rows):
     assert m._form is form and not _has_entries(m)
 
 
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_a_pair_read_builds_only_its_own_entry(monkeypatch, gaussian):
+    rng = random.Random(19)
+    m = wide_matrix(rng, 3, 4, gaussian)
+    rows = ref_entry_rows(m)
+    built = []
+    monkeypatch.setattr(matrix, "_gaussian", lambda *cell: built.append(cell) or _gaussian(*cell))
+    for i, j in ((0, 0), (2, 3), (-1, -2), (-3, 1)):
+        built.clear()
+        assert m[i, j] == rows[i][j] and len(built) == 1
+    for key in ((3, 0), (0, 4), (-4, 0), (0, -5)):
+        with pytest.raises(IndexError):
+            m[key]
+    # a row index or a slice still reads the rows of entries
+    assert m[-1] == tuple(rows[-1]) and m[1:] == tuple(map(tuple, rows[1:]))
+
+
 # int cells (re, im, den): wide signed parts over signed, unreduced denominators
 wide_ints = st.integers(-(2**80), 2**80)
 signed_dens = st.integers(-(10**6), 10**6).filter(bool)
