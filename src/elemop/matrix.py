@@ -20,6 +20,12 @@ through `_cells`, one walk over its distinct cells, whose cells
 row indexing, `entries`, `row_list`) build the entries with it and
 `scalars._gaussian` when called, and `jsonio` writes entry texts with it.
 Indexing by a pair (i, j) builds only that entry, from its one cell.
+
+Work that chains several steps stays on the form and builds one matrix at
+the end: `matrix_poly` runs Horner's rule on Z[i] products over one common
+denominator, `_plus_scalar` forms A + c*I by adding to the diagonal, and
+`_commute` compares the int parts of AB and BA, which share a scale.
+`A ** k` squares and multiplies, about 2*log2(k) products.
 """
 
 from __future__ import annotations
@@ -168,10 +174,15 @@ class Matrix:
             raise ShapeError(f"cannot raise non-square {self._shape_str()} to a power")
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Matrix.identity(self.rows)
-        for _ in range(k):
-            result = result * self
-        return result
+        # square and multiply: each factor is a Z[i] product reduced by its gcd
+        result, square = None, self
+        while k:
+            if k & 1:
+                result = square if result is None else result * square
+            k >>= 1
+            if k:
+                square = square * square
+        return Matrix.identity(self.rows) if result is None else result
 
     # ---- square-only helpers ----------------------------------------------
     def trace(self) -> GaussianRational:
@@ -210,7 +221,8 @@ class Matrix:
 # lists; nothing is summed in place.  Each costs one int kernel call (product,
 # Kronecker product or step) per real pair of factors, two with one Gaussian
 # factor (products only), three (Gauss's trick) with two.  `kron` and
-# `operators.superoperator` share `_gaussian_kron`.
+# `operators.superoperator` share `_gaussian_kron`.  An int product skips the
+# inner products of a zero left row.
 
 def _moved(m: Matrix, move) -> Matrix:
     """The matrix whose form is m's with move applied to each of its parts."""
@@ -234,14 +246,28 @@ def _is_zero(x) -> bool:
     return not any(map(any, chain(x[0], x[1] or ())))
 
 
+def _plus_diagonal(x, f, t):
+    """f*x + t*I for a square Z[i] matrix x and Gaussian ints f = (fr, fi) and
+    t = (tr, ti), in fresh lists; im stays None when x, f and t are real."""
+    (re, im), (fr, fi), (tr, ti) = x, f, t
+
+    def diagonal(p, d):
+        return [[e + d if i == j else e for j, e in enumerate(row)] for i, row in enumerate(p)]
+
+    return (diagonal(_mix(fr, re, sub, fi, im), tr),
+            None if im is None and not fi and not ti else diagonal(_mix(fr, im, add, fi, re), ti))
+
+
 def _add_rows(x, y):
     """x + y entry by entry for int rows x and y."""
     return [list(map(add, p, q)) for p, q in zip(x, y)]
 
 
 def _int_matmul(x, y):
+    """x y for int rows x and y; a zero row of x gives a zero row with no inner products."""
     cols = tuple(zip(*y))
-    return [[sum(map(mul, row, col)) for col in cols] for row in x]
+    return [[sum(map(mul, row, col)) for col in cols] if any(row) else [0] * len(cols)
+            for row in x]
 
 
 def _int_kron(x, y):
@@ -285,16 +311,14 @@ def _gaussian_matvec(b, bs, v):
     real b.  One int step for a real b, three (Gauss's trick, over the
     caller's bs) for a Gaussian one."""
     (br, bi), (vr, vi) = b, v
-
-    def step(x, y):
-        return [sum(map(mul, row, y)) for row in x]
-
-    rr = step(br, vr)
     if bi is None:
-        return rr, None
-    ii = step(bi, vi)
-    ss = step(bs, list(map(add, vr, vi)))
-    return list(map(sub, rr, ii)), [s - r - i for s, r, i in zip(ss, rr, ii)]
+        return [sum(map(mul, row, vr)) for row in br], None
+    vs, re, im = list(map(add, vr, vi)), [], []
+    for pr, pi, ps in zip(br, bi, bs):  # one pass over the rows
+        r, i = sum(map(mul, pr, vr)), sum(map(mul, pi, vi))
+        re.append(r - i)
+        im.append(sum(map(mul, ps, vs)) - r - i)
+    return re, im
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -325,13 +349,54 @@ def rank_one(f: Matrix, x: Matrix) -> Matrix:
 
 
 def matrix_poly(coeffs: Sequence, a: Matrix) -> Matrix:
-    """Evaluate the polynomial with the given coefficients (constant first) at a."""
+    """Evaluate the polynomial with the given coefficients (constant first) at a.
+
+    Horner's rule on the form (D, X), X = D*a: with L the lcm of the
+    coefficients' denominators and m the degree, L D^m p(a) = sum_k
+    (L c_k) D^(m-k) X^k has Gaussian-integer coefficients, so each step is
+    one Z[i] product and a diagonal, and the result is reduced once.
+    """
     if not a.is_square:
         raise ShapeError(f"polynomial of non-square {a.rows}x{a.cols}")
-    ident, result = Matrix.identity(a.rows), Matrix.zero(a.rows)
-    for c in reversed([as_scalar(c) for c in coeffs]):
-        result = result * a + c * ident
-    return result
+    cs = [as_scalar(c) for c in coeffs]
+    if not cs:
+        return Matrix.zero(a.rows)
+    scale, x = a._form
+    den, m = lcm(*(c.den for c in cs)), len(cs) - 1
+
+    def term(k, c):  # (L c_k) D^(m-k) as a Gaussian int
+        f = den // c.den * scale ** (m - k)
+        return f * c.re_num, f * c.im_num
+
+    *low, top = (term(k, c) for k, c in enumerate(cs))
+    h = _plus_diagonal(x, top, low.pop()) if low else _plus_diagonal(x, (0, 0), top)
+    while low:
+        h = _plus_diagonal(_gaussian_matmul(h, x), (1, 0), low.pop())
+    return Matrix._from_integer_form(den * scale**m, *h)
+
+
+def _plus_scalar(a: Matrix, c) -> Matrix:
+    """a + c*I for a square matrix a and a scalar c, on the form over the lcm
+    of a's scale and c's denominator: only the diagonal gains a term."""
+    if not a.is_square:
+        raise ShapeError(f"cannot shift non-square {a._shape_str()} by a scalar")
+    c = as_scalar(c)
+    scale, x = a._form
+    s = lcm(scale, c.den)
+    f = s // c.den
+    return Matrix._from_integer_form(
+        s, *_plus_diagonal(x, (s // scale, 0), (f * c.re_num, f * c.im_num)))
+
+
+def _commute(a: Matrix, b: Matrix) -> bool:
+    """Whether a * b == b * a, from the two Z[i] products with no matrix built:
+    both have the scale of a times that of b, so they are equal exactly when
+    their int parts are."""
+    for x, y in ((a, b), (b, a)):
+        if x.cols != y.rows:
+            raise ShapeError(f"cannot multiply {x._shape_str()} by {y._shape_str()}")
+    x, y = a._form[1], b._form[1]
+    return _gaussian_matmul(x, y) == _gaussian_matmul(y, x)
 
 
 def basis_matrix(n: int, i: int, j: int) -> Matrix:

@@ -36,14 +36,16 @@ worst), and B^(index-1) is assembled from the last nonzero iterates of the
 columns that reached the index, every other column of it being zero; its
 first nonzero entry in row-major order is the witness.  The
 power-sum route reads tr(B^k), k = 1..d, from s = isqrt(d) baby steps and
-(d-1)//s giant steps, each power sum past B^s as the trace of a product it
-never forms, and forms each step only when the next power sum needs it:
-all d power sums take s - 1 + max(0, (d-1)//s - 1) products (3 at 9x9, 1
-at 4x4, 0 at 2x2) instead of Faddeev-LeVerrier's d - 2, and a
-non-nilpotent B whose trace is nonzero takes none.  A nilpotent verdict,
+(d-1)//s giant steps, each power sum as the trace of a product it never
+forms (p_k for k <= 2s from the half powers B^(k//2) and B^(k - k//2)), and
+forms each step only when the next power sum needs it: all d power sums
+take s - 1 + max(0, (d-1)//s - 1) products (3 at 9x9, 1 at 4x4, 0 at 2x2)
+instead of Faddeev-LeVerrier's d - 2, and a non-nilpotent B whose first
+nonzero power sum is tr(B) or tr(B^2) takes none.  A nilpotent verdict,
 and a non-nilpotent B whose first d - 1 power sums vanish (the companion
-matrix of x^d - c), still form every step.  The routes share no powers,
-so they stay independent checks.
+matrix of x^d - c), still form every step, though a step whose left
+factor has zero rows costs only its other rows.  The routes share no
+powers, so they stay independent checks.
 """
 
 from __future__ import annotations
@@ -117,9 +119,9 @@ def is_nilpotent(a: Matrix) -> NilpotencyReport:
     nilpotent at all.  The column iterates give the verdict, and the power
     sums tr(B^k) of B = D*a check it: a "not nilpotent" verdict holds once
     one of them is nonzero, so the check stops at the first nonzero one
-    (tr(B) for most inputs, forming no product), and a nilpotent verdict
-    holds when `char_poly(a)` is x^d, which takes every power sum.  A
-    disagreement raises IntegrityError with a as its instance.
+    (tr(B) or tr(B^2) for most inputs, forming no product), and a
+    nilpotent verdict holds when `char_poly(a)` is x^d, which takes every
+    power sum.  A disagreement raises IntegrityError with a as its instance.
     """
     if not a.is_square:
         raise ShapeError(f"nilpotency of non-square {a.rows}x{a.cols}")
@@ -167,21 +169,30 @@ def is_nilpotent(a: Matrix) -> NilpotencyReport:
 def _power_sums(b, d: int):
     """tr(B^k) as (re, im), k = 1..d, for a d x d Z[i] matrix b = B, lazily.
 
-    With s = isqrt(d), p_k for k = qs + r, 1 <= r <= s, is tr(B^r) or
-    tr(B^(qs) B^r), read without forming the product.  The baby steps
-    B^2..B^s and the giant steps B^(2s), B^(3s), .. are formed only when the
-    next power sum needs them: all d sums take s - 1 + max(0, (d-1)//s - 1)
-    products, and a caller that stops at k forms only those up to p_k.
+    With s = isqrt(d), p_k for k <= 2s is tr(B^(k//2) B^(k - k//2)), from
+    half powers, and p_k for k = qs + r, q >= 2, 1 <= r <= s, is
+    tr(B^(qs) B^r); each is read without forming the product.  The baby
+    steps B^2..B^s and the giant steps B^(2s), B^(3s), .. are formed only
+    when the next power sum needs them: all d sums take
+    s - 1 + max(0, (d-1)//s - 1) products, p_1 and p_2 none, and the first
+    k <= 2s sums the baby steps up to B^(k - k//2).
     """
     s = isqrt(d)
     baby, giant = [None, b], None  # baby[r] = B^r; giant = B^(qs)
+
+    def power(r):
+        while len(baby) <= r:
+            baby.append(_gaussian_matmul(baby[-1], b))
+        return baby[r]
+
     for k in range(1, d + 1):
         q, r = divmod(k - 1, s)
-        if q == 0 and r:
-            baby.append(_gaussian_matmul(baby[-1], b))
-        elif q and not r:
-            giant = baby[s] if q == 1 else _gaussian_matmul(giant, baby[s])
-        yield _trace(baby[r + 1]) if q == 0 else _product_trace(giant, baby[r + 1])
+        if q <= 1:
+            yield _trace(b) if k == 1 else _product_trace(power(k // 2), power(k - k // 2))
+            continue
+        if r == 0:
+            giant = _gaussian_matmul(power(s) if q == 2 else giant, power(s))
+        yield _product_trace(giant, power(r + 1))
 
 
 def _product_trace(x, y) -> tuple[int, int]:

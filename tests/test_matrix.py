@@ -219,6 +219,26 @@ def test_matrix_poly_of_a_non_square_matrix_is_a_shape_error():
         matrix_poly([1], Matrix.zero(2, 3))
 
 
+def test_powers_match_repeated_products():
+    rng = random.Random(20)
+    for a in (rand_matrix(rng, 3), rand_matrix(rng, 2, gaussian=True), wide_matrix(rng, 2)):
+        product = Matrix.identity(a.rows)
+        for k in range(21):
+            assert a**k == product, k
+            product = product * a
+
+
+def test_power_forms_about_two_products_per_bit(monkeypatch):
+    calls = []
+    kernel = matrix._int_matmul
+    monkeypatch.setattr(matrix, "_int_matmul", lambda p, q: calls.append(1) or kernel(p, q))
+    k = 100_000  # 17 bits, 6 of them set: 16 squarings and 5 products
+    assert Matrix([[1, 1], [0, 1]]) ** k == Matrix([[1, k], [0, 1]])
+    assert len(calls) == 21
+    calls.clear()
+    assert J2**1 is J2 and J2**0 == Matrix.identity(2) and not calls
+
+
 def test_transpose_and_hash():
     m = Matrix([[1, 2], [3, 4]])
     assert m.T == Matrix([[1, 3], [2, 4]])
@@ -307,6 +327,8 @@ FORM_OPS = {
               lambda a, b, c: ref_unvec(ref_vec(a), a.rows, a.cols)),
     "matrix_poly": (lambda a, b, c: matrix_poly([c, 1, -c], a),
                     lambda a, b, c: ref_matrix_poly([c, 1, -c], a)),
+    "plus_scalar": (lambda a, b, c: matrix._plus_scalar(a, c),
+                    lambda a, b, c: ref_add(a, ref_scale(c, ref_identity(a.rows)))),
 }
 
 
@@ -411,6 +433,78 @@ def test_gaussian_product_forms_at_most_three_int_products(monkeypatch, kinds, p
     product = matrix._gaussian_matmul(x, y)
     assert len(calls) == products
     assert Matrix._from_integer_form(sa * sb, *product) == ref_matmul(a, b)
+
+
+# ---- fast paths of the Z[i] kernels against the Q(i) references ---------------------
+
+def _with_zero_rows(rng, m: Matrix) -> Matrix:
+    """m with a random subset of its rows (possibly all, possibly none) zeroed."""
+    dead = {i for i in range(m.rows) if rng.random() < 0.4}
+    return Matrix([[ZERO] * m.cols if i in dead else row for i, row in enumerate(m.row_list())])
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+@pytest.mark.parametrize("kinds", [(False, False), (True, True), (False, True), (True, False)])
+def test_products_with_zero_rows_match_reference(d, kinds):
+    rng = random.Random(f"zero-rows/{d}/{kinds}")
+    for _ in range(4):
+        a = _with_zero_rows(rng, rand_matrix(rng, d, gaussian=kinds[0]))
+        b = _with_zero_rows(rng, rand_matrix(rng, d, gaussian=kinds[1]))
+        (sa, x), (sb, y) = a._form, b._form
+        for part in filter(None, (*x, *y)):  # the int kernel alone, on each part
+            assert matrix._int_matmul(part, y[0]) == [
+                [sum(u * v for u, v in zip(row, col)) for col in zip(*y[0])] for row in part]
+        _assert_matches(Matrix._from_integer_form(sa * sb, *matrix._gaussian_matmul(x, y)),
+                        ref_matmul(a, b))
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_matrix_vector_step_matches_reference(d, gaussian):
+    rng = random.Random(f"matvec/{d}/{gaussian}")
+    for _ in range(4):
+        b = _with_zero_rows(rng, rand_matrix(rng, d, gaussian=gaussian))
+        sb, (br, bi) = b._form
+        # the step takes an imaginary part exactly when b has one
+        v = rand_matrix(rng, d, 1, gaussian=bi is not None)
+        sv, (vr, vi) = v._form
+        column = ([row[0] for row in vr],
+                  None if bi is None else [row[0] for row in vi] if vi else [0] * d)
+        bs = None if bi is None else matrix._add_rows(br, bi)
+        re, im = matrix._gaussian_matvec((br, bi), bs, column)
+        assert (im is None) is (bi is None)
+        column = Matrix._from_integer_form(sb * sv, [[e] for e in re], im and [[e] for e in im])
+        _assert_matches(column, ref_matmul(b, v))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_matrix_poly_matches_reference(d, gaussian):
+    rng = random.Random(f"poly/{d}/{gaussian}")
+    for a in (rand_matrix(rng, d, gaussian=gaussian), wide_matrix(rng, d, d, gaussian),
+              _with_zero_rows(rng, rand_matrix(rng, d, gaussian=gaussian))):
+        for n in range(6):
+            coeffs = [rand_scalar(rng, gaussian=gaussian) for _ in range(n)]
+            cases = [coeffs, [ZERO] + coeffs[1:]] if coeffs else [[]]
+            for cs in cases:
+                _assert_matches(matrix_poly(cs, a), ref_matrix_poly(cs, a))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kinds", [(False, False), (True, True), (False, True)])
+def test_commute_agrees_with_the_two_products(d, kinds):
+    rng = random.Random(f"commute/{d}/{kinds}")
+    for _ in range(6):
+        a = rand_matrix(rng, d, gaussian=kinds[0])
+        b = rand_matrix(rng, d, gaussian=kinds[1])
+        p = matrix_poly([rand_scalar(rng, gaussian=kinds[1]) for _ in range(3)], a)
+        for x, y in ((a, b), (a, p), (p, a), (a, a), (a, Matrix.zero(d))):
+            assert matrix._commute(x, y) is (ref_matmul(x, y) == ref_matmul(y, x))
+    assert matrix._commute(a, p)
+    # AB and BA with equal real parts and unequal imaginary ones: E11 and E22
+    assert not matrix._commute(Matrix.identity(2) + IMAG * J2, J2T)
+    with pytest.raises(ShapeError, match="cannot multiply 2x3 by 2x3"):
+        matrix._commute(Matrix.zero(2, 3), Matrix.zero(2, 3))
 
 
 def _entry_twin(m: Matrix) -> Matrix:

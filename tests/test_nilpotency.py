@@ -408,15 +408,20 @@ def test_non_nilpotent_decision_forms_few_products(monkeypatch, d, products):
 
 @pytest.mark.parametrize("d, every", [(16, 5), (9, 3), (4, 1), (3, 1), (2, 0)])
 def test_power_sum_check_stops_at_the_first_nonzero_one(monkeypatch, d, every):
-    # swap: coordinates 0 and 1 exchanged, traceless with tr(B^2) = 2 D^2, so the
-    # check forms B^2 (a baby step when s = isqrt(d) > 1; p_2 = tr(B B) otherwise);
-    # cycle: the companion matrix of x^d - 1, whose first d - 1 power sums vanish,
-    # so the check forms every baby and giant step, as a nilpotent verdict does
+    # swap: coordinates 0 and 1 exchanged, traceless with tr(B^2) = tr(B B) = 2 D^2,
+    # so the check forms no product; the m-cycles of coordinates 0..m-1, m = 3, 4:
+    # p_1..p_(m-1) = 0 and p_m = m D^m, read as tr(B B^2) or tr(B^2 B^2), so the
+    # check forms B^2 alone (a baby step when s = isqrt(d) > 1, the giant step
+    # B^(2s) when s = 1); cycle: the companion matrix of x^d - 1, whose first
+    # d - 1 power sums vanish, so the check forms every baby and giant step, as a
+    # nilpotent verdict does
     rng = random.Random(900 + d)
     swap = [[int({r, c} == {0, 1}) for c in range(d)] for r in range(d)]
     cycle = [[int(c == (r + 1) % d) for c in range(d)] for r in range(d)]
     assert _char_poly_products(d) == every
-    cases = [(swap, int(isqrt(d) > 1), False), (cycle, every, False), (_shift(d), every, True)]
+    cases = [(swap, 0, False), (cycle, every, False), (_shift(d), every, True)]
+    cases += [([[int(r < m and c == (r + 1) % m) for c in range(d)] for r in range(d)], 1, False)
+              for m in (3, 4) if m <= d]
     calls = []
     kernel = matrix._int_matmul
     for rows, products, nilpotent in cases:
