@@ -55,7 +55,7 @@ from typing import Sequence
 
 from .errors import IntegrityError, PreconditionError, ShapeError
 from .matrix import Matrix, _commute, _plus_scalar, column_vector, rank_one, row_vector
-from .nilpotency import NilpotencyReport, _first_nonzero, is_nilpotent
+from .nilpotency import NilpotencyReport, is_nilpotent
 from .operators import (
     ElementaryOperator,
     make_generalized_derivation,
@@ -384,9 +384,7 @@ def thm21_proof_replay(a: Matrix, b: Matrix) -> ProofReplay:
             "so the short-circuit branch applies and there is nothing to construct"
         )
 
-    scale, rows = bm._form
-    nonzero = _first_nonzero(rows, scale, (a, b))
-    zi, zj = nonzero.row, nonzero.col
+    zi, zj = next((i, j) for i, j, e in bm.entries() if e)
     z = column_vector(1 if r == zj else 0 for r in range(d))
     f = row_vector(1 if c == zi else 0 for c in range(d))
     f_bz = (f * (bm * z))[0, 0]

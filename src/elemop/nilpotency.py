@@ -27,25 +27,28 @@ The power route forms no d x d product.  It iterates each column j =
 0..d-1: the first iterate B e_j is column j of B, read with no arithmetic,
 and each later one is one matrix-vector step, a d-th of a product.  A
 column stops once its iterate vanishes, at B^(ind_j) e_j after ind_j - 1
-steps, or once B^d e_j is still nonzero, which proves B^d != 0 and ends
-the route: a non-nilpotent B whose first column survives, an invertible B
-among them, costs d - 1 steps, and a B whose leading columns die costs
-their steps on top.  Otherwise B is nilpotent of index max_j ind_j, found
-in sum_j (ind_j - 1) steps (d*(index - 1) for a dense B, d*(d - 1) at
-worst), and B^(index-1) is assembled from the last nonzero iterates of the
-columns that reached the index, every other column of it being zero; its
-first nonzero entry in row-major order is the witness.  The
-power-sum route reads tr(B^k), k = 1..d, from s = isqrt(d) baby steps and
-(d-1)//s giant steps, each power sum as the trace of a product it never
-forms (p_k for k <= 2s from the half powers B^(k//2) and B^(k - k//2)), and
-forms each step only when the next power sum needs it: all d power sums
-take s - 1 + max(0, (d-1)//s - 1) products (3 at 9x9, 1 at 4x4, 0 at 2x2)
-instead of Faddeev-LeVerrier's d - 2, and a non-nilpotent B whose first
-nonzero power sum is tr(B) or tr(B^2) takes none.  A nilpotent verdict,
-and a non-nilpotent B whose first d - 1 power sums vanish (the companion
-matrix of x^d - c), still form every step, though a step whose left
-factor has zero rows costs only its other rows.  The routes share no
-powers, so they stay independent checks.
+steps, or once B^d e_j is still nonzero, which proves B^d != 0 and
+returns "not nilpotent" at once: a non-nilpotent B whose first column
+survives, an invertible B among them, costs d - 1 steps, and a B whose
+leading columns die costs their steps on top.  Otherwise B is nilpotent
+of index max_j ind_j, found in sum_j (ind_j - 1) steps (d*(index - 1) for
+a dense B, d*(d - 1) at worst).  Column j of B^(index-1) is the last
+iterate B^(ind_j - 1) e_j of a column that reaches the index, and zero
+for every other column; so the witness, the first nonzero entry of
+B^(index-1) in row-major order, is the smallest (row, column) among the
+columns that reach the index, each offering the first nonzero row of its
+last iterate, and B^(index-1) itself is never formed.  The power-sum
+route reads tr(B^k), k = 1..d, from s = isqrt(d) baby steps and (d-1)//s
+giant steps, each power sum as the trace of a product it never forms (p_k
+for k <= 2s from the half powers B^(k//2) and B^(k - k//2)), and forms
+each step only when the next power sum needs it: all d power sums take
+fewer products than Faddeev-LeVerrier's d - 2 (`_power_sums` counts
+them), and a non-nilpotent B whose first nonzero power sum is tr(B) or
+tr(B^2) takes none.  A nilpotent verdict, and a non-nilpotent B whose
+first d - 1 power sums vanish (the companion matrix of x^d - c), still
+form every step, though a step whose left factor has zero rows costs only
+its other rows.  The routes share no powers, so they stay independent
+checks.
 """
 
 from __future__ import annotations
@@ -95,8 +98,7 @@ def char_poly(a: Matrix) -> tuple[GaussianRational, ...]:
     k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1).  B has entries in
     Z[i], so every p_k and c_k does too and each division by k is exact;
     an inexact one raises IntegrityError.  The power sums come from
-    `_power_sums`: s - 1 + max(0, (d-1)//s - 1) products for s = isqrt(d)
-    (3 at 9x9, 1 at 4x4, 0 at 2x2).
+    `_power_sums`, whose docstring counts the products they take.
     """
     if not a.is_square:
         raise ShapeError(f"characteristic polynomial of non-square {a.rows}x{a.cols}")
@@ -129,32 +131,28 @@ def is_nilpotent(a: Matrix) -> NilpotencyReport:
     d = a.rows
     br, bi = b
     bs = None if bi is None else _add_rows(br, bi)
-    index, reached = 1, {}  # reached[j] = B^(index-1) e_j for the columns of that index
-    for j, (cr, ci) in enumerate(zip(zip(*br), zip(*bi) if bi else repeat(None))):
-        v, w, k = None, (cr, ci), 1  # w = B^k e_j; B e_j is column j of B
+    index, witness = 1, None  # witness: the smallest (row, column) reaching the index
+    for j, w in enumerate(zip(zip(*br), zip(*bi) if bi else repeat(None))):
+        v, k = None, 1  # w = B^k e_j; B e_j is column j of B
         while any(w[0]) or w[1] is not None and any(w[1]):
-            if k == d:  # B^d e_j != 0
-                break
+            if k == d:  # B^d e_j != 0, confirmed by the first nonzero tr(B^k)
+                return _checked(any(map(any, _power_sums(b, d))), NOT_NILPOTENT, a)
             v, w, k = w, _gaussian_matvec(b, bs, w), k + 1
-        else:  # B^k e_j = 0, and v = B^(k-1) e_j
-            if k > index:
-                index, reached = k, {}
-            if k == index:
-                reached[j] = v
+        if k < index or k == 1:  # B^k e_j = 0, v = B^(k-1) e_j; no witness below the index
             continue
-        index = None
-        break
-    if index is None:  # confirmed by the first nonzero tr(B^k)
-        confirmed, report = any(map(any, _power_sums(b, d))), NOT_NILPOTENT
-    else:  # confirmed by char_poly(a) = x^d, which needs every power sum
-        witness = None
-        if index > 1:
-            # B^(index-1), column by column: every column but the reached ones is zero
-            columns = [reached.get(j, ([0] * d, [0] * d)) for j in range(d)]
-            power = (list(zip(*(c[0] for c in columns))),
-                     None if bi is None else list(zip(*(c[1] for c in columns))))
-            witness = _first_nonzero(power, scale ** (index - 1), a)
-        confirmed, report = not any(char_poly(a)[1:]), NilpotencyReport(True, index, witness)
+        re, im = v
+        i = next((i for i in range(d) if re[i] or im and im[i]), None)
+        if i is None:
+            raise IntegrityError("witness requested for a zero matrix", instance=a)
+        if k > index or i < witness.row:
+            value = _gaussian(re[i], im[i] if im else 0, scale ** (k - 1))
+            index, witness = k, EntryWitness(i, j, value)
+    # confirmed by char_poly(a) = x^d, which needs every power sum
+    return _checked(not any(char_poly(a)[1:]), NilpotencyReport(True, index, witness), a)
+
+
+def _checked(confirmed: bool, report: NilpotencyReport, a: Matrix) -> NilpotencyReport:
+    """report, once the power sums confirm it; IntegrityError against a otherwise."""
     if not confirmed:
         raise IntegrityError(
             "power iteration and characteristic polynomial disagree on nilpotency",
@@ -174,8 +172,9 @@ def _power_sums(b, d: int):
     tr(B^(qs) B^r); each is read without forming the product.  The baby
     steps B^2..B^s and the giant steps B^(2s), B^(3s), .. are formed only
     when the next power sum needs them: all d sums take
-    s - 1 + max(0, (d-1)//s - 1) products, p_1 and p_2 none, and the first
-    k <= 2s sums the baby steps up to B^(k - k//2).
+    s - 1 + max(0, (d-1)//s - 1) products (3 at 9x9, 1 at 4x4, 0 at 2x2),
+    p_1 and p_2 none, and the first k <= 2s sums the baby steps up to
+    B^(k - k//2).
     """
     s = isqrt(d)
     baby, giant = [None, b], None  # baby[r] = B^r; giant = B^(qs)
@@ -214,14 +213,3 @@ def _exact_div(n: int, k: int, a: Matrix) -> int:
         )
     return q
 
-
-def _first_nonzero(x, denominator: int, instance) -> EntryWitness:
-    """The first nonzero entry of x / denominator in row-major order; instance
-    is what a zero x is reported against."""
-    re, im = x
-    for i, row in enumerate(re):
-        for j, e in enumerate(row):
-            f = 0 if im is None else im[i][j]
-            if e or f:
-                return EntryWitness(i, j, _gaussian(e, f, denominator))
-    raise IntegrityError("witness requested for a zero matrix", instance=instance)

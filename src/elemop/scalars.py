@@ -64,7 +64,8 @@ _parts = attrgetter("re_num", "im_num", "den")  # a scalar's canonical ints
 @dataclass(frozen=True, init=False, slots=True)
 class GaussianRational:
     """An element of Q(i), immutable and hashable: (re_num + i*im_num) / den
-    in canonical form, den > 0 and gcd(re_num, im_num, den) = 1."""
+    in canonical form, den > 0 and gcd(re_num, im_num, den) = 1.  It equals,
+    and hashes as, the equal int or Fraction."""
 
     re_num: int
     im_num: int
@@ -87,6 +88,18 @@ class GaussianRational:
         return Fraction(self.im_num, self.den) if self.im_num else _F0
 
     # ---- predicates -----------------------------------------------------
+    def __eq__(self, other):
+        """Equal to the equal scalar, int or Fraction: canonical ints compare."""
+        if (other := _coerce(other)) is NotImplemented:
+            return NotImplemented
+        return _parts(self) == _parts(other)
+
+    def __hash__(self) -> int:
+        """A real value hashes as its Fraction, so as an equal int; a non-real one as its ints."""
+        if self.im_num:
+            return hash(_parts(self))
+        return hash(Fraction(self.re_num, self.den))
+
     def __bool__(self) -> bool:
         return bool(self.re_num or self.im_num)
 

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from elemop import (
-    EntryWitness,
     GaussianRational,
     IntegrityError,
     Matrix,
@@ -24,6 +23,7 @@ from elemop import (
     matrix_poly,
     op_is_nilpotent,
     operators,
+    row_vector,
     scalar_shift_witness,
     thm21_criterion,
     thm21_proof_replay,
@@ -533,8 +533,8 @@ def test_replay_failures_carry_the_pair(monkeypatch):
     assert info.value.instance == (I2, I2)
 
     with monkeypatch.context() as m:
-        # a zero of B^m
-        m.setattr(criteria, "_first_nonzero", lambda x, scale, instance: EntryWitness(0, 1, ZERO))
+        # a functional that vanishes on B^m z
+        m.setattr(criteria, "row_vector", lambda entries: row_vector(0 for _ in entries))
         with pytest.raises(IntegrityError, match="functional vanishes") as info:
             thm21_proof_replay(I2, I2)
     assert info.value.instance == (I2, I2)

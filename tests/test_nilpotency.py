@@ -15,7 +15,6 @@ from elemop import (
     ZERO,
     as_scalar,
     char_poly,
-    criteria,
     is_nilpotent,
     lab,
     matrix,
@@ -341,6 +340,7 @@ def test_every_index_and_witness_matches_reference(d, gaussian):
         lam = GaussianRational(Fraction(rng.choice((-1, 2)), 3), 1 if gaussian else 0)
         n = _jordan_type(d, _blocks(d, size, rng), rng, gaussian, eigenvalue=lam)
         cases.append((_conjugated(n, rng, gaussian), None))
+    cases += [(a, k) for a, k, _ in _tie_breaks(d, rng, gaussian)]
     for a, k in cases:
         report = is_nilpotent(a)
         assert report == ref_is_nilpotent(a)  # decision, index and witness
@@ -532,6 +532,26 @@ def _permuted_nilpotent(d: int, rng: random.Random, gaussian: bool) -> Matrix:
     return Matrix(rows)
 
 
+def _tie_breaks(d: int, rng: random.Random, gaussian: bool) -> list[tuple[Matrix, int, tuple]]:
+    """(B, index, witness (row, col)) for the two ways a later column can
+    move the witness: reaching the same index with a smaller first nonzero
+    row (d >= 4), and raising the index after earlier columns set a lower
+    one with a smaller row (d >= 5)."""
+    def entry():
+        return rand_scalar(rng, 3, gaussian) or ONE
+
+    cases = []
+    if d >= 4:  # B e_0 = x e_(d-1), B e_1 = y e_(d-2): index 2 on both columns
+        rows = [[ZERO] * d for _ in range(d)]
+        rows[d - 1][0], rows[d - 2][1] = entry(), entry()
+        cases.append((Matrix(rows), 2, (d - 2, 1)))
+    if d >= 5:  # B e_0 = x e_1 (index 2), B e_(d-1) = y e_(d-2), B e_(d-2) = z e_(d-3)
+        rows = [[ZERO] * d for _ in range(d)]
+        rows[1][0], rows[d - 2][d - 1], rows[d - 3][d - 2] = entry(), entry(), entry()
+        cases.append((Matrix(rows), 3, (d - 3, d - 1)))
+    return cases
+
+
 @pytest.mark.parametrize("gaussian", [False, True])
 @pytest.mark.parametrize("d", range(1, 10))
 def test_column_iterates_match_reference(d, gaussian):
@@ -549,13 +569,17 @@ def test_column_iterates_match_reference(d, gaussian):
     assert reports[0] == NilpotencyReport(True, 1) and all(r.nilpotent for r in reports)
     if d > 1:  # some witness sits outside column 0
         assert any(r.witness.col != 0 for r in reports[1:] if r.witness is not None)
+    for a, k, (row, col) in _tie_breaks(d, rng, gaussian):
+        report = is_nilpotent(a)
+        assert report == ref_is_nilpotent(a)
+        assert (report.index, report.witness.row, report.witness.col) == (k, row, col)
 
 
 # ---- replayable integrity failures ---------------------------------------------
 
 def test_zero_witness_carries_the_decided_matrix(monkeypatch):
     # wipe each column's last nonzero iterate once the column dies, so the
-    # assembled B^(index-1) is zero and no witness can be read from it
+    # column that reaches the index offers no nonzero row for a witness
     kernel = nilpotency._gaussian_matvec
     returned = []
 
@@ -570,21 +594,6 @@ def test_zero_witness_carries_the_decided_matrix(monkeypatch):
     with pytest.raises(IntegrityError, match="witness requested for a zero matrix") as info:
         is_nilpotent(J3)
     assert info.value.instance == J3
-
-
-def test_first_nonzero_reports_its_instance(monkeypatch):
-    pair = (Matrix.zero(2), J2)
-    with pytest.raises(IntegrityError, match="witness requested for a zero matrix") as info:
-        nilpotency._first_nonzero(pair[0]._form[1], 1, pair)
-    assert info.value.instance == pair
-    # the proof replay hands its pair over
-    seen = []
-    kernel = criteria._first_nonzero
-    monkeypatch.setattr(criteria, "_first_nonzero",
-                        lambda x, scale, pair: seen.append(pair) or kernel(x, scale, pair))
-    b = 3 * Matrix.identity(3)
-    criteria.thm21_proof_replay(J3, b)
-    assert seen == [(J3, b)]
 
 
 def test_route_disagreement_carries_the_matrix(monkeypatch):

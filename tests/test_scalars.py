@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from elemop import (
     GaussianRational,
     IMAG,
+    Matrix,
     ONE,
     ParseError,
     ZERO,
@@ -76,6 +77,25 @@ def test_int_and_fraction_coercion():
     assert 2 * z == ONE
     assert Fraction(1, 2) - z == ZERO
     assert 1 / GaussianRational(2) == GaussianRational(Fraction(1, 2))
+
+
+def test_a_scalar_equals_the_equal_int_or_fraction():
+    half = GaussianRational(Fraction(-1, 2))
+    assert ONE == 1 and 1 == ONE and ZERO == 0 and 0 == ZERO
+    assert half == Fraction(-1, 2) and Fraction(-1, 2) == half and half != -1
+    assert GaussianRational(6, 0) == 6 and GaussianRational(Fraction(4, 2)) == Fraction(2)
+    assert Matrix([[1, 0], [0, -1]]).trace() == 0
+    # equal numbers hash equal, so a scalar reads a dict keyed by an int or a Fraction
+    for z, x in [(ONE, 1), (ZERO, 0), (half, Fraction(-1, 2)), (GaussianRational(-7), -7)]:
+        assert hash(z) == hash(x)
+    assert {1: "one"}[ONE] == "one" and {ONE: "one"}[1] == "one"
+    assert {Fraction(-1, 2): "half"}[half] == "half"
+    # a non-real value equals no int or Fraction, and hashes its ints
+    w = GaussianRational(Fraction(1, 2), 3)
+    assert w != Fraction(1, 2) and IMAG != 0 and IMAG != 1
+    assert w == GaussianRational(Fraction(1, 2), 3) and hash(w) == hash((1, 6, 2))
+    # other types compare unequal, not equal through a coercion
+    assert ONE != "1" and not (ONE == "1") and "0" != ZERO
 
 
 @pytest.mark.parametrize("build", [GaussianRational, as_scalar, lambda x: GaussianRational(0, x)])
