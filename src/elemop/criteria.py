@@ -54,7 +54,7 @@ from operator import eq, le
 from typing import Sequence
 
 from .errors import IntegrityError, PreconditionError, ShapeError
-from .matrix import Matrix, _commute, _plus_scalar, column_vector, rank_one, row_vector
+from .matrix import Matrix, column_vector, rank_one, row_vector
 from .nilpotency import NilpotencyReport, is_nilpotent
 from .operators import (
     ElementaryOperator,
@@ -167,7 +167,7 @@ def _shift(a: Matrix) -> GaussianRational:
 
 def _shifted(a: Matrix) -> NilpotencyReport:
     """The report of A - lam*I for the candidate lam = _shift(a)."""
-    return _fact(a, "shifted", lambda: is_nilpotent(_plus_scalar(a, -_shift(a))))
+    return _fact(a, "shifted", lambda: is_nilpotent(a.plus_scalar(-_shift(a))))
 
 
 def _enforce(name: str, noun: str, rule: str, pair, hold: bool,
@@ -228,7 +228,7 @@ def thm22_check(
     for label, tup in (("A", a_tuple), ("B", b_tuple)):
         for i in range(len(tup)):
             for j in range(i + 1, len(tup)):
-                if not _commute(tup[i], tup[j]):
+                if not tup[i].commutes_with(tup[j]):
                     failures.append(
                         f"{label}-tuple not pairwise commuting: "
                         f"{label}_{i + 1} and {label}_{j + 1}"
@@ -269,7 +269,7 @@ def thm23_check(a: Matrix, b: Matrix) -> ShiftCheckResult:
     even when the commutation hypothesis fails.
     """
     failures = []
-    if not _commute(a, b):
+    if not a.commutes_with(b):
         failures.append("A and B do not commute")
     wa = scalar_shift_witness(a)
     wb = scalar_shift_witness(b)
@@ -330,7 +330,7 @@ def eq1_identity_residual(
     """
     lam = as_scalar(lam)
     mu = as_scalar(mu)
-    lhs = make_v_operator(_plus_scalar(a, -lam), _plus_scalar(b, -mu))
+    lhs = make_v_operator(a.plus_scalar(-lam), b.plus_scalar(-mu))
     rhs = (
         make_v_operator(a, b)
         + make_inner_derivation(b).scaled(lam)

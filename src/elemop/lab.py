@@ -42,7 +42,7 @@ from .criteria import (
     thm23_check,
 )
 from .errors import IntegrityError, PreconditionError
-from .matrix import Matrix, _commute, _plus_scalar, basis_matrix, matrix_poly
+from .matrix import Matrix, basis_matrix, matrix_poly
 from .nilpotency import char_poly, is_nilpotent
 from .operators import (
     ElementaryOperator,
@@ -318,7 +318,7 @@ def _structured_shifts(rng: random.Random, config: GeneratorConfig) -> tuple[Mat
     n2 = _rand_poly(rng, config, True, seed)
     lam = _rand_scalar(rng, config)
     mu = _rand_scalar(rng, config)
-    return _plus_scalar(n1, lam), _plus_scalar(n2, mu)
+    return n1.plus_scalar(lam), n2.plus_scalar(mu)
 
 
 def _structured_common_shift(rng: random.Random, config: GeneratorConfig):
@@ -326,7 +326,7 @@ def _structured_common_shift(rng: random.Random, config: GeneratorConfig):
     n1 = _gen_nilpotent(rng, config)
     n2 = _gen_nilpotent(rng, config)
     lam = _rand_scalar(rng, config)
-    return _plus_scalar(n1, lam), _plus_scalar(n2, lam)
+    return n1.plus_scalar(lam), n2.plus_scalar(lam)
 
 
 def _commutation_fact_holds(tuples) -> bool:
@@ -339,7 +339,7 @@ def _commutation_fact_holds(tuples) -> bool:
     else:
         leading = ElementaryOperator(dim, tuple(zip(a_tuple[:-1], b_tuple[:-1])))
     last = ElementaryOperator(dim, ((a_tuple[-1], b_tuple[-1]),))
-    return _commute(leading.superoperator(), last.superoperator())
+    return leading.superoperator().commutes_with(last.superoperator())
 
 
 # Order matters: the CLI lists choices in table order.

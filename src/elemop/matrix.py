@@ -6,35 +6,37 @@ columns top to bottom, which makes vec(A*X*B) == kron(B.T, A) * vec(X).
 
 Every operation runs on a matrix's Gaussian-integer form (D, D*A), D the
 least common denominator of all real and imaginary parts, held as tuples of
-int rows (imaginary rows None when A is real).  The form is canonical, so
-`==` and `hash` are taken of it, and each result is built from its form by
-`_from_integer_form`, which divides out one gcd.  The form is all a matrix
-holds, and nothing writes to a matrix once it is built.  An entry enters
-and leaves the form in one int shape, the cell (re, im, den) of
-(re + i*im)/den, as a `GaussianRational` stores its ints.  `Matrix(rows)`,
-the JSON reader (`elemop.jsonio`) and the generators (`elemop.lab`) all
-build the form through `_from_parts` from cells; `Matrix(rows)` takes each
-entry's canonical ints as its cell.  The form is read cell by cell only
-through `_cells`, one walk over its distinct cells, whose cells
-`_from_parts` turns back into the same matrix: the entry readers (`str`,
-row indexing, `entries`, `row_list`) build the entries with it and
+int rows (imaginary rows None when A is real), through the Z[i] kernels of
+`elemop._zi`.  The form is canonical, so `==` and `hash` are taken of it,
+and each result is built from its form by `_from_integer_form`, which
+divides out one gcd.  The form is all a matrix holds, and nothing writes to
+a matrix once it is built.  An entry enters and leaves the form in one int
+shape, the cell (re, im, den) of (re + i*im)/den, as a `GaussianRational`
+stores its ints.  `Matrix(rows)`, the JSON reader (`elemop.jsonio`) and the
+generators (`elemop.lab`) all build the form through `_from_parts` from
+cells; `Matrix(rows)` takes each entry's canonical ints as its cell.  The
+whole form is read through `_cells`, one walk over its distinct cells,
+whose cells `_from_parts` turns back into the same matrix: the entry
+readers (`str`, row indexing, `row_list`) build the entries with it and
 `scalars._gaussian` when called, and `jsonio` writes entry texts with it.
-Indexing by a pair (i, j) builds only that entry, from its one cell.
+Indexing by a pair (i, j) builds only that entry, from its one cell, and
+`entries` builds each entry only when it reaches it.
 
 Work that chains several steps stays on the form and builds one matrix at
 the end: `matrix_poly` runs Horner's rule on Z[i] products over one common
-denominator, `_plus_scalar` forms A + c*I by adding to the diagonal, and
-`_commute` compares the int parts of AB and BA, which share a scale.
-`A ** k` squares and multiplies, about 2*log2(k) products.
+denominator, `A.plus_scalar(c)` forms A + c*I by adding to the diagonal,
+and `A.commutes_with(B)` compares the int parts of AB and BA, which share a
+scale.  `A ** k` squares and multiplies, about 2*log2(k) products.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
+from . import _zi
 from .errors import ShapeError
 from .scalars import GaussianRational, _gaussian, _parts, as_scalar
 
@@ -95,7 +97,7 @@ class Matrix:
 
     @property
     def is_zero(self) -> bool:
-        return _is_zero(self._form[1])
+        return _zi.is_zero(self._form[1])
 
     def _shape_str(self) -> str:
         return f"{self.rows}x{self.cols}"
@@ -122,7 +124,12 @@ class Matrix:
         return self._entry_rows()[key]
 
     def entries(self) -> Iterator[tuple[int, int, GaussianRational]]:
-        return ((i, j, e) for i, row in enumerate(self._entry_rows()) for j, e in enumerate(row))
+        """(i, j, entry) in row-major order, each entry built from its cell
+        only when reached, so a search that stops early builds no more."""
+        scale, (re, im) = self._form
+        for i, (rr, ri) in enumerate(zip(re, im or repeat(repeat(0)))):
+            for j, cell in enumerate(zip(rr, ri)):
+                yield i, j, _gaussian(*cell, scale)
 
     def row_list(self) -> list[list[GaussianRational]]:
         return self._cells(_gaussian)
@@ -143,8 +150,8 @@ class Matrix:
         (sa, (ar, ai)), (sb, (br, bi)) = self._form, other._form
         scale = lcm(sa, sb)
         fa, fb = scale // sa, scale // sb
-        return Matrix._from_integer_form(scale, _mix(fa, ar, op, fb, br),
-                                         _mix(fa, ai, op, fb, bi) if ai or bi else None)
+        return Matrix._from_integer_form(scale, _zi.mix(fa, ar, op, fb, br),
+                                         _zi.mix(fa, ai, op, fb, bi) if ai or bi else None)
 
     def __neg__(self):
         return _moved(self, lambda p: [[-x for x in row] for row in p])
@@ -160,14 +167,14 @@ class Matrix:
         # (cr + i*ci)/cs times (re + i*im)/scale
         cr, ci, cs = c.re_num, c.im_num, c.den
         scale, (re, im) = self._form
-        return Matrix._from_integer_form(cs * scale, _mix(cr, re, sub, ci, im),
-                                         _mix(cr, im, add, ci, re) if im or ci else None)
+        return Matrix._from_integer_form(cs * scale, _zi.mix(cr, re, sub, ci, im),
+                                         _zi.mix(cr, im, add, ci, re) if im or ci else None)
 
     def _matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self._shape_str()} by {other._shape_str()}")
         (sa, a), (sb, b) = self._form, other._form
-        return Matrix._from_integer_form(sa * sb, *_gaussian_matmul(a, b))
+        return Matrix._from_integer_form(sa * sb, *_zi.gaussian_matmul(a, b))
 
     def __pow__(self, k: int) -> "Matrix":
         if not self.is_square:
@@ -184,12 +191,34 @@ class Matrix:
                 square = square * square
         return Matrix.identity(self.rows) if result is None else result
 
+    def commutes_with(self, other: "Matrix") -> bool:
+        """Whether self * other == other * self, from the two Z[i] products with
+        no matrix built: both have the scale of self times that of other, so
+        they are equal exactly when their int parts are."""
+        for x, y in ((self, other), (other, self)):
+            if x.cols != y.rows:
+                raise ShapeError(f"cannot multiply {x._shape_str()} by {y._shape_str()}")
+        x, y = self._form[1], other._form[1]
+        return _zi.gaussian_matmul(x, y) == _zi.gaussian_matmul(y, x)
+
     # ---- square-only helpers ----------------------------------------------
     def trace(self) -> GaussianRational:
         if not self.is_square:
             raise ShapeError(f"trace of non-square {self._shape_str()}")
         scale, parts = self._form
-        return _gaussian(*_trace(parts), scale)
+        return _gaussian(*_zi.trace(parts), scale)
+
+    def plus_scalar(self, c) -> "Matrix":
+        """self + c*I for a scalar c, on the form over the lcm of self's scale
+        and c's denominator: only the diagonal gains a term."""
+        if not self.is_square:
+            raise ShapeError(f"cannot shift non-square {self._shape_str()} by a scalar")
+        c = as_scalar(c)
+        scale, x = self._form
+        s = lcm(scale, c.den)
+        f = s // c.den
+        return Matrix._from_integer_form(
+            s, *_zi.plus_diagonal(x, (s // scale, 0), (f * c.re_num, f * c.im_num)))
 
     @property
     def T(self) -> "Matrix":
@@ -215,116 +244,16 @@ class Matrix:
         return f"Matrix({self})"
 
 
-# ---- Z[i] helpers and kernels -------------------------------------------------------
-# A Z[i] matrix is a pair (re, im) of int-row sequences, im None when real.
-# Products, Kronecker products and matrix-vector steps come back as fresh
-# lists; nothing is summed in place.  Each costs one int kernel call (product,
-# Kronecker product or step) per real pair of factors, two with one Gaussian
-# factor (products only), three (Gauss's trick) with two.  `kron` and
-# `operators.superoperator` share `_gaussian_kron`.  An int product skips the
-# inner products of a zero left row.
-
 def _moved(m: Matrix, move) -> Matrix:
     """The matrix whose form is m's with move applied to each of its parts."""
     scale, parts = m._form
     return Matrix._from_integer_form(scale, *(p and move(p) for p in parts))
 
 
-def _mix(f, x, op, g, y):
-    """op(f*x, g*y) entry by entry for int rows x and y, either None for zeros."""
-    return [[op(f * u, g * v) for u, v in zip(p, q)]
-            for p, q in zip(x or repeat(repeat(0)), y or repeat(repeat(0)))]
-
-
-def _trace(x) -> tuple[int, int]:
-    """(tr re, tr im) of a square Z[i] matrix (re, im)."""
-    (re, im), n = x, range(len(x[0]))
-    return sum(re[i][i] for i in n), 0 if im is None else sum(im[i][i] for i in n)
-
-
-def _is_zero(x) -> bool:
-    return not any(map(any, chain(x[0], x[1] or ())))
-
-
-def _plus_diagonal(x, f, t):
-    """f*x + t*I for a square Z[i] matrix x and Gaussian ints f = (fr, fi) and
-    t = (tr, ti), in fresh lists; im stays None when x, f and t are real."""
-    (re, im), (fr, fi), (tr, ti) = x, f, t
-
-    def diagonal(p, d):
-        return [[e + d if i == j else e for j, e in enumerate(row)] for i, row in enumerate(p)]
-
-    return (diagonal(_mix(fr, re, sub, fi, im), tr),
-            None if im is None and not fi and not ti else diagonal(_mix(fr, im, add, fi, re), ti))
-
-
-def _add_rows(x, y):
-    """x + y entry by entry for int rows x and y."""
-    return [list(map(add, p, q)) for p, q in zip(x, y)]
-
-
-def _int_matmul(x, y):
-    """x y for int rows x and y; a zero row of x gives a zero row with no inner products."""
-    cols = tuple(zip(*y))
-    return [[sum(map(mul, row, col)) for col in cols] if any(row) else [0] * len(cols)
-            for row in x]
-
-
-def _int_kron(x, y):
-    """kron(x, y) for int rows x and y, in one pass."""
-    return [[u * v for u in xrow for v in yrow] for xrow in x for yrow in y]
-
-
-def _gaussian_product(kernel, x, y):
-    """kernel(xr + i*xi, yr + i*yi) for a bilinear int kernel; im stays None
-    for real x, y.  One kernel call for real x and y, two with one of them
-    Gaussian, three (Gauss's trick) with both."""
-    (xr, xi), (yr, yi) = x, y
-    rr = kernel(xr, yr)
-    if xi is None and yi is None:
-        return rr, None
-    if xi is None or yi is None:  # one factor is real: no i*i term
-        return rr, kernel(xr, yi) if xi is None else kernel(xi, yr)
-    ii = kernel(xi, yi)
-    # im = xr*yi + xi*yr = (xr + xi)(yr + yi) - rr - ii
-    ss = kernel(_add_rows(xr, xi), _add_rows(yr, yi))
-    return (
-        [list(map(sub, p, q)) for p, q in zip(rr, ii)],
-        [[s - r - i for s, r, i in zip(*rows)] for rows in zip(ss, rr, ii)],
-    )
-
-
-def _gaussian_matmul(x, y):
-    """x y over Z[i] for any conformable shapes."""
-    return _gaussian_product(_int_matmul, x, y)
-
-
-def _gaussian_kron(x, y):
-    """kron(x, y) over Z[i] for any shapes."""
-    return _gaussian_product(_int_kron, x, y)
-
-
-def _gaussian_matvec(b, bs, v):
-    """(br + i*bi)(vr + i*vi) for a Z[i] matrix b, bs = br + bi (None when b is
-    real) and a Z[i] vector v = (vr, vi) of int lists, vi None exactly when b
-    is real, as for every iterate of b on a column of b; im stays None for a
-    real b.  One int step for a real b, three (Gauss's trick, over the
-    caller's bs) for a Gaussian one."""
-    (br, bi), (vr, vi) = b, v
-    if bi is None:
-        return [sum(map(mul, row, vr)) for row in br], None
-    vs, re, im = list(map(add, vr, vi)), [], []
-    for pr, pi, ps in zip(br, bi, bs):  # one pass over the rows
-        r, i = sum(map(mul, pr, vr)), sum(map(mul, pi, vi))
-        re.append(r - i)
-        im.append(sum(map(mul, ps, vs)) - r - i)
-    return re, im
-
-
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; block (i, j) equals a[i, j] * b."""
     (sa, x), (sb, y) = a._form, b._form
-    return Matrix._from_integer_form(sa * sb, *_gaussian_kron(x, y))
+    return Matrix._from_integer_form(sa * sb, *_zi.gaussian_kron(x, y))
 
 
 def vec(x: Matrix) -> Matrix:
@@ -369,34 +298,10 @@ def matrix_poly(coeffs: Sequence, a: Matrix) -> Matrix:
         return f * c.re_num, f * c.im_num
 
     *low, top = (term(k, c) for k, c in enumerate(cs))
-    h = _plus_diagonal(x, top, low.pop()) if low else _plus_diagonal(x, (0, 0), top)
+    h = _zi.plus_diagonal(x, top, low.pop()) if low else _zi.plus_diagonal(x, (0, 0), top)
     while low:
-        h = _plus_diagonal(_gaussian_matmul(h, x), (1, 0), low.pop())
+        h = _zi.plus_diagonal(_zi.gaussian_matmul(h, x), (1, 0), low.pop())
     return Matrix._from_integer_form(den * scale**m, *h)
-
-
-def _plus_scalar(a: Matrix, c) -> Matrix:
-    """a + c*I for a square matrix a and a scalar c, on the form over the lcm
-    of a's scale and c's denominator: only the diagonal gains a term."""
-    if not a.is_square:
-        raise ShapeError(f"cannot shift non-square {a._shape_str()} by a scalar")
-    c = as_scalar(c)
-    scale, x = a._form
-    s = lcm(scale, c.den)
-    f = s // c.den
-    return Matrix._from_integer_form(
-        s, *_plus_diagonal(x, (s // scale, 0), (f * c.re_num, f * c.im_num)))
-
-
-def _commute(a: Matrix, b: Matrix) -> bool:
-    """Whether a * b == b * a, from the two Z[i] products with no matrix built:
-    both have the scale of a times that of b, so they are equal exactly when
-    their int parts are."""
-    for x, y in ((a, b), (b, a)):
-        if x.cols != y.rows:
-            raise ShapeError(f"cannot multiply {x._shape_str()} by {y._shape_str()}")
-    x, y = a._form[1], b._form[1]
-    return _gaussian_matmul(x, y) == _gaussian_matmul(y, x)
 
 
 def basis_matrix(n: int, i: int, j: int) -> Matrix:

@@ -15,8 +15,8 @@ the denominators of every real and imaginary part of A; then B = D*A has
 entries in Z[i], held as rows of Python ints (real parts, plus imaginary
 parts only when some entry of A is non-real).  (D, B) is the form the
 Matrix holds, so `is_nilpotent` and its `char_poly` share one conversion.
-Products, matrix-vector steps and traces use the Z[i] helpers of
-`elemop.matrix`, the ones behind Matrix `*` and `trace`.
+Products, matrix-vector steps and traces use the Z[i] kernels of
+`elemop._zi`, the ones behind Matrix `*` and `trace`.
 Nilpotency and its index are unchanged by the nonzero factor D, and
 B^k = D^k A^k and c_k(B) = D^k c_k(A) for the coefficient c_k of x^(d-k).
 Only what leaves the module is scaled back: the witness entry of B^(k-1)
@@ -54,12 +54,12 @@ checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from math import isqrt
-from operator import mul
 
+from . import _zi
 from .errors import IntegrityError, ShapeError
-from .matrix import Matrix, _add_rows, _gaussian_matmul, _gaussian_matvec, _trace
+from .matrix import Matrix
 from .scalars import GaussianRational, _gaussian
 
 
@@ -130,14 +130,14 @@ def is_nilpotent(a: Matrix) -> NilpotencyReport:
     scale, b = a._form
     d = a.rows
     br, bi = b
-    bs = None if bi is None else _add_rows(br, bi)
+    bs = None if bi is None else _zi.add_rows(br, bi)
     index, witness = 1, None  # witness: the smallest (row, column) reaching the index
     for j, w in enumerate(zip(zip(*br), zip(*bi) if bi else repeat(None))):
         v, k = None, 1  # w = B^k e_j; B e_j is column j of B
         while any(w[0]) or w[1] is not None and any(w[1]):
             if k == d:  # B^d e_j != 0, confirmed by the first nonzero tr(B^k)
                 return _checked(any(map(any, _power_sums(b, d))), NOT_NILPOTENT, a)
-            v, w, k = w, _gaussian_matvec(b, bs, w), k + 1
+            v, w, k = w, _zi.gaussian_matvec(b, bs, w), k + 1
         if k < index or k == 1:  # B^k e_j = 0, v = B^(k-1) e_j; no witness below the index
             continue
         re, im = v
@@ -161,8 +161,8 @@ def _checked(confirmed: bool, report: NilpotencyReport, a: Matrix) -> Nilpotency
     return report
 
 
-# ---- Gaussian-integer kernel --------------------------------------------------
-# Matrices over Z[i] as in `elemop.matrix`: (re, im), im None when real.
+# ---- power sums --------------------------------------------------------------
+# Matrices over Z[i] as in `elemop._zi`: (re, im), im None when real.
 
 def _power_sums(b, d: int):
     """tr(B^k) as (re, im), k = 1..d, for a d x d Z[i] matrix b = B, lazily.
@@ -181,28 +181,17 @@ def _power_sums(b, d: int):
 
     def power(r):
         while len(baby) <= r:
-            baby.append(_gaussian_matmul(baby[-1], b))
+            baby.append(_zi.gaussian_matmul(baby[-1], b))
         return baby[r]
 
     for k in range(1, d + 1):
         q, r = divmod(k - 1, s)
         if q <= 1:
-            yield _trace(b) if k == 1 else _product_trace(power(k // 2), power(k - k // 2))
+            yield _zi.trace(b) if k == 1 else _zi.product_trace(power(k // 2), power(k - k // 2))
             continue
         if r == 0:
-            giant = _gaussian_matmul(power(s) if q == 2 else giant, power(s))
-        yield _product_trace(giant, power(r + 1))
-
-
-def _product_trace(x, y) -> tuple[int, int]:
-    """tr(x y) = sum_ij x_ij y_ji, without forming x y."""
-    (xr, xi), (yr, yi) = x, y
-
-    def tr(p, q):
-        return 0 if p is None or q is None else sum(
-            map(mul, chain.from_iterable(p), chain.from_iterable(zip(*q))))
-
-    return tr(xr, yr) - tr(xi, yi), tr(xr, yi) + tr(xi, yr)
+            giant = _zi.gaussian_matmul(power(s) if q == 2 else giant, power(s))
+        yield _zi.product_trace(giant, power(r + 1))
 
 
 def _exact_div(n: int, k: int, a: Matrix) -> int:

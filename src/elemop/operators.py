@@ -19,9 +19,10 @@ are summed row by row into fresh rows (the imaginary rows only over the
 non-real terms, and None when every term is real), and the result is built
 once, with one gcd pass in all.  For the superoperator, L times the sum is
 sum_i kron(f_i*b_i*B_i.T, a_i*A_i), each term one pass of the Z[i]
-Kronecker helper behind `kron`, and the result keeps that form for
+Kronecker kernel behind `kron`, and the result keeps that form for
 `is_nilpotent`.  For X with form (x, x*X), each term is the two Z[i]
-products a_i*A_i (x*X) b_i*B_i, scaled after the product, over L*x.
+products a_i*A_i (x*X) b_i*B_i, scaled after the product, over L*x.  The
+Z[i] kernels are those of `elemop._zi`.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import lcm
 
+from . import _zi
 from .errors import ShapeError
-from .matrix import Matrix, _add_rows, _gaussian_kron, _gaussian_matmul
+from .matrix import Matrix
 from .nilpotency import NilpotencyReport, is_nilpotent
 from .scalars import as_scalar
 
@@ -67,11 +69,11 @@ class ElementaryOperator:
             )
         sx, xf = x._form
         return self._term_sum(sx, lambda f, a, b: [
-            p and _scaled(f, p) for p in _gaussian_matmul(_gaussian_matmul(a, xf), b)])
+            p and _zi.scaled(f, p) for p in _zi.gaussian_matmul(_zi.gaussian_matmul(a, xf), b)])
 
     def superoperator(self) -> Matrix:
-        return self._term_sum(1, lambda f, a, b: _gaussian_kron(
-            [p and _scaled(f, zip(*p)) for p in b], a))
+        return self._term_sum(1, lambda f, a, b: _zi.gaussian_kron(
+            [p and _zi.scaled(f, zip(*p)) for p in b], a))
 
     def _term_sum(self, scale: int, term) -> Matrix:
         """sum_i term(f_i, a_i*A_i, b_i*B_i) / (scale*L) over the terms' Z[i]
@@ -82,8 +84,9 @@ class ElementaryOperator:
         common = lcm(*(sa * sb for (sa, _), (sb, _) in forms))
         terms = [term(common // (sa * sb), a, b) for (sa, a), (sb, b) in forms]
         ims = [im for _, im in terms if im is not None]
-        return Matrix._from_integer_form(scale * common, reduce(_add_rows, [re for re, _ in terms]),
-                                         reduce(_add_rows, ims) if ims else None)
+        return Matrix._from_integer_form(scale * common,
+                                         reduce(_zi.add_rows, [re for re, _ in terms]),
+                                         reduce(_zi.add_rows, ims) if ims else None)
 
     # ---- algebra -----------------------------------------------------------
     def __add__(self, other):
@@ -169,13 +172,6 @@ def identity_operator(n: int) -> ElementaryOperator:
 def zero_operator(n: int) -> ElementaryOperator:
     z = Matrix.zero(n)
     return ElementaryOperator(n, ((z, z),))
-
-
-def _scaled(factor: int, rows):
-    """factor times int rows, as a list of rows."""
-    if factor == 1:
-        return list(rows)
-    return [[factor * v for v in row] for row in rows]
 
 
 @lru_cache(maxsize=16)

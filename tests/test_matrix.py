@@ -21,6 +21,7 @@ from elemop import (
     unvec,
     vec,
 )
+from elemop import _zi
 from elemop.jsonio import matrix_to_obj
 from elemop.scalars import _gaussian, format_scalar
 from helpers import (
@@ -230,8 +231,8 @@ def test_powers_match_repeated_products():
 
 def test_power_forms_about_two_products_per_bit(monkeypatch):
     calls = []
-    kernel = matrix._int_matmul
-    monkeypatch.setattr(matrix, "_int_matmul", lambda p, q: calls.append(1) or kernel(p, q))
+    kernel = _zi.int_matmul
+    monkeypatch.setattr(_zi, "int_matmul", lambda p, q: calls.append(1) or kernel(p, q))
     k = 100_000  # 17 bits, 6 of them set: 16 squarings and 5 products
     assert Matrix([[1, 1], [0, 1]]) ** k == Matrix([[1, k], [0, 1]])
     assert len(calls) == 21
@@ -327,7 +328,7 @@ FORM_OPS = {
               lambda a, b, c: ref_unvec(ref_vec(a), a.rows, a.cols)),
     "matrix_poly": (lambda a, b, c: matrix_poly([c, 1, -c], a),
                     lambda a, b, c: ref_matrix_poly([c, 1, -c], a)),
-    "plus_scalar": (lambda a, b, c: matrix._plus_scalar(a, c),
+    "plus_scalar": (lambda a, b, c: a.plus_scalar(c),
                     lambda a, b, c: ref_add(a, ref_scale(c, ref_identity(a.rows)))),
 }
 
@@ -428,9 +429,9 @@ def test_gaussian_product_forms_at_most_three_int_products(monkeypatch, kinds, p
     a, b = (wide_matrix(rng, 3, 3, gaussian) for gaussian in kinds)
     (sa, x), (sb, y) = a._form, b._form
     calls = []
-    kernel = matrix._int_matmul
-    monkeypatch.setattr(matrix, "_int_matmul", lambda p, q: calls.append(1) or kernel(p, q))
-    product = matrix._gaussian_matmul(x, y)
+    kernel = _zi.int_matmul
+    monkeypatch.setattr(_zi, "int_matmul", lambda p, q: calls.append(1) or kernel(p, q))
+    product = _zi.gaussian_matmul(x, y)
     assert len(calls) == products
     assert Matrix._from_integer_form(sa * sb, *product) == ref_matmul(a, b)
 
@@ -452,9 +453,9 @@ def test_products_with_zero_rows_match_reference(d, kinds):
         b = _with_zero_rows(rng, rand_matrix(rng, d, gaussian=kinds[1]))
         (sa, x), (sb, y) = a._form, b._form
         for part in filter(None, (*x, *y)):  # the int kernel alone, on each part
-            assert matrix._int_matmul(part, y[0]) == [
+            assert _zi.int_matmul(part, y[0]) == [
                 [sum(u * v for u, v in zip(row, col)) for col in zip(*y[0])] for row in part]
-        _assert_matches(Matrix._from_integer_form(sa * sb, *matrix._gaussian_matmul(x, y)),
+        _assert_matches(Matrix._from_integer_form(sa * sb, *_zi.gaussian_matmul(x, y)),
                         ref_matmul(a, b))
 
 
@@ -470,8 +471,8 @@ def test_matrix_vector_step_matches_reference(d, gaussian):
         sv, (vr, vi) = v._form
         column = ([row[0] for row in vr],
                   None if bi is None else [row[0] for row in vi] if vi else [0] * d)
-        bs = None if bi is None else matrix._add_rows(br, bi)
-        re, im = matrix._gaussian_matvec((br, bi), bs, column)
+        bs = None if bi is None else _zi.add_rows(br, bi)
+        re, im = _zi.gaussian_matvec((br, bi), bs, column)
         assert (im is None) is (bi is None)
         column = Matrix._from_integer_form(sb * sv, [[e] for e in re], im and [[e] for e in im])
         _assert_matches(column, ref_matmul(b, v))
@@ -499,12 +500,12 @@ def test_commute_agrees_with_the_two_products(d, kinds):
         b = rand_matrix(rng, d, gaussian=kinds[1])
         p = matrix_poly([rand_scalar(rng, gaussian=kinds[1]) for _ in range(3)], a)
         for x, y in ((a, b), (a, p), (p, a), (a, a), (a, Matrix.zero(d))):
-            assert matrix._commute(x, y) is (ref_matmul(x, y) == ref_matmul(y, x))
-    assert matrix._commute(a, p)
+            assert x.commutes_with(y) is (ref_matmul(x, y) == ref_matmul(y, x))
+    assert a.commutes_with(p)
     # AB and BA with equal real parts and unequal imaginary ones: E11 and E22
-    assert not matrix._commute(Matrix.identity(2) + IMAG * J2, J2T)
+    assert not (Matrix.identity(2) + IMAG * J2).commutes_with(J2T)
     with pytest.raises(ShapeError, match="cannot multiply 2x3 by 2x3"):
-        matrix._commute(Matrix.zero(2, 3), Matrix.zero(2, 3))
+        Matrix.zero(2, 3).commutes_with(Matrix.zero(2, 3))
 
 
 def _entry_twin(m: Matrix) -> Matrix:
@@ -617,6 +618,19 @@ def test_a_pair_read_builds_only_its_own_entry(monkeypatch, gaussian):
             m[key]
     # a row index or a slice still reads the rows of entries
     assert m[-1] == tuple(rows[-1]) and m[1:] == tuple(map(tuple, rows[1:]))
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_entries_build_each_entry_when_reached(monkeypatch, gaussian):
+    rng = random.Random(29)
+    m = wide_matrix(rng, 64, 64, gaussian)
+    rows = ref_entry_rows(m)
+    built = []
+    monkeypatch.setattr(matrix, "_gaussian", lambda *cell: built.append(cell) or _gaussian(*cell))
+    entries = m.entries()
+    assert next(entries) == (0, 0, rows[0][0]) and len(built) == 1
+    assert next(entries) == (0, 1, rows[0][1]) and len(built) == 2
+    assert list(m.entries()) == [(i, j, e) for i, row in enumerate(rows) for j, e in enumerate(row)]
 
 
 # int cells (re, im, den): wide signed parts over signed, unreduced denominators

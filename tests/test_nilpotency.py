@@ -17,9 +17,9 @@ from elemop import (
     char_poly,
     is_nilpotent,
     lab,
-    matrix,
     nilpotency,
 )
+from elemop import _zi
 from elemop.operators import (
     make_generalized_derivation,
     make_multiplication,
@@ -395,9 +395,7 @@ def test_non_nilpotent_decision_forms_few_products(monkeypatch, d, products):
     a = _conjugated(_jordan_type(d, [d], rng, False, eigenvalue=ONE), rng, False)
     a = Matrix(a.row_list())  # entry-built, so filling the form forms no product
     expected = ref_char_poly(Matrix(a.row_list()))
-    calls = []
-    kernel = matrix._int_matmul
-    monkeypatch.setattr(matrix, "_int_matmul", lambda x, y: calls.append(1) or kernel(x, y))
+    calls = _spy_products(monkeypatch)
     assert char_poly(a) == expected
     assert len(calls) == _char_poly_products(d) == products  # 5, 3, 1, 0
     calls.clear()
@@ -422,27 +420,38 @@ def test_power_sum_check_stops_at_the_first_nonzero_one(monkeypatch, d, every):
     cases = [(swap, 0, False), (cycle, every, False), (_shift(d), every, True)]
     cases += [([[int(r < m and c == (r + 1) % m) for c in range(d)] for r in range(d)], 1, False)
               for m in (3, 4) if m <= d]
-    calls = []
-    kernel = matrix._int_matmul
     for rows, products, nilpotent in cases:
         a = _conjugated(Matrix(rows), rng, False)
         with monkeypatch.context() as m:
-            m.setattr(matrix, "_int_matmul", lambda x, y: calls.append(1) or kernel(x, y))
+            calls = _spy_products(m)
             assert is_nilpotent(a).nilpotent == nilpotent
         assert len(calls) == products
-        calls.clear()
+
+
+def _spy_products(patch) -> list:
+    """Spy on the int product kernel through `patch` (a monkeypatch) and return
+    the list the spy appends to per product.  The spy must first count the one
+    power-sum step that a nilpotent 4x4 shift forms, so a test that expects no
+    products cannot pass with a spy that no route calls."""
+    calls, kernel = [], _zi.int_matmul
+    patch.setattr(_zi, "int_matmul", lambda x, y: calls.append(1) or kernel(x, y))
+    assert is_nilpotent(Matrix(_shift(4))).nilpotent and len(calls) == 1
+    calls.clear()
+    return calls
 
 
 # ---- column iterates: matrix-vector steps -------------------------------------------
 
 def _count_steps(monkeypatch, a: Matrix) -> tuple[NilpotencyReport, int]:
     calls = []
-    kernel = nilpotency._gaussian_matvec
+    kernel = _zi.gaussian_matvec
     with monkeypatch.context() as m:
-        m.setattr(nilpotency, "_gaussian_matvec",
-                  lambda b, bs, v: calls.append(1) or kernel(b, bs, v))
+        m.setattr(_zi, "gaussian_matvec", lambda b, bs, v: calls.append(1) or kernel(b, bs, v))
         report = is_nilpotent(a)
-    return report, len(calls)
+        steps = len(calls)
+        # J2 takes one step (its column 1 to zero), or the spy is not the route's
+        assert is_nilpotent(J2).nilpotent and len(calls) == steps + 1
+    return report, steps
 
 
 def _shift(d: int) -> list[list]:
@@ -580,7 +589,7 @@ def test_column_iterates_match_reference(d, gaussian):
 def test_zero_witness_carries_the_decided_matrix(monkeypatch):
     # wipe each column's last nonzero iterate once the column dies, so the
     # column that reaches the index offers no nonzero row for a witness
-    kernel = nilpotency._gaussian_matvec
+    kernel = _zi.gaussian_matvec
     returned = []
 
     def wiping(b, bs, v):
@@ -590,7 +599,7 @@ def test_zero_witness_carries_the_decided_matrix(monkeypatch):
         returned.append(w)
         return w
 
-    monkeypatch.setattr(nilpotency, "_gaussian_matvec", wiping)
+    monkeypatch.setattr(_zi, "gaussian_matvec", wiping)
     with pytest.raises(IntegrityError, match="witness requested for a zero matrix") as info:
         is_nilpotent(J3)
     assert info.value.instance == J3
@@ -621,7 +630,7 @@ def test_power_sum_disagreement_carries_the_matrix(monkeypatch):
 
 
 def test_inexact_newton_division_raises(monkeypatch):
-    monkeypatch.setattr(nilpotency, "_trace", lambda m: (1, 0))  # -21/2 at k = 2
+    monkeypatch.setattr(_zi, "trace", lambda m: (1, 0))  # -21/2 at k = 2
     with pytest.raises(IntegrityError) as info:
         char_poly(FAMILY_A)
     assert "division by 2 is not exact" in str(info.value)

@@ -24,7 +24,7 @@ from elemop import (
     vec,
     zero_operator,
 )
-from elemop import matrix, nilpotency
+from elemop import _zi, nilpotency
 from helpers import (
     rand_matrix,
     rand_operator,
@@ -414,8 +414,8 @@ def test_each_term_forms_one_two_or_three_int_kronecker_products(monkeypatch, ki
     a, b = (wide_matrix(rng, 2, 2, gaussian) for gaussian in kinds)
     assert [m._form[1][1] is not None for m in (a, b)] == list(kinds)
     calls = []
-    kernel = matrix._int_kron
-    monkeypatch.setattr(matrix, "_int_kron", lambda x, y: calls.append(1) or kernel(x, y))
+    kernel = _zi.int_kron
+    monkeypatch.setattr(_zi, "int_kron", lambda x, y: calls.append(1) or kernel(x, y))
     assert kron(a, b) == ref_kron(a, b)
     assert len(calls) == products
     # a superoperator term kron(B.T, A) swaps the sides, not the count
