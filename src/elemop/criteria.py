@@ -24,24 +24,27 @@ most 1 + sum_i (min(ind A_i, ind B_i) - 1) for 2.2, and at most
 2(ind(A - lam*I) + ind(B - mu*I)) - 3 for 2.3.  The 2.3 bound is met with
 equality on 73 of the 185 dim-2 {-1, 0, 1} pairs whose hypotheses hold,
 and on 21 of 240 `lab._structured_shifts` instances at dims 2-4.  Every
-one of these errors is raised by `_enforce`.  A shifted matrix A - lam*I
-is built only when both sides share the candidate lam.
+one of these errors is raised by `_enforce`.  Whenever 2.2's hypotheses
+hold, `thm22_check` also checks the lemma its bound rests on: the terms
+L_(A_i) R_(B_i) commute.  A shifted matrix A - lam*I is built only when
+both sides share the candidate lam.
 
 Checkers decide only through `_report` (a matrix's NilpotencyReport) and
 `_decided` (an operator's, the report of its superoperator); the shift
-facts are the candidate lam = trace/d (`_shift`) and the report of
-A - lam*I (`_shifted`).  All of them go through `_fact`.  Inside
-`_sweep_facts()`, which the exhaustive sweeps open around their pair loop,
-each fact is computed once per distinct matrix value and remembered until
-the sweep ends; outside it every call decides afresh.  The memo is one
-dict from a flat tuple (the fact name, then the size, scale and every
-entry of the Z[i] form as ints) to what the fact's computation returned,
-so it holds values and nothing callable.  Most stored values are "not
-nilpotent", and `is_nilpotent` returns one report object for that, so
-those keys all hold the same object.  So in a sweep a coefficient or
-superoperator value met again is not decided again; each pair still
-builds its operator, evaluates its hypotheses and runs `_enforce` against
-the index its own coefficients predict.
+facts are the candidate lam = trace/d (`_shift`) and the witness that
+keeps it with the report of A - lam*I (`scalar_shift_witness`).  All of
+them go through `_fact`.  Inside `_sweep_facts()`, which the exhaustive
+sweeps open around their pair loop, each fact is computed once per
+distinct matrix value and remembered until the sweep ends; outside it
+every call decides afresh.  The memo is one dict from a flat tuple (the
+fact name, then the size, scale and every entry of the Z[i] form as ints)
+to what the fact's computation returned, so it holds values and nothing
+callable.  Most stored values are "not nilpotent", and `is_nilpotent`
+returns one report object for that, so those keys all hold the same
+object.  So in a sweep a coefficient or superoperator value met again is
+not decided again; each pair still builds its operator, evaluates its
+hypotheses and runs `_enforce` against the index its own coefficients
+predict.
 """
 
 from __future__ import annotations
@@ -108,14 +111,6 @@ class ShiftWitness:
         return self.lam is not None
 
 
-def scalar_shift_witness(a: Matrix) -> ShiftWitness:
-    """Find the unique candidate shift and keep it only if it works."""
-    report = _shifted(a)
-    if report.nilpotent:
-        return ShiftWitness(_shift(a), report)
-    return ShiftWitness(None)
-
-
 # Facts remembered while an exhaustive sweep runs, a flat key mapped to what
 # compute() returned for it; None outside a sweep.
 _SWEEP_FACTS: ContextVar[dict | None] = ContextVar("elemop_sweep_facts", default=None)
@@ -165,9 +160,19 @@ def _shift(a: Matrix) -> GaussianRational:
     return _fact(a, "shift", lambda: a.trace() / a.rows)
 
 
-def _shifted(a: Matrix) -> NilpotencyReport:
-    """The report of A - lam*I for the candidate lam = _shift(a)."""
-    return _fact(a, "shifted", lambda: is_nilpotent(a.plus_scalar(-_shift(a))))
+def scalar_shift_witness(a: Matrix) -> ShiftWitness:
+    """Decide the unique candidate shift and keep it only if it works."""
+    def compute():
+        lam = _shift(a)
+        shifted = is_nilpotent(a.plus_scalar(-lam))
+        return ShiftWitness(lam, shifted) if shifted.nilpotent else ShiftWitness(None)
+    return _fact(a, "witness", compute)
+
+
+def _terms_commute(op: ElementaryOperator) -> bool:
+    """Whether op's leading terms' sum and last term commute as superoperators."""
+    return op.length == 1 or ElementaryOperator(op.dim, op.terms[:-1]).superoperator().commutes_with(
+        ElementaryOperator(op.dim, op.terms[-1:]).superoperator())
 
 
 def _enforce(name: str, noun: str, rule: str, pair, hold: bool,
@@ -213,9 +218,10 @@ def thm22_check(
 
     Hypotheses: the A_i commute pairwise, the B_i commute pairwise (no
     cross condition between the tuples), and for each index i at least one
-    of A_i, B_i is nilpotent.  Then the operator is nilpotent, of index at
-    most 1 + sum_i (min(ind A_i, ind B_i) - 1); an index above that bound
-    raises IntegrityError with the pair of tuples.
+    of A_i, B_i is nilpotent.  Then the terms L_(A_i) R_(B_i) commute, and
+    the operator is nilpotent of index at most
+    1 + sum_i (min(ind A_i, ind B_i) - 1); terms that fail to commute or an
+    index above the bound raise IntegrityError with the pair of tuples.
     """
     a_tuple = tuple(a_tuple)
     b_tuple = tuple(b_tuple)
@@ -239,6 +245,9 @@ def thm22_check(
 
     op = ElementaryOperator(a_tuple[0].rows, tuple(zip(a_tuple, b_tuple)))
     conclusion = _decided(op)
+    if not failures and not _terms_commute(op):
+        raise IntegrityError("commuting-families lemma violated: the leading terms' sum "
+                             "does not commute with the last term", (a_tuple, b_tuple))
     if not failures and conclusion.nilpotent:
         # the terms L_(A_i) R_(B_i) commute and have indices m_i = min(ind A_i, ind B_i),
         # so a product of their powers vanishes once some power reaches its m_i
@@ -301,16 +310,16 @@ def fong_sourour_check(s: Matrix, t: Matrix) -> ShiftCheckResult:
     if lam != _shift(t):
         failures.append("no common shift candidate: trace(S)/d != trace(T)/d")
     else:
-        report_s, report_t = _shifted(s), _shifted(t)
-        if not report_s.nilpotent:
+        ws, wt = scalar_shift_witness(s), scalar_shift_witness(t)
+        if not ws.found:
             failures.append("S - lam*I not nilpotent for the only candidate lam")
-        if not report_t.nilpotent:
+        if not wt.found:
             failures.append("T - lam*I not nilpotent for the only candidate lam")
     hold = not failures
     conclusion = _decided(make_generalized_derivation(s, t))
     # L_S - R_T = L_N - R_M with commuting terms N = S - lam*I, M = T - lam*I,
     # so by the binomial theorem the index is ind N + ind M - 1
-    predicted = report_s.index + report_t.index - 1 if hold else None
+    predicted = ws.shifted.index + wt.shifted.index - 1 if hold else None
     _enforce("common-shift", "derivation", "ind(S - lam*I) + ind(T - lam*I) - 1", (s, t),
              hold, conclusion, predicted)
     lam = lam if hold else None

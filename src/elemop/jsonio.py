@@ -52,7 +52,7 @@ def matrix_texts(obj) -> list[list[str]]:
         raise ParseError(f"matrix document missing keys: {sorted(missing)}")
     rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
     if not (_is_count(rows) and _is_count(cols)):
-        raise ParseError(f"bad matrix shape: rows={rows!r}, cols={cols!r}")
+        raise ParseError(f"bad matrix shape: rows={_brief(rows)}, cols={_brief(cols)}")
     if not isinstance(entries, list) or len(entries) != rows:
         raise ParseError(f"expected {rows} entry rows, got {_brief(entries)}")
     texts = []
@@ -76,7 +76,7 @@ def _entry_text(e, i: int, j: int) -> str:
         return e
     if isinstance(e, int) and not isinstance(e, bool):
         return str(e)
-    raise ParseError(f"entry ({i}, {j}) must be a scalar string, got {e!r}")
+    raise ParseError(f"entry ({i}, {j}) must be a scalar string, got {_brief(e)}")
 
 
 def _is_count(value) -> bool:
@@ -107,7 +107,7 @@ def operator_texts(obj) -> tuple[int, list[tuple[list[list[str]], list[list[str]
         raise ParseError(f"operator document missing keys: {sorted(missing)}")
     dim, terms = obj["dim"], obj["terms"]
     if not _is_count(dim):
-        raise ParseError(f"bad operator dimension: {dim!r}")
+        raise ParseError(f"bad operator dimension: {_brief(dim)}")
     if not isinstance(terms, list) or not terms:
         raise ParseError("operator needs a nonempty terms list")
     pairs = []

@@ -49,7 +49,6 @@ from .operators import (
     make_v_operator,
     op_equal,
     op_is_nilpotent,
-    zero_operator,
 )
 from .scalars import ZERO, GaussianRational, _cell, _gaussian, as_scalar, format_scalar
 
@@ -243,12 +242,11 @@ class Criterion:
     of coefficient tuples when `tuples` is set, or an operator.  From a
     trial's stream, `structured` draws an instance that satisfies the
     hypotheses by construction and `random` an unconstrained one;
-    `from_pair` maps a search pair (a, b) to an instance.
-    `commutation_fact`, when set, must hold on every structured instance
-    whose hypotheses hold.  `check` adapts a checker of `elemop.criteria`,
-    where every checker lives.  Adapters reach library functions through
-    this module's globals, so a wrapper installed there (a test's
-    monkeypatch, a tracer) sees the call.
+    `from_pair` maps a search pair (a, b) to an instance.  `check` adapts a
+    checker of `elemop.criteria`, where every checker, and every fact it
+    enforces, lives.  Adapters reach library functions through this
+    module's globals, so a wrapper installed there (a test's monkeypatch, a
+    tracer) sees the call.
     """
 
     name: str
@@ -259,7 +257,6 @@ class Criterion:
     structured: Callable | None = None
     random: Callable | None = None
     from_pair: Callable | None = None
-    commutation_fact: Callable | None = None
 
     def supports(self, mode: str) -> bool:
         """Whether "check", the randomized "sweep", "search" or the
@@ -329,19 +326,6 @@ def _structured_common_shift(rng: random.Random, config: GeneratorConfig):
     return n1.plus_scalar(lam), n2.plus_scalar(lam)
 
 
-def _commutation_fact_holds(tuples) -> bool:
-    """Superoperators of the leading partial sum and the last term commute
-    whenever both coefficient tuples commute within themselves."""
-    a_tuple, b_tuple = tuples
-    dim = a_tuple[0].rows
-    if len(a_tuple) == 1:
-        leading = zero_operator(dim)
-    else:
-        leading = ElementaryOperator(dim, tuple(zip(a_tuple[:-1], b_tuple[:-1])))
-    last = ElementaryOperator(dim, ((a_tuple[-1], b_tuple[-1]),))
-    return leading.superoperator().commutes_with(last.superoperator())
-
-
 # Order matters: the CLI lists choices in table order.
 CRITERIA = (
     Criterion("2.1", "2.1", EQUIVALENCE, lambda pair: thm21_criterion(*pair)),
@@ -353,7 +337,6 @@ CRITERIA = (
         "2.2", "2.2", IMPLICATION, lambda tuples: thm22_check(*tuples),
         tuples=True, structured=_structured_tuples, random=_random_tuples,
         from_pair=lambda a, b: ([a, -b], [b, a]),
-        commutation_fact=lambda tuples: _commutation_fact_holds(tuples),
     ),
     Criterion(
         "2.3", "2.3", IMPLICATION, lambda pair: thm23_check(*pair),
@@ -406,8 +389,6 @@ def _record(
             converse = {"failures": failures}
             if report.mode == "search":
                 converse["conclusion"] = jsonio.report_to_obj(result.conclusion)
-        if built and hold and spec.commutation_fact and not spec.commutation_fact(instance):
-            reasons.append("commutation fact failed")
     if reasons or converse:
         found = _instance_obj(instance) | {"trial": trial, "kind": kind}
         report.violations.extend(found | {"reason": reason} for reason in reasons)

@@ -111,17 +111,17 @@ class Matrix:
         value = {c: convert(*c, scale) for c in set(chain.from_iterable(cells))}
         return [list(map(value.__getitem__, row)) for row in cells]
 
-    def _entry_rows(self) -> tuple[tuple[GaussianRational, ...], ...]:
-        return tuple(map(tuple, self._cells(_gaussian)))
-
     def __getitem__(self, key):
-        """The entry at an (i, j) key, built from its one cell; for a row
-        index or a slice, what the tuple of entry rows gives."""
+        """The entry at an (i, j) key; for a row index, the tuple of that
+        row's entries, and for a slice, the tuple of those rows.  Only the
+        entries returned are built, each from its own cell."""
+        scale, (re, im) = self._form
         if isinstance(key, tuple):
-            scale, (re, im) = self._form
             i, j = key
             return _gaussian(re[i][j], im[i][j] if im else 0, scale)
-        return self._entry_rows()[key]
+        if isinstance(key, slice):
+            return tuple(map(self.__getitem__, range(self.rows)[key]))
+        return tuple(map(_gaussian, re[key], im[key] if im else repeat(0), repeat(scale)))
 
     def entries(self) -> Iterator[tuple[int, int, GaussianRational]]:
         """(i, j, entry) in row-major order, each entry built from its cell
@@ -237,7 +237,7 @@ class Matrix:
         return hash(self._form)
 
     def __str__(self):
-        rows = ("[" + ", ".join(map(str, row)) + "]" for row in self._entry_rows())
+        rows = ("[" + ", ".join(map(str, row)) + "]" for row in self.row_list())
         return "[" + ", ".join(rows) + "]"
 
     def __repr__(self):

@@ -126,7 +126,7 @@ def test_criterion_4_commuting_families_suite():
     if report.hypothesis_instances < 200:
         failures.append(f"only {report.hypothesis_instances} hypothesis instances")
     if report.violations:
-        failures.append(f"{len(report.violations)} violations (commutation fact included)")
+        failures.append(f"{len(report.violations)} violations (terms lemma included)")
     _verdict(4, "commuting families property suite", failures)
 
 

@@ -345,6 +345,19 @@ def test_malformed_documents_reach_the_parser_errors(capsys):
         assert status == 2 and out == "" and err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("flag, document, message", [
+    ("--matrix", {"rows": "9" * 1_000_000, "cols": 1, "entries": [["0"]]},
+     "bad matrix shape: rows='" + "9" * 36 + "..., cols=1"),
+    ("--matrix", {"rows": 1, "cols": 1, "entries": [[["9" * 1_000_000]]]},
+     "entry (0, 0) must be a scalar string, got ['" + "9" * 35 + "..."),
+    ("--op", {"dim": "9" * 1_000_000, "terms": []},
+     "bad operator dimension: '" + "9" * 36 + "..."),
+], ids=["matrix-rows", "entry", "operator-dim"])
+def test_a_megabyte_value_in_a_shape_message_is_abridged(capsys, flag, document, message):
+    status, out, err = run_cli(capsys, "nilpotent", flag, json.dumps(document))
+    assert status == 2 and out == "" and err == f"error: {message}\n"
+
+
 # ---- the entry caps on documents -------------------------------------------------------
 
 def _fraction(width: int, factors: int) -> str:
@@ -1038,6 +1051,22 @@ def test_check_biconditional_failure_prints_the_pair(capsys, monkeypatch):
     assert "length-one biconditional violated" in err
     a, b = _printed_instance(err)
     assert (matrix_from_obj(a), matrix_from_obj(b)) == (NILPOTENT_WIDE, I2)
+
+
+def test_check_terms_lemma_failure_prints_the_tuples(capsys, monkeypatch):
+    monkeypatch.setattr(criteria, "_terms_commute", lambda op: False)
+    n = FAMILY_A - FAMILY_B
+    status, out, err = run_cli(
+        capsys,
+        "check", "--theorem", "2.2",
+        "--a", matrix_arg(n), matrix_arg(-FAMILY_B),
+        "--b", matrix_arg(FAMILY_B), matrix_arg(n),
+    )
+    assert status == 1 and out == ""
+    assert "commuting-families lemma violated" in err
+    a_tuple, b_tuple = _printed_instance(err)
+    assert [matrix_from_obj(m) for m in a_tuple] == [n, -FAMILY_B]
+    assert [matrix_from_obj(m) for m in b_tuple] == [FAMILY_B, n]
 
 
 def test_instance_json_covers_matrices_sequences_and_scalars():

@@ -174,6 +174,31 @@ def test_commutation_fact_for_commuting_tuples():
         s1 = leading.superoperator()
         s2 = last.superoperator()
         assert s1 * s2 == s2 * s1
+        assert criteria._terms_commute(ElementaryOperator(3, tuple(zip(a_tuple, b_tuple))))
+    # L_J3 and L_(J3^T) do not commute, so neither do those terms
+    assert not criteria._terms_commute(ElementaryOperator(3, ((J3, I3), (J3.T, I3))))
+
+
+def test_a_failed_terms_lemma_raises_with_the_tuples(monkeypatch):
+    monkeypatch.setattr(criteria, "_terms_commute", lambda op: False)
+    a_tuple, b_tuple = [FAMILY_N, -FAMILY_B], [FAMILY_B, FAMILY_N]
+    with pytest.raises(IntegrityError, match="commuting-families lemma violated") as exc:
+        thm22_check(a_tuple, b_tuple)
+    assert exc.value.instance == (tuple(a_tuple), tuple(b_tuple))
+    # without the hypotheses the lemma is not checked
+    assert not thm22_check([I3, J3], [I3, I3]).hypotheses_hold
+
+
+def test_the_terms_lemma_builds_nothing_for_one_term(monkeypatch):
+    built = []
+    real = operators.ElementaryOperator.superoperator
+    monkeypatch.setattr(operators.ElementaryOperator, "superoperator",
+                        lambda op: built.append(op.length) or real(op))
+    assert thm22_check([J3], [I3]).hypotheses_hold
+    assert built == [1]  # the operator's own superoperator only
+    built.clear()
+    assert thm22_check([J3, J3 * J3], [I3, 2 * I3]).hypotheses_hold
+    assert built == [2, 1, 1]  # the operator, its leading sum, its last term
 
 
 # ---- scalar shifts ---------------------------------------------------------------
@@ -209,10 +234,11 @@ def test_trace_shift_matches_fraction_arithmetic():
         lam = criteria._shift(a)
         expected = ref_trace(a) / a.rows
         assert lam == expected and str(lam) == str(expected)
-        # the shifted report against A - lam*I built and decided entry-wise,
-        # on no form
-        by_entries = ref_add(a, ref_scale(-expected, ref_identity(a.rows)))
-        assert criteria._shifted(a) == ref_is_nilpotent(by_entries)
+        # the witness against A - lam*I built and decided entry-wise, on no form
+        shifted = ref_is_nilpotent(ref_add(a, ref_scale(-expected, ref_identity(a.rows))))
+        witness = scalar_shift_witness(a)
+        assert witness == (criteria.ShiftWitness(expected, shifted) if shifted.nilpotent
+                           else criteria.ShiftWitness(None))
 
 
 def test_common_shift_builds_shifted_matrices_only_for_a_common_candidate(monkeypatch):

@@ -649,9 +649,7 @@ def test_implication_converse_in_a_random_trial_is_a_finding(monkeypatch):
     assert _replayed(finding) == calls[1]
 
 
-def test_a_failed_commutation_fact_is_filed_for_each_held_structured_trial(monkeypatch):
-    import elemop.lab as lab_module
-
+def test_a_failed_terms_lemma_is_filed_for_each_held_trial(monkeypatch):
     real = lab_module.thm22_check
     checked = []  # (instance, hypotheses hold), structured then random in each trial
 
@@ -660,16 +658,24 @@ def test_a_failed_commutation_fact_is_filed_for_each_held_structured_trial(monke
         checked.append(((a_tuple, b_tuple), result.hypotheses_hold))
         return result
 
+    # entries -1, 0 and 1 make some unconstrained tuples meet the hypotheses too
+    config = GeneratorConfig(dim=2, entry_bound=1, seed=7)
     monkeypatch.setattr(lab_module, "thm22_check", recording)
-    monkeypatch.setattr(lab_module, "_commutation_fact_holds", lambda tuples: False)
-    report = sweep_thm("2.2", GeneratorConfig(dim=2, seed=4), 4)
+    assert sweep_thm("2.2", config, 4).violations == []
+    held = [(k // 2, ("structured", "random")[k % 2], instance)
+            for k, (instance, hold) in enumerate(checked) if hold]
+    assert {kind for _, kind, _ in held} == {"structured", "random"}
 
-    held = [(trial, instance) for trial, (instance, hold) in enumerate(checked[::2]) if hold]
-    assert held and len(checked) == 8
+    monkeypatch.setattr(lab_module, "thm22_check", real)
+    monkeypatch.setattr(criteria_module, "_terms_commute", lambda op: False)
+    report = sweep_thm("2.2", config, 4)
+    reason = ("commuting-families lemma violated: the leading terms' sum "
+              "does not commute with the last term")
     assert [(v["trial"], v["kind"], v["reason"]) for v in report.violations] == [
-        (trial, "structured", "commutation fact failed") for trial, _ in held
+        (trial, kind, reason) for trial, kind, _ in held
     ]
-    assert [_replayed(v) for v in report.violations] == [instance for _, instance in held]
+    assert [_replayed(v) for v in report.violations] == [instance for _, _, instance in held]
+    assert report.hypothesis_instances == 0  # a raising check counts no hypotheses
 
 
 # ---- trial cap --------------------------------------------------------------------------------

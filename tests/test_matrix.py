@@ -621,6 +621,23 @@ def test_a_pair_read_builds_only_its_own_entry(monkeypatch, gaussian):
 
 
 @pytest.mark.parametrize("gaussian", [False, True])
+def test_a_row_read_builds_only_the_rows_it_returns(monkeypatch, gaussian):
+    rng = random.Random(23)
+    m = wide_matrix(rng, 64, 64, gaussian)
+    rows = tuple(map(tuple, m.row_list()))
+    built = []
+    monkeypatch.setattr(matrix, "_gaussian", lambda *cell: built.append(cell) or _gaussian(*cell))
+    assert m[0] == rows[0] and len(built) == 64
+    for key in (-1, 5, slice(1, 3), slice(None, None, -1), slice(60, None, 2), slice(70, 80)):
+        built.clear()
+        assert m[key] == rows[key]
+        assert len(built) == 64 * (len(rows[key]) if isinstance(key, slice) else 1)
+    for key in (64, -65):
+        with pytest.raises(IndexError):
+            m[key]
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
 def test_entries_build_each_entry_when_reached(monkeypatch, gaussian):
     rng = random.Random(29)
     m = wide_matrix(rng, 64, 64, gaussian)
