@@ -141,7 +141,7 @@ def main(argv=None) -> int:
     try:
         document, status = args.run(args)
         _emit(document, args.output)
-    except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError and JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IntegrityError as exc:
@@ -302,7 +302,7 @@ def _cap_dims(flag: str, matrices, cap: int, *sizes: int) -> None:
     """Reject `sizes` and the row and column counts of `matrices` above `cap`."""
     for size in [*sizes, *(n for m in matrices for n in (len(m), len(m[0])))]:
         if size > cap:
-            raise ParseError(f"{flag} dimension {size} is above the cap of {cap}")
+            raise ParseError(f"{flag} dimension {_quoted(size)} is above the cap of {cap}")
 
 
 def _cap_terms(flag: str, count: int, unit: str) -> None:
@@ -341,8 +341,7 @@ def _cap_width(flags: str, n: int, matrices, factors: int) -> None:
     denominator.  Each entry of M sums products of `factors` entries of
     `matrices`, so an entry of D*M has at most `factors` times the longest
     entry's digits plus D's, which `_scale_digits` bounds."""
-    width = (factors * max((len(e) for m in matrices for row in m for e in row), default=0)
-             + _scale_digits(matrices))
+    width = factors * max(map(_longest, matrices), default=0) + _scale_digits(matrices)
     cap = _width_cap(n)
     if width > cap:
         raise ParseError(f"{flags} entries are {width} digits wide, "

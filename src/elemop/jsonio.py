@@ -29,7 +29,7 @@ from .errors import ParseError
 from .matrix import Matrix
 from .nilpotency import NilpotencyReport
 from .operators import ElementaryOperator
-from .scalars import _format_parts, _parse_parts, format_scalar
+from .scalars import _format_parts, _parse_parts, _quoted, format_scalar
 
 
 def dumps(document) -> str:
@@ -52,13 +52,13 @@ def matrix_texts(obj) -> list[list[str]]:
         raise ParseError(f"matrix document missing keys: {sorted(missing)}")
     rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
     if not (_is_count(rows) and _is_count(cols)):
-        raise ParseError(f"bad matrix shape: rows={_brief(rows)}, cols={_brief(cols)}")
+        raise ParseError(f"bad matrix shape: rows={_quoted(rows)}, cols={_quoted(cols)}")
     if not isinstance(entries, list) or len(entries) != rows:
-        raise ParseError(f"expected {rows} entry rows, got {_brief(entries)}")
+        raise ParseError(f"expected {_quoted(rows)} entry rows, got {_quoted(entries)}")
     texts = []
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
-            raise ParseError(f"entry row {i} is not a list of {cols} scalars")
+            raise ParseError(f"entry row {i} is not a list of {_quoted(cols)} scalars")
         texts.append([_entry_text(e, i, j) for j, e in enumerate(row)])
     return texts
 
@@ -76,17 +76,12 @@ def _entry_text(e, i: int, j: int) -> str:
         return e
     if isinstance(e, int) and not isinstance(e, bool):
         return str(e)
-    raise ParseError(f"entry ({i}, {j}) must be a scalar string, got {_brief(e)}")
+    raise ParseError(f"entry ({i}, {j}) must be a scalar string, got {_quoted(e)}")
 
 
 def _is_count(value) -> bool:
     """A positive int; JSON true and false are not counts."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
-def _brief(value) -> str:
-    text = repr(value)
-    return text if len(text) <= 40 else text[:37] + "..."
 
 
 # ---- operators -----------------------------------------------------------
@@ -107,7 +102,7 @@ def operator_texts(obj) -> tuple[int, list[tuple[list[list[str]], list[list[str]
         raise ParseError(f"operator document missing keys: {sorted(missing)}")
     dim, terms = obj["dim"], obj["terms"]
     if not _is_count(dim):
-        raise ParseError(f"bad operator dimension: {_brief(dim)}")
+        raise ParseError(f"bad operator dimension: {_quoted(dim)}")
     if not isinstance(terms, list) or not terms:
         raise ParseError("operator needs a nonempty terms list")
     pairs = []

@@ -27,7 +27,10 @@ and longer runs are rejected before any digits are converted, so no input
 can expand a huge exponent or parse a huge number.  A ParseError quotes
 the input and the rejected term in full up to 100 characters; longer ones
 are abridged to their first 50 characters and their length, so a rejected
-megabyte term gives a message of about a hundred bytes.
+megabyte term gives a message of about a hundred bytes.  `_quoted` is the
+one abridger: `elemop.jsonio` and `elemop.cli` show every outside value in
+a message through it, a str as here and any other value (a count, a list)
+by its repr under the same rule.
 
 `_canonical` divides out one gcd and makes the denominator positive; the
 constructor stores through it, and so does `_gaussian`, the builder of every
@@ -289,8 +292,11 @@ def _bad_term(original: str, term: str) -> str:
     return f"bad scalar {_quoted(original)}: cannot read term {_quoted(term)}"
 
 
-def _quoted(text: str) -> str:
-    """repr(text), or past _QUOTED_MAX characters its head and its length."""
+def _quoted(value) -> str:
+    """An outside value for an error message: a str quoted, any other value
+    as its repr; past _QUOTED_MAX characters of either, the first half of
+    them and the count."""
+    text, show = (value, repr) if isinstance(value, str) else (repr(value), str)
     if len(text) <= _QUOTED_MAX:
-        return repr(text)
-    return f"{text[:_QUOTED_MAX // 2]!r}... ({len(text):,} characters)"
+        return show(text)
+    return f"{show(text[:_QUOTED_MAX // 2])}... ({len(text):,} characters)"

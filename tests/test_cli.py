@@ -345,14 +345,25 @@ def test_malformed_documents_reach_the_parser_errors(capsys):
         assert status == 2 and out == "" and err == f"error: {message}\n"
 
 
+# a JSON count just under CPython's 4,300-digit int-string limit
+_HUGE_COUNT = int("9" * 4299)
+_ONE = {"rows": 1, "cols": 1, "entries": [["0"]]}
+
+
 @pytest.mark.parametrize("flag, document, message", [
     ("--matrix", {"rows": "9" * 1_000_000, "cols": 1, "entries": [["0"]]},
-     "bad matrix shape: rows='" + "9" * 36 + "..., cols=1"),
+     "bad matrix shape: rows='" + "9" * 50 + "'... (1,000,000 characters), cols=1"),
     ("--matrix", {"rows": 1, "cols": 1, "entries": [[["9" * 1_000_000]]]},
-     "entry (0, 0) must be a scalar string, got ['" + "9" * 35 + "..."),
+     "entry (0, 0) must be a scalar string, got ['" + "9" * 48 + "... (1,000,004 characters)"),
     ("--op", {"dim": "9" * 1_000_000, "terms": []},
-     "bad operator dimension: '" + "9" * 36 + "..."),
-], ids=["matrix-rows", "entry", "operator-dim"])
+     "bad operator dimension: '" + "9" * 50 + "'... (1,000,000 characters)"),
+    ("--matrix", {**_ONE, "rows": _HUGE_COUNT},
+     "expected " + "9" * 50 + "... (4,299 characters) entry rows, got [['0']]"),
+    ("--matrix", {**_ONE, "cols": _HUGE_COUNT},
+     "entry row 0 is not a list of " + "9" * 50 + "... (4,299 characters) scalars"),
+    ("--op", {"dim": _HUGE_COUNT, "terms": [{"a": _ONE, "b": _ONE}]},
+     "--op dimension " + "9" * 50 + "... (4,299 characters) is above the cap of 8"),
+], ids=["matrix-rows", "entry", "operator-dim", "row-count", "col-count", "capped-dim"])
 def test_a_megabyte_value_in_a_shape_message_is_abridged(capsys, flag, document, message):
     status, out, err = run_cli(capsys, "nilpotent", flag, json.dumps(document))
     assert status == 2 and out == "" and err == f"error: {message}\n"

@@ -111,7 +111,7 @@ ONE_TERM = {"a": ONE, "b": ONE}
     (matrix_texts, matrix_from_obj, {"rows": 2, "cols": 2, "entries": [["1", "2"]]},
      "expected 2 entry rows, got [['1', '2']]"),
     (matrix_texts, matrix_from_obj, {"rows": 1, "cols": 1, "entries": "1" * 50},
-     "expected 1 entry rows, got '" + "1" * 36 + "..."),
+     "expected 1 entry rows, got '" + "1" * 50 + "'"),
     (matrix_texts, matrix_from_obj, {"rows": 1, "cols": 2, "entries": [["1"]]},
      "entry row 0 is not a list of 2 scalars"),
     (matrix_texts, matrix_from_obj, {"rows": 1, "cols": 2, "entries": [["1", 1.5]]},

@@ -247,6 +247,32 @@ def test_parse_errors_quote_up_to_100_characters_and_abridge_longer_text():
     assert str(info.value) == "two real terms in scalar '1+2'"
 
 
+# text, counts and the lists and objects a JSON document can hold, some of each
+# around the 100-character limit
+_leaves = (st.text() | st.text(min_size=90, max_size=110)
+           | st.integers() | st.integers(10**89, 10**110))
+_outside_values = _leaves | st.recursive(
+    _leaves, lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner), max_leaves=20
+)
+
+
+@given(_outside_values)
+def test_quoted_shows_a_value_in_full_up_to_100_characters_and_abridges_longer_ones(value):
+    shown = scalars_module._quoted(value)
+    if isinstance(value, str):
+        # quoted in full up to 100 characters, else its first 50 quoted and its length;
+        # never longer than its first 100 characters quoted, whatever its length
+        assert shown == (repr(value) if len(value) <= 100
+                         else f"{value[:50]!r}... ({len(value):,} characters)")
+        assert len(shown) <= len(repr(value[:100]))
+        return
+    full = repr(value)
+    if len(full) <= 100:
+        assert shown == full
+    else:
+        assert shown == f"{full[:50]}... ({len(full):,} characters)" and len(shown) <= 80
+
+
 # ---- the parser against its reference path ------------------------------------------
 # ref_parse_scalar is parse_scalar before the regex split and the one-Fraction
 # term parse.  The two agree on every string, value or error message, except
