@@ -114,10 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common], help="sweep a criterion over generated instances")
     p.add_argument("--theorem", required=True, choices=SWEEP_CHOICES)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--entry-bound", type=int, default=None)
+    p.add_argument("--dim", type=_int, default=2)
+    p.add_argument("--trials", type=_int, default=None)
+    p.add_argument("--seed", type=_int, default=None)
+    p.add_argument("--entry-bound", type=_int, default=None)
     p.add_argument("--gaussian", action="store_true", default=None,
                    help="allow nonzero imaginary parts")
     p.add_argument("--exhaustive", action="store_true",
@@ -126,10 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", parents=[common], help="search for converse failures of a criterion")
     p.add_argument("--target", required=True, choices=SEARCH_CHOICES)
-    p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--entry-bound", type=int, default=3)
+    p.add_argument("--dim", type=_int, default=3)
+    p.add_argument("--trials", type=_int, default=200)
+    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--entry-bound", type=_int, default=3)
     p.add_argument("--gaussian", action="store_true")
     p.set_defaults(run=_run_search)
 
@@ -249,15 +249,22 @@ def _run_search(args) -> tuple[dict, int]:
 
 
 def _config(args) -> lab.GeneratorConfig:
-    if args.dim > DIM_CAP:
-        raise ParseError(f"--dim {args.dim} is above the cap of {DIM_CAP}")
-    if args.entry_bound > ENTRY_BOUND_CAP:
-        raise ParseError(f"--entry-bound {args.entry_bound} is above the cap of {ENTRY_BOUND_CAP}")
-    if args.trials > TRIALS_CAP:
-        raise ParseError(f"--trials {args.trials} is above the cap of {TRIALS_CAP}")
+    for flag, value, cap in (("--dim", args.dim, DIM_CAP),
+                             ("--entry-bound", args.entry_bound, ENTRY_BOUND_CAP),
+                             ("--trials", args.trials, TRIALS_CAP)):
+        if value > cap:
+            raise ParseError(f"{flag} {_quoted(value)} is above the cap of {cap}")
     return lab.GeneratorConfig(
         dim=args.dim, entry_bound=args.entry_bound, seed=args.seed, gaussian=args.gaussian
     )
+
+
+def _int(text: str) -> int:
+    """An int flag's value, rejected as by type=int but quoted by `_quoted`."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}") from None
 
 
 def _instance_obj(value):

@@ -42,9 +42,9 @@ to what the fact's computation returned, so it holds values and nothing
 callable.  Most stored values are "not nilpotent", and `is_nilpotent`
 returns one report object for that, so those keys all hold the same
 object.  So in a sweep a coefficient or superoperator value met again is
-not decided again; each pair still builds its operator, evaluates its
-hypotheses and runs `_enforce` against the index its own coefficients
-predict.
+not decided again; each pair of orbit representatives the sweep decides
+(`lab._sweep_exhaustive`) still builds its operator, evaluates its
+hypotheses and runs `_enforce` against the index its coefficients predict.
 """
 
 from __future__ import annotations

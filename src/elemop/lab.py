@@ -50,7 +50,7 @@ from .operators import (
     op_equal,
     op_is_nilpotent,
 )
-from .scalars import ZERO, GaussianRational, _cell, _gaussian, as_scalar, format_scalar
+from .scalars import ZERO, GaussianRational, _cell, _gaussian, _quoted, as_scalar, format_scalar
 
 RNG_NAME = "python-random-mt19937"
 # trial t of seed s draws from stream s * _STREAM_STRIDE + t
@@ -77,11 +77,11 @@ class GeneratorConfig:
         if not isinstance(self.gaussian, bool):
             raise PreconditionError(f"gaussian must be a bool, got {type(self.gaussian).__name__}")
         if self.dim < 1:
-            raise PreconditionError(f"dimension must be >= 1, got {self.dim}")
+            raise PreconditionError(f"dimension must be >= 1, got {_quoted(self.dim)}")
         if self.entry_bound < 1:
-            raise PreconditionError(f"entry bound must be >= 1, got {self.entry_bound}")
+            raise PreconditionError(f"entry bound must be >= 1, got {_quoted(self.entry_bound)}")
         if not 0 <= self.seed < 2**64:
-            raise PreconditionError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+            raise PreconditionError(f"seed must fit in 64 unsigned bits, got {_quoted(self.seed)}")
 
     def to_obj(self) -> dict:
         return asdict(self)
@@ -358,17 +358,17 @@ def criterion(name, mode: str = "check") -> Criterion:
     raise PreconditionError(f"unknown {mode} target {name!r}")
 
 
-def _record(
-    spec: Criterion, instance, report: SweepReport, trial, kind: str, built: bool = False
-) -> None:
+def _record(spec: Criterion, instance, report: SweepReport, trial, kind: str,
+            built: bool = False, weight: int = 1) -> None:
     """Check one instance and file what it shows in `report`.
 
-    `built` instances satisfy the hypotheses by construction.  A violation
-    is a raised IntegrityError, a generator that broke the hypotheses, or a
-    conclusion that contradicts the criterion's kind.  The instance is
-    dumped only when something is filed.
+    `built` instances satisfy the hypotheses by construction; the instance
+    counts `weight` times (an orbit representative, for its whole orbit).
+    A violation is a raised IntegrityError, a generator that broke the
+    hypotheses, or a conclusion that contradicts the criterion's kind.  The
+    instance is dumped only when something is filed.
     """
-    report.instances_tested += 1
+    report.instances_tested += weight
     reasons, converse = [], None
     try:
         result = spec.check(instance)
@@ -378,7 +378,7 @@ def _record(
         hold, nilpotent = result.hypotheses_hold, result.conclusion.nilpotent
         failures = list(result.hypothesis_failures)
         if hold:
-            report.hypothesis_instances += 1
+            report.hypothesis_instances += weight
         if built and not hold:
             reasons.append("generator broke the hypotheses: " + "; ".join(failures))
         elif hold and not nilpotent and spec.kind != CONJECTURE:
@@ -399,19 +399,34 @@ def _record(
 def _check_trials(trials: int) -> None:
     _check_int("trials", trials)
     if trials < 1:
-        raise PreconditionError(f"trials must be >= 1, got {trials}")
+        raise PreconditionError(f"trials must be >= 1, got {_quoted(trials)}")
     if trials > _STREAM_STRIDE:
-        raise PreconditionError(f"trials must be <= {_STREAM_STRIDE}, got {trials}")
+        raise PreconditionError(f"trials must be <= {_STREAM_STRIDE}, got {_quoted(trials)}")
 
 
 # ---- exhaustive sweeps ---------------------------------------------------------
 
-def _all_square_matrices(dim: int, entry_set) -> list[Matrix]:
-    cells = dim * dim
-    return [
-        Matrix([list(combo[r * dim : (r + 1) * dim]) for r in range(dim)])
-        for combo in itertools.product(entry_set, repeat=cells)
-    ]
+def _orbits(dim: int, entry_set, conjugate: bool = True):
+    """Yield (index, orbit size) for the first matrix, in `itertools.product`
+    order, of each orbit of the dim x dim matrices over `entry_set` under
+    conjugation by the signed permutations that keep it (signs only if it is
+    closed under negation), or the trivial group without `conjugate`.  P M P^-1
+    moves entry (r, c) to (p[r], p[c]), negated if rows r and c differ in sign."""
+    values = [as_scalar(e) for e in entry_set]
+    k, cells = len(values), dim * dim
+    closed = conjugate and len(set(values)) == k and all(-v in values for v in values)
+    neg = [values.index(-v) for v in values] if closed else None
+    perms = list(itertools.permutations(range(dim)) if conjugate else [tuple(range(dim))])
+    signs = list(itertools.product((1, -1), repeat=dim) if closed else [(1,) * dim])
+    moves = [[(k ** (cells - 1 - p[r] * dim - p[c]), s[r] != s[c])
+              for r in range(dim) for c in range(dim)] for p in perms for s in signs]
+    seen = set()
+    for index, matrix in enumerate(itertools.product(range(k), repeat=cells)):
+        if index not in seen:
+            orbit = {sum(place * (neg[e] if flip else e) for (place, flip), e in zip(move, matrix))
+                     for move in moves}
+            seen |= orbit
+            yield index, len(orbit)
 
 
 def sweep_thm21_exhaustive(entry_set=(-1, 0, 1)) -> SweepReport:
@@ -426,27 +441,34 @@ def sweep_fong_sourour_exhaustive(entry_set=(-1, 0, 1)) -> SweepReport:
     return _sweep_exhaustive("1.1", entry_set)
 
 
-def _sweep_exhaustive(theorem: str, entry_set=(-1, 0, 1)) -> SweepReport:
+def _sweep_exhaustive(theorem: str, entry_set=(-1, 0, 1), *, _brute_force=False) -> SweepReport:
     """Run an equivalence's checker on every ordered pair of the 2x2
     matrices with entries in `entry_set`; the report is named by the
     criterion's CLI spelling.
 
-    Each of the n matrices recurs in 2n - 1 of the n^2 pairs, and many
-    pairs share a superoperator, so the sweep opens
+    Pairs are decided one per orbit of (A, B) -> (P A P^-1, Q B Q^-1), P and
+    Q in `_orbits`' group, weighted by |orbit(A)| * |orbit(B)|: X -> P X Q^-1
+    conjugates X -> AXB to X -> (PAP^-1) X (QBQ^-1), and SX - XT likewise, so
+    nilpotency, index, hypotheses and predicted indices, all similarity
+    invariants of each side, stand.  `trial` is a pair's index among all n^2,
+    so a violation replays as that pair; `_brute_force` decides every pair.
+
+    Coefficients and superoperators recur, so the sweep opens
     `criteria._sweep_facts()` around its loop: each distinct coefficient's
     nilpotency report and shift facts, and each distinct superoperator's
-    report, are decided once and kept until the sweep returns or raises.
-    Each pair's operator is still built, and its hypotheses, biconditional
-    and index still checked.
+    report, are decided once and kept until the sweep returns or raises;
+    each representative pair still builds its operator and runs its checks.
     """
     spec = criterion(theorem, "exhaustive")
     entry_set = tuple(entry_set)
     config = {"dim": 2, "entry_set": [str(e) for e in entry_set]}
     report = SweepReport(theorem=spec.cli, mode="exhaustive", config=config)
-    mats = _all_square_matrices(2, entry_set)
+    combos = list(itertools.product(entry_set, repeat=4))
+    reps = [(index, size, Matrix([list(combos[index][:2]), list(combos[index][2:])]))
+            for index, size in _orbits(2, entry_set, not _brute_force)]
     with _sweep_facts():
-        for trial, pair in enumerate(itertools.product(mats, repeat=2)):
-            _record(spec, pair, report, trial, "exhaustive")
+        for (i, wi, a), (j, wj, b) in itertools.product(reps, repeat=2):
+            _record(spec, (a, b), report, i * len(combos) + j, "exhaustive", weight=wi * wj)
     return report
 
 

@@ -8,6 +8,7 @@ tolerances are the stated runtime budgets.
 import random
 import time
 
+import elemop.lab as lab
 from elemop import (
     GaussianRational,
     GeneratorConfig,
@@ -34,6 +35,21 @@ from elemop import (
 )
 from elemop.jsonio import dumps
 from helpers import rand_matrix, rand_operator, rand_scalar
+
+
+def _exhaustive_failures(sweep, theorem: str) -> list:
+    """Run an exhaustive sweep both ways, one pair per orbit (the default) and
+    pair by pair, and check each report and that the two agree byte for byte."""
+    failures = []
+    reports = {"orbit": sweep(), "brute-force": lab._sweep_exhaustive(theorem, _brute_force=True)}
+    for path, report in reports.items():
+        if report.instances_tested != 6561:
+            failures.append(f"{path}: tested {report.instances_tested}, expected 6561")
+        if report.violations:
+            failures.append(f"{path}: {len(report.violations)} exhaustive violations")
+    if len({dumps(report.to_obj()) for report in reports.values()}) != 1:
+        failures.append("orbit and brute-force reports differ")
+    return failures
 
 
 def _verdict(number: int, label: str, failures: list):
@@ -106,14 +122,9 @@ def test_criterion_2_family_reproduction():
 
 
 def test_criterion_3_exhaustive_length_one_biconditional():
-    failures = []
     started = time.perf_counter()
-    report = sweep_thm21_exhaustive()
+    failures = _exhaustive_failures(sweep_thm21_exhaustive, "2.1")
     elapsed = time.perf_counter() - started
-    if report.instances_tested != 6561:
-        failures.append(f"tested {report.instances_tested}, expected 6561")
-    if report.violations:
-        failures.append(f"{len(report.violations)} violations")
     if elapsed >= 30.0:
         failures.append(f"took {elapsed:.1f}s, budget 30s")
     _verdict(3, "exhaustive length-one biconditional", failures)
@@ -155,12 +166,7 @@ def test_criterion_5_scalar_shift_suite_and_expansion_identity():
 
 
 def test_criterion_6_common_shift_biconditional():
-    failures = []
-    report = sweep_fong_sourour_exhaustive()
-    if report.instances_tested != 6561:
-        failures.append(f"tested {report.instances_tested}, expected 6561")
-    if report.violations:
-        failures.append(f"{len(report.violations)} exhaustive violations")
+    failures = _exhaustive_failures(sweep_fong_sourour_exhaustive, "1.1")
 
     config = GeneratorConfig(dim=3, seed=618)
     random_report = sweep_thm("fong_sourour", config, 200)

@@ -253,6 +253,43 @@ def test_trials_at_the_cap_runs(capsys, monkeypatch):
     assert status == 0 and seen == [1000]
 
 
+# ---- long int flags ----------------------------------------------------------------
+#
+# Every message that echoes an int flag quotes it through `_quoted`, so a value
+# of thousands of digits, or one past CPython's int-string limit, gives a line
+# of about a hundred bytes
+
+LONG_INT = "9" * 4299  # the most digits an int string may have
+
+
+@pytest.mark.parametrize("command", [["sweep", "--theorem", "2.3"], ["search", "--target", "2.3"]],
+                         ids=["sweep", "search"])
+@pytest.mark.parametrize("flag", ["--dim", "--trials", "--seed", "--entry-bound"])
+@pytest.mark.parametrize("value", [LONG_INT, "-" + LONG_INT, "9" * 5000, "x" * 5000],
+                         ids=["long", "long-negative", "past-the-limit", "not-an-int"])
+def test_a_long_int_flag_is_echoed_abridged(capsys, command, flag, value):
+    try:
+        status = main([*command, flag, value])
+    except SystemExit as exc:  # argparse rejects a value that is not an int
+        status = exc.code
+    err = capsys.readouterr().err
+    assert status == 2 and len(err.splitlines()[-1].encode()) < 200
+    assert len(err.encode()) < 400  # argparse prints the usage line first
+    assert f"({len(value):,} characters)" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "", "x" * 100])
+def test_a_short_bad_int_flag_reads_as_argparse_words_it(capsys, value):
+    messages = []
+    for kind in (int, cli._int):
+        parser = argparse.ArgumentParser(prog="elemop")
+        parser.add_argument("--dim", type=kind)
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--dim", value])
+        messages.append(capsys.readouterr().err)
+    assert messages[0] == messages[1]
+
+
 # ---- the size caps on documents ----------------------------------------------------
 
 def _corner_doc(n: int, cols: int | None = None, value: str = "1") -> str:

@@ -168,6 +168,13 @@ def test_inputs_of_the_wrong_type_are_rejected_by_name(field, value):
 
 
 # ---- exhaustive sweeps ----------------------------------------------------------
+#
+# The public sweeps decide one pair per orbit of independent conjugation of
+# the two sides by signed permutations; `_brute_force` decides every pair,
+# and the two reports agree byte for byte.
+
+SWEEPS = {"2.1": sweep_thm21_exhaustive, "1.1": sweep_fong_sourour_exhaustive}
+
 
 def test_exhaustive_sweep_on_reduced_entry_set():
     report = sweep_thm21_exhaustive(entry_set=(0, 1))
@@ -180,6 +187,63 @@ def test_exhaustive_common_shift_on_reduced_entry_set():
     report = sweep_fong_sourour_exhaustive(entry_set=(0, 1))
     assert report.instances_tested == 256
     assert report.violations == []
+
+
+def _brute_force(theorem, entry_set=(-1, 0, 1)) -> SweepReport:
+    """The exhaustive sweep that decides every pair, not one per orbit."""
+    return lab_module._sweep_exhaustive(theorem, entry_set, _brute_force=True)
+
+
+def _all_pairs(entry_set) -> list:
+    """Every ordered pair of 2x2 matrices over `entry_set`, in trial order."""
+    mats = [Matrix([list(c[:2]), list(c[2:])]) for c in itertools.product(entry_set, repeat=4)]
+    return list(itertools.product(mats, repeat=2))
+
+
+ENTRY_SETS = [(-1, 0, 1), (0, 1), (-1, 1), (0,)]
+
+
+@pytest.mark.parametrize("theorem", SWEEPS)
+@pytest.mark.parametrize("entry_set", ENTRY_SETS)
+def test_orbit_sweep_reports_match_brute_force_byte_for_byte(theorem, entry_set):
+    orbits = dumps(SWEEPS[theorem](entry_set=entry_set).to_obj())
+    assert orbits == dumps(_brute_force(theorem, entry_set).to_obj())
+
+
+@pytest.mark.parametrize("dim, entry_set, count", [
+    (2, (-1, 0, 1), 27), (2, (0, 1), 10), (2, (-1, 1), 6), (2, (0,), 1),
+    (3, (0, 1), 104), (3, (-1, 1), 32), (3, (-1, 0, 1), 927),
+])
+def test_orbit_counts_and_weights(dim, entry_set, count):
+    orbits = list(lab_module._orbits(dim, entry_set))
+    assert len(orbits) == count
+    assert sum(size for _, size in orbits) == len(entry_set) ** (dim * dim)
+    trivial = list(lab_module._orbits(dim, entry_set, conjugate=False))
+    assert trivial == [(i, 1) for i in range(len(entry_set) ** (dim * dim))]
+
+
+def _reference_orbits(dim, entry_set):
+    """The orbits of `Matrix` conjugation P * m * P.T by the signed
+    permutation matrices, signed only if the set is closed under negation;
+    each orbit as the set of its members' indices in product order."""
+    mats = [Matrix([list(c[r * dim:(r + 1) * dim]) for r in range(dim)])
+            for c in itertools.product(entry_set, repeat=dim * dim)]
+    index = {m: i for i, m in enumerate(mats)}
+    closed = {-e for e in entry_set} == set(entry_set)
+    signs = list(itertools.product((1, -1), repeat=dim)) if closed else [(1,) * dim]
+    group = [Matrix([[s[r] * (p[r] == c) for c in range(dim)] for r in range(dim)])
+             for p in itertools.permutations(range(dim)) for s in signs]
+    return {frozenset(index[p * m * p.T] for p in group) for m in mats}
+
+
+@pytest.mark.parametrize("dim, entry_set", [
+    (2, (-1, 0, 1)), (2, (0, 1)), (2, (-1, 1)), (3, (0, 1)), (3, (-1, 1)),
+])
+def test_orbits_match_matrix_conjugation(dim, entry_set):
+    reference = _reference_orbits(dim, entry_set)
+    orbits = list(lab_module._orbits(dim, entry_set))
+    # each representative is the first member of its orbit, in product order
+    assert sorted((min(o), len(o)) for o in reference) == orbits
 
 
 @pytest.mark.parametrize("theorem", ["2.2", "2.3", "2.1-ext"])
@@ -200,15 +264,18 @@ def test_exhaustive_mode_is_the_equivalences():
 # ---- the sweep memo ----------------------------------------------------------------
 #
 # Inside an exhaustive sweep each distinct coefficient and each distinct
-# superoperator is decided once; every pair still builds its operator and
-# runs its checks; outside a sweep nothing is remembered.
+# superoperator is decided once; every pair the sweep decides (each pair by
+# brute force, each pair of orbit representatives by default) still builds
+# its operator and runs its checks; outside a sweep nothing is remembered.
 
 DISAGREE = "power iteration and characteristic polynomial disagree on nilpotency"
-SWEEPS = {"2.1": sweep_thm21_exhaustive, "1.1": sweep_fong_sourour_exhaustive}
 # distinct superoperators per sweep, keyed by (theorem, number of matrices):
 # kron(B^T, A) is unchanged by (A, B) -> (-A, -B) and is zero whenever A or B
 # is; X -> SX - XT is unchanged by (S, T) -> (S + cI, T + cI)
 DISTINCT_SUPEROPERATORS = {("2.1", 81): 3201, ("1.1", 81): 5265, ("2.1", 16): 226, ("1.1", 16): 240}
+# the same over pairs of orbit representatives, keyed by (theorem, number of
+# representatives): 27 of the 81 {-1, 0, 1} matrices, 10 of the 16 {0, 1} ones
+ORBIT_SUPEROPERATORS = {("2.1", 27): 675, ("1.1", 27): 560, ("2.1", 10): 82, ("1.1", 10): 91}
 
 
 def _decisions_by_size(monkeypatch) -> Counter:
@@ -239,28 +306,58 @@ def _break_2x2_decisions(monkeypatch):
 @pytest.mark.parametrize("entry_set, mats", [((-1, 0, 1), 81), ((0, 1), 16)])
 def test_sweep_decides_each_coefficient_once(monkeypatch, theorem, entry_set, mats):
     sizes = _decisions_by_size(monkeypatch)
-    assert SWEEPS[theorem](entry_set=entry_set).passed
+    assert _brute_force(theorem, entry_set).passed
     assert sizes == {2: mats, 4: DISTINCT_SUPEROPERATORS[theorem, mats]}
 
 
+@pytest.mark.parametrize("theorem", SWEEPS)
+@pytest.mark.parametrize("entry_set, reps", [((-1, 0, 1), 27), ((0, 1), 10)])
+def test_orbit_sweep_decides_each_representative_once(monkeypatch, theorem, entry_set, reps):
+    sizes = _decisions_by_size(monkeypatch)
+    assert SWEEPS[theorem](entry_set=entry_set).passed
+    assert sizes == {2: reps, 4: ORBIT_SUPEROPERATORS[theorem, reps]}
+
+
 def test_an_exhaustive_dim2_unit_makes_8628_decisions(monkeypatch):
+    # both {-1, 0, 1} sweeps, decided pair by pair
+    sizes = _decisions_by_size(monkeypatch)
+    for theorem in SWEEPS:
+        assert _brute_force(theorem).passed
+    assert sum(sizes.values()) == 81 + 3201 + 81 + 5265 == 8628
+
+
+def test_an_exhaustive_dim2_unit_makes_1289_decisions(monkeypatch):
     # both {-1, 0, 1} sweeps, as one exhaustive_dim2 benchmark unit runs them
     sizes = _decisions_by_size(monkeypatch)
     for sweep in SWEEPS.values():
         assert sweep().passed
-    assert sum(sizes.values()) == 81 + 3201 + 81 + 5265 == 8628
+    assert sum(sizes.values()) == 27 + 675 + 27 + 560 == 1289
 
 
-@pytest.mark.parametrize("theorem", SWEEPS)
-def test_every_pair_still_runs_its_equivalence_checks(monkeypatch, theorem):
+def _enforced_pairs(monkeypatch) -> list:
+    """The pair of each `criteria._enforce` call, in call order."""
     calls = []
     real = criteria_module._enforce
     monkeypatch.setattr(
         criteria_module, "_enforce", lambda *args: calls.append(args[3]) or real(*args)
     )
-    report = SWEEPS[theorem]()
+    return calls
+
+
+@pytest.mark.parametrize("theorem", SWEEPS)
+def test_every_pair_still_runs_its_equivalence_checks(monkeypatch, theorem):
+    calls = _enforced_pairs(monkeypatch)
+    report = _brute_force(theorem)
     assert report.passed and len(calls) == report.instances_tested == 6561
     assert len(set(calls)) == 6561  # each call carries its own pair
+
+
+@pytest.mark.parametrize("theorem", SWEEPS)
+def test_every_representative_pair_runs_its_equivalence_checks(monkeypatch, theorem):
+    calls = _enforced_pairs(monkeypatch)
+    report = SWEEPS[theorem]()
+    assert report.passed and report.instances_tested == 6561
+    assert len(calls) == len(set(calls)) == 27 * 27 == 729
 
 
 def test_equal_superoperators_share_one_decision(monkeypatch):
@@ -309,16 +406,28 @@ def test_sweep_memo_keys_tell_scale_and_imaginary_parts_apart():
 
 
 def test_sweep_memo_does_not_outlive_the_sweep(monkeypatch):
-    assert sweep_thm21_exhaustive(entry_set=(0, 1)).passed
+    assert _brute_force("2.1", (0, 1)).passed
     _break_2x2_decisions(monkeypatch)
     # J2 was a coefficient of that sweep; a live memo would answer from it
     with pytest.raises(IntegrityError, match=DISAGREE):
         thm21_criterion(J2, J2)
-    report = sweep_thm21_exhaustive(entry_set=(0, 1))
+    report = _brute_force("2.1", (0, 1))
     # 3 of the 16 0/1 matrices are nilpotent (0, E12, E21), and every pair
     # holding one decides it afresh
     assert len(report.violations) == 16**2 - 13**2
     assert {v["reason"] for v in report.violations} == {DISAGREE}
+
+
+def test_orbit_violations_replay_as_the_pair_at_their_trial(monkeypatch):
+    _break_2x2_decisions(monkeypatch)
+    report = sweep_thm21_exhaustive(entry_set=(0, 1))
+    # 2 of the 10 0/1 representatives are nilpotent (0 and E21, which stands
+    # for E12 too); each representative pair holding one is filed once
+    assert len(report.violations) == 10**2 - 8**2
+    assert {v["reason"] for v in report.violations} == {DISAGREE}
+    pairs = _all_pairs((0, 1))
+    assert [_replayed(v) for v in report.violations] == [pairs[v["trial"]]
+                                                          for v in report.violations]
 
 
 def test_sweep_memo_is_reset_when_the_sweep_raises(monkeypatch):
@@ -334,11 +443,12 @@ def test_sweep_memo_is_reset_when_the_sweep_raises(monkeypatch):
     monkeypatch.setattr(lab_module, "thm21_criterion", interrupted)
     with pytest.raises(RuntimeError, match="interrupted"):
         sweep_thm21_exhaustive(entry_set=(0, 1))
-    assert J2 in {m for pair in calls[:6] for m in pair}
+    # E21 = J2^T represents the orbit of both nilpotent elementary matrices
+    assert J2.T in {m for pair in calls[:6] for m in pair}
     assert criteria_module._SWEEP_FACTS.get() is None
     _break_2x2_decisions(monkeypatch)
     with pytest.raises(IntegrityError, match=DISAGREE):
-        thm21_criterion(J2, J2)
+        thm21_criterion(J2.T, J2.T)
 
 
 @pytest.mark.parametrize("theorem, violations", [("2.1", 2 * 81 - 1), ("1.1", 2 * 27 - 1)])
@@ -353,7 +463,7 @@ def test_a_failed_fact_fails_every_pair_that_reads_it(monkeypatch, theorem, viol
         return is_nilpotent(a)
 
     monkeypatch.setattr(criteria_module, "is_nilpotent", failing)
-    memoised = SWEEPS[theorem]()
+    memoised = _brute_force(theorem)
     # 1.1 reads the shifted fact only on pairs with a common candidate:
     # the 27 traceless matrices pair with bad on either side
     assert len(memoised.violations) == violations
@@ -373,7 +483,7 @@ def test_a_failed_decision_fails_every_pair_with_that_superoperator(
         return is_nilpotent(a)
 
     monkeypatch.setattr(criteria_module, "is_nilpotent", failing)
-    memoised = SWEEPS[theorem]()
+    memoised = _brute_force(theorem)
     # X -> AXB is zero when A or B is; X -> SX - XT when S = T = cI
     assert len(memoised.violations) == violations
     assert {v["reason"] for v in memoised.violations} == {"forced"}
@@ -384,8 +494,7 @@ def _unmemoised(theorem, config) -> SweepReport:
     """The {-1, 0, 1} sweep's pairs checked one by one, with no memo open."""
     report = SweepReport(theorem=theorem, mode="exhaustive", config=config)
     spec = lab_module.criterion(theorem)
-    mats = lab_module._all_square_matrices(2, (-1, 0, 1))
-    for trial, pair in enumerate(itertools.product(mats, repeat=2)):
+    for trial, pair in enumerate(_all_pairs((-1, 0, 1))):
         lab_module._record(spec, pair, report, trial, "exhaustive")
     return report
 
@@ -548,7 +657,6 @@ CHECKERS = {
     "2.3": "thm23_check",
     "2.1-ext": "_each_term_check",
 }
-EXHAUSTIVE = {"2.1": sweep_thm21_exhaustive, "1.1": sweep_fong_sourour_exhaustive}
 FORCED_MODES = [
     ("2.1", "exhaustive"),
     ("1.1", "exhaustive"),
@@ -579,7 +687,7 @@ def _forced_cases():
 
 def _run_mode(theorem, mode):
     if mode == "exhaustive":
-        return EXHAUSTIVE[theorem](entry_set=(0, 1))
+        return SWEEPS[theorem](entry_set=(0, 1))
     if mode == "search":
         return search_converse_failures(theorem, GeneratorConfig(dim=3, seed=4), 1)
     return sweep_thm(theorem, GeneratorConfig(dim=2, seed=4), 1)
@@ -616,7 +724,10 @@ def test_forced_violation_is_recorded_once_and_replays(monkeypatch, theorem, mod
 
     assert len(report.violations) == 1 and not report.passed
     entry = report.violations[0]
-    assert entry["trial"] == (at - 1 if mode == "exhaustive" else 0)
+    if mode == "exhaustive":  # a representative pair, numbered among all pairs
+        assert _all_pairs((0, 1))[entry["trial"]] == calls[at - 1]
+    else:
+        assert entry["trial"] == 0
     assert entry["kind"] == {"search": "structured"}.get(mode, mode)
     assert entry["reason"] == {
         "raise": "forced",
