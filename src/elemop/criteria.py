@@ -29,22 +29,20 @@ hold, `thm22_check` also checks the lemma its bound rests on: the terms
 L_(A_i) R_(B_i) commute.  A shifted matrix A - lam*I is built only when
 both sides share the candidate lam.
 
-Checkers decide only through `_report` (a matrix's NilpotencyReport) and
-`_decided` (an operator's, the report of its superoperator); the shift
-facts are the candidate lam = trace/d (`_shift`) and the witness that
-keeps it with the report of A - lam*I (`scalar_shift_witness`).  All of
-them go through `_fact`.  Inside `_sweep_facts()`, which the exhaustive
-sweeps open around their pair loop, each fact is computed once per
-distinct matrix value and remembered until the sweep ends; outside it
-every call decides afresh.  The memo is one dict from a flat tuple (the
-fact name, then the size, scale and every entry of the Z[i] form as ints)
-to what the fact's computation returned, so it holds values and nothing
-callable.  Most stored values are "not nilpotent", and `is_nilpotent`
-returns one report object for that, so those keys all hold the same
-object.  So in a sweep a coefficient or superoperator value met again is
-not decided again; each pair of orbit representatives the sweep decides
-(`lab._sweep_exhaustive`) still builds its operator, evaluates its
-hypotheses and runs `_enforce` against the index its coefficients predict.
+Checkers decide a matrix only through `_report` (its NilpotencyReport) and
+an operator only through `operators.op_is_nilpotent` (the report of its
+superoperator).  The matrix facts are `_report`, the shift candidate
+lam = trace/d (`_shift`) and the witness that keeps it with the report of
+A - lam*I (`scalar_shift_witness`); all three go through `_fact`.  Inside
+`_sweep_facts()`, which the exhaustive sweeps open around their pair
+loop, each is computed once per distinct coefficient and remembered until
+the sweep ends; outside it every call decides afresh.  The memo holds
+coefficient facts only, one dict from (fact name, the matrix's canonical
+Z[i] form) to what the fact's computation returned.  Operators are never
+remembered: few of a sweep's superoperators repeat, so each pair of orbit
+representatives (`lab._sweep_exhaustive`) builds its operator, decides
+it, evaluates its hypotheses and runs `_enforce` against the index its
+coefficients predict.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import chain
 from operator import eq, le
 from typing import Sequence
 
@@ -65,6 +62,7 @@ from .operators import (
     make_inner_derivation,
     make_multiplication,
     make_v_operator,
+    op_is_nilpotent,
 )
 from .scalars import GaussianRational, as_scalar
 
@@ -111,14 +109,14 @@ class ShiftWitness:
         return self.lam is not None
 
 
-# Facts remembered while an exhaustive sweep runs, a flat key mapped to what
-# compute() returned for it; None outside a sweep.
+# Coefficient facts remembered while an exhaustive sweep runs, (name, form)
+# mapped to what compute() returned for it; None outside a sweep.
 _SWEEP_FACTS: ContextVar[dict | None] = ContextVar("elemop_sweep_facts", default=None)
 
 
 @contextmanager
 def _sweep_facts():
-    """Remember matrix facts until the block exits, however it exits."""
+    """Remember coefficient facts until the block exits, however it exits."""
     token = _SWEEP_FACTS.set({})
     try:
         yield
@@ -127,18 +125,16 @@ def _sweep_facts():
 
 
 def _fact(a: Matrix, name: str, compute):
-    """compute(), remembered under a's value and `name` while a sweep's memo is open.
+    """compute(), remembered under (name, a's form) while a sweep's memo is open.
 
-    `a` is square, so (name, size, scale, entries of re, then of im when
-    a is not real) identifies its value.  A computation that raises
-    stores nothing, so every later read raises again, as an unmemoised
-    call would.
+    The form is canonical, so it identifies a's value, as it does for
+    `Matrix.__eq__`.  A computation that raises stores nothing, so every
+    later read raises again, as an unmemoised call would.
     """
     facts = _SWEEP_FACTS.get()
     if facts is None:
         return compute()
-    scale, (re, im) = a._form
-    key = (name, a.rows, scale, *chain.from_iterable(re), *chain.from_iterable(im or ()))
+    key = (name, a._form)
     value = facts.get(key)
     if value is None:  # no fact is None
         facts[key] = value = compute()
@@ -148,11 +144,6 @@ def _fact(a: Matrix, name: str, compute):
 def _report(a: Matrix) -> NilpotencyReport:
     """The nilpotency report of a square matrix."""
     return _fact(a, "report", lambda: is_nilpotent(a))
-
-
-def _decided(op: ElementaryOperator) -> NilpotencyReport:
-    """The nilpotency report of an operator, read from its superoperator."""
-    return _report(op.superoperator())
 
 
 def _shift(a: Matrix) -> GaussianRational:
@@ -204,7 +195,7 @@ def thm21_criterion(a: Matrix, b: Matrix) -> TheoremCheckResult:
     reports = (_report(a), _report(b))
     hold = any(r.nilpotent for r in reports)
     failures = () if hold else ("neither A nor B nilpotent",)
-    conclusion = _decided(make_multiplication(a, b))
+    conclusion = op_is_nilpotent(make_multiplication(a, b))
     # (L_A R_B)^k = L_(A^k) R_(B^k), so the index is the smaller factor index
     predicted = min((r.index for r in reports if r.nilpotent), default=None)
     _enforce("length-one", "operator", "min(ind A, ind B)", (a, b), hold, conclusion, predicted)
@@ -244,7 +235,7 @@ def thm22_check(
                  for i, (ra, rb) in enumerate(reports, 1) if not (ra.nilpotent or rb.nilpotent)]
 
     op = ElementaryOperator(a_tuple[0].rows, tuple(zip(a_tuple, b_tuple)))
-    conclusion = _decided(op)
+    conclusion = op_is_nilpotent(op)
     if not failures and not _terms_commute(op):
         raise IntegrityError("commuting-families lemma violated: the leading terms' sum "
                              "does not commute with the last term", (a_tuple, b_tuple))
@@ -265,7 +256,7 @@ def _each_term_check(op: ElementaryOperator) -> TheoremCheckResult:
         for i, (ai, bi) in enumerate(op.terms)
         if not (_report(ai).nilpotent or _report(bi).nilpotent)
     )
-    return TheoremCheckResult(not failures, failures, _decided(op))
+    return TheoremCheckResult(not failures, failures, op_is_nilpotent(op))
 
 
 def thm23_check(a: Matrix, b: Matrix) -> ShiftCheckResult:
@@ -286,7 +277,7 @@ def thm23_check(a: Matrix, b: Matrix) -> ShiftCheckResult:
         failures.append("no scalar shift makes A nilpotent")
     if not wb.found:
         failures.append("no scalar shift makes B nilpotent")
-    conclusion = _decided(make_v_operator(a, b))
+    conclusion = op_is_nilpotent(make_v_operator(a, b))
     if not failures and conclusion.nilpotent:
         # with N = A - lam*I and M = B - mu*I commuting, the map is a polynomial
         # with no constant term in the commuting L_N, R_N, L_M, R_M, so a product
@@ -316,7 +307,7 @@ def fong_sourour_check(s: Matrix, t: Matrix) -> ShiftCheckResult:
         if not wt.found:
             failures.append("T - lam*I not nilpotent for the only candidate lam")
     hold = not failures
-    conclusion = _decided(make_generalized_derivation(s, t))
+    conclusion = op_is_nilpotent(make_generalized_derivation(s, t))
     # L_S - R_T = L_N - R_M with commuting terms N = S - lam*I, M = T - lam*I,
     # so by the binomial theorem the index is ind N + ind M - 1
     predicted = ws.shifted.index + wt.shifted.index - 1 if hold else None
@@ -382,7 +373,7 @@ class ProofReplay:
 def thm21_proof_replay(a: Matrix, b: Matrix) -> ProofReplay:
     """Replay the rank-one construction on a concrete nilpotent pair."""
     d = a.rows
-    report = _decided(make_multiplication(a, b))
+    report = op_is_nilpotent(make_multiplication(a, b))
     if not report.nilpotent:
         raise PreconditionError("X -> AXB is not nilpotent; nothing to replay")
     m = report.index

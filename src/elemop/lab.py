@@ -453,11 +453,11 @@ def _sweep_exhaustive(theorem: str, entry_set=(-1, 0, 1), *, _brute_force=False)
     invariants of each side, stand.  `trial` is a pair's index among all n^2,
     so a violation replays as that pair; `_brute_force` decides every pair.
 
-    Coefficients and superoperators recur, so the sweep opens
+    Each coefficient recurs in many pairs, so the sweep opens
     `criteria._sweep_facts()` around its loop: each distinct coefficient's
-    nilpotency report and shift facts, and each distinct superoperator's
-    report, are decided once and kept until the sweep returns or raises;
-    each representative pair still builds its operator and runs its checks.
+    nilpotency report and shift facts are decided once and kept until the
+    sweep returns or raises; each representative pair still builds and
+    decides its operator and runs its checks.
     """
     spec = criterion(theorem, "exhaustive")
     entry_set = tuple(entry_set)

@@ -1090,7 +1090,7 @@ def test_check_route_failure_prints_the_matrix(capsys, monkeypatch):
 
 
 def test_check_biconditional_failure_prints_the_pair(capsys, monkeypatch):
-    monkeypatch.setattr(criteria, "_decided", lambda op: NilpotencyReport(False))
+    monkeypatch.setattr(criteria, "op_is_nilpotent", lambda op: NilpotencyReport(False))
     status, out, err = run_cli(
         capsys, "check", "--theorem", "2.1",
         "--a", matrix_arg(NILPOTENT_WIDE), "--b", matrix_arg(I2),

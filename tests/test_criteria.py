@@ -417,9 +417,9 @@ def test_consistency_flag_matches_definition():
 def _flip_conclusions(monkeypatch):
     import elemop.criteria as criteria
 
-    real = criteria._decided
+    real = criteria.op_is_nilpotent
     monkeypatch.setattr(
-        criteria, "_decided", lambda op: NilpotencyReport(not real(op).nilpotent)
+        criteria, "op_is_nilpotent", lambda op: NilpotencyReport(not real(op).nilpotent)
     )
 
 
@@ -442,13 +442,13 @@ def test_biconditional_violation_carries_the_pair(monkeypatch, check, pair, mess
 
 
 def _index_off_by_one(monkeypatch):
-    real = criteria._decided
+    real = criteria.op_is_nilpotent
 
     def shifted_index(op):
         report = real(op)
         return NilpotencyReport(report.nilpotent, report.index and report.index + 1)
 
-    monkeypatch.setattr(criteria, "_decided", shifted_index)
+    monkeypatch.setattr(criteria, "op_is_nilpotent", shifted_index)
 
 
 @pytest.mark.parametrize(
@@ -501,13 +501,13 @@ def test_commuting_families_index_below_the_bound_passes(monkeypatch):
 
 def _decisions(monkeypatch, rows=None):
     """The matrices decided from now on through the `is_nilpotent` of any
-    module a checker could call it from, those of `rows` rows only when it
-    is given."""
+    module a checker could call it from, only those whose row count is in
+    `rows` when it is given."""
     decided = []
     real = criteria.is_nilpotent
 
     def spy(m):
-        if rows is None or m.rows == rows:
+        if rows is None or m.rows in rows:
             decided.append(m)
         return real(m)
 
@@ -517,7 +517,7 @@ def _decisions(monkeypatch, rows=None):
 
 
 def test_commuting_families_decides_each_coefficient_once(monkeypatch):
-    decided = _decisions(monkeypatch, rows=2)  # coefficients, not the 4x4 superoperator
+    decided = _decisions(monkeypatch, rows=(2,))  # coefficients, not the 4x4 superoperator
     # hypotheses hold: the bound reads the reports already made
     thm22_check([J2, I2], [I2, J2])
     assert decided == [J2, I2, I2, J2]
@@ -539,11 +539,13 @@ CHECKERS = {
 
 
 @pytest.mark.parametrize("checker", CHECKERS)
-def test_a_checker_run_again_in_a_sweep_decides_nothing(monkeypatch, checker):
-    decided = _decisions(monkeypatch)
+def test_a_checker_run_again_in_a_sweep_decides_no_coefficient_again(monkeypatch, checker):
+    # coefficients (2x2, and 3x3 for 2.3), not the 4x4 and 9x9 superoperators
+    decided = _decisions(monkeypatch, rows=(2, 3))
     with criteria._sweep_facts():
         first = CHECKERS[checker]()
-        assert decided
+        # the replay decides only its operator
+        assert bool(decided) == (checker != "replay")
         decided.clear()
         assert CHECKERS[checker]() == first
     assert decided == []
@@ -553,7 +555,7 @@ def test_replay_failures_carry_the_pair(monkeypatch):
     import elemop.criteria as criteria
 
     # X -> X claimed nilpotent of index 1: every step of the replay must fail
-    monkeypatch.setattr(criteria, "_decided", lambda op: NilpotencyReport(True, 1))
+    monkeypatch.setattr(criteria, "op_is_nilpotent", lambda op: NilpotencyReport(True, 1))
     with pytest.raises(IntegrityError, match="rank-one construction failed") as info:
         thm21_proof_replay(I2, I2)
     assert info.value.instance == (I2, I2)

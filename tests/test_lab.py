@@ -200,7 +200,9 @@ def _all_pairs(entry_set) -> list:
     return list(itertools.product(mats, repeat=2))
 
 
-ENTRY_SETS = [(-1, 0, 1), (0, 1), (-1, 1), (0,)]
+# a Gaussian set closed under negation, a set with a repeated value and a
+# fractional one take `_orbits`' other branches
+ENTRY_SETS = [(-1, 0, 1), (0, 1), (-1, 1), (0,), (0, "i", "-i"), (0, 0, 1), ("1/2", "-1/2")]
 
 
 @pytest.mark.parametrize("theorem", SWEEPS)
@@ -263,19 +265,12 @@ def test_exhaustive_mode_is_the_equivalences():
 
 # ---- the sweep memo ----------------------------------------------------------------
 #
-# Inside an exhaustive sweep each distinct coefficient and each distinct
-# superoperator is decided once; every pair the sweep decides (each pair by
-# brute force, each pair of orbit representatives by default) still builds
-# its operator and runs its checks; outside a sweep nothing is remembered.
+# Inside an exhaustive sweep each distinct coefficient is decided once;
+# every pair the sweep decides (each pair by brute force, each pair of orbit
+# representatives by default) still builds and decides its operator and runs
+# its checks; outside a sweep nothing is remembered.
 
 DISAGREE = "power iteration and characteristic polynomial disagree on nilpotency"
-# distinct superoperators per sweep, keyed by (theorem, number of matrices):
-# kron(B^T, A) is unchanged by (A, B) -> (-A, -B) and is zero whenever A or B
-# is; X -> SX - XT is unchanged by (S, T) -> (S + cI, T + cI)
-DISTINCT_SUPEROPERATORS = {("2.1", 81): 3201, ("1.1", 81): 5265, ("2.1", 16): 226, ("1.1", 16): 240}
-# the same over pairs of orbit representatives, keyed by (theorem, number of
-# representatives): 27 of the 81 {-1, 0, 1} matrices, 10 of the 16 {0, 1} ones
-ORBIT_SUPEROPERATORS = {("2.1", 27): 675, ("1.1", 27): 560, ("2.1", 10): 82, ("1.1", 10): 91}
 
 
 def _decisions_by_size(monkeypatch) -> Counter:
@@ -307,7 +302,7 @@ def _break_2x2_decisions(monkeypatch):
 def test_sweep_decides_each_coefficient_once(monkeypatch, theorem, entry_set, mats):
     sizes = _decisions_by_size(monkeypatch)
     assert _brute_force(theorem, entry_set).passed
-    assert sizes == {2: mats, 4: DISTINCT_SUPEROPERATORS[theorem, mats]}
+    assert sizes == {2: mats, 4: mats * mats}
 
 
 @pytest.mark.parametrize("theorem", SWEEPS)
@@ -315,23 +310,24 @@ def test_sweep_decides_each_coefficient_once(monkeypatch, theorem, entry_set, ma
 def test_orbit_sweep_decides_each_representative_once(monkeypatch, theorem, entry_set, reps):
     sizes = _decisions_by_size(monkeypatch)
     assert SWEEPS[theorem](entry_set=entry_set).passed
-    assert sizes == {2: reps, 4: ORBIT_SUPEROPERATORS[theorem, reps]}
+    assert sizes == {2: reps, 4: reps * reps}
 
 
-def test_an_exhaustive_dim2_unit_makes_8628_decisions(monkeypatch):
-    # both {-1, 0, 1} sweeps, decided pair by pair
+def test_an_exhaustive_dim2_unit_makes_13284_decisions_by_brute_force(monkeypatch):
+    # both {-1, 0, 1} sweeps, decided pair by pair: each coefficient once,
+    # each pair's superoperator once
     sizes = _decisions_by_size(monkeypatch)
     for theorem in SWEEPS:
         assert _brute_force(theorem).passed
-    assert sum(sizes.values()) == 81 + 3201 + 81 + 5265 == 8628
+    assert sum(sizes.values()) == 81 + 6561 + 81 + 6561 == 13284
 
 
-def test_an_exhaustive_dim2_unit_makes_1289_decisions(monkeypatch):
+def test_an_exhaustive_dim2_unit_makes_1512_decisions(monkeypatch):
     # both {-1, 0, 1} sweeps, as one exhaustive_dim2 benchmark unit runs them
     sizes = _decisions_by_size(monkeypatch)
     for sweep in SWEEPS.values():
         assert sweep().passed
-    assert sum(sizes.values()) == 27 + 675 + 27 + 560 == 1289
+    assert sum(sizes.values()) == 27 + 729 + 27 + 729 == 1512
 
 
 def _enforced_pairs(monkeypatch) -> list:
@@ -360,22 +356,27 @@ def test_every_representative_pair_runs_its_equivalence_checks(monkeypatch, theo
     assert len(calls) == len(set(calls)) == 27 * 27 == 729
 
 
-def test_equal_superoperators_share_one_decision(monkeypatch):
-    a, b = Matrix([[1, 1], [0, 1]]), Matrix([[0, 1], [1, -1]])
-    ident = Matrix.identity(2)
-    sizes = _decisions_by_size(monkeypatch)
-    with criteria_module._sweep_facts():
-        first = thm21_criterion(a, b).conclusion
-        # kron(B^T, A) == kron(-B^T, -A): no new 4x4 decision, the same report
-        assert thm21_criterion(-a, -b).conclusion is first
-        assert sizes[4] == 1
-        # kron(-B^T, A) is another value
-        thm21_criterion(a, -b)
-        assert sizes[4] == 2
-        # X -> SX - XT is unchanged by a common shift
-        derivation = fong_sourour_check(a, b).conclusion
-        assert fong_sourour_check(a + ident, b + ident).conclusion is derivation
-        assert sizes[4] == 3
+@pytest.mark.parametrize("theorem, brute_force, keys", [
+    ("2.1", False, 27), ("1.1", False, 54), ("2.1", True, 81), ("1.1", True, 162),
+])
+def test_the_sweep_memo_holds_coefficient_facts_only(monkeypatch, theorem, brute_force, keys):
+    checker = CHECKERS[theorem]
+    real, memo = getattr(lab_module, checker), []
+
+    def peek(a, b):
+        memo[:] = [criteria_module._SWEEP_FACTS.get()]
+        return real(a, b)
+
+    monkeypatch.setattr(lab_module, checker, peek)
+    assert lab_module._sweep_exhaustive(theorem, _brute_force=brute_force).passed
+    (facts,) = memo  # the memo as the last pair left it
+    coefficients = {Matrix([list(c[:2]), list(c[2:])])._form
+                    for c in itertools.product((-1, 0, 1), repeat=4)}
+    # 2.1 reads each coefficient's report; 1.1 its shift candidate and, as
+    # every matrix shares its candidate with itself, its witness
+    names = {"report"} if theorem == "2.1" else {"shift", "witness"}
+    assert len(facts) == keys
+    assert all(len(key) == 2 and key[0] in names and key[1] in coefficients for key in facts)
 
 
 def test_sweep_memo_keys_compare_by_value(monkeypatch):
@@ -389,9 +390,9 @@ def test_sweep_memo_keys_compare_by_value(monkeypatch):
         for j2, i2, j2t in pairs:
             thm21_criterion(j2, i2)
             fong_sourour_check(j2, j2t)
-    # reports of J2 and I; shifted reports of J2 and J2^T (lam = 0); the
-    # superoperators of X -> J2 X I and X -> J2 X - X J2^T
-    assert sizes == {2: 4, 4: 2}
+    # reports of J2 and I; shifted reports of J2 and J2^T (lam = 0); no
+    # superoperator is remembered, so each of the six checks decides its own
+    assert sizes == {2: 4, 4: 6}
 
 
 def test_sweep_memo_keys_tell_scale_and_imaginary_parts_apart():
@@ -482,9 +483,10 @@ def test_a_failed_decision_fails_every_pair_with_that_superoperator(
             raise IntegrityError("forced", a)
         return is_nilpotent(a)
 
-    monkeypatch.setattr(criteria_module, "is_nilpotent", failing)
+    monkeypatch.setattr(operators_module, "is_nilpotent", failing)
     memoised = _brute_force(theorem)
-    # X -> AXB is zero when A or B is; X -> SX - XT when S = T = cI
+    # no superoperator is remembered, so each pair decides its own and fails
+    # alone: X -> AXB is zero when A or B is; X -> SX - XT when S = T = cI
     assert len(memoised.violations) == violations
     assert {v["reason"] for v in memoised.violations} == {"forced"}
     assert memoised.to_obj() == _unmemoised(theorem, memoised.config).to_obj()

@@ -78,6 +78,16 @@ def test_no_private_imports_from_matrix_or_nilpotency():
            for alias in node.names if alias.name.startswith("_")])
 
 
+def test_operators_are_decided_only_by_op_is_nilpotent():
+    # operators.op_is_nilpotent is the one helper that decides an operator, so
+    # outside operators.py no call hands a superoperator to is_nilpotent or _report
+    _none([f"{path}:{call.lineno}: {name}({ast.unparse(arg)}); use op_is_nilpotent"
+           for path, call in _nodes(ast.Call) if path.name != "operators.py"
+           if (name := getattr(call.func, "id", getattr(call.func, "attr", None))) in ("is_nilpotent", "_report")
+           for arg in call.args
+           if isinstance(arg, ast.Call) and getattr(arg.func, "attr", None) == "superoperator"])
+
+
 def test_no_raw_reprs_in_parse_error_messages():
     # a ParseError message reaches stderr, so an outside value in it goes through
     # scalars._quoted, which abridges it, never through !r or repr()
