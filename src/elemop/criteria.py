@@ -39,10 +39,10 @@ loop, each is computed once per distinct coefficient and remembered until
 the sweep ends; outside it every call decides afresh.  The memo holds
 coefficient facts only, one dict from (fact name, the matrix's canonical
 Z[i] form) to what the fact's computation returned.  Operators are never
-remembered: few of a sweep's superoperators repeat, so each pair of orbit
-representatives (`lab._sweep_exhaustive`) builds its operator, decides
-it, evaluates its hypotheses and runs `_enforce` against the index its
-coefficients predict.
+remembered: few of a sweep's superoperators repeat, so each pair that
+`lab._sweep_exhaustive` decides, one per orbit of its criterion's
+symmetries, builds its operator, decides it, evaluates its hypotheses and
+runs `_enforce` against the index its coefficients predict.
 """
 
 from __future__ import annotations

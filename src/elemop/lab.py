@@ -32,6 +32,14 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from . import jsonio
+from ._symmetry import (
+    CONJUGATE_EACH,
+    NEGATE_BOTH,
+    NEGATE_EACH,
+    TRANSPOSE_SWAP,
+    pair_orbits,
+    side_classes,
+)
 from .criteria import (
     _each_term_check,
     _sweep_facts,
@@ -242,11 +250,12 @@ class Criterion:
     of coefficient tuples when `tuples` is set, or an operator.  From a
     trial's stream, `structured` draws an instance that satisfies the
     hypotheses by construction and `random` an unconstrained one;
-    `from_pair` maps a search pair (a, b) to an instance.  `check` adapts a
-    checker of `elemop.criteria`, where every checker, and every fact it
-    enforces, lives.  Adapters reach library functions through this
-    module's globals, so a wrapper installed there (a test's monkeypatch, a
-    tracer) sees the call.
+    `from_pair` maps a search pair (a, b) to an instance; `symmetries` names
+    the maps of `elemop._symmetry` that the exhaustive sweep quotients by.
+    `check` adapts a checker of `elemop.criteria`, where every checker, and
+    every fact it enforces, lives.  Adapters reach library functions through
+    this module's globals, so a wrapper installed there (a test's
+    monkeypatch, a tracer) sees the call.
     """
 
     name: str
@@ -257,6 +266,7 @@ class Criterion:
     structured: Callable | None = None
     random: Callable | None = None
     from_pair: Callable | None = None
+    symmetries: tuple[str, ...] = ()
 
     def supports(self, mode: str) -> bool:
         """Whether "check", the randomized "sweep", "search" or the
@@ -328,7 +338,8 @@ def _structured_common_shift(rng: random.Random, config: GeneratorConfig):
 
 # Order matters: the CLI lists choices in table order.
 CRITERIA = (
-    Criterion("2.1", "2.1", EQUIVALENCE, lambda pair: thm21_criterion(*pair)),
+    Criterion("2.1", "2.1", EQUIVALENCE, lambda pair: thm21_criterion(*pair),
+              symmetries=(CONJUGATE_EACH, TRANSPOSE_SWAP, NEGATE_EACH)),
     Criterion(
         "2.1-extension", "2.1-ext", CONJECTURE, lambda op: _each_term_check(op),
         from_pair=lambda a, b: make_v_operator(a, b),
@@ -345,6 +356,7 @@ CRITERIA = (
     Criterion(
         "fong_sourour", "1.1", EQUIVALENCE, lambda pair: fong_sourour_check(*pair),
         structured=_structured_common_shift, random=_random_pair,
+        symmetries=(CONJUGATE_EACH, TRANSPOSE_SWAP, NEGATE_BOTH),
     ),
 )
 
@@ -406,29 +418,6 @@ def _check_trials(trials: int) -> None:
 
 # ---- exhaustive sweeps ---------------------------------------------------------
 
-def _orbits(dim: int, entry_set, conjugate: bool = True):
-    """Yield (index, orbit size) for the first matrix, in `itertools.product`
-    order, of each orbit of the dim x dim matrices over `entry_set` under
-    conjugation by the signed permutations that keep it (signs only if it is
-    closed under negation), or the trivial group without `conjugate`.  P M P^-1
-    moves entry (r, c) to (p[r], p[c]), negated if rows r and c differ in sign."""
-    values = [as_scalar(e) for e in entry_set]
-    k, cells = len(values), dim * dim
-    closed = conjugate and len(set(values)) == k and all(-v in values for v in values)
-    neg = [values.index(-v) for v in values] if closed else None
-    perms = list(itertools.permutations(range(dim)) if conjugate else [tuple(range(dim))])
-    signs = list(itertools.product((1, -1), repeat=dim) if closed else [(1,) * dim])
-    moves = [[(k ** (cells - 1 - p[r] * dim - p[c]), s[r] != s[c])
-              for r in range(dim) for c in range(dim)] for p in perms for s in signs]
-    seen = set()
-    for index, matrix in enumerate(itertools.product(range(k), repeat=cells)):
-        if index not in seen:
-            orbit = {sum(place * (neg[e] if flip else e) for (place, flip), e in zip(move, matrix))
-                     for move in moves}
-            seen |= orbit
-            yield index, len(orbit)
-
-
 def sweep_thm21_exhaustive(entry_set=(-1, 0, 1)) -> SweepReport:
     """Check the length-one biconditional on every ordered pair of small
     matrices: X -> AXB nilpotent exactly when A or B is."""
@@ -446,12 +435,12 @@ def _sweep_exhaustive(theorem: str, entry_set=(-1, 0, 1), *, _brute_force=False)
     matrices with entries in `entry_set`; the report is named by the
     criterion's CLI spelling.
 
-    Pairs are decided one per orbit of (A, B) -> (P A P^-1, Q B Q^-1), P and
-    Q in `_orbits`' group, weighted by |orbit(A)| * |orbit(B)|: X -> P X Q^-1
-    conjugates X -> AXB to X -> (PAP^-1) X (QBQ^-1), and SX - XT likewise, so
-    nilpotency, index, hypotheses and predicted indices, all similarity
-    invariants of each side, stand.  `trial` is a pair's index among all n^2,
-    so a violation replays as that pair; `_brute_force` decides every pair.
+    Pairs are decided one per orbit of the group that the criterion's
+    `symmetries` generate, weighted by the orbit's size: every map in it
+    keeps nilpotency, index, hypotheses and predicted index.  Over {-1, 0, 1}
+    that is 153 of 6,561 pairs for 2.1 and 208 for 1.1.  `trial` is a pair's
+    index among all n^2, so a violation replays as that pair; `_brute_force`
+    decides every pair.
 
     Each coefficient recurs in many pairs, so the sweep opens
     `criteria._sweep_facts()` around its loop: each distinct coefficient's
@@ -463,12 +452,15 @@ def _sweep_exhaustive(theorem: str, entry_set=(-1, 0, 1), *, _brute_force=False)
     entry_set = tuple(entry_set)
     config = {"dim": 2, "entry_set": [str(e) for e in entry_set]}
     report = SweepReport(theorem=spec.cli, mode="exhaustive", config=config)
+    symmetries = () if _brute_force else spec.symmetries
+    classes = side_classes(2, entry_set, symmetries)
+    reps = classes[0]
     combos = list(itertools.product(entry_set, repeat=4))
-    reps = [(index, size, Matrix([list(combos[index][:2]), list(combos[index][2:])]))
-            for index, size in _orbits(2, entry_set, not _brute_force)]
+    mats = [Matrix([list(combos[i][:2]), list(combos[i][2:])]) for i in reps]
     with _sweep_facts():
-        for (i, wi, a), (j, wj, b) in itertools.product(reps, repeat=2):
-            _record(spec, (a, b), report, i * len(combos) + j, "exhaustive", weight=wi * wj)
+        for a, b, weight in pair_orbits(classes, symmetries):
+            trial = reps[a] * len(combos) + reps[b]
+            _record(spec, (mats[a], mats[b]), report, trial, "exhaustive", weight=weight)
     return report
 
 

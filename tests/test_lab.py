@@ -29,12 +29,14 @@ from elemop import (
     gen_nilpotent,
     is_nilpotent,
     matrix_poly,
+    scalar_shift_witness,
     search_converse_failures,
     sweep_fong_sourour_exhaustive,
     sweep_thm,
     sweep_thm21_exhaustive,
     thm21_criterion,
 )
+from elemop._symmetry import CONJUGATE_EACH, pair_orbits, side_classes
 from elemop.jsonio import dumps, matrix_from_obj, operator_from_obj
 from elemop.lab import _gen_nilpotent, _rand_matrix, _random_unimodular
 from helpers import ref_gen_nilpotent, ref_rand_matrix, ref_random_unimodular
@@ -169,9 +171,9 @@ def test_inputs_of_the_wrong_type_are_rejected_by_name(field, value):
 
 # ---- exhaustive sweeps ----------------------------------------------------------
 #
-# The public sweeps decide one pair per orbit of independent conjugation of
-# the two sides by signed permutations; `_brute_force` decides every pair,
-# and the two reports agree byte for byte.
+# The public sweeps decide one pair per orbit of the group that the
+# criterion's `symmetries` generate; `_brute_force` decides every pair, and
+# the two reports agree byte for byte.
 
 SWEEPS = {"2.1": sweep_thm21_exhaustive, "1.1": sweep_fong_sourour_exhaustive}
 
@@ -201,7 +203,7 @@ def _all_pairs(entry_set) -> list:
 
 
 # a Gaussian set closed under negation, a set with a repeated value and a
-# fractional one take `_orbits`' other branches
+# fractional one take `side_classes`' other branches
 ENTRY_SETS = [(-1, 0, 1), (0, 1), (-1, 1), (0,), (0, "i", "-i"), (0, 0, 1), ("1/2", "-1/2")]
 
 
@@ -217,11 +219,12 @@ def test_orbit_sweep_reports_match_brute_force_byte_for_byte(theorem, entry_set)
     (3, (0, 1), 104), (3, (-1, 1), 32), (3, (-1, 0, 1), 927),
 ])
 def test_orbit_counts_and_weights(dim, entry_set, count):
-    orbits = list(lab_module._orbits(dim, entry_set))
-    assert len(orbits) == count
-    assert sum(size for _, size in orbits) == len(entry_set) ** (dim * dim)
-    trivial = list(lab_module._orbits(dim, entry_set, conjugate=False))
-    assert trivial == [(i, 1) for i in range(len(entry_set) ** (dim * dim))]
+    reps, sizes, _, _ = side_classes(dim, entry_set, (CONJUGATE_EACH,))
+    assert len(reps) == count
+    assert sum(sizes) == len(entry_set) ** (dim * dim)
+    # with no symmetry, as the brute-force path asks, each matrix is its own class
+    reps, sizes, _, _ = side_classes(dim, entry_set, ())
+    assert list(reps) == list(range(len(entry_set) ** (dim * dim))) and set(sizes) == {1}
 
 
 def _reference_orbits(dim, entry_set):
@@ -243,9 +246,104 @@ def _reference_orbits(dim, entry_set):
 ])
 def test_orbits_match_matrix_conjugation(dim, entry_set):
     reference = _reference_orbits(dim, entry_set)
-    orbits = list(lab_module._orbits(dim, entry_set))
+    reps, sizes, _, _ = side_classes(dim, entry_set, (CONJUGATE_EACH,))
     # each representative is the first member of its orbit, in product order
-    assert sorted((min(o), len(o)) for o in reference) == orbits
+    assert sorted((min(o), len(o)) for o in reference) == list(zip(reps, sizes))
+
+
+def _pair_maps(theorem, entry_set) -> dict:
+    """Generators of `theorem`'s group as maps of `Matrix` pairs: conjugating
+    one side by the swap or, if the set is closed under negation, by
+    diag(1, -1); transpose-swap; and negating each side (2.1) or both (1.1)."""
+    swap, sign = Matrix([[0, 1], [1, 0]]), Matrix([[1, 0], [0, -1]])
+    closed = {-e for e in entry_set} == set(entry_set)
+    maps = {"transpose-swap": lambda a, b: (b.T, a.T)}
+    for name, p in [("swap", swap)] + [("sign", sign)] * closed:
+        maps[f"{name} on A"] = lambda a, b, p=p: (p * a * p.T, b)
+        maps[f"{name} on B"] = lambda a, b, p=p: (a, p * b * p.T)
+    if closed and theorem == "2.1":
+        maps |= {"negate A": lambda a, b: (-a, b), "negate B": lambda a, b: (a, -b)}
+    elif closed:
+        maps["negate both"] = lambda a, b: (-a, -b)
+    return maps
+
+
+def _reference_pair_orbits(theorem, entry_set):
+    """The orbits of the 2x2 pairs over `entry_set` under `_pair_maps`, closed
+    one pair at a time; each orbit as the set of its pairs' indices i * n + j."""
+    mats = [Matrix([list(c[:2]), list(c[2:])]) for c in itertools.product(entry_set, repeat=4)]
+    index = {m: i for i, m in enumerate(mats)}
+    maps = _pair_maps(theorem, entry_set).values()
+    orbits, seen = [], set()
+    for pair in itertools.product(mats, repeat=2):
+        key = index[pair[0]] * len(mats) + index[pair[1]]
+        if key not in seen:
+            orbit, todo = {key}, [pair]
+            while todo:
+                member = todo.pop()
+                for a, b in (g(*member) for g in maps):
+                    if (key := index[a] * len(mats) + index[b]) not in orbit:
+                        orbit.add(key)
+                        todo.append((a, b))
+            seen |= orbit
+            orbits.append(orbit)
+    return orbits
+
+
+@pytest.mark.parametrize("theorem", SWEEPS)
+@pytest.mark.parametrize("entry_set, counts", [
+    ((-1, 0, 1), {"2.1": 153, "1.1": 208}), ((0, 1), {"2.1": 55, "1.1": 55}),
+    ((-1, 1), {"2.1": 10, "1.1": 13}), ((0,), {"2.1": 1, "1.1": 1}),
+])
+def test_pair_orbits_match_matrix_closure(theorem, entry_set, counts):
+    reference = _reference_pair_orbits(theorem, entry_set)
+    symmetries = lab_module.criterion(theorem, "exhaustive").symmetries
+    classes = side_classes(2, entry_set, symmetries)
+    reps = classes[0]
+    pairs = [(reps[a] * len(entry_set) ** 4 + reps[b], weight)
+             for a, b, weight in pair_orbits(classes, symmetries)]
+    # each representative is the first pair of its orbit, in product order
+    assert sorted((min(o), len(o)) for o in reference) == pairs
+    assert len(pairs) == counts[theorem]
+
+
+@pytest.mark.parametrize("theorem, classes, orbits", [("2.1", 480, 115440), ("1.1", 927, 215568)])
+def test_dim3_pair_orbit_counts(theorem, classes, orbits):
+    # 2.1's side classes take negation too; 1.1's are the 927 of conjugation
+    symmetries = lab_module.criterion(theorem, "exhaustive").symmetries
+    sides = side_classes(3, (-1, 0, 1), symmetries)
+    assert len(sides[0]) == classes
+    count = total = 0
+    for _, _, weight in pair_orbits(sides, symmetries):
+        count, total = count + 1, total + weight
+    assert (count, total) == (orbits, 19683**2)
+
+
+def _facts(theorem, a, b) -> tuple:
+    """Hypotheses, verdict, index and predicted index of `theorem` on (a, b)."""
+    if theorem == "2.1":
+        result = thm21_criterion(a, b)
+        predicted = min((r.index for r in map(is_nilpotent, (a, b)) if r.nilpotent), default=None)
+    else:
+        result = fong_sourour_check(a, b)
+        shifted = [scalar_shift_witness(m).shifted for m in (a, b)]
+        predicted = shifted[0].index + shifted[1].index - 1 if result.hypotheses_hold else None
+    conclusion = result.conclusion
+    return result.hypotheses_hold, conclusion.nilpotent, conclusion.index, predicted
+
+
+@pytest.mark.parametrize("theorem", SWEEPS)
+def test_each_symmetry_keeps_the_criterions_facts(theorem):
+    pairs = _all_pairs((-1, 0, 1))
+    with criteria_module._sweep_facts():
+        facts = {pair: _facts(theorem, *pair) for pair in pairs}
+    for name, g in _pair_maps(theorem, (-1, 0, 1)).items():
+        assert [facts[g(*pair)] for pair in pairs] == [facts[pair] for pair in pairs], name
+    if theorem == "1.1":
+        # negating one side alone is no symmetry of 1.1: S = T = I gives the
+        # zero operator, and -S, T gives X -> -2X
+        moved = [(a, b) for a, b in pairs if facts[(-a, b)] != facts[(a, b)]]
+        assert (Matrix.identity(2), Matrix.identity(2)) in moved
 
 
 @pytest.mark.parametrize("theorem", ["2.2", "2.3", "2.1-ext"])
@@ -266,9 +364,9 @@ def test_exhaustive_mode_is_the_equivalences():
 # ---- the sweep memo ----------------------------------------------------------------
 #
 # Inside an exhaustive sweep each distinct coefficient is decided once;
-# every pair the sweep decides (each pair by brute force, each pair of orbit
-# representatives by default) still builds and decides its operator and runs
-# its checks; outside a sweep nothing is remembered.
+# every pair the sweep decides (each pair by brute force, one pair per orbit
+# by default) still builds and decides its operator and runs its checks;
+# outside a sweep nothing is remembered.
 
 DISAGREE = "power iteration and characteristic polynomial disagree on nilpotency"
 
@@ -305,12 +403,18 @@ def test_sweep_decides_each_coefficient_once(monkeypatch, theorem, entry_set, ma
     assert sizes == {2: mats, 4: mats * mats}
 
 
-@pytest.mark.parametrize("theorem", SWEEPS)
-@pytest.mark.parametrize("entry_set, reps", [((-1, 0, 1), 27), ((0, 1), 10)])
-def test_orbit_sweep_decides_each_representative_once(monkeypatch, theorem, entry_set, reps):
+@pytest.mark.parametrize("theorem, entry_set, coefficients, pairs", [
+    ("2.1", (-1, 0, 1), 17, 153), ("1.1", (-1, 0, 1), 18, 208),
+    ("2.1", (0, 1), 10, 55), ("1.1", (0, 1), 10, 55),
+])
+def test_orbit_sweep_decides_each_representative_once(
+    monkeypatch, theorem, entry_set, coefficients, pairs
+):
+    # 2.1 decides each side class that a representative pair holds; 1.1 each
+    # distinct shifted matrix S - lam*I of a pair sharing its candidate lam
     sizes = _decisions_by_size(monkeypatch)
     assert SWEEPS[theorem](entry_set=entry_set).passed
-    assert sizes == {2: reps, 4: reps * reps}
+    assert sizes == {2: coefficients, 4: pairs}
 
 
 def test_an_exhaustive_dim2_unit_makes_13284_decisions_by_brute_force(monkeypatch):
@@ -322,12 +426,12 @@ def test_an_exhaustive_dim2_unit_makes_13284_decisions_by_brute_force(monkeypatc
     assert sum(sizes.values()) == 81 + 6561 + 81 + 6561 == 13284
 
 
-def test_an_exhaustive_dim2_unit_makes_1512_decisions(monkeypatch):
+def test_an_exhaustive_dim2_unit_makes_396_decisions(monkeypatch):
     # both {-1, 0, 1} sweeps, as one exhaustive_dim2 benchmark unit runs them
     sizes = _decisions_by_size(monkeypatch)
     for sweep in SWEEPS.values():
         assert sweep().passed
-    assert sum(sizes.values()) == 27 + 729 + 27 + 729 == 1512
+    assert sum(sizes.values()) == 17 + 153 + 18 + 208 == 396
 
 
 def _enforced_pairs(monkeypatch) -> list:
@@ -353,11 +457,11 @@ def test_every_representative_pair_runs_its_equivalence_checks(monkeypatch, theo
     calls = _enforced_pairs(monkeypatch)
     report = SWEEPS[theorem]()
     assert report.passed and report.instances_tested == 6561
-    assert len(calls) == len(set(calls)) == 27 * 27 == 729
+    assert len(calls) == len(set(calls)) == {"2.1": 153, "1.1": 208}[theorem]
 
 
 @pytest.mark.parametrize("theorem, brute_force, keys", [
-    ("2.1", False, 27), ("1.1", False, 54), ("2.1", True, 81), ("1.1", True, 162),
+    ("2.1", False, 17), ("1.1", False, 45), ("2.1", True, 81), ("1.1", True, 162),
 ])
 def test_the_sweep_memo_holds_coefficient_facts_only(monkeypatch, theorem, brute_force, keys):
     checker = CHECKERS[theorem]
@@ -372,8 +476,9 @@ def test_the_sweep_memo_holds_coefficient_facts_only(monkeypatch, theorem, brute
     (facts,) = memo  # the memo as the last pair left it
     coefficients = {Matrix([list(c[:2]), list(c[2:])])._form
                     for c in itertools.product((-1, 0, 1), repeat=4)}
-    # 2.1 reads each coefficient's report; 1.1 its shift candidate and, as
-    # every matrix shares its candidate with itself, its witness
+    # 2.1 reads each coefficient's report; 1.1 its shift candidate and, where
+    # a pair's sides share it, its witness: by brute force every matrix meets
+    # itself, while 18 of 1.1's 27 side classes sit in such a representative
     names = {"report"} if theorem == "2.1" else {"shift", "witness"}
     assert len(facts) == keys
     assert all(len(key) == 2 and key[0] in names and key[1] in coefficients for key in facts)
@@ -422,9 +527,10 @@ def test_sweep_memo_does_not_outlive_the_sweep(monkeypatch):
 def test_orbit_violations_replay_as_the_pair_at_their_trial(monkeypatch):
     _break_2x2_decisions(monkeypatch)
     report = sweep_thm21_exhaustive(entry_set=(0, 1))
-    # 2 of the 10 0/1 representatives are nilpotent (0 and E21, which stands
-    # for E12 too); each representative pair holding one is filed once
-    assert len(report.violations) == 10**2 - 8**2
+    # 2 of the 10 0/1 side classes are nilpotent (0 and E21, which stands for
+    # E12 too); transpose-swap pairs off the 36 class pairs holding one, all
+    # but (0, 0) and (E21, E21^T), so 19 representatives are filed once each
+    assert len(report.violations) == (10**2 - 8**2 + 2) // 2 == 19
     assert {v["reason"] for v in report.violations} == {DISAGREE}
     pairs = _all_pairs((0, 1))
     assert [_replayed(v) for v in report.violations] == [pairs[v["trial"]]
