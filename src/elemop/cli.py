@@ -154,33 +154,33 @@ def main(argv=None) -> int:
 
 
 def _run_apply(args) -> tuple[dict, int]:
-    (op_obj, _, terms), (x_obj, x_texts) = _operator(args.op), _matrix(args.x, "--x")
+    (dim, terms), x_texts = _operator(args.op), _matrix(args.x, "--x")
     _cap_scale("--op and --x", [m for t in terms for m in t] + [x_texts])
     # an entry of sum_i A_i X B_i is built from a row of each A_i, X and a column of each B_i
     _cap_digits("--op and --x", sum(_widest(a) + _widest(zip(*b)) for a, b in terms)
                 + sum(len(e) for row in x_texts for e in row))
-    op, x = jsonio.operator_from_obj(op_obj), jsonio.matrix_from_obj(x_obj)
+    op, x = jsonio.operator_from_texts(dim, terms), jsonio.matrix_from_texts(x_texts)
     return jsonio.matrix_to_obj(op(x)), 0
 
 
 def _run_superop(args) -> tuple[dict, int]:
-    op_obj, _, terms = _operator(args.op)
+    dim, terms = _operator(args.op)
     _cap_scale("--op", [m for t in terms for m in t])
     # an entry of the superoperator is built from one entry of each coefficient
     _cap_digits("--op", sum(_longest(a) + _longest(b) for a, b in terms))
-    op = jsonio.operator_from_obj(op_obj)
+    op = jsonio.operator_from_texts(dim, terms)
     return jsonio.matrix_to_obj(op.superoperator()), 0
 
 
 def _run_nilpotent(args) -> tuple[dict, int]:
     if args.matrix is not None:
-        matrix_obj, texts = _matrix(args.matrix, "--matrix", MATRIX_CAP)
+        texts = _matrix(args.matrix, "--matrix", MATRIX_CAP)
         _cap_width("--matrix", len(texts), [texts], 1)
-        report = is_nilpotent(jsonio.matrix_from_obj(matrix_obj))
+        report = is_nilpotent(jsonio.matrix_from_texts(texts))
     else:
-        op_obj, dim, terms = _operator(args.op)
+        dim, terms = _operator(args.op)
         _cap_width("--op", dim * dim, [m for t in terms for m in t], 2)
-        report = op_is_nilpotent(jsonio.operator_from_obj(op_obj))
+        report = op_is_nilpotent(jsonio.operator_from_texts(dim, terms))
     return jsonio.report_to_obj(report), 0
 
 
@@ -193,14 +193,14 @@ def _run_check(args) -> tuple[dict, int]:
     if len(args.a) != len(args.b):
         raise ParseError(f"--theorem {args.theorem} takes equal numbers of --a and --b "
                          f"documents, got {len(args.a)} and {len(args.b)}")
-    a_docs = [_matrix(source, "--a") for source in args.a]
-    b_docs = [_matrix(source, "--b") for source in args.b]
-    texts = [t for _, t in a_docs + b_docs]
+    a_texts = [_matrix(source, "--a") for source in args.a]
+    b_texts = [_matrix(source, "--b") for source in args.b]
+    texts = a_texts + b_texts
     # every criterion decides a superoperator, whose entries multiply an entry of each side
     dim = max(map(len, texts))
     _cap_width("--a and --b", dim * dim, texts, 2)
-    a_list = [jsonio.matrix_from_obj(obj) for obj, _ in a_docs]
-    b_list = [jsonio.matrix_from_obj(obj) for obj, _ in b_docs]
+    a_list = list(map(jsonio.matrix_from_texts, a_texts))
+    b_list = list(map(jsonio.matrix_from_texts, b_texts))
     result = spec.check((a_list, b_list) if spec.tuples else (a_list[0], b_list[0]))
     return jsonio.check_to_obj(result), 0 if result.consistent else 1
 
@@ -288,21 +288,19 @@ def _load(source: str, flag: str):
         raise ParseError(f"invalid JSON in {_quoted(source)}: {exc}") from exc
 
 
-def _matrix(source: str, flag: str, cap: int = DIM_CAP):
-    """The matrix document given to `flag` and its entry texts, shape and size checked."""
-    document = _load(source, flag)
-    texts = jsonio.matrix_texts(document)
+def _matrix(source: str, flag: str, cap: int = DIM_CAP) -> list[list[str]]:
+    """The entry texts of the matrix document given to `flag`, shape and size checked."""
+    texts = jsonio.matrix_texts(_load(source, flag))
     _cap_dims(flag, [texts], cap)
-    return document, texts
+    return texts
 
 
 def _operator(source: str):
-    """The --op document, its dimension and its terms' entry texts, shape and size checked."""
-    document = _load(source, "--op")
-    dim, terms = jsonio.operator_texts(document)
+    """The --op document's dimension and its terms' entry texts, shape and size checked."""
+    dim, terms = jsonio.operator_texts(_load(source, "--op"))
     _cap_terms("--op", len(terms), "term")
     _cap_dims("--op", [m for t in terms for m in t], DIM_CAP, dim)
-    return document, dim, terms
+    return dim, terms
 
 
 def _cap_dims(flag: str, matrices, cap: int, *sizes: int) -> None:

@@ -12,12 +12,15 @@ always produce byte-identical text.
 Reading has two halves: `matrix_texts` and `operator_texts` check a
 document's shape and return its entry strings (a JSON int as its digits and
 sign) without parsing a scalar, so a caller can bound a document first;
-`matrix_from_obj` and `operator_from_obj` then read every entry with the
-grammar of `parse_scalar` into its int cell (re, im, den) and hand the cells
-to `Matrix._from_parts`, which builds the form.  Emission runs the other way,
-in the same shape: `matrix_to_obj` spells each distinct cell of a matrix's
-form from its ints through `Matrix._cells`.  Neither builds a `Fraction` or
-a `GaussianRational` for an entry, and neither touches the form itself.
+`matrix_from_texts` and `operator_from_texts` then read every entry string
+with the grammar of `parse_scalar` into its int cell (re, im, den) and hand
+the cells to `Matrix._from_parts`, which builds the form.  A caller that has
+bounded the texts builds from them, so a document is checked once;
+`matrix_from_obj` and `operator_from_obj` run both halves.  Emission runs
+the other way, in the same shape: `matrix_to_obj` spells each distinct cell
+of a matrix's form from its ints through `Matrix._cells`.  Neither builds a
+`Fraction` or a `GaussianRational` for an entry, and neither touches the
+form itself.
 """
 
 from __future__ import annotations
@@ -64,10 +67,12 @@ def matrix_texts(obj) -> list[list[str]]:
 
 
 def matrix_from_obj(obj) -> Matrix:
-    return _matrix(matrix_texts(obj))
+    return matrix_from_texts(matrix_texts(obj))
 
 
-def _matrix(texts: list[list[str]]) -> Matrix:
+def matrix_from_texts(texts: list[list[str]]) -> Matrix:
+    """The matrix of entry strings as `matrix_texts` returns them, each read
+    with the grammar of `parse_scalar`."""
     return Matrix._from_parts([list(map(_parse_parts, row)) for row in texts])
 
 
@@ -114,8 +119,13 @@ def operator_texts(obj) -> tuple[int, list[tuple[list[list[str]], list[list[str]
 
 
 def operator_from_obj(obj) -> ElementaryOperator:
-    dim, pairs = operator_texts(obj)
-    return ElementaryOperator(dim, tuple((_matrix(a), _matrix(b)) for a, b in pairs))
+    return operator_from_texts(*operator_texts(obj))
+
+
+def operator_from_texts(dim: int, pairs) -> ElementaryOperator:
+    """The operator of a dimension and term entry strings as `operator_texts` returns them."""
+    return ElementaryOperator(
+        dim, tuple((matrix_from_texts(a), matrix_from_texts(b)) for a, b in pairs))
 
 
 # ---- reports ---------------------------------------------------------------

@@ -9,18 +9,21 @@ least common denominator of all real and imaginary parts, held as tuples of
 int rows (imaginary rows None when A is real), through the Z[i] kernels of
 `elemop._zi`.  The form is canonical, so `==` and `hash` are taken of it,
 and each result is built from its form by `_from_integer_form`, which
-divides out one gcd.  The form is all a matrix holds, and nothing writes to
-a matrix once it is built.  An entry enters and leaves the form in one int
-shape, the cell (re, im, den) of (re + i*im)/den, as a `GaussianRational`
-stores its ints.  `Matrix(rows)`, the JSON reader (`elemop.jsonio`) and the
-generators (`elemop.lab`) all build the form through `_from_parts` from
-cells; `Matrix(rows)` takes each entry's canonical ints as its cell.  The
-whole form is read through `_cells`, one walk over its distinct cells,
-whose cells `_from_parts` turns back into the same matrix: the entry
-readers (`str`, row indexing, `row_list`) build the entries with it and
-`scalars._gaussian` when called, and `jsonio` writes entry texts with it.
-Indexing by a pair (i, j) builds only that entry, from its one cell, and
-`entries` builds each entry only when it reaches it.
+divides out the gcd of the scale and every part.  A scale of 2**64 or more
+first takes one gcd with the sum of the parts, and the parts are walked only
+when that leaves a factor above 1; a narrower scale walks them at once, and
+a scale of 1 not at all.  The form is all a matrix holds, and nothing writes
+to a matrix once it is built.  An entry enters and leaves the form in one
+int shape, the cell (re, im, den) of (re + i*im)/den, as a
+`GaussianRational` stores its ints.  `Matrix(rows)`, the JSON reader
+(`elemop.jsonio`) and the generators (`elemop.lab`) all build the form
+through `_from_parts` from cells; `Matrix(rows)` takes each entry's
+canonical ints as its cell.  The whole form is read through `_cells`, one
+walk over its distinct cells, whose cells `_from_parts` turns back into the
+same matrix: the entry readers (`str`, row indexing, `row_list`) build the
+entries with it and `scalars._gaussian` when called, and `jsonio` writes
+entry texts with it.  Indexing by a pair (i, j) builds only that entry, from
+its one cell, and `entries` builds each entry only when it reaches it.
 
 Work that chains several steps stays on the form and builds one matrix at
 the end: `matrix_poly` runs Horner's rule on Z[i] products over one common
@@ -75,10 +78,15 @@ class Matrix:
 
     @classmethod
     def _from_integer_form(cls, scale: int, re, im) -> "Matrix":
-        """(re + i*im) / scale for int rows (im may be None)."""
+        """(re + i*im) / scale for int rows (im may be None), reduced by the
+        gcd g of the scale and every entry part.  For a scale of 2**64 or more,
+        g divides h = gcd(scale, sum of the parts) and gcd(h, *parts) is g, so
+        the parts are walked only when h is not 1; a narrower scale is cheap
+        to take the gcd against and is h itself, and a scale of 1 takes no gcd."""
         if not re or not re[0]:
             raise ShapeError("a matrix needs at least one row and one column")
-        g = gcd(scale, *chain(*re, *(im or ())))
+        h = gcd(scale, sum(map(sum, chain(re, im or ())))) if scale >> 64 else scale
+        g = 1 if h == 1 else gcd(h, *chain(*re, *(im or ())))
         re, im = (p and (tuple(map(tuple, p)) if g == 1 else
                          tuple(tuple(x // g for x in row) for row in p)) for p in (re, im))
         out = cls.__new__(cls)

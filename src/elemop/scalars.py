@@ -41,7 +41,11 @@ and leaves it (`_cells`).  The grammar lives in `_parse_parts`, which returns
 the cell of the parts as written, over the lcm of their two denominators and
 unreduced, for `parse_scalar` and for `Matrix._from_parts` (through
 `elemop.jsonio`); `_cell` builds it, and `elemop.lab` draws cells with it
-too.  The spelling lives in `_format_parts`, which writes a cell, for
+too.  Text in the spelling `format_scalar` writes (any digits, each run
+1-4,300 long: -d[/d], then optionally +d[/d]*i or -d[/d]*i) is read by one
+match; the tokenizer `_read_terms` reads all other text and gives every
+error, so a canonical entry costs one regex match and its `int` calls.
+The spelling lives in `_format_parts`, which writes a cell, for
 `format_scalar` and for `jsonio`'s emission straight from a form.
 """
 
@@ -57,6 +61,9 @@ from .errors import ParseError
 
 _F0 = Fraction(0)
 _TERM_BODY = re.compile(r"[0-9]{1,4300}(?:/[0-9]{1,4300})?")
+# the spelling `format_scalar` writes, with any digits
+_SPELLED = re.compile(r"(-?[0-9]{1,4300})(?:/([0-9]{1,4300}))?"
+                      r"(?:([+-][0-9]{1,4300})(?:/([0-9]{1,4300}))?\*i)?").fullmatch
 _QUOTED_MAX = 100  # longer input is abridged in error messages
 # a sign starts a new term unless it follows a sign or a "/"
 _split_terms = re.compile(r"(?<=[^+\-/])(?=[+-])").split
@@ -242,7 +249,29 @@ def parse_scalar(text: str) -> GaussianRational:
 def _parse_parts(text: str) -> tuple[int, int, int]:
     """The scalar grammar: the cell (re, im, den) of the two parts as written,
     over the lcm of their positive denominators and so unreduced; an absent
-    part is 0/1."""
+    part is 0/1.
+
+    Text spelled as `format_scalar` writes, with any digits, is read by one
+    match.  All other text goes to the tokenizer `_read_terms`, and so do a
+    zero denominator and a digit run that `int` refuses under a lowered
+    int-string limit, so every rejection is the tokenizer's."""
+    spelled = _SPELLED(text)
+    if spelled:
+        re_num, re_den, im_num, im_den = spelled.groups()
+        try:
+            re_part = int(re_num), int(re_den or 1)
+            im_part = (int(im_num), int(im_den or 1)) if im_num else (0, 1)
+        except ValueError:  # a digit limit lowered below the grammar's
+            pass
+        else:
+            if re_part[1] and im_part[1]:
+                return _cell(re_part, im_part)
+    return _read_terms(text)
+
+
+def _read_terms(text: str) -> tuple[int, int, int]:
+    """`_parse_parts` by the tolerant tokenizer: whitespace dropped, the text
+    split into signed terms, each term read by `_parse_term`."""
     stripped = "".join(text.split())
     if not stripped:
         raise ParseError("empty scalar string")

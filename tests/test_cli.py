@@ -342,8 +342,29 @@ def _no_parse(monkeypatch):
     def must_not_run(*args):
         raise AssertionError("a capped document reached the parser")
 
-    for name in ("matrix_from_obj", "operator_from_obj"):
+    for name in ("matrix_from_texts", "operator_from_texts"):
         monkeypatch.setattr(elemop.jsonio, name, must_not_run)
+
+
+@pytest.mark.parametrize("argv, documents", [
+    (["superop", "--op", operator_arg(make_v_operator(J2, J2.T))], 4),
+    (["apply", "--op", _op_doc(2), "--x", _corner_doc(2)], 3),
+    (["nilpotent", "--op", _op_doc(2)], 2),
+    (["nilpotent", "--matrix", _corner_doc(2)], 1),
+    (["check", "--theorem", "2.2", "--a", _corner_doc(2), _corner_doc(2),
+      "--b", _corner_doc(2), _corner_doc(2)], 4),
+], ids=["superop", "apply", "nilpotent --op", "nilpotent --matrix", "check"])
+def test_each_matrix_document_is_read_once(capsys, monkeypatch, argv, documents):
+    read, calls = elemop.jsonio.matrix_texts, []
+
+    def counted(obj):
+        calls.append(obj)
+        return read(obj)
+
+    monkeypatch.setattr(elemop.jsonio, "matrix_texts", counted)
+    status, _, err = run_cli(capsys, *argv)
+    assert status == 0 and err == ""
+    assert len(calls) == documents
 
 
 @pytest.mark.parametrize("case", CAPPED)

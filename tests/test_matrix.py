@@ -2,9 +2,11 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from elemop import (
@@ -409,6 +411,40 @@ def test_form_operations_reduce_scale_and_drop_cancelled_imaginary_parts():
         assert result._form == form
         assert Matrix(result.row_list())._form == form
     assert (half - half).is_zero and not half.is_zero
+
+
+@st.composite
+def integer_forms(draw):
+    """(scale, re, im) with every part and the scale a multiple of one drawn factor,
+    so the gcd is often above 1 and sometimes wide."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    factor = draw(st.one_of(st.integers(1, 12), st.integers(1, 2**200)))
+    values = st.one_of(st.integers(-3, 3), st.integers(-(2**300), 2**300))
+
+    def part():
+        return [[factor * draw(values) for _ in range(cols)] for _ in range(rows)]
+
+    return factor * draw(st.integers(1, 2**300)), part(), part() if draw(st.booleans()) else None
+
+
+@given(integer_forms())
+@example((6, [[3, 3]], None))  # the parts sum to the scale and share its factor 3
+@example((6, [[3, -3]], None))  # the parts sum to 0
+@example((4, [[2, 0]], [[0, -2]]))  # the real and imaginary parts cancel in the sum
+@example((1, [[5, -7]], [[0, 0]]))
+@example((6 << 64, [[3 << 64, 3]], None))  # a wide scale: the parts sum to a multiple of 3
+@example((3 << 64, [[3, -3]], [[6, -6]]))  # a wide scale whose parts sum to 0
+@example((1 << 64, [[1, 1]], None))  # the narrowest wide scale
+@example(((1 << 64) - 1, [[3, 15]], None))  # the widest narrow scale, a factor 3
+def test_a_form_is_reduced_by_the_gcd_of_its_scale_and_every_part(form):
+    scale, re, im = form
+    g = gcd(scale, *chain(*re, *(im or ())))
+
+    def reduced(p):
+        return tuple(tuple(x // g for x in row) for row in p)
+
+    assert Matrix._from_integer_form(scale, re, im)._form == (
+        scale // g, (reduced(re), reduced(im) if im and any(map(any, im)) else None))
 
 
 # ---- entries on demand and equality on forms ----------------------------------------

@@ -617,6 +617,16 @@ def test_route_disagreement_carries_the_matrix(monkeypatch):
         is_nilpotent(info.value.instance)
 
 
+def test_a_nilpotent_verdict_is_checked_against_the_trace(monkeypatch):
+    # zero iterates make the column route call diag(1, 0) nilpotent of index 2;
+    # only the trace, the x^(d-1) coefficient of x^2 - x, refutes it
+    monkeypatch.setattr(_zi, "gaussian_matvec", lambda b, bs, v: ([0] * len(v[0]), None))
+    m = Matrix([[1, 0], [0, 0]])
+    with pytest.raises(IntegrityError, match="disagree on nilpotency") as info:
+        is_nilpotent(m)
+    assert info.value.instance == m
+
+
 def test_power_sum_disagreement_carries_the_matrix(monkeypatch):
     message = "power iteration and characteristic polynomial disagree on nilpotency"
     monkeypatch.setattr(nilpotency, "_power_sums", lambda b, d: iter([(0, 0)] * d))

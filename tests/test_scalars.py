@@ -20,7 +20,7 @@ from elemop import (
     parse_scalar,
 )
 import elemop.scalars as scalars_module
-from elemop.scalars import _cell, _gaussian, _split_terms
+from elemop.scalars import _cell, _gaussian, _parse_parts, _read_terms, _split_terms
 from helpers import FractionPair, ref_parse_scalar, ref_split_terms
 
 fractions = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -322,6 +322,29 @@ def test_parse_edge_case_values():
     for bad in ("1/0", "0/0", "7" * 4301):
         with pytest.raises(ParseError, match="cannot read term"):
             parse_scalar(bad)
+
+
+# ---- the one-match read of canonical text against the tokenizer --------------------
+
+wide_scalars = st.builds(GaussianRational, st.fractions(), st.fractions())
+
+
+@given(st.one_of(scalars, wide_scalars))
+def test_canonical_text_is_read_by_one_match_into_the_tokenizer_cell(z):
+    text = format_scalar(z)
+    assert scalars_module._SPELLED(text)
+    assert _parse_parts(text) == _read_terms(text)
+
+
+@pytest.mark.parametrize("text, cell", [
+    ("007/014", (7, 0, 14)),  # unreduced, as written
+    ("-0/5+3/6*i", (0, 15, 30)),  # over the lcm of the two denominators
+    ("1/0", "ParseError: bad scalar '1/0': cannot read term '1/0'"),
+    ("0-1/0*i", "ParseError: bad scalar '0-1/0*i': cannot read term '-1/0*i'"),
+])
+def test_the_one_match_and_the_tokenizer_agree_on_spellings_format_never_writes(text, cell):
+    assert scalars_module._SPELLED(text)
+    assert _outcome(_parse_parts, text) == _outcome(_read_terms, text) == cell
 
 
 @given(scalars)
