@@ -12,7 +12,7 @@ and each result is built from its form by `_from_integer_form`, which
 divides out the gcd of the scale and every part.  A scale of 2**64 or more
 first takes one gcd with the sum of the parts, and the parts are walked only
 when that leaves a factor above 1; a narrower scale walks them at once, and
-a scale of 1 not at all.  The form is all a matrix holds, and nothing writes
+a scale of 1 not at all (see `_from_integer_form` for why the cutoff).  The form is all a matrix holds, and nothing writes
 to a matrix once it is built.  An entry enters and leaves the form in one
 int shape, the cell (re, im, den) of (re + i*im)/den, as a
 `GaussianRational` stores its ints.  `Matrix(rows)`, the JSON reader
@@ -79,10 +79,14 @@ class Matrix:
     @classmethod
     def _from_integer_form(cls, scale: int, re, im) -> "Matrix":
         """(re + i*im) / scale for int rows (im may be None), reduced by the
-        gcd g of the scale and every entry part.  For a scale of 2**64 or more,
-        g divides h = gcd(scale, sum of the parts) and gcd(h, *parts) is g, so
-        the parts are walked only when h is not 1; a narrower scale is cheap
-        to take the gcd against and is h itself, and a scale of 1 takes no gcd."""
+        gcd g of the scale and every entry part.  g divides
+        h = gcd(scale, sum of the parts) and is gcd(h, *parts), so a scale of
+        2**64 or more takes h first and walks the parts only when h is not 1:
+        such a scale is an lcm of wide denominators, and the walk's gcds
+        against it stay above 1 for many parts.  A narrower scale is h itself,
+        so its parts are walked at once: for the small ints of narrow forms h
+        is mostly above 1, so the sum would add a pass, not save the walk.
+        A scale of 1 takes no gcd."""
         if not re or not re[0]:
             raise ShapeError("a matrix needs at least one row and one column")
         h = gcd(scale, sum(map(sum, chain(re, im or ())))) if scale >> 64 else scale

@@ -42,7 +42,7 @@ the cell of the parts as written, over the lcm of their two denominators and
 unreduced, for `parse_scalar` and for `Matrix._from_parts` (through
 `elemop.jsonio`); `_cell` builds it, and `elemop.lab` draws cells with it
 too.  Text in the spelling `format_scalar` writes (any digits, each run
-1-4,300 long: -d[/d], then optionally +d[/d]*i or -d[/d]*i) is read by one
+1-4,300 long: -?d[/d], then optionally +d[/d]*i or -d[/d]*i) is read by one
 match; the tokenizer `_read_terms` reads all other text and gives every
 error, so a canonical entry costs one regex match and its `int` calls.
 The spelling lives in `_format_parts`, which writes a cell, for
@@ -60,10 +60,11 @@ from operator import attrgetter
 from .errors import ParseError
 
 _F0 = Fraction(0)
-_TERM_BODY = re.compile(r"[0-9]{1,4300}(?:/[0-9]{1,4300})?")
+_DIGITS = r"[0-9]{1,4300}"  # one digit run of the grammar
+_TERM_BODY = re.compile(rf"{_DIGITS}(?:/{_DIGITS})?")
 # the spelling `format_scalar` writes, with any digits
-_SPELLED = re.compile(r"(-?[0-9]{1,4300})(?:/([0-9]{1,4300}))?"
-                      r"(?:([+-][0-9]{1,4300})(?:/([0-9]{1,4300}))?\*i)?").fullmatch
+_SPELLED = re.compile(rf"(-?{_DIGITS})(?:/({_DIGITS}))?"
+                      rf"(?:([+-]{_DIGITS})(?:/({_DIGITS}))?\*i)?").fullmatch
 _QUOTED_MAX = 100  # longer input is abridged in error messages
 # a sign starts a new term unless it follows a sign or a "/"
 _split_terms = re.compile(r"(?<=[^+\-/])(?=[+-])").split
