@@ -168,8 +168,7 @@ def _run_superop(args) -> tuple[dict, int]:
     _cap_scale("--op", [m for t in terms for m in t])
     # an entry of the superoperator is built from one entry of each coefficient
     _cap_digits("--op", sum(_longest(a) + _longest(b) for a, b in terms))
-    op = jsonio.operator_from_texts(dim, terms)
-    return jsonio.matrix_to_obj(op.superoperator()), 0
+    return jsonio.superoperator_to_obj(jsonio.operator_from_texts(dim, terms)), 0
 
 
 def _run_nilpotent(args) -> tuple[dict, int]:
@@ -356,10 +355,12 @@ def _cap_width(flags: str, n: int, matrices, factors: int) -> None:
 def _cap_scale(flags: str, matrices) -> None:
     """Reject documents whose common denominator could pass DIGITS_CAP digits.
 
-    A superoperator holds every entry over the lcm of all the denominators,
-    and an application sums its terms over the lcm of the coefficients'
-    scales times X's, so the cost grows with that lcm's digits even where
-    every output entry is short."""
+    Each coefficient, and X, is built over the lcm of its own entries'
+    denominators, and an application sums its terms over the lcm of the
+    coefficients' scales times X's, so the cost grows with that lcm's digits
+    even where every output entry is short.  `superop` writes each entry over
+    its own products' denominators, so for it the cap bounds only the
+    coefficients' forms."""
     digits = _scale_digits(matrices)
     if digits > DIGITS_CAP:
         raise ParseError(f"{flags} denominators could give a common scale of {digits} digits, "
@@ -385,6 +386,7 @@ def _read_file(path: str) -> str:
 def _emit(document: dict, output: str | None) -> None:
     text = jsonio.dumps(document)
     if output:
+        # "w" truncates, so ext4 flushes the new data first: a crash leaves no torn file
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:

@@ -18,14 +18,19 @@ the cells to `Matrix._from_parts`, which builds the form.  A caller that has
 bounded the texts builds from them, so a document is checked once;
 `matrix_from_obj` and `operator_from_obj` run both halves.  Emission runs
 the other way, in the same shape: `matrix_to_obj` spells each distinct cell
-of a matrix's form from its ints through `Matrix._cells`.  Neither builds a
-`Fraction` or a `GaussianRational` for an entry, and neither touches the
-form itself.
+of a matrix's form from its ints through `Matrix._cells`.
+`superoperator_to_obj` writes an operator's superoperator without building
+it: it reads each coefficient's cells once, in lowest terms, and spells
+each entry sum_t B_t[l][k] * A_t[i][j] over the lcm of its own products'
+denominators, which is far narrower than the lcm of every denominator that
+the superoperator's form holds.  No emitter builds a `Fraction`, a
+`GaussianRational` or a form.
 """
 
 from __future__ import annotations
 
 import json
+from math import gcd
 
 from .criteria import ShiftCheckResult, TheoremCheckResult
 from .errors import ParseError
@@ -96,6 +101,38 @@ def operator_to_obj(op: ElementaryOperator) -> dict:
         "dim": op.dim,
         "terms": [{"a": matrix_to_obj(a), "b": matrix_to_obj(b)} for a, b in op.terms],
     }
+
+
+def superoperator_to_obj(op: ElementaryOperator) -> dict:
+    """`matrix_to_obj(op.superoperator())`, written entry by entry from the
+    coefficients' cells: entry (k*n + i, l*n + j) is sum_t B_t[l][k] * A_t[i][j]."""
+    n = op.dim
+    # each term's B transposed, so row k of it is column k of B, and its A
+    pairs = [(list(zip(*b._cells(_lowest))), a._cells(_lowest)) for a, b in op.terms]
+    entries = [list(map(_product_sum, zip(*[[(x, y) for x in bt[k] for y in a[i]]
+                                             for bt, a in pairs])))
+               for k in range(n) for i in range(n)]
+    return {"rows": n * n, "cols": n * n, "entries": entries}
+
+
+def _lowest(re: int, im: int, den: int) -> tuple[int, int, int]:
+    """The cell (re, im, den) in lowest terms, so its products stay narrow."""
+    g = gcd(re, im, den)
+    return re // g, im // g, den // g
+
+
+def _product_sum(factors) -> str:
+    """The text of sum x*y over cell pairs (x, y), summed over the lcm of
+    the nonzero products' denominators."""
+    re, im, den = 0, 0, 1
+    for (xr, xi, xd), (yr, yi, yd) in factors:
+        if (xr or xi) and (yr or yi):
+            d = xd * yd
+            g = gcd(den, d)
+            f, h = d // g, den // g  # den * f is the lcm; the product is scaled by h
+            re, im = re * f + (xr * yr - xi * yi) * h, im * f + (xr * yi + xi * yr) * h
+            den *= f
+    return _format_parts(re, im, den)
 
 
 def operator_texts(obj) -> tuple[int, list[tuple[list[list[str]], list[list[str]]]]]:

@@ -1,12 +1,14 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from elemop import (
     ElementaryOperator,
+    GaussianRational,
     Matrix,
     ParseError,
     fong_sourour_check,
@@ -24,6 +26,7 @@ from elemop.jsonio import (
     operator_texts,
     operator_to_obj,
     report_to_obj,
+    superoperator_to_obj,
 )
 from helpers import (
     rand_matrix,
@@ -316,3 +319,42 @@ def test_reader_and_emitter_match_the_entry_path_on_any_spelling(entries):
     m, ref = matrix_from_obj(obj), ref_matrix_from_texts(matrix_texts(obj))
     assert m._form == ref._form
     assert matrix_to_obj(m) == ref_matrix_to_obj(ref)
+
+
+# ---- the superoperator written from the coefficients' cells ----------------------
+# superoperator_to_obj writes each entry over its own products' denominators;
+# the reference builds the superoperator's form and writes it.
+
+def _part(bits: int):
+    return st.builds(Fraction, st.integers(-2**bits, 2**bits), st.integers(1, 2**bits))
+
+
+@st.composite
+def _operators(draw):
+    """Dims 1-4, 1-3 terms; entries zero or real or Gaussian, with parts of
+    up to 2 or up to 60 bits."""
+    dim, bits = draw(st.integers(1, 4)), draw(st.sampled_from([2, 60]))
+    imaginary = _part(bits) if draw(st.booleans()) else st.just(0)
+    entry = st.just(0) | st.builds(GaussianRational, _part(bits), imaginary)
+    row = st.lists(entry, min_size=dim, max_size=dim)
+    matrix = st.lists(row, min_size=dim, max_size=dim).map(Matrix)
+    terms = draw(st.lists(st.tuples(matrix, matrix), min_size=1, max_size=3))
+    return ElementaryOperator(dim, tuple(terms))
+
+
+_A2, _B2 = Matrix([["1/2", "i"], ["-3", "2/7-1/3*i"]]), Matrix([["5/6", "0"], ["1/4*i", "-1"]])
+
+
+@given(_operators())
+@example(ElementaryOperator(2, ((_A2, _B2), (-_A2, _B2))))  # every entry cancels to "0"
+@example(ElementaryOperator(1, ((Matrix([["-2/3+1/5*i"]]), Matrix([["9/4"]])),)))
+@example(operator_from_obj({"dim": 2, "terms": [{  # read from non-canonical text
+    "a": _doc([["2/4", " 6/3 "], ["-0/5", "4i"]]),
+    "b": _doc([["007/010", "3*i"], ["1", "-2/6"]])}]}))
+def test_superoperator_is_written_as_the_form_path_writes_it(op):
+    assert superoperator_to_obj(op) == matrix_to_obj(op.superoperator())
+
+
+def test_a_term_and_its_negation_write_every_entry_as_zero():
+    obj = superoperator_to_obj(ElementaryOperator(2, ((_A2, _B2), (-_A2, _B2))))
+    assert obj == {"rows": 4, "cols": 4, "entries": [["0"] * 4] * 4}

@@ -88,6 +88,15 @@ def test_operators_are_decided_only_by_op_is_nilpotent():
            if isinstance(arg, ast.Call) and getattr(arg.func, "attr", None) == "superoperator"])
 
 
+def test_the_cli_never_builds_a_superoperator():
+    # `superop` writes each entry over its own products' denominators through
+    # jsonio.superoperator_to_obj; a superoperator's form holds every entry over
+    # the lcm of all of them, so the CLI decides operators only by op_is_nilpotent
+    _none([f"{path}:{call.lineno}: {ast.unparse(call)}; use jsonio.superoperator_to_obj"
+           for path, call in _nodes(ast.Call) if path.name == "cli.py"
+           if getattr(call.func, "attr", None) == "superoperator"])
+
+
 def test_no_raw_reprs_in_parse_error_messages():
     # a ParseError message reaches stderr, so an outside value in it goes through
     # scalars._quoted, which abridges it, never through !r or repr()
