@@ -160,7 +160,7 @@ def _run_apply(args) -> tuple[dict, int]:
     _cap_digits("--op and --x", sum(_widest(a) + _widest(zip(*b)) for a, b in terms)
                 + sum(len(e) for row in x_texts for e in row))
     op, x = jsonio.operator_from_texts(dim, terms), jsonio.matrix_from_texts(x_texts)
-    return jsonio.matrix_to_obj(op(x)), 0
+    return jsonio.apply_to_obj(op, x), 0
 
 
 def _run_superop(args) -> tuple[dict, int]:
@@ -356,11 +356,12 @@ def _cap_scale(flags: str, matrices) -> None:
     """Reject documents whose common denominator could pass DIGITS_CAP digits.
 
     Each coefficient, and X, is built over the lcm of its own entries'
-    denominators, and an application sums its terms over the lcm of the
-    coefficients' scales times X's, so the cost grows with that lcm's digits
-    even where every output entry is short.  `superop` writes each entry over
-    its own products' denominators, so for it the cap bounds only the
-    coefficients' forms."""
+    denominators, so the cost of building them grows with those lcms' digits
+    even where every output entry is short.  Neither command builds its
+    output's form: `superop` writes each entry over its own products'
+    denominators, and `apply` writes entry (i, j) over X's scale times the
+    lcms of row i's scales in the A_t and column j's in the B_t, so for both
+    the cap bounds the forms of the documents they read."""
     digits = _scale_digits(matrices)
     if digits > DIGITS_CAP:
         raise ParseError(f"{flags} denominators could give a common scale of {digits} digits, "

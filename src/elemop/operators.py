@@ -23,6 +23,11 @@ Kronecker kernel behind `kron`, and the result keeps that form for
 `is_nilpotent`.  For X with form (x, x*X), each term is the two Z[i]
 products a_i*A_i (x*X) b_i*B_i, scaled after the product, over L*x.  The
 Z[i] kernels are those of `elemop._zi`.
+
+Both keep the form for library callers and for the decisions.  The CLI's
+`superop` and `apply` only write their matrix out, so they build neither:
+`elemop.jsonio`'s `superoperator_to_obj` and `apply_to_obj` spell each
+entry over denominators narrower than the common scale L (or L*x).
 """
 
 from __future__ import annotations
@@ -63,10 +68,7 @@ class ElementaryOperator:
 
     # ---- action ----------------------------------------------------------
     def __call__(self, x: Matrix) -> Matrix:
-        if x.shape != (self.dim, self.dim):
-            raise ShapeError(
-                f"operator on {self.dim}x{self.dim} applied to {x.rows}x{x.cols}"
-            )
+        self._need_operand(x)
         sx, xf = x._form
         return self._term_sum(sx, lambda f, a, b: [
             p and _zi.scaled(f, p) for p in _zi.gaussian_matmul(_zi.gaussian_matmul(a, xf), b)])
@@ -133,6 +135,13 @@ class ElementaryOperator:
         for _ in range(k):
             result = result.compose(self)
         return result
+
+    def _need_operand(self, x: Matrix) -> None:
+        """Reject an X that is not dim x dim."""
+        if x.shape != (self.dim, self.dim):
+            raise ShapeError(
+                f"operator on {self.dim}x{self.dim} applied to {x.rows}x{x.cols}"
+            )
 
     def _need_same_dim(self, other: "ElementaryOperator") -> None:
         if self.dim != other.dim:

@@ -11,12 +11,14 @@ from elemop import (
     GaussianRational,
     Matrix,
     ParseError,
+    ShapeError,
     fong_sourour_check,
     is_nilpotent,
     thm21_criterion,
     thm23_check,
 )
 from elemop.jsonio import (
+    apply_to_obj,
     check_to_obj,
     dumps,
     matrix_from_obj,
@@ -329,15 +331,21 @@ def _part(bits: int):
     return st.builds(Fraction, st.integers(-2**bits, 2**bits), st.integers(1, 2**bits))
 
 
-@st.composite
-def _operators(draw):
-    """Dims 1-4, 1-3 terms; entries zero or real or Gaussian, with parts of
-    up to 2 or up to 60 bits."""
-    dim, bits = draw(st.integers(1, 4)), draw(st.sampled_from([2, 60]))
+def _squares(draw, dim: int):
+    """dim x dim matrices whose entries are zero or real or Gaussian, with
+    parts of up to 2 or up to 60 bits."""
+    bits = draw(st.sampled_from([2, 60]))
     imaginary = _part(bits) if draw(st.booleans()) else st.just(0)
     entry = st.just(0) | st.builds(GaussianRational, _part(bits), imaginary)
     row = st.lists(entry, min_size=dim, max_size=dim)
-    matrix = st.lists(row, min_size=dim, max_size=dim).map(Matrix)
+    return st.lists(row, min_size=dim, max_size=dim).map(Matrix)
+
+
+@st.composite
+def _operators(draw):
+    """Dims 1-4, 1-3 terms, coefficients of `_squares`."""
+    dim = draw(st.integers(1, 4))
+    matrix = _squares(draw, dim)
     terms = draw(st.lists(st.tuples(matrix, matrix), min_size=1, max_size=3))
     return ElementaryOperator(dim, tuple(terms))
 
@@ -358,3 +366,48 @@ def test_superoperator_is_written_as_the_form_path_writes_it(op):
 def test_a_term_and_its_negation_write_every_entry_as_zero():
     obj = superoperator_to_obj(ElementaryOperator(2, ((_A2, _B2), (-_A2, _B2))))
     assert obj == {"rows": 4, "cols": 4, "entries": [["0"] * 4] * 4}
+
+
+# ---- op(X) written over each entry's row and column scales ------------------------
+# apply_to_obj writes entry (i, j) over X's scale times the lcms of row i's
+# scales in the A_t and column j's in the B_t; the reference builds op(X)'s
+# form and writes it.
+
+@st.composite
+def _applications(draw):
+    """An operator of `_operators()` and an X of `_squares` of its dimension."""
+    op = draw(_operators())
+    return op, draw(_squares(draw, op.dim))
+
+
+_X2 = Matrix([["3/5", "-1/2*i"], ["7", "1/9+2*i"]])
+_REAL2, _GAUSS2 = Matrix([["1/3", "-2"], ["5/7", "1/6"]]), Matrix([["1/2*i", "3"], ["-4/5", "1+1/8*i"]])
+_ZERO_ROW, _ZERO_COL = Matrix([["1/6", "2/5"], ["0", "0"]]), Matrix([["0", "3/4"], ["0", "-1/9*i"]])
+
+
+@given(_applications())
+@example((ElementaryOperator(2, ((_A2, _B2), (-_A2, _B2))), _X2))  # every entry cancels to "0"
+@example((ElementaryOperator(1, ((Matrix([["-2/3+1/5*i"]]), Matrix([["9/4"]])),)),
+          Matrix([["5/7-i"]])))
+@example((ElementaryOperator(2, ((_A2, _B2),)), Matrix.zero(2)))
+@example((ElementaryOperator(2, ((_ZERO_ROW, _B2), (_A2, _ZERO_COL))), _X2))  # lines of scale 1
+@example((ElementaryOperator(2, ((_REAL2, _GAUSS2),)), _X2))
+@example((ElementaryOperator(2, ((_GAUSS2, _REAL2),)), _REAL2))
+@example((operator_from_obj({"dim": 2, "terms": [{  # read from non-canonical text
+    "a": _doc([["2/4", " 6/3 "], ["-0/5", "4i"]]),
+    "b": _doc([["007/010", "3*i"], ["1", "-2/6"]])}]}),
+    matrix_from_obj(_doc([["4/6", " -3 "], ["2i", "010/4"]]))))
+def test_application_is_written_as_the_form_path_writes_it(case):
+    op, x = case
+    assert apply_to_obj(op, x) == matrix_to_obj(op(x))
+
+
+def test_a_term_and_its_negation_apply_to_every_entry_as_zero():
+    obj = apply_to_obj(ElementaryOperator(2, ((_A2, _B2), (-_A2, _B2))), _X2)
+    assert obj == {"rows": 2, "cols": 2, "entries": [["0"] * 2] * 2}
+
+
+def test_application_rejects_an_x_of_another_shape():
+    with pytest.raises(ShapeError) as info:
+        apply_to_obj(ElementaryOperator(2, ((_A2, _B2),)), Matrix.identity(3))
+    assert str(info.value) == "operator on 2x2 applied to 3x3"

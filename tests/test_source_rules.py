@@ -97,6 +97,16 @@ def test_the_cli_never_builds_a_superoperator():
            if getattr(call.func, "attr", None) == "superoperator"])
 
 
+def test_the_cli_never_writes_a_computed_matrix_through_its_form():
+    # `apply` writes op(X) through jsonio.apply_to_obj, each entry over its own
+    # row and column scales; matrix_to_obj of a call's result, op(x) say, would
+    # build the result's form over the common scale of every term first
+    _none([f"{path}:{call.lineno}: {ast.unparse(call)}; use jsonio.apply_to_obj"
+           for path, call in _nodes(ast.Call) if path.name == "cli.py"
+           if getattr(call.func, "id", getattr(call.func, "attr", None)) == "matrix_to_obj"
+           if any(isinstance(arg, ast.Call) for arg in call.args)])
+
+
 def test_no_raw_reprs_in_parse_error_messages():
     # a ParseError message reaches stderr, so an outside value in it goes through
     # scalars._quoted, which abridges it, never through !r or repr()
