@@ -5,10 +5,11 @@ every function here takes and returns int rows, such pairs or Gaussian ints
 (re, im).  Products, Kronecker products and matrix-vector steps come back as
 fresh lists; nothing is summed in place.  Each costs one int kernel call
 (product, Kronecker product or step) per real pair of factors, two with one
-Gaussian factor (products only), three (Gauss's trick) with two.  `kron` and
-`operators.superoperator` share `gaussian_kron`.  An int product skips the
-inner products of a zero left row.  `Matrix` (`elemop.matrix`), the
-nilpotency routes and the operator term sums all compute through them.
+Gaussian factor (products only), three (Gauss's trick) with two.  `kron`,
+`operators.superoperator` and the superoperator's narrow cells share
+`gaussian_kron`.  An int product skips the inner products of a zero left
+row.  `Matrix` (`elemop.matrix`), the nilpotency routes and the operator
+term sums all compute through them.
 """
 
 from __future__ import annotations

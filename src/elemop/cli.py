@@ -358,10 +358,10 @@ def _cap_scale(flags: str, matrices) -> None:
     Each coefficient, and X, is built over the lcm of its own entries'
     denominators, so the cost of building them grows with those lcms' digits
     even where every output entry is short.  Neither command builds its
-    output's form: `superop` writes each entry over its own products'
-    denominators, and `apply` writes entry (i, j) over X's scale times the
-    lcms of row i's scales in the A_t and column j's in the B_t, so for both
-    the cap bounds the forms of the documents they read."""
+    output's form: both write the narrow cells of `elemop.operators`, over
+    the lcms of each entry's own denominators in the coefficients (`superop`)
+    or over X's scale times those of its row and column (`apply`), so for
+    both the cap bounds the forms of the documents they read."""
     digits = _scale_digits(matrices)
     if digits > DIGITS_CAP:
         raise ParseError(f"{flags} denominators could give a common scale of {digits} digits, "

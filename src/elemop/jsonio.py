@@ -19,28 +19,18 @@ bounded the texts builds from them, so a document is checked once;
 `matrix_from_obj` and `operator_from_obj` run both halves.  Emission runs
 the other way, in the same shape: `matrix_to_obj` spells each distinct cell
 of a matrix's form from its ints through `Matrix._cells`.
-`superoperator_to_obj` writes an operator's superoperator without building
-it: it reads each coefficient's cells once, in lowest terms, and spells
-each entry sum_t B_t[l][k] * A_t[i][j] over the lcm of its own products'
-denominators, which is far narrower than the lcm of every denominator that
-the superoperator's form holds.  `apply_to_obj` writes op(X) without
-building it: it reads the own scale of each row of each A_t and of each
-column of each B_t off the coefficients' forms, one gcd per line, puts
-row i of every A_t over the lcm R_i of its row's scales and column j of
-every B_t over the lcm C_j of its column's, and spells entry (i, j) of
-the summed Z[i] products A_t (xX) B_t over x*R_i*C_j, x the scale of X's
-form; those are about half as wide as the common scale that op(X)'s form
-holds.  No emitter builds a `Fraction`, a `GaussianRational` or a form.
+`superoperator_to_obj` and `apply_to_obj` spell the narrow cells that
+`elemop.operators` computes for an operator's superoperator and for op(X),
+each entry over denominators far narrower than the common scale that the
+matrix's form would hold.  This module only spells: it does no Z[i]
+arithmetic, and no emitter builds a `Fraction`, a `GaussianRational` or a
+form.
 """
 
 from __future__ import annotations
 
 import json
-from functools import reduce
-from itertools import chain, repeat
-from math import gcd, lcm
 
-from . import _zi
 from .criteria import ShiftCheckResult, TheoremCheckResult
 from .errors import ParseError
 from .matrix import Matrix
@@ -113,82 +103,18 @@ def operator_to_obj(op: ElementaryOperator) -> dict:
 
 
 def superoperator_to_obj(op: ElementaryOperator) -> dict:
-    """`matrix_to_obj(op.superoperator())`, written entry by entry from the
-    coefficients' cells: entry (k*n + i, l*n + j) is sum_t B_t[l][k] * A_t[i][j]."""
-    n = op.dim
-    # each term's B transposed, so row k of it is column k of B, and its A
-    pairs = [(list(zip(*b._cells(_lowest))), a._cells(_lowest)) for a, b in op.terms]
-    entries = [list(map(_product_sum, zip(*[[(x, y) for x in bt[k] for y in a[i]]
-                                             for bt, a in pairs])))
-               for k in range(n) for i in range(n)]
-    return {"rows": n * n, "cols": n * n, "entries": entries}
+    """`matrix_to_obj(op.superoperator())`, spelled from the operator's narrow cells."""
+    return _cells_to_obj(op._superoperator_cells())
 
 
 def apply_to_obj(op: ElementaryOperator, x: Matrix) -> dict:
-    """`matrix_to_obj(op(x))`, written without building op(x): entry (i, j)
-    of sum_t A_t X B_t over x * R_i * C_j, x the scale of X's form, R_i the
-    lcm of row i's own scales in the A_t and C_j that of column j's in the
-    B_t.  Each A_t is rescaled to have row i over R_i and each B_t to have
-    column j over C_j, so every term of an entry is over that denominator,
-    and a term is two Z[i] products of those narrower ints."""
-    op._need_operand(x)
-    sx, xf = x._form
-    forms = [(a._form, b._form) for a, b in op.terms]
-    rows = [lcm(*own) for own in zip(*(_own(s, map(chain, re, im) if im else re)
-                                       for (s, (re, im)), _ in forms))]
-    cols = [lcm(*own) for own in zip(*(_own(s, zip(*re, *(im or ())))
-                                       for _, (s, (re, im)) in forms))]
-    terms = [_zi.gaussian_matmul(_zi.gaussian_matmul(_rows_over(sa, a, rows), xf),
-                                 _cols_over(sb, b, cols))
-             for (sa, a), (sb, b) in forms]
-    ims = [im for _, im in terms if im is not None]
-    re = reduce(_zi.add_rows, [re for re, _ in terms])
-    im = reduce(_zi.add_rows, ims) if ims else repeat(repeat(0))
-    entries = [[_format_parts(u, v, d * c) for u, v, c in zip(ur, vr, cols)]
-               for ur, vr, d in zip(re, im, (sx * r for r in rows))]
-    return {"rows": op.dim, "cols": op.dim, "entries": entries}
+    """`matrix_to_obj(op(x))`, spelled from the narrow cells that op(x) is built from."""
+    return _cells_to_obj(op._applied(x))
 
 
-def _own(scale: int, lines) -> list[int]:
-    """The own scale of each line (a row, say) of a form's parts:
-    scale // gcd(scale, *line), the lcm of its entries' reduced
-    denominators, 1 for a zero line."""
-    return [scale // gcd(scale, *line) for line in lines]
-
-
-def _rows_over(scale: int, parts, common):
-    """Int parts over `scale`, with row i put over common[i], a multiple of
-    its own scale; a row whose common scale is `scale` stays as it is."""
-    return [p and [row if c == scale else [v * c // scale for v in row]
-                   for row, c in zip(p, common)] for p in parts]
-
-
-def _cols_over(scale: int, parts, common):
-    """Int parts over `scale`, with column j put over common[j], a multiple
-    of its own scale; parts whose common scales are all `scale` stay as they are."""
-    if all(c == scale for c in common):
-        return parts
-    return [p and [[v * c // scale for v, c in zip(row, common)] for row in p] for p in parts]
-
-
-def _lowest(re: int, im: int, den: int) -> tuple[int, int, int]:
-    """The cell (re, im, den) in lowest terms, so its products stay narrow."""
-    g = gcd(re, im, den)
-    return re // g, im // g, den // g
-
-
-def _product_sum(factors) -> str:
-    """The text of sum x*y over cell pairs (x, y), summed over the lcm of
-    the nonzero products' denominators."""
-    re, im, den = 0, 0, 1
-    for (xr, xi, xd), (yr, yi, yd) in factors:
-        if (xr or xi) and (yr or yi):
-            d = xd * yd
-            g = gcd(den, d)
-            f, h = d // g, den // g  # den * f is the lcm; the product is scaled by h
-            re, im = re * f + (xr * yr - xi * yi) * h, im * f + (xr * yi + xi * yr) * h
-            den *= f
-    return _format_parts(re, im, den)
+def _cells_to_obj(cells) -> dict:
+    return {"rows": len(cells), "cols": len(cells[0]),
+            "entries": [[_format_parts(*c) for c in row] for row in cells]}
 
 
 def operator_texts(obj) -> tuple[int, list[tuple[list[list[str]], list[list[str]]]]]:

@@ -34,6 +34,7 @@ from helpers import (
     rand_matrix,
     rand_operator,
     record_scales,
+    ref_apply,
     ref_matrix_from_texts,
     ref_matrix_to_obj,
     wide_matrix,
@@ -370,8 +371,9 @@ def test_a_term_and_its_negation_write_every_entry_as_zero():
 
 # ---- op(X) written over each entry's row and column scales ------------------------
 # apply_to_obj writes entry (i, j) over X's scale times the lcms of row i's
-# scales in the A_t and column j's in the B_t; the reference builds op(X)'s
-# form and writes it.
+# scales in the A_t and column j's in the B_t, and op(x) builds its matrix
+# from the same cells; the reference sums A_t X B_t in GaussianRational
+# arithmetic and writes that.
 
 @st.composite
 def _applications(draw):
@@ -397,9 +399,11 @@ _ZERO_ROW, _ZERO_COL = Matrix([["1/6", "2/5"], ["0", "0"]]), Matrix([["0", "3/4"
     "a": _doc([["2/4", " 6/3 "], ["-0/5", "4i"]]),
     "b": _doc([["007/010", "3*i"], ["1", "-2/6"]])}]}),
     matrix_from_obj(_doc([["4/6", " -3 "], ["2i", "010/4"]]))))
-def test_application_is_written_as_the_form_path_writes_it(case):
+def test_application_is_written_and_built_as_the_reference_sum(case):
     op, x = case
-    assert apply_to_obj(op, x) == matrix_to_obj(op(x))
+    ref = ref_apply(op, x)
+    assert apply_to_obj(op, x) == ref_matrix_to_obj(ref)
+    assert op(x) == ref
 
 
 def test_a_term_and_its_negation_apply_to_every_entry_as_zero():

@@ -149,8 +149,11 @@ def test_apply_shape_check():
 
 
 # ---- the one-pass application ---------------------------------------------------
-# op(x) sums f_i * (a_i*A_i)(x*X)(b_i*B_i) over L*x, f_i = L/(a_i*b_i); the
-# reference sums A_i X B_i term by term in GaussianRational arithmetic.
+# op(x) sums the Z[i] products A_i (x*X) B_i with row r of every A_i put over
+# R_r, the lcm of that row's own scales, and column c of every B_i over C_c,
+# likewise, and builds its matrix once from the cells over x*R_r*C_c; the
+# scaled cases give the terms' rows different scales.  The reference sums
+# A_i X B_i term by term in GaussianRational arithmetic.
 
 def _coefficient(rng: random.Random, dim: int, gaussian: bool, den: int) -> Matrix:
     """A dim x dim matrix whose form's scale is den: its corner is 1/den, and
@@ -211,8 +214,10 @@ def test_apply_builds_its_result_once_without_matrix_products(monkeypatch):
     monkeypatch.setattr(Matrix, "_matmul", no_product)
     scales = record_scales(monkeypatch)
     assert op(x) == expected
-    # one build, over L*x with L = lcm(2*3, 4*3, 5*3)
-    assert scales == [60 * 7]
+    # one build, through Matrix._from_parts, over the lcm of the cells'
+    # x*R_r*C_c: the corners 1/2, 1/4 and 1/5 give R_0 = 20, every B_i is
+    # over 3 and X over 7
+    assert scales == [20 * 3 * 7]
 
 
 # ---- algebra -----------------------------------------------------------------

@@ -107,6 +107,19 @@ def test_the_cli_never_writes_a_computed_matrix_through_its_form():
            if any(isinstance(arg, ast.Call) for arg in call.args)])
 
 
+def test_jsonio_only_spells_cells():
+    # operators and matrix compute the cells (re, im, den) that jsonio writes,
+    # so jsonio does no Z[i] arithmetic: it imports nothing from _zi and no gcd or lcm
+    bad = []
+    for path, node in _nodes((ast.Import, ast.ImportFrom)):
+        if path.name == "jsonio.py":
+            names = {a.name.split(".")[-1] for a in node.names}
+            names.add((getattr(node, "module", None) or "").split(".")[-1])
+            bad += [f"{path}:{node.lineno}: imports {name}; compute in operators or matrix"
+                    for name in sorted(names & {"_zi", "gcd", "lcm"})]
+    _none(bad)
+
+
 def test_no_raw_reprs_in_parse_error_messages():
     # a ParseError message reaches stderr, so an outside value in it goes through
     # scalars._quoted, which abridges it, never through !r or repr()
