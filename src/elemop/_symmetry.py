@@ -19,7 +19,10 @@ under negation.  `side_classes` gives the classes of one side under the
 maps that act on one side, and `pair_orbits` the orbits of the class pairs
 under the maps that act on a pair.  Both work on matrices as tuples of
 entry positions in `itertools.product` order, and build their tables when
-called, never at import.
+called, never at import.  This module is the one place that enumerates the
+matrices or numbers the pairs: `side_classes` hands out each class's first
+member as rows of entries, and `pair_orbits` each orbit's trial, the index
+of its first pair among all pairs, so a sweep builds only representatives.
 """
 
 from __future__ import annotations
@@ -38,10 +41,11 @@ def side_classes(dim: int, entry_set, symmetries):
     """The classes of the dim x dim matrices over `entry_set` under the maps
     in `symmetries` that act on one side, CONJUGATE_EACH and NEGATE_EACH.
 
-    Returns (reps, sizes, transpose, negate), lists over the classes in the
-    `itertools.product` order of their first members: that member's index,
-    the class size, and the class of its transpose and of its negative
-    (negate is None unless the set is closed under negation).  A move sends
+    Returns (reps, sizes, transpose, negate, rows), lists over the classes in
+    the `itertools.product` order of their first members: that member's
+    index, the class size, the class of its transpose and of its negative
+    (negate is None unless the set is closed under negation), and that
+    member's rows of entries, as the scalars of `entry_set`.  A move sends
     entry (r, c) to a place, negated if flagged: P M P^-1 sends it to
     (p[r], p[c]), negated if rows r and c differ in sign.
     """
@@ -72,16 +76,19 @@ def side_classes(dim: int, entry_set, symmetries):
     negated = [(place[r][c], True) for r, c in grid]
     transpose = [owner[image(transposed, m)] for m in firsts]
     negate = [owner[image(negated, m)] for m in firsts] if closed else None
-    return reps, sizes, transpose, negate
+    rows = [[[values[e] for e in m[r:r + dim]] for r in range(0, cells, dim)] for m in firsts]
+    return reps, sizes, transpose, negate, rows
 
 
 def pair_orbits(classes, symmetries):
-    """Yield (a, b, weight) for each orbit of the matrix pairs under the group
-    that `symmetries` generate: (a, b) is the first in product order of the
-    `side_classes` pairs that TRANSPOSE_SWAP and NEGATE_BOTH send it to, and
-    each distinct one (x, y) adds sizes[x] * sizes[y] pairs to the weight."""
-    reps, sizes, transpose, negate = classes
-    count = len(reps)
+    """Yield (a, b, trial, weight) for each orbit of the matrix pairs under the
+    group that `symmetries` generate: (a, b) is the first in product order of
+    the `side_classes` pairs that TRANSPOSE_SWAP and NEGATE_BOTH send it to,
+    trial is the index reps[a] * n + reps[b] of its first pair among all n^2
+    pairs of the n = sum(sizes) matrices, and each distinct (x, y) it is sent
+    to adds sizes[x] * sizes[y] pairs to the weight."""
+    reps, sizes, transpose, negate, _ = classes
+    count, n = len(reps), sum(sizes)
     sides = [range(count)] + ([negate] if NEGATE_BOTH in symmetries and negate else [])
     # (swap, f) sends (a, b) to (f[a], f[b]), or to (f[b], f[a]) if swap
     group = [(False, f) for f in sides]
@@ -93,4 +100,4 @@ def pair_orbits(classes, symmetries):
             images = {(f[b], f[a]) if swap else (f[a], f[b]) for swap, f in group}
             for x, y in images:
                 seen[x * count + y] = 1
-            yield a, b, sum(sizes[x] * sizes[y] for x, y in images)
+            yield a, b, reps[a] * n + reps[b], sum(sizes[x] * sizes[y] for x, y in images)

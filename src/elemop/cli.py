@@ -228,16 +228,15 @@ def _run_sweep(args) -> tuple[dict, int]:
             "--exhaustive needs --dim 2" if spec.supports("sweep")
             else f"--theorem {args.theorem} sweeps exhaustively and needs --dim 2"
         )
-    for key, default in SWEEP_SAMPLING.items():
-        if getattr(args, key) is None:
-            setattr(args, key, default)
-        elif exhaustive:
-            raise ParseError(f"--{key.replace('_', '-')} does not apply to an exhaustive sweep")
     if exhaustive:
+        for key in SWEEP_SAMPLING:
+            if getattr(args, key) is not None:
+                raise ParseError(f"--{key.replace('_', '-')} does not apply to an exhaustive sweep")
         report = lab._sweep_exhaustive(args.theorem)
     elif args.exhaustive:
         raise ParseError(f"--exhaustive does not apply to --theorem {args.theorem}")
     else:
+        vars(args).update((k, v) for k, v in SWEEP_SAMPLING.items() if getattr(args, k) is None)
         report = lab.sweep_thm(args.theorem, _config(args), args.trials)
     return report.to_obj(), 0 if report.passed else 1
 

@@ -26,7 +26,6 @@ coefficients by `scalars._gaussian`.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import asdict, dataclass, field
 from typing import Callable
@@ -438,9 +437,10 @@ def _sweep_exhaustive(theorem: str, entry_set=(-1, 0, 1), *, _brute_force=False)
     Pairs are decided one per orbit of the group that the criterion's
     `symmetries` generate, weighted by the orbit's size: every map in it
     keeps nilpotency, index, hypotheses and predicted index.  Over {-1, 0, 1}
-    that is 153 of 6,561 pairs for 2.1 and 208 for 1.1.  `trial` is a pair's
-    index among all n^2, so a violation replays as that pair; `_brute_force`
-    decides every pair.
+    that is 153 of 6,561 pairs for 2.1 and 208 for 1.1.  `elemop._symmetry`
+    hands out each representative's rows and its `trial`, the pair's index
+    among all n^2 in product order, so a violation replays as that pair;
+    `_brute_force` decides every pair.
 
     Each coefficient recurs in many pairs, so the sweep opens
     `criteria._sweep_facts()` around its loop: each distinct coefficient's
@@ -453,13 +453,10 @@ def _sweep_exhaustive(theorem: str, entry_set=(-1, 0, 1), *, _brute_force=False)
     config = {"dim": 2, "entry_set": [str(e) for e in entry_set]}
     report = SweepReport(theorem=spec.cli, mode="exhaustive", config=config)
     symmetries = () if _brute_force else spec.symmetries
-    classes = side_classes(2, entry_set, symmetries)
-    reps = classes[0]
-    combos = list(itertools.product(entry_set, repeat=4))
-    mats = [Matrix([list(combos[i][:2]), list(combos[i][2:])]) for i in reps]
+    classes = side_classes(config["dim"], entry_set, symmetries)
+    mats = [Matrix(rows) for rows in classes[4]]
     with _sweep_facts():
-        for a, b, weight in pair_orbits(classes, symmetries):
-            trial = reps[a] * len(combos) + reps[b]
+        for a, b, trial, weight in pair_orbits(classes, symmetries):
             _record(spec, (mats[a], mats[b]), report, trial, "exhaustive", weight=weight)
     return report
 

@@ -12,18 +12,19 @@ and each result is built from its form by `_from_integer_form`, which
 divides out the gcd of the scale and every part.  A scale of 2**64 or more
 first takes one gcd with the sum of the parts, and the parts are walked only
 when that leaves a factor above 1; a narrower scale walks them at once, and
-a scale of 1 not at all (see `_from_integer_form` for why the cutoff).  The form is all a matrix holds, and nothing writes
-to a matrix once it is built.  An entry enters and leaves the form in one
-int shape, the cell (re, im, den) of (re + i*im)/den, as a
-`GaussianRational` stores its ints.  `Matrix(rows)`, the JSON reader
-(`elemop.jsonio`) and the generators (`elemop.lab`) all build the form
-through `_from_parts` from cells; `Matrix(rows)` takes each entry's
-canonical ints as its cell.  The whole form is read through `_cells`, one
-walk over its distinct cells, whose cells `_from_parts` turns back into the
-same matrix: the entry readers (`str`, row indexing, `row_list`) build the
-entries with it and `scalars._gaussian` when called, and `jsonio` writes
-entry texts with it.  Indexing by a pair (i, j) builds only that entry, from
-its one cell, and `entries` builds each entry only when it reaches it.
+a scale of 1 not at all (see `_from_integer_form` for why the cutoff).  The
+form is all a matrix holds, and nothing writes to a matrix once it is built.
+An entry enters and leaves the form in one int shape, the cell (re, im, den)
+of (re + i*im)/den, as a `GaussianRational` stores its ints.
+`Matrix(rows)`, the JSON reader (`elemop.jsonio`) and the generators
+(`elemop.lab`) all build the form through `_from_parts` from cells;
+`Matrix(rows)` takes each entry's canonical ints as its cell.  The whole
+form is read through `_cells`, one walk over its distinct cells, whose cells
+`_from_parts` turns back into the same matrix: the entry readers (`str`, row
+indexing, `row_list`) build the entries with it and `scalars._gaussian` when
+called, and `jsonio` writes entry texts with it.  Indexing by a pair (i, j)
+builds only that entry, from its one cell, and `entries` builds each entry
+only when it reaches it.
 
 Work that chains several steps stays on the form and builds one matrix at
 the end: `matrix_poly` runs Horner's rule on Z[i] products over one common

@@ -219,18 +219,19 @@ def test_orbit_sweep_reports_match_brute_force_byte_for_byte(theorem, entry_set)
     (3, (0, 1), 104), (3, (-1, 1), 32), (3, (-1, 0, 1), 927),
 ])
 def test_orbit_counts_and_weights(dim, entry_set, count):
-    reps, sizes, _, _ = side_classes(dim, entry_set, (CONJUGATE_EACH,))
+    reps, sizes, _, _, _ = side_classes(dim, entry_set, (CONJUGATE_EACH,))
     assert len(reps) == count
     assert sum(sizes) == len(entry_set) ** (dim * dim)
     # with no symmetry, as the brute-force path asks, each matrix is its own class
-    reps, sizes, _, _ = side_classes(dim, entry_set, ())
+    reps, sizes, _, _, _ = side_classes(dim, entry_set, ())
     assert list(reps) == list(range(len(entry_set) ** (dim * dim))) and set(sizes) == {1}
 
 
 def _reference_orbits(dim, entry_set):
     """The orbits of `Matrix` conjugation P * m * P.T by the signed
-    permutation matrices, signed only if the set is closed under negation;
-    each orbit as the set of its members' indices in product order."""
+    permutation matrices, signed only if the set is closed under negation:
+    the matrices in product order, and each orbit as the set of its members'
+    indices in that order."""
     mats = [Matrix([list(c[r * dim:(r + 1) * dim]) for r in range(dim)])
             for c in itertools.product(entry_set, repeat=dim * dim)]
     index = {m: i for i, m in enumerate(mats)}
@@ -238,17 +239,19 @@ def _reference_orbits(dim, entry_set):
     signs = list(itertools.product((1, -1), repeat=dim)) if closed else [(1,) * dim]
     group = [Matrix([[s[r] * (p[r] == c) for c in range(dim)] for r in range(dim)])
              for p in itertools.permutations(range(dim)) for s in signs]
-    return {frozenset(index[p * m * p.T] for p in group) for m in mats}
+    return mats, {frozenset(index[p * m * p.T] for p in group) for m in mats}
 
 
 @pytest.mark.parametrize("dim, entry_set", [
     (2, (-1, 0, 1)), (2, (0, 1)), (2, (-1, 1)), (3, (0, 1)), (3, (-1, 1)),
 ])
 def test_orbits_match_matrix_conjugation(dim, entry_set):
-    reference = _reference_orbits(dim, entry_set)
-    reps, sizes, _, _ = side_classes(dim, entry_set, (CONJUGATE_EACH,))
+    mats, reference = _reference_orbits(dim, entry_set)
+    reps, sizes, _, _, rows = side_classes(dim, entry_set, (CONJUGATE_EACH,))
     # each representative is the first member of its orbit, in product order
-    assert sorted((min(o), len(o)) for o in reference) == list(zip(reps, sizes))
+    firsts = sorted((min(o), len(o)) for o in reference)
+    assert firsts == list(zip(reps, sizes))
+    assert [Matrix(r) for r in rows] == [mats[i] for i, _ in firsts]
 
 
 def _pair_maps(theorem, entry_set) -> dict:
@@ -298,11 +301,9 @@ def _reference_pair_orbits(theorem, entry_set):
 def test_pair_orbits_match_matrix_closure(theorem, entry_set, counts):
     reference = _reference_pair_orbits(theorem, entry_set)
     symmetries = lab_module.criterion(theorem, "exhaustive").symmetries
-    classes = side_classes(2, entry_set, symmetries)
-    reps = classes[0]
-    pairs = [(reps[a] * len(entry_set) ** 4 + reps[b], weight)
-             for a, b, weight in pair_orbits(classes, symmetries)]
-    # each representative is the first pair of its orbit, in product order
+    pairs = [(trial, weight) for _, _, trial, weight
+             in pair_orbits(side_classes(2, entry_set, symmetries), symmetries)]
+    # each trial is the first pair of its orbit, in product order
     assert sorted((min(o), len(o)) for o in reference) == pairs
     assert len(pairs) == counts[theorem]
 
@@ -314,8 +315,11 @@ def test_dim3_pair_orbit_counts(theorem, classes, orbits):
     sides = side_classes(3, (-1, 0, 1), symmetries)
     assert len(sides[0]) == classes
     count = total = 0
-    for _, _, weight in pair_orbits(sides, symmetries):
-        count, total = count + 1, total + weight
+    last = -1
+    for _, _, trial, weight in pair_orbits(sides, symmetries):
+        # a dim-3 violation replays as the pair its trial numbers
+        assert last < trial < 19683**2
+        count, total, last = count + 1, total + weight, trial
     assert (count, total) == (orbits, 19683**2)
 
 
